@@ -5,7 +5,7 @@ individual modules for the algorithms and their determinism guarantees.
 """
 
 from clawlab.canon import canonical_form, canonical_label, is_isomorphic
-from clawlab.graphs import Graph, GraphError, graph_new, parse_graph6, to_graph6
+from clawlab.graphs import Graph, GraphError, parse_graph6, to_graph6
 from clawlab.invariants import (
     InvariantReport,
     PerfectionVerdict,
@@ -42,6 +42,6 @@ from clawlab.structure import (
     recognize_inflation,
 )
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs, oracle_enumerate
-from clawlab.verify import VerificationReport, report_emit, verify
+from clawlab.verify import VerificationReport, report_emit
 
 __version__ = "0.1.0"

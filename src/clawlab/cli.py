@@ -28,7 +28,7 @@ from clawlab.families import (
 from clawlab.graphs import Graph, GraphError, parse_graph6, to_graph6
 from clawlab.invariants import invariant_report, is_perfect
 from clawlab.patterns import PatternError
-from clawlab.structure import StructureVerdict, VerdictKind, classify_claw_bull_free
+from clawlab.structure import StructureVerdict, TheoremViolation, VerdictKind, classify_claw_bull_free
 from clawlab.verify import report_emit, verify
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 
@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="build or verify a counterexample family member")
     p.add_argument("family", choices=["F0", "F1", "F2", "F3", "F4"])
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--emit", choices=["graph6"], default="graph6")
     p.add_argument("--verify", action="store_true", help="verify structural claims instead")
     p.set_defaults(func=cmd_family)
 
@@ -204,6 +203,9 @@ def main(argv=None) -> int:
         return 2
     except ClaimError as exc:
         print(f"claim failed: {exc}", file=sys.stderr)
+        return 1
+    except TheoremViolation as exc:
+        print(f"theorem violated: {exc}", file=sys.stderr)
         return 1
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from clawlab import kernels
 from clawlab.graphs import Graph, to_graph6
+from clawlab.invariants import independence_number
 from clawlab.patterns import pattern_graph
 
 MAX_ENUM_VERTICES = 11  # documented runtime wall
@@ -46,12 +47,6 @@ class EnumerationConfig:
                 )
 
 
-def _delete_last(n, adj):
-    """Adjacency rows after removing vertex n-1."""
-    mask = (1 << (n - 1)) - 1
-    return tuple(adj[v] & mask for v in range(n - 1))
-
-
 def _delete_vertex(n, adj, x):
     rows = []
     for v in range(n):
@@ -68,7 +63,7 @@ def _children(rep: Graph, pattern_adjs):
     """Canonically accepted one-vertex extensions of a representative."""
     n = rep.n + 1
     out = []
-    seen = {}
+    seen = set()
     for mask in range(1 << rep.n):
         rows = [rep.adj[v] | (((mask >> v) & 1) << (n - 1)) for v in range(rep.n)]
         rows.append(mask)
@@ -83,30 +78,24 @@ def _children(rep: Graph, pattern_adjs):
         cert, perm = kernels.canon_form(n, adj)
         if cert in seen:
             continue
-        if perm[n - 1] == n - 1:
-            accepted = True
-        else:
+        seen.add(cert)
+        if perm[n - 1] != n - 1:
+            # deleting the new vertex gives the parent, whose rows are already
+            # canonical; deleting the canonically last vertex must match them
             w_last = perm.index(n - 1)
-            a = kernels.canon_form(n - 1, _delete_last(n, adj))[0]
-            b = kernels.canon_form(n - 1, _delete_vertex(n, adj, w_last))[0]
-            accepted = a == b
-        seen[cert] = accepted
-        if accepted:
-            out.append(Graph(n, cert))
-    out.sort(key=lambda g: g.adj)
+            if kernels.canon_form(n - 1, _delete_vertex(n, adj, w_last))[0] != rep.adj:
+                continue
+        out.append(Graph(n, cert))
     return out
 
 
 def _emit_ok(g: Graph, config: EnumerationConfig) -> bool:
     if config.connected_only and not g.is_connected():
         return False
-    if config.exclude_odd_cycles:
-        if g.n % 2 == 1 and g.n >= 3 and all(d == 2 for d in g.degrees()) and g.is_connected():
-            return False
-    if config.min_alpha > 0:
-        comp = g.complement()
-        if kernels.max_clique(comp.n, comp.adj).bit_count() < config.min_alpha:
-            return False
+    if config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle():
+        return False
+    if config.min_alpha > 0 and independence_number(g)[0] < config.min_alpha:
+        return False
     return True
 
 

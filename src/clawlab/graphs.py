@@ -84,13 +84,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows)
 
-    @classmethod
-    def from_graph6(cls, text: str) -> "Graph":
-        return parse_graph6(text)
-
-    def to_graph6(self) -> str:
-        return to_graph6(self)
-
     # -- basic queries -------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -162,6 +155,10 @@ class Graph:
             seen |= frontier
         return seen == (1 << self.n) - 1
 
+    def is_cycle(self) -> bool:
+        """True iff the graph is a chordless cycle: n >= 3, 2-regular, connected."""
+        return self.n >= 3 and all(row.bit_count() == 2 for row in self.adj) and self.is_connected()
+
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by least vertex."""
         out = []
@@ -193,11 +190,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_list()!r})"
-
-
-def graph_new(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Alias of :meth:`Graph.from_edges` for symmetry with the parser."""
-    return Graph.from_edges(n, edges)
 
 
 # -- graph6 ------------------------------------------------------------

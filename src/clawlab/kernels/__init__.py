@@ -1,11 +1,11 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when importable; set ``CLAWLAB_PURE=1``
-to force the pure-Python fallback.  Both backends implement the same search
-orders, so results (including witnesses) are identical either way.
+The compiled extension ``_ckern`` is used when it imports; otherwise (it is
+built only where Cython and a C compiler exist) the pure-Python reference
+``pure`` is.  ``BACKEND`` names the choice.  Both backends implement the
+same search orders, so results (including witnesses) are identical either
+way; tests import ``clawlab.kernels.pure`` directly to compare them.
 """
-
-import os
 
 _NAMES = (
     "max_clique",
@@ -25,18 +25,13 @@ def _compiled():
     return _ckern
 
 
-if os.environ.get("CLAWLAB_PURE"):
+try:
+    _impl = _compiled()
+    BACKEND = "c"
+except ImportError:
     from clawlab.kernels import pure as _impl
 
     BACKEND = "pure"
-else:
-    try:
-        _impl = _compiled()
-        BACKEND = "c"
-    except ImportError:
-        from clawlab.kernels import pure as _impl
-
-        BACKEND = "pure"
 
 max_clique = _impl.max_clique
 color_with = _impl.color_with

@@ -15,10 +15,10 @@ from enum import Enum
 from functools import lru_cache
 
 from clawlab import kernels
-from clawlab.canon import is_isomorphic
-from clawlab.graphs import Graph, bitset_of, vertices_of
+from clawlab.graphs import Graph, bitset_of
 
 MAX_PATTERN_VERTICES = 10
+KERNEL_MAX_PATTERN_VERTICES = 16  # the compiled kernels keep a pattern in 16 fixed rows
 
 _FIXED = {
     "K1_3": (4, ((0, 1), (0, 2), (0, 3))),
@@ -94,7 +94,10 @@ def pattern_graph(token: str) -> Graph:
 
 
 def _as_graph(pattern) -> Graph:
-    return pattern if isinstance(pattern, Graph) else pattern_graph(pattern)
+    p = pattern if isinstance(pattern, Graph) else pattern_graph(pattern)
+    if p.n > KERNEL_MAX_PATTERN_VERTICES:
+        raise ValueError(f"pattern has {p.n} vertices (max {KERNEL_MAX_PATTERN_VERTICES})")
+    return p
 
 
 def find_induced(g: Graph, pattern) -> tuple[int, ...] | None:
@@ -111,6 +114,8 @@ def find_induced(g: Graph, pattern) -> tuple[int, ...] | None:
 def has_induced(g: Graph, pattern, required: int = -1) -> bool:
     """Existence-only containment test (faster search order than find_induced)."""
     p = _as_graph(pattern)
+    if not -1 <= required < g.n:
+        raise ValueError(f"required vertex {required} outside -1..{g.n - 1}")
     return kernels.has_induced(g.n, g.adj, p.n, p.adj, required)
 
 
@@ -131,22 +136,19 @@ class NeighborhoodShape(Enum):
     OTHER = "OTHER"
 
 
-_SHAPES = (
-    (NeighborhoodShape.K2, "K2"),
-    (NeighborhoodShape.P3, "P3"),
-    (NeighborhoodShape.P4, "P4"),
-    (NeighborhoodShape.C5, "C5"),
-    (NeighborhoodShape.TWO_K2, "2K2"),
-)
+# N(x) on a cycle, short of the whole cycle, induces disjoint paths: the
+# runs of consecutive neighbours.  Run lengths name the shape.
+_RUN_SHAPES = {
+    (2,): NeighborhoodShape.K2,
+    (3,): NeighborhoodShape.P3,
+    (4,): NeighborhoodShape.P4,
+    (2, 2): NeighborhoodShape.TWO_K2,
+}
 
 
 def induces_cycle(g: Graph, vertices) -> bool:
     """True iff the vertex set induces a (chordless) cycle in ``g``."""
-    vs = sorted(set(vertices))
-    if len(vs) < 3:
-        return False
-    sub = g.induced(vs)
-    return all(d == 2 for d in sub.degrees()) and sub.is_connected()
+    return g.induced(vertices).is_cycle()
 
 
 def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
@@ -162,12 +164,25 @@ def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
         raise ValueError(f"vertex {x} lies on the cycle")
     if len(cset) < 5 or not induces_cycle(g, cset):
         raise ValueError("vertex set does not induce a cycle of length >= 5")
-    nb = vertices_of(g.adj[x] & bitset_of(cset))
+    cmask = bitset_of(cset)
+    nb = g.adj[x] & cmask
     if not nb:
         return NeighborhoodShape.NONE
-    sub = g.induced(nb)
-    for shape, token in _SHAPES:
-        p = pattern_graph(token)
-        if sub.n == p.n and is_isomorphic(sub, p):
-            return shape
-    return NeighborhoodShape.OTHER
+    if nb == cmask:
+        return NeighborhoodShape.C5 if len(cset) == 5 else NeighborhoodShape.OTHER
+    # walk the cycle once from a non-neighbour, so no run wraps past the start
+    rest = cmask & ~nb
+    cur = (rest & -rest).bit_length() - 1
+    back = 0
+    runs = []
+    run = 0
+    for _ in cset:
+        step = g.adj[cur] & cmask & ~back
+        back = 1 << cur
+        cur = (step & -step).bit_length() - 1
+        if (nb >> cur) & 1:
+            run += 1
+        elif run:
+            runs.append(run)
+            run = 0
+    return _RUN_SHAPES.get(tuple(runs), NeighborhoodShape.OTHER)

@@ -130,12 +130,7 @@ def recognize_inflation(g: Graph) -> InflationPartition | None:
     """
     if g.n < 4:
         return None
-    spine = find_long_induced_cycle(g, 6)
-    if spine is None:
-        for length in (5, 4):
-            spine = kernels.find_induced_cycle(g.n, g.adj, length)
-            if spine is not None:
-                break
+    spine = find_long_induced_cycle(g, 4)
     if spine is None:
         return None
     parts = _parts_from_spine(g, spine)

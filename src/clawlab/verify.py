@@ -104,7 +104,7 @@ def induced_cycles(g: Graph, min_len: int):
             yield from grow([v0, v1], below | (1 << v1), 0, adj[v0])
 
 
-def _reasons_imperfect_or_not_omega(g: Graph, require_odd_hole_free: bool):
+def _check_perfect_class(g: Graph):
     reasons = []
     omega, _ = clique_number(g)
     if kernels.color_with(g.n, g.adj, omega) is None:
@@ -114,20 +114,7 @@ def _reasons_imperfect_or_not_omega(g: Graph, require_odd_hole_free: bool):
     if not verdict.perfect:
         cert = verdict.certificate
         reasons.append(f"imperfect: {cert.kind} {list(cert.vertices)}")
-    if require_odd_hole_free:
-        for length in range(7, g.n + 1, 2):
-            cyc = kernels.find_induced_cycle(g.n, g.adj, length)
-            if cyc is not None:
-                reasons.append(f"odd hole of length {length}: {list(cyc)}")
-                break
     return reasons
-
-
-def _check_perfect_class(require_odd_hole_free=False):
-    def check(g: Graph):
-        return _reasons_imperfect_or_not_omega(g, require_odd_hole_free)
-
-    return check
 
 
 def _check_spgt(g: Graph):
@@ -209,14 +196,13 @@ def _check_l7_rules(g: Graph):
 
 def _theorem_setup(theorem: str, y: str | None):
     if theorem == "T1_BRAUSE":
-        return dict(free=("K1_3", "2K2"), connected=True, min_alpha=3), _check_perfect_class()
+        return dict(free=("K1_3", "2K2"), connected=True, min_alpha=3), _check_perfect_class
     if theorem == "T3_OLARIU":
         return dict(free=("Z1",), connected=True), _check_olariu
     if theorem == "T4_NOALPHA":
-        return dict(free=("K1_3", y), connected=True, exclude_odd=True), _check_perfect_class()
+        return dict(free=("K1_3", y), connected=True, exclude_odd=True), _check_perfect_class
     if theorem == "T5_ALPHA3":
-        check = _check_perfect_class(require_odd_hole_free=(y.strip().upper() == "Z2"))
-        return dict(free=("K1_3", y), connected=True, exclude_odd=True, min_alpha=3), check
+        return dict(free=("K1_3", y), connected=True, exclude_odd=True, min_alpha=3), _check_perfect_class
     if theorem == "T6_BULL":
         return dict(free=("K1_3", "B"), connected=True, min_alpha=3), _check_bull_dichotomy
     if theorem == "L5_BENREBEA":

@@ -8,6 +8,7 @@ from clawlab.cli import main
 from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
 from clawlab.graphs import parse_graph6, to_graph6
 from clawlab.patterns import pattern_graph
+from clawlab.structure import TheoremViolation
 
 
 def run(capsys, *argv):
@@ -69,6 +70,15 @@ class TestClassify:
         payloads = [json.loads(line) for line in out.strip().splitlines()]
         assert payloads[0]["kind"] == "PERFECT"
         assert payloads[1]["kind"] == "OUT_OF_CLASS" and payloads[1]["violation"] == "bull"
+
+    def test_theorem_violation_exits_1(self, capsys, monkeypatch):
+        def violated(g):
+            raise TheoremViolation("stand-in violation")
+
+        monkeypatch.setattr("clawlab.cli.classify_claw_bull_free", violated)
+        code, out, err = run(capsys, "classify", to_graph6(pattern_graph("P6")))
+        assert code == 1 and out == ""
+        assert err.startswith("theorem violated: stand-in violation")
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "graphs.g6"

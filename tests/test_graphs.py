@@ -1,6 +1,6 @@
 import pytest
 
-from clawlab.graphs import Graph, GraphError, graph_new, parse_graph6, to_graph6
+from clawlab.graphs import Graph, GraphError, parse_graph6, to_graph6
 from conftest import random_graph
 
 import networkx as nx
@@ -16,34 +16,34 @@ def path(n):
 
 class TestConstruction:
     def test_empty(self):
-        g = graph_new(0, [])
+        g = Graph.from_edges(0, [])
         assert g.n == 0 and g.edge_list() == []
 
     def test_c5(self):
-        g = graph_new(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         assert g.degrees() == (2, 2, 2, 2, 2)
         assert g.n_edges() == 5
 
     def test_claw_degrees(self):
-        g = graph_new(4, [(0, 1), (0, 2), (0, 3)])
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert sorted(g.degrees(), reverse=True) == [3, 1, 1, 1]
 
     def test_duplicate_edges_collapse(self):
-        g = graph_new(3, [(0, 1), (1, 0), (0, 1)])
+        g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.n_edges() == 1
 
     def test_loop_rejected(self):
         with pytest.raises(GraphError):
-            graph_new(3, [(1, 1)])
+            Graph.from_edges(3, [(1, 1)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
-            graph_new(3, [(0, 3)])
+            Graph.from_edges(3, [(0, 3)])
 
     def test_capacity(self):
         with pytest.raises(GraphError):
-            graph_new(65, [])
-        assert graph_new(64, [(0, 63)]).has_edge(63, 0)
+            Graph.from_edges(65, [])
+        assert Graph.from_edges(64, [(0, 63)]).has_edge(63, 0)
 
     def test_asymmetric_rows_rejected(self):
         with pytest.raises(GraphError):
@@ -61,7 +61,7 @@ class TestGraph6:
         assert parse_graph6("?").n == 0
 
     def test_k2(self):
-        g = graph_new(2, [(0, 1)])
+        g = Graph.from_edges(2, [(0, 1)])
         assert parse_graph6(to_graph6(g)) == g
 
     def test_c5_roundtrip_labeled(self):
@@ -148,10 +148,17 @@ class TestAlgebra:
 
     def test_connectivity(self):
         assert cycle(7).is_connected()
-        assert not graph_new(4, [(0, 1), (2, 3)]).is_connected()
-        assert graph_new(1, []).is_connected()
-        assert graph_new(0, []).is_connected()
+        assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
+        assert Graph.from_edges(1, []).is_connected()
+        assert Graph.from_edges(0, []).is_connected()
+
+    def test_is_cycle(self):
+        assert cycle(3).is_cycle() and cycle(8).is_cycle()
+        assert not path(5).is_cycle()
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        assert not two_triangles.is_cycle()
+        assert not Graph.from_edges(2, [(0, 1)]).is_cycle()
 
     def test_components(self):
-        g = graph_new(5, [(0, 3), (1, 2)])
+        g = Graph.from_edges(5, [(0, 3), (1, 2)])
         assert g.components() == [(0, 3), (1, 2), (4,)]

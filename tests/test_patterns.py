@@ -13,7 +13,8 @@ from clawlab.patterns import (
     is_free,
     pattern_graph,
 )
-from conftest import brute_has_induced, random_graph
+from clawlab.verify import induced_cycles
+from conftest import brute_has_induced, brute_is_isomorphic, random_graph
 
 
 class TestCatalog:
@@ -114,6 +115,19 @@ class TestContainment:
             for t, p in pats:
                 assert has_induced(g, t) == brute_has_induced(g, p), (t, g)
 
+    def test_pattern_over_16_vertices_rejected(self):
+        big = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
+        host = pattern_graph("C10")
+        with pytest.raises(ValueError):
+            has_induced(host, big)
+        with pytest.raises(ValueError):
+            find_induced(host, big)
+
+    @pytest.mark.parametrize("required", [3, 5, -2])
+    def test_required_out_of_range_rejected(self, required):
+        with pytest.raises(ValueError):
+            has_induced(pattern_graph("P3"), "K2", required)
+
     def test_freeness_hereditary(self, rng):
         tokens = ["K1_3", "C4"]
         count = 0
@@ -171,3 +185,32 @@ class TestCycleNeighborhood:
         c5 = pattern_graph("C5")
         assert induces_cycle(c5, range(5))
         assert not induces_cycle(pattern_graph("P5"), range(5))
+
+    def test_matches_brute_force_isomorphism_type(self, oracle7, rng):
+        shapes = [(shape, pattern_graph(shape.value)) for shape in NeighborhoodShape
+                  if shape not in (NeighborhoodShape.NONE, NeighborhoodShape.OTHER)]
+
+        def brute_shape(g, cycle, x):
+            nb = [v for v in cycle if g.has_edge(x, v)]
+            if not nb:
+                return NeighborhoodShape.NONE
+            sub = g.induced(nb)
+            for shape, p in shapes:
+                if brute_is_isomorphic(sub, p):
+                    return shape
+            return NeighborhoodShape.OTHER
+
+        checked = 0
+        for graphs in oracle7.values():
+            for g in graphs:
+                for cycle in induced_cycles(g, 5):
+                    shuffled = list(cycle)
+                    rng.shuffle(shuffled)
+                    for x in range(g.n):
+                        if x in cycle:
+                            continue
+                        want = brute_shape(g, cycle, x)
+                        assert classify_cycle_neighborhood(g, cycle, x) is want, (g, cycle, x)
+                        assert classify_cycle_neighborhood(g, shuffled, x) is want, (g, shuffled, x)
+                        checked += 1
+        assert checked > 0

@@ -14,6 +14,12 @@ from clawlab.verify import VerificationReport, induced_cycles, report_emit, veri
 from conftest import brute_induced_cycle_sets, random_graph
 
 
+def test_submodule_import_binds_module():
+    import clawlab.verify as m
+
+    assert m.THEOREM_IDS
+
+
 class TestInducedCycles:
     def test_matches_brute_force(self, rng):
         for _ in range(100):
