@@ -1,12 +1,20 @@
 """Isomorph-free exhaustive generation of small graphs.
 
-Generation is canonical augmentation: each representative on n-1 vertices
+Generation is canonical augmentation (McKay 1998, "Isomorph-free exhaustive
+generation", J. Algorithms 26:306-324): each representative on n-1 vertices
 is extended by one new vertex over all neighbourhood bitmasks, and an
 extension survives only when deleting the new vertex reaches the same
 graph (up to isomorphism) as deleting the vertex in the last canonical
 position -- i.e. the child was built along its canonical construction
 path.  Children of one parent are deduplicated by canonical form; distinct
 parents cannot produce the same class, so no global table is needed.
+
+Before any kernel call, a vertex-invariant filter drops every extension
+whose new vertex cannot be canonically last: it must have maximum degree
+and, among the maximum-degree vertices, a maximal neighbour profile over
+the degree classes (see ``_children``).  Only whole extensions the
+acceptance test would have rejected anyway, or duplicates of accepted
+ones, are dropped, so the classes produced are unchanged.
 
 Induced-hereditary constraints (pattern-freeness) prune whole subtrees;
 connectivity, independence-number and odd-cycle filters are not hereditary
@@ -59,15 +67,71 @@ def _delete_vertex(n, adj, x):
     return tuple(rows)
 
 
+def _new_vertex_profile_maximal(n, adj, k):
+    """Whether vertex n-1 (degree ``k``, the maximum) has a lexicographically
+    maximal profile among the maximum-degree vertices.
+
+    A vertex's profile is its tuple of neighbour counts in each degree class,
+    classes in ascending degree order: the second colour-refinement round
+    from the unit partition.
+    """
+    by_deg = {}
+    for v in range(n):
+        d = adj[v].bit_count()
+        by_deg[d] = by_deg.get(d, 0) | (1 << v)
+    rivals = by_deg[k] & ~(1 << (n - 1))
+    if not rivals:
+        return True
+    classes = [by_deg[d] for d in sorted(by_deg)]
+    mine = [(adj[n - 1] & c).bit_count() for c in classes]
+    while rivals:
+        v = (rivals & -rivals).bit_length() - 1
+        rivals &= rivals - 1
+        if [(adj[v] & c).bit_count() for c in classes] > mine:
+            return False
+    return True
+
+
 def _children(rep: Graph, pattern_adjs):
-    """Canonically accepted one-vertex extensions of a representative."""
-    n = rep.n + 1
+    """Canonically accepted one-vertex extensions of a representative.
+
+    The new vertex is joined to the parent's vertices in ``mask``.  Masks
+    whose new vertex cannot be canonically last are dropped before pruning
+    or labelling, in two stages:
+
+    1. degree: the new vertex (degree ``popcount(mask)``) must have maximum
+       degree in the child;
+    2. profile: among the child's maximum-degree vertices it must have a
+       maximal profile (``_new_vertex_profile_maximal``).
+
+    This is sound because ``canon_form`` refines from the unit partition and
+    keeps cell order through refinement and individualisation: the first
+    round orders cells by degree and the second by profile within a degree
+    class, so the canonically last vertex lies in the last cell after both
+    rounds.  Acceptance depends only on the child's class (its canonically
+    last deletion must give the parent), and an accepted class is still
+    produced from this parent by the mask in which the new vertex plays its
+    canonically last vertex, which passes both stages.  Children are
+    canonical copies and each level is sorted, so the output is unchanged.
+    """
+    m = rep.n
+    n = m + 1
+    degs = [row.bit_count() for row in rep.adj]
+    top = max(degs)
+    tops = sum(1 << v for v in range(m) if degs[v] == top)
     out = []
     seen = set()
-    for mask in range(1 << rep.n):
-        rows = [rep.adj[v] | (((mask >> v) & 1) << (n - 1)) for v in range(rep.n)]
+    for mask in range(1 << m):
+        k = mask.bit_count()
+        # stage 1: an old vertex has degree above k when k < top, or when
+        # k == top and the mask raises one of the parent's degree-top vertices
+        if k < top or (k == top and mask & tops):
+            continue
+        rows = [rep.adj[v] | (((mask >> v) & 1) << m) for v in range(m)]
         rows.append(mask)
         adj = tuple(rows)
+        if not _new_vertex_profile_maximal(n, adj, k):
+            continue
         fails = False
         for pn, padj in pattern_adjs:
             if kernels.has_induced(n, adj, pn, padj, n - 1):

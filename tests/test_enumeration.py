@@ -9,7 +9,23 @@ from clawlab.enumeration import (
 )
 from clawlab.graphs import to_graph6
 from clawlab.invariants import independence_number
+from clawlab.kernels import pure
 from clawlab.patterns import is_free
+from conftest import permuted, random_graph
+
+try:
+    from clawlab.kernels import _ckern as compiled
+except ImportError:
+    compiled = None
+
+BACKENDS = [
+    pytest.param(pure, id="pure"),
+    pytest.param(
+        compiled,
+        id="compiled",
+        marks=pytest.mark.skipif(compiled is None, reason="compiled kernels not built"),
+    ),
+]
 
 
 def collect(config):
@@ -91,6 +107,49 @@ class TestAgainstOracle:
             oracle6, range(1, 7), lambda g: g.is_connected() and not is_odd_cycle(g)
         )
         assert per_n == want
+
+    def test_oeis_counts_n8(self):
+        # OEIS A000088 (all graphs) and A001349 (connected graphs), n = 1..8
+        per_n, connected = {}, {}
+
+        def visit(g):
+            per_n[g.n] = per_n.get(g.n, 0) + 1
+            if g.is_connected():
+                connected[g.n] = connected.get(g.n, 0) + 1
+
+        count = enumerate_graphs(EnumerationConfig(max_n=8), visit)
+        assert [per_n[n] for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+        assert [connected[n] for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
+        assert count == sum(per_n.values())
+
+
+def _profile(g, v):
+    """Neighbour counts of v in each degree class, classes by ascending degree."""
+    degs = g.degrees()
+    return tuple(
+        sum(1 for u in g.neighbors(v) if degs[u] == d) for d in sorted(set(degs))
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_canonically_last_vertex_passes_filter(backend, oracle7, rng):
+    """The invariant enumeration's vertex-invariant filter relies on.
+
+    The vertex ``canon_form`` puts last has maximum degree and, among the
+    maximum-degree vertices, a lexicographically maximal profile.  If it
+    did not, the filter in ``_children`` would silently drop classes.
+    """
+    graphs = [permuted(rng, g)[0] for n in range(1, 8) for g in oracle7[n]]
+    for _ in range(200):
+        graphs.append(random_graph(rng, rng.randrange(8, 15), rng.choice([0.2, 0.4, 0.6, 0.8])))
+    for g in graphs:
+        _, perm = backend.canon_form(g.n, g.adj)
+        last = perm.index(g.n - 1)
+        degs = g.degrees()
+        top = max(degs)
+        assert degs[last] == top, g.adj
+        mine = _profile(g, last)
+        assert all(_profile(g, v) <= mine for v in range(g.n) if degs[v] == top), g.adj
 
 
 class TestProperties:
