@@ -39,6 +39,7 @@ def build_inputs():
     f13, _ = build_family(FamilySpec("F3", 1))
     f43, _ = build_family(FamilySpec("F4", 3))
     claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     dense9 = random_adj(rng, 9, 0.7)
     mid12 = random_adj(rng, 12, 0.5)
     return [
@@ -47,6 +48,8 @@ def build_inputs():
         ("color k=3 unsat", "F3 s=1 (n=10)", "color_with", (f13.n, f13.adj, 3)),
         ("color k=4 sat", "F3 s=1 (n=10)", "color_with", (f13.n, f13.adj, 4)),
         ("has_induced claw", "random n=12", "has_induced", (12, mid12, claw.n, claw.adj)),
+        ("has_induced P5 @11", "random n=12, required=11", "has_induced", (12, mid12, p5.n, p5.adj, 11)),
+        ("find_induced P5", "random n=12", "find_induced_embedding", (12, mid12, p5.n, p5.adj)),
         ("induced C7 search", "random n=12", "find_induced_cycle", (12, mid12, 7)),
         ("canon", "random n=9 p=.7", "canon_form", (9, dense9)),
         ("canon", "random n=12 p=.5", "canon_form", (12, mid12)),

@@ -196,27 +196,25 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
 
 
 def oracle_enumerate(max_n: int) -> dict[int, list[Graph]]:
-    """All isomorphism classes on 0..max_n vertices by exhaustive generation.
+    """All isomorphism classes on 0..max_n vertices, level by level.
 
-    Every labelled graph is generated (2^(n(n-1)/2) per size) and classes are
-    deduplicated by canonical form.  Test oracle only; max_n <= 7.
+    Every class on n-1 vertices is extended by one new vertex over every
+    neighbourhood mask, and the children are deduplicated by canonical form.
+    This is complete: deleting any vertex of a graph on n vertices leaves a
+    member of some (n-1)-vertex class, and the graph is that member plus one
+    vertex joined by some mask.  No acceptance rule, vertex-invariant filter
+    or pruning is involved.  Test oracle only; max_n <= 7.
     """
     if max_n > ORACLE_MAX_VERTICES:
         raise ValueError(f"oracle enumeration capped at {ORACLE_MAX_VERTICES} vertices")
-    catalog: dict[int, list[Graph]] = {}
-    for n in range(0, max_n + 1):
+    catalog: dict[int, list[Graph]] = {0: [Graph(0, ())]}
+    for n in range(1, max_n + 1):
         seen = set()
-        nbits = n * (n - 1) // 2
-        pairs = [(u, v) for v in range(1, n) for u in range(v)]
-        for bits in range(1 << nbits):
-            rows = [0] * n
-            b = bits
-            for u, v in pairs:
-                if b & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                b >>= 1
-            seen.add(kernels.canon_form(n, tuple(rows))[0])
+        for rep in catalog[n - 1]:
+            for mask in range(1 << (n - 1)):
+                rows = [rep.adj[v] | (((mask >> v) & 1) << (n - 1)) for v in range(n - 1)]
+                rows.append(mask)
+                seen.add(kernels.canon_form(n, tuple(rows))[0])
         catalog[n] = [Graph(n, cert) for cert in sorted(seen)]
     return catalog
 

@@ -1,9 +1,12 @@
 """Pure-Python reference kernels.
 
-Every function here has a compiled twin in ``_ckern.pyx`` with identical
-search order, so witnesses (not just verdicts) match bit for bit between
-backends.  Graphs enter as ``(n, adj)`` with ``adj`` a sequence of per-vertex
-neighbour bitmasks; vertex sets leave as bitmasks or index tuples.
+Every kernel entry here has a compiled twin in ``_ckern.pyx`` that returns
+identical results, witnesses included, but not by the identical search
+order: here both embedding entries run one backtracker (``_embed``) with
+bitset candidates, and ``find_induced_cycle`` runs the cycle grower
+``induced_cycles`` that also serves ``verify.induced_cycles``.  Graphs
+enter as ``(n, adj)`` with ``adj`` a sequence of per-vertex neighbour
+bitmasks; vertex sets leave as bitmasks or index tuples.
 """
 
 from __future__ import annotations
@@ -113,37 +116,59 @@ def color_with(n, adj, k):
     return None
 
 
+def _embed(n, adj, pn, padj, order, pin=-1):
+    """Host images of ``order[0], order[1], ...`` in the first induced
+    embedding found, or None.  ``order[0]`` is pinned to host ``pin`` when
+    ``pin >= 0``.
+
+    Pattern vertices are assigned in ``order``.  The candidates for the next
+    one are a bitset: unused host vertices of at least its degree, adjacent
+    to the images of its earlier neighbours and to no other earlier image.
+    They are tried in ascending order, so with the identity order the first
+    embedding found is the lexicographically least.
+    """
+    top = max(padj[p].bit_count() for p in order)
+    atleast = [0] * (top + 1)  # atleast[d]: hosts of degree >= d
+    for v in range(n):
+        atleast[min(adj[v].bit_count(), top)] |= 1 << v
+    for d in range(top - 1, -1, -1):
+        atleast[d] |= atleast[d + 1]
+    roots = []  # per position: hosts of large enough degree
+    links = []  # per position: (earlier position, adjacent?) pairs
+    for t, p in enumerate(order):
+        roots.append(atleast[padj[p].bit_count()])
+        links.append([(s, (padj[p] >> order[s]) & 1) for s in range(t)])
+    if pin >= 0:
+        roots[0] &= 1 << pin
+    img = [0] * pn
+
+    def bt(t, used):
+        cand = roots[t] & ~used
+        for s, linked in links[t]:
+            cand &= adj[img[s]] if linked else ~adj[img[s]]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            img[t] = v
+            if t + 1 == pn or bt(t + 1, used | (1 << v)):
+                return True
+        return False
+
+    return img if bt(0, 0) else None
+
+
 def find_induced_embedding(n, adj, pn, padj):
     """Lexicographically least induced embedding of the pattern, or None.
 
-    Pattern vertices are assigned in index order with host candidates tried
-    ascending, so the first complete assignment is the lex-least tuple.
+    Pattern vertices are assigned in index order, so the first complete
+    assignment is the lex-least tuple.
     """
     if pn > n:
         return None
     if pn == 0:
         return ()
-    assign = [-1] * pn
-
-    def bt(i, used):
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            ok = True
-            for j in range(i):
-                if ((padj[i] >> j) & 1) != ((adj[v] >> assign[j]) & 1):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = v
-                if i + 1 == pn or bt(i + 1, used | (1 << v)):
-                    return True
-                assign[i] = -1
-        return False
-
-    if bt(0, 0):
-        return tuple(assign)
-    return None
+    img = _embed(n, adj, pn, padj, range(pn))
+    return None if img is None else tuple(img)
 
 
 def has_induced(n, adj, pn, padj, required=-1):
@@ -151,108 +176,87 @@ def has_induced(n, adj, pn, padj, required=-1):
 
     Existence only; pattern vertices are matched in descending-degree order
     for speed.  If ``required`` is a host vertex, only embeddings using it
-    count (the hereditary-pruning case: new copies must touch the new vertex).
+    count (the hereditary-pruning case: new copies must touch the new
+    vertex), found by one search per pattern vertex pinned to it.
     """
     if pn > n:
         return False
     if pn == 0:
         return required < 0
-    pdeg = [padj[i].bit_count() for i in range(pn)]
-    hdeg = [adj[v].bit_count() for v in range(n)]
-    base = sorted(range(pn), key=lambda i: (-pdeg[i], i))
-
-    def search(order):
-        assign = [-1] * pn
-        start = 0
-        used = 0
-        if required >= 0:
-            p0 = order[0]
-            if hdeg[required] < pdeg[p0]:
-                return False
-            assign[p0] = required
-            used = 1 << required
-            start = 1
-
-        def bt(t, used):
-            if t == pn:
-                return True
-            p = order[t]
-            for v in range(n):
-                if (used >> v) & 1 or hdeg[v] < pdeg[p]:
-                    continue
-                ok = True
-                for s in range(t):
-                    q = order[s]
-                    if ((padj[p] >> q) & 1) != ((adj[v] >> assign[q]) & 1):
-                        ok = False
-                        break
-                if ok:
-                    assign[p] = v
-                    if bt(t + 1, used | (1 << v)):
-                        return True
-                    assign[p] = -1
-            return False
-
-        return bt(start, used)
-
+    base = sorted(range(pn), key=lambda i: (-padj[i].bit_count(), i))
     if required < 0:
-        return search(base)
+        return _embed(n, adj, pn, padj, base) is not None
     for p in range(pn):
         order = [p] + [q for q in base if q != p]
-        if search(order):
+        if _embed(n, adj, pn, padj, order, required) is not None:
             return True
     return False
 
 
-def find_induced_cycle(n, adj, length):
-    """Lexicographically least induced cycle of exactly ``length``, or None.
+def induced_cycles(n, adj, min_len, max_len, visit):
+    """Call ``visit(cycle)`` on each induced cycle of ``min_len..max_len``
+    vertices until it returns true; return whether it did.
 
-    The cycle is returned with its least vertex first and the smaller of the
-    two neighbours second; candidates are grown in ascending order so the
-    first hit is the lex-least such sequence.
+    A cycle is a vertex tuple that starts at its least vertex with the
+    smaller of its two neighbours second.  Paths grow from each start
+    through ascending candidates.  A candidate adjacent to the start can only
+    close the cycle (inside the path it would be a chord), so each path
+    offers its closing vertices first, ascending, and then its extensions:
+    the cycles of each length come in lexicographic order.
     """
-    if length < 3 or length > n:
-        return None
-    path = [0] * length
+    min_len = max(min_len, 3)
+    if max_len < min_len:
+        return False
+    path = [0] * n
 
     def grow(depth, used, inner_forbid, v0adj):
         last = path[depth - 1]
-        if depth == length - 1:
-            cand = adj[last] & v0adj & ~used & ~inner_forbid
-            # orientation: closing vertex must exceed path[1]
-            cand &= ~((1 << (path[1] + 1)) - 1)
-            if cand:
-                path[depth] = (cand & -cand).bit_length() - 1
-                return True
-            return False
-        cand = adj[last] & ~used & ~inner_forbid & ~v0adj
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            path[depth] = v
-            nf = inner_forbid | (adj[last] if depth >= 2 else 0)
-            if grow(depth + 1, used | (1 << v), nf, v0adj):
-                return True
+        base = adj[last] & ~used & ~inner_forbid
+        if depth + 1 >= min_len:
+            # orientation: the closing vertex must exceed path[1]
+            m = base & v0adj & ~((2 << path[1]) - 1)
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                if visit(tuple(path[:depth]) + (v,)):
+                    return True
+        if depth + 1 < max_len:
+            m = base & ~v0adj
+            nf = inner_forbid | adj[last]
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                path[depth] = v
+                if grow(depth + 1, used | (1 << v), nf, v0adj):
+                    return True
         return False
 
-    for v0 in range(n - length + 1):
+    for v0 in range(n - min_len + 1):
         path[0] = v0
         below = (1 << (v0 + 1)) - 1
-        start = adj[v0] & ~below
-        m = start
+        m = adj[v0] & ~below
         while m:
             v1 = (m & -m).bit_length() - 1
             m &= m - 1
             path[1] = v1
-            if length == 3:
-                cand = adj[v1] & adj[v0] & ~below & ~((1 << (v1 + 1)) - 1)
-                if cand:
-                    path[2] = (cand & -cand).bit_length() - 1
-                    return tuple(path)
-                continue
-            if grow(2, (1 << v0) | (1 << v1) | below, 0, adj[v0]):
-                return tuple(path)
-    return None
+            if grow(2, below | (1 << v1), 0, adj[v0]):
+                return True
+    return False
+
+
+def find_induced_cycle(n, adj, length):
+    """Lexicographically least induced cycle of exactly ``length``, or None,
+    oriented as in ``induced_cycles``."""
+    if length < 3 or length > n:
+        return None
+    found = []
+
+    def first(cycle):
+        found.append(cycle)
+        return True
+
+    induced_cycles(n, adj, length, length, first)
+    return found[0] if found else None
 
 
 def canon_form(n, adj):

@@ -17,9 +17,9 @@ import time
 from dataclasses import dataclass
 
 from clawlab import kernels
-from clawlab.canon import canonical_label
+from clawlab.kernels import pure
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
-from clawlab.graphs import Graph, bitset_of, parse_graph6, to_graph6, vertices_of
+from clawlab.graphs import Graph, bitset_of, to_graph6
 from clawlab.invariants import (
     chromatic_number,
     clique_number,
@@ -71,37 +71,12 @@ def induced_cycles(g: Graph, min_len: int):
     """All induced cycles of length >= min_len, one orientation each.
 
     Cycles come out as vertex sequences starting at their least vertex with
-    the smaller neighbour second.  A candidate adjacent to the start can
-    only close the cycle (an internal vertex there would be a chord), so
-    candidates split into closing and extending sets.
+    the smaller neighbour second, in the grower's order
+    (``kernels.pure.induced_cycles``).
     """
-    adj = g.adj
-    min_len = max(min_len, 3)
-
-    def grow(path, used, inner_forbid, v0adj):
-        last = path[-1]
-        base = adj[last] & ~used & ~inner_forbid
-        if len(path) + 1 >= min_len:
-            m = base & v0adj
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if path[1] < v:
-                    yield tuple(path) + (v,)
-        m = base & ~v0adj
-        nf = inner_forbid | adj[last]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield from grow(path + [v], used | (1 << v), nf, v0adj)
-
-    for v0 in range(g.n):
-        below = (1 << (v0 + 1)) - 1
-        m = adj[v0] & ~below
-        while m:
-            v1 = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield from grow([v0, v1], below | (1 << v1), 0, adj[v0])
+    cycles = []
+    pure.induced_cycles(g.n, g.adj, min_len, g.n, cycles.append)
+    yield from cycles
 
 
 def _check_perfect_class(g: Graph):
@@ -258,25 +233,20 @@ _COLUMNS = ("theorem", "y", "max_n", "class_size", "elapsed", "graph6", "reason"
 
 
 def _sorted_rows(report: VerificationReport):
-    decorated = []
-    for g6, reason in report.counterexamples:
-        g = parse_graph6(g6)
-        decorated.append(((g.n, canonical_label(g), reason), g6, reason))
-    decorated.sort()
-    rows = []
-    for _, g6, reason in decorated:
-        rows.append(
-            {
-                "theorem": report.theorem,
-                "y": report.y or "",
-                "max_n": report.max_n,
-                "class_size": report.class_size,
-                "elapsed": round(report.elapsed, 6),
-                "graph6": g6,
-                "reason": reason,
-            }
-        )
-    return rows
+    # campaigns record canonical copies, so each graph6 string is its own
+    # canonical label, and its first byte encodes n
+    return [
+        {
+            "theorem": report.theorem,
+            "y": report.y or "",
+            "max_n": report.max_n,
+            "class_size": report.class_size,
+            "elapsed": round(report.elapsed, 6),
+            "graph6": g6,
+            "reason": reason,
+        }
+        for g6, reason in sorted(report.counterexamples)
+    ]
 
 
 def report_emit(report: VerificationReport, format: str = "json") -> str:

@@ -64,15 +64,17 @@ def brute_is_isomorphic(g, h):
     return False
 
 
+def brute_embeddings(g, p):
+    """Every induced embedding of p in g as a host-vertex tuple, in
+    lexicographic order."""
+    for perm in itertools.permutations(range(g.n), p.n):
+        if all(((p.adj[i] >> j) & 1) == g.has_edge(perm[i], perm[j])
+               for i in range(p.n) for j in range(i + 1, p.n)):
+            yield perm
+
+
 def brute_has_induced(g, p):
-    if p.n > g.n:
-        return False
-    for sub in itertools.combinations(range(g.n), p.n):
-        for perm in itertools.permutations(sub):
-            if all(((p.adj[i] >> j) & 1) == g.has_edge(perm[i], perm[j])
-                   for i in range(p.n) for j in range(i + 1, p.n)):
-                return True
-    return False
+    return next(brute_embeddings(g, p), None) is not None
 
 
 def brute_induced_cycle_sets(g, exact_len):
@@ -82,3 +84,16 @@ def brute_induced_cycle_sets(g, exact_len):
         if all(d == 2 for d in h.degrees()) and h.is_connected():
             found.append(frozenset(sub))
     return found
+
+
+def brute_oriented_cycles(g, length):
+    """Induced cycles of ``length`` as vertex tuples that start at their least
+    vertex with the smaller neighbour second, sorted."""
+    out = []
+    for cyc in brute_induced_cycle_sets(g, length):
+        seq = [min(cyc)]
+        seq.append(min(v for v in cyc if g.has_edge(seq[0], v)))
+        while len(seq) < length:
+            seq.append(next(v for v in cyc if g.has_edge(seq[-1], v) and v != seq[-2]))
+        out.append(tuple(seq))
+    return sorted(out)

@@ -16,8 +16,8 @@ from clawlab.patterns import pattern_graph
 from conftest import (
     brute_chromatic_number,
     brute_clique_number,
-    brute_has_induced,
-    brute_induced_cycle_sets,
+    brute_embeddings,
+    brute_oriented_cycles,
     random_graph,
 )
 
@@ -96,27 +96,27 @@ def test_color_determinism(rng):
 
 
 def test_find_induced_cycle_brute_force(rng):
+    # the witness is the lex-least induced cycle of its length, least vertex
+    # first and smaller neighbour second
     for _ in range(120):
         g = random_graph(rng, rng.randrange(3, 9), 0.45)
         for length in range(3, g.n + 1):
             got = kernels.find_induced_cycle(g.n, g.adj, length)
-            sets = brute_induced_cycle_sets(g, length)
-            assert (got is not None) == bool(sets)
-            if got:
-                assert frozenset(got) in sets
-                assert got[0] == min(got) and got[1] < got[-1]
+            want = brute_oriented_cycles(g, length)
+            assert got == (want[0] if want else None)
 
 
 def test_has_induced_brute_force(rng):
+    # find_induced_embedding returns the lex-least embedding; has_induced with
+    # a required vertex holds exactly when some embedding uses that vertex
     pats = [pattern_graph(t) for t in PATTERNS]
     for _ in range(60):
         g = random_graph(rng, rng.randrange(1, 8), 0.5)
         for p in pats:
-            want = brute_has_induced(g, p)
-            assert kernels.has_induced(g.n, g.adj, p.n, p.adj) == want
+            embs = list(brute_embeddings(g, p))
+            assert kernels.has_induced(g.n, g.adj, p.n, p.adj) == bool(embs)
             emb = kernels.find_induced_embedding(g.n, g.adj, p.n, p.adj)
-            assert (emb is not None) == want
-            if emb:
-                for i in range(p.n):
-                    for j in range(i + 1, p.n):
-                        assert ((p.adj[i] >> j) & 1) == g.has_edge(emb[i], emb[j])
+            assert emb == (embs[0] if embs else None)
+            touched = {v for e in embs for v in e}
+            for v in range(g.n):
+                assert kernels.has_induced(g.n, g.adj, p.n, p.adj, v) == (v in touched)

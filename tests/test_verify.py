@@ -11,7 +11,7 @@ from clawlab.invariants import (
     is_perfect,
 )
 from clawlab.verify import VerificationReport, induced_cycles, report_emit, verify
-from conftest import brute_induced_cycle_sets, random_graph
+from conftest import brute_oriented_cycles, random_graph
 
 
 def test_submodule_import_binds_module():
@@ -25,11 +25,12 @@ class TestInducedCycles:
         for _ in range(100):
             g = random_graph(rng, rng.randrange(3, 9), 0.45)
             for min_len in (3, 4, 5, 6):
-                got = {frozenset(c) for c in induced_cycles(g, min_len)}
-                want = set()
+                # every induced cycle of length >= min_len, oriented as
+                # find_induced_cycle does, each length in lexicographic order
+                got = list(induced_cycles(g, min_len))
+                assert all(len(c) >= min_len for c in got)
                 for L in range(min_len, g.n + 1):
-                    want.update(brute_induced_cycle_sets(g, L))
-                assert got == want
+                    assert [c for c in got if len(c) == L] == brute_oriented_cycles(g, L)
 
     def test_each_cycle_once(self, rng):
         g = random_graph(rng, 9, 0.5)
