@@ -16,6 +16,7 @@ import time
 from clawlab.families import FamilySpec, build_family
 from clawlab.graphs import Graph
 from clawlab.kernels import pure
+from clawlab.patterns import pattern_graph
 
 try:
     from clawlab.kernels import _ckern as compiled
@@ -33,6 +34,15 @@ def random_adj(rng, n, p):
     return tuple(rows)
 
 
+def claw_free_adj(rng, n, p):
+    """First claw-free graph drawn by ``random_adj``."""
+    claw = pattern_graph("K1_3")
+    while True:
+        adj = random_adj(rng, n, p)
+        if not pure.has_induced(n, adj, claw.n, claw.adj):
+            return adj
+
+
 def build_inputs():
     rng = random.Random(13)
     c11 = tuple((1 << ((i + 1) % 11)) | (1 << ((i - 1) % 11)) for i in range(11))
@@ -42,6 +52,9 @@ def build_inputs():
     p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     dense9 = random_adj(rng, 9, 0.7)
     mid12 = random_adj(rng, 12, 0.5)
+    # the hereditary-pruning call shape: a claw-free parent plus a new last vertex
+    cf8 = claw_free_adj(random.Random(8), 8, 0.5)
+    z2 = pattern_graph("Z2")
     return [
         ("max_clique", "random n=12 p=.5", "max_clique", (12, mid12)),
         ("max_clique", "F4 s=3 (n=12, dense)", "max_clique", (f43.n, f43.adj)),
@@ -49,8 +62,12 @@ def build_inputs():
         ("color k=4 sat", "F3 s=1 (n=10)", "color_with", (f13.n, f13.adj, 4)),
         ("has_induced claw", "random n=12", "has_induced", (12, mid12, claw.n, claw.adj)),
         ("has_induced P5 @11", "random n=12, required=11", "has_induced", (12, mid12, p5.n, p5.adj, 11)),
+        ("has_induced claw @7", "claw-free n=8, required=7", "has_induced", (8, cf8, claw.n, claw.adj, 7)),
+        ("has_induced P5 @7", "claw-free n=8, required=7", "has_induced", (8, cf8, p5.n, p5.adj, 7)),
+        ("has_induced Z2 @7", "claw-free n=8, required=7", "has_induced", (8, cf8, z2.n, z2.adj, 7)),
         ("find_induced P5", "random n=12", "find_induced_embedding", (12, mid12, p5.n, p5.adj)),
         ("induced C7 search", "random n=12", "find_induced_cycle", (12, mid12, 7)),
+        ("canon", "claw-free n=8", "canon_form", (8, cf8)),
         ("canon", "random n=9 p=.7", "canon_form", (9, dense9)),
         ("canon", "random n=12 p=.5", "canon_form", (12, mid12)),
         ("canon", "C11 (vertex-transitive)", "canon_form", (11, c11)),

@@ -13,7 +13,7 @@ from clawlab.graphs import Graph, to_graph6
 def canonical_form(g: Graph) -> Graph:
     """The canonical relabelling of ``g`` (equal for isomorphic inputs)."""
     rows, _ = kernels.canon_form(g.n, g.adj)
-    return Graph(g.n, rows)
+    return Graph.trusted(g.n, rows)
 
 
 def canonical_permutation(g: Graph) -> tuple[int, ...]:

@@ -149,7 +149,7 @@ def _children(rep: Graph, pattern_adjs):
             w_last = perm.index(n - 1)
             if kernels.canon_form(n - 1, _delete_vertex(n, adj, w_last))[0] != rep.adj:
                 continue
-        out.append(Graph(n, cert))
+        out.append(Graph.trusted(n, cert))
     return out
 
 
@@ -215,7 +215,7 @@ def oracle_enumerate(max_n: int) -> dict[int, list[Graph]]:
                 rows = [rep.adj[v] | (((mask >> v) & 1) << (n - 1)) for v in range(n - 1)]
                 rows.append(mask)
                 seen.add(kernels.canon_form(n, tuple(rows))[0])
-        catalog[n] = [Graph(n, cert) for cert in sorted(seen)]
+        catalog[n] = [Graph.trusted(n, cert) for cert in sorted(seen)]
     return catalog
 
 

@@ -70,6 +70,20 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     @classmethod
+    def trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Wrap rows already known to form a valid graph, without the checks
+        of ``__init__``.
+
+        ``adj`` must be a tuple of ``n`` symmetric, loop-free rows within
+        ``0..n-1``: rows derived from a valid graph, or a kernel's canonical
+        relabelling of one.  Input from outside goes through ``Graph(...)``.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; duplicate edges collapse."""
         if not 0 <= n <= MAX_VERTICES:
@@ -118,7 +132,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(self.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(self.adj)))
+        return Graph.trusted(self.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(self.adj)))
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph; vertex order is ascending original index."""
@@ -136,7 +150,7 @@ class Graph:
                 if u in pos:
                     row |= 1 << pos[u]
             rows.append(row)
-        return Graph(len(keep), rows)
+        return Graph.trusted(len(keep), tuple(rows))
 
     def is_connected(self) -> bool:
         """True iff the graph has one component (n=0, n=1 count as connected)."""

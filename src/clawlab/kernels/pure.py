@@ -4,12 +4,18 @@ Every kernel entry here has a compiled twin in ``_ckern.pyx`` that returns
 identical results, witnesses included, but not by the identical search
 order: here both embedding entries run one backtracker (``_embed``) with
 bitset candidates, and ``find_induced_cycle`` runs the cycle grower
-``induced_cycles`` that also serves ``verify.induced_cycles``.  Graphs
-enter as ``(n, adj)`` with ``adj`` a sequence of per-vertex neighbour
-bitmasks; vertex sets leave as bitmasks or index tuples.
+``induced_cycles`` that also serves ``verify.induced_cycles``.
+``has_induced`` with a required host vertex runs one pinned search per
+automorphism orbit of the pattern, not one per pattern vertex; the orbits
+and search plans are computed once per pattern and cached
+(``_search_plans``).  Graphs enter as ``(n, adj)`` with ``adj`` a sequence
+of per-vertex neighbour bitmasks; vertex sets leave as bitmasks or index
+tuples.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 def max_clique(n, adj):
@@ -116,45 +122,110 @@ def color_with(n, adj, k):
     return None
 
 
-def _embed(n, adj, pn, padj, order, pin=-1):
-    """Host images of ``order[0], order[1], ...`` in the first induced
-    embedding found, or None.  ``order[0]`` is pinned to host ``pin`` when
-    ``pin >= 0``.
-
-    Pattern vertices are assigned in ``order``.  The candidates for the next
-    one are a bitset: unused host vertices of at least its degree, adjacent
-    to the images of its earlier neighbours and to no other earlier image.
-    They are tried in ascending order, so with the identity order the first
-    embedding found is the lexicographically least.
-    """
-    top = max(padj[p].bit_count() for p in order)
-    atleast = [0] * (top + 1)  # atleast[d]: hosts of degree >= d
+def _degree_masks(n, adj, top):
+    """``atleast[d]``: bitmask of the host vertices of degree at least ``d``,
+    for ``d`` in ``0..top``."""
+    atleast = [0] * (top + 1)
     for v in range(n):
-        atleast[min(adj[v].bit_count(), top)] |= 1 << v
+        d = adj[v].bit_count()
+        atleast[d if d < top else top] |= 1 << v
     for d in range(top - 1, -1, -1):
         atleast[d] |= atleast[d + 1]
-    roots = []  # per position: hosts of large enough degree
-    links = []  # per position: (earlier position, adjacent?) pairs
+    return atleast
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(padj, order):
+    """Search plan for assigning pattern vertices in ``order`` (both tuples):
+    per position, its pattern degree, the earlier positions adjacent to it
+    and the earlier positions not adjacent to it.  Cached, as it depends on
+    the pattern alone."""
+    degs = []
+    ups = []
+    downs = []
     for t, p in enumerate(order):
-        roots.append(atleast[padj[p].bit_count()])
-        links.append([(s, (padj[p] >> order[s]) & 1) for s in range(t)])
+        row = padj[p]
+        degs.append(row.bit_count())
+        links = [(row >> order[s]) & 1 for s in range(t)]
+        ups.append(tuple([s for s in range(t) if links[s]]))
+        downs.append(tuple([s for s in range(t) if not links[s]]))
+    return tuple(degs), tuple(ups), tuple(downs)
+
+
+def _embed(adj, atleast, plan, pin=-1):
+    """Host images of the plan's positions in the first induced embedding
+    found, or None.  Position 0 is pinned to host ``pin`` when ``pin >= 0``.
+
+    The candidates for the next position are a bitset: unused host vertices
+    of at least its degree (``atleast``, from ``_degree_masks``), adjacent to
+    the images of its earlier neighbours and to no other earlier image.  They
+    are tried in ascending order, so with the identity order the first
+    embedding found is the lexicographically least.
+    """
+    degs, ups, downs = plan
+    pn = len(degs)
+    roots = [atleast[d] for d in degs]
     if pin >= 0:
         roots[0] &= 1 << pin
     img = [0] * pn
+    nb = [0] * pn  # host neighbourhoods of the images
 
     def bt(t, used):
         cand = roots[t] & ~used
-        for s, linked in links[t]:
-            cand &= adj[img[s]] if linked else ~adj[img[s]]
+        for s in ups[t]:
+            cand &= nb[s]
+        for s in downs[t]:
+            cand &= ~nb[s]
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
             img[t] = v
-            if t + 1 == pn or bt(t + 1, used | (1 << v)):
+            if t + 1 == pn:
+                return True
+            nb[t] = adj[v]
+            if bt(t + 1, used | low):
                 return True
         return False
 
     return img if bt(0, 0) else None
+
+
+@functools.lru_cache(maxsize=256)
+def _search_plans(pn, padj):
+    """Everything ``has_induced`` derives from a pattern alone, computed once
+    per pattern: ``(top, free, orbits, pinned)``.
+
+    ``top`` is the maximum pattern degree and ``free`` the plan of the
+    unpinned search, in descending-degree order.  ``orbits`` is the partition
+    of the pattern vertices into automorphism orbits, each a sorted tuple
+    whose first vertex is its representative; ``pinned`` holds one plan per
+    orbit, the representative first and the rest in descending degree.  ``q``
+    joins ``p``'s orbit when the pattern embeds into itself with ``p`` pinned
+    to ``q``: an induced self-embedding is an automorphism.
+    """
+    base = sorted(range(pn), key=lambda i: (-padj[i].bit_count(), i))
+    top = padj[base[0]].bit_count()
+    self_atleast = _degree_masks(pn, padj, top)
+    orbits = []
+    pinned = []
+    left = (1 << pn) - 1
+    for p in base:
+        if not (left >> p) & 1:
+            continue
+        plan = _plan(padj, (p, *[q for q in base if q != p]))
+        orbit = tuple(
+            q
+            for q in range(pn)
+            if (left >> q) & 1
+            and padj[q].bit_count() == padj[p].bit_count()
+            and _embed(padj, self_atleast, plan, q) is not None
+        )
+        for q in orbit:
+            left &= ~(1 << q)
+        orbits.append(orbit)
+        pinned.append(plan)
+    return top, _plan(padj, tuple(base)), tuple(orbits), tuple(pinned)
 
 
 def find_induced_embedding(n, adj, pn, padj):
@@ -167,7 +238,8 @@ def find_induced_embedding(n, adj, pn, padj):
         return None
     if pn == 0:
         return ()
-    img = _embed(n, adj, pn, padj, range(pn))
+    plan = _plan(tuple(padj), tuple(range(pn)))
+    img = _embed(adj, _degree_masks(n, adj, max(plan[0])), plan)
     return None if img is None else tuple(img)
 
 
@@ -177,18 +249,23 @@ def has_induced(n, adj, pn, padj, required=-1):
     Existence only; pattern vertices are matched in descending-degree order
     for speed.  If ``required`` is a host vertex, only embeddings using it
     count (the hereditary-pruning case: new copies must touch the new
-    vertex), found by one search per pattern vertex pinned to it.
+    vertex).  They are found by one search per automorphism orbit of the
+    pattern, its representative pinned to ``required``: a copy that maps
+    some vertex of the orbit there, composed with an automorphism, maps the
+    representative there.  The orbits and search plans are cached per
+    pattern (``_search_plans``); the host's degree masks are built once per
+    call.
     """
     if pn > n:
         return False
     if pn == 0:
         return required < 0
-    base = sorted(range(pn), key=lambda i: (-padj[i].bit_count(), i))
+    top, free, _, pinned = _search_plans(pn, tuple(padj))
+    atleast = _degree_masks(n, adj, top)
     if required < 0:
-        return _embed(n, adj, pn, padj, base) is not None
-    for p in range(pn):
-        order = [p] + [q for q in base if q != p]
-        if _embed(n, adj, pn, padj, order, required) is not None:
+        return _embed(adj, atleast, free) is not None
+    for plan in pinned:
+        if (atleast[plan[0][0]] >> required) & 1 and _embed(adj, atleast, plan, required) is not None:
             return True
     return False
 
@@ -278,30 +355,31 @@ def canon_form(n, adj):
         ncls = max(colours) + 1
         while True:
             masks = [0] * ncls
-            for v in range(n):
-                masks[colours[v]] |= 1 << v
-            sigs = []
-            for v in range(n):
-                row = adj[v]
-                sigs.append((colours[v], tuple((row & masks[c]).bit_count() for c in range(ncls))))
+            for v, c in enumerate(colours):
+                masks[c] |= 1 << v
+            # (colour, neighbours in each cell), sorted: only vertices of one
+            # cell are ever compared past the colour, so a singleton's counts
+            # cannot change any rank and are left out
+            sigs = [
+                (c, *[(row & m).bit_count() for m in masks]) if masks[c] & (masks[c] - 1) else (c,)
+                for c, row in zip(colours, adj)
+            ]
             ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
             if len(ranked) == ncls:
                 return colours
-            colours = [ranked[sigs[v]] for v in range(n)]
+            colours = [ranked[s] for s in sigs]
             ncls = len(ranked)
 
     def emit(colours):
-        inv = [0] * n
+        rows = [0] * n
         for v in range(n):
-            inv[colours[v]] = v
-        rows = []
-        for i in range(n):
             row = 0
-            src = adj[inv[i]]
-            for j in range(n):
-                if (src >> inv[j]) & 1:
-                    row |= 1 << j
-            rows.append(row)
+            m = adj[v]
+            while m:
+                low = m & -m
+                row |= 1 << colours[low.bit_length() - 1]
+                m ^= low
+            rows[colours[v]] = row
         cert = tuple(rows)
         if best[0] is None or cert < best[0]:
             best[0] = cert
@@ -313,12 +391,12 @@ def canon_form(n, adj):
             emit(colours)
             return
         counts = [0] * ncls
-        for v in range(n):
-            counts[colours[v]] += 1
+        for c in colours:
+            counts[c] += 1
         target = 0
         while counts[target] < 2:
             target += 1
-        cell = [v for v in range(n) if colours[v] == target]
+        cell = [v for v, c in enumerate(colours) if c == target]
         reps = []
         for v in cell:
             skip = False

@@ -5,6 +5,23 @@ import pytest
 
 from clawlab.enumeration import oracle_enumerate
 from clawlab.graphs import Graph
+from clawlab.kernels import pure
+
+try:
+    from clawlab.kernels import _ckern as compiled
+except ImportError:
+    compiled = None
+
+# kernel backends for tests that must hold on each; the compiled one only
+# where it is built
+BACKENDS = [
+    pytest.param(pure, id="pure"),
+    pytest.param(
+        compiled,
+        id="compiled",
+        marks=pytest.mark.skipif(compiled is None, reason="compiled kernels not built"),
+    ),
+]
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +41,20 @@ def rng():
 
 def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def random_regular_graph(rng, n, jumps):
+    """The circulant on n vertices with the given jumps, scrambled by random
+    double-edge swaps: regular, so colour refinement alone cannot split it,
+    and rarely symmetric."""
+    edges = sorted({tuple(sorted((v, (v + d) % n))) for v in range(n) for d in jumps})
+    for _ in range(4 * n):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        ac, bd = tuple(sorted((a, c))), tuple(sorted((b, d)))
+        if len({a, b, c, d}) == 4 and ac not in edges and bd not in edges:
+            edges[i], edges[j] = ac, bd
     return Graph.from_edges(n, edges)
 
 
@@ -62,6 +93,16 @@ def brute_is_isomorphic(g, h):
                for u in range(g.n) for v in range(u + 1, g.n)):
             return True
     return False
+
+
+def brute_automorphisms(g):
+    """Every automorphism of g as a vertex tuple (v -> perm[v])."""
+    return [
+        perm
+        for perm in itertools.permutations(range(g.n))
+        if all(g.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
+               for u in range(g.n) for v in range(u + 1, g.n))
+    ]
 
 
 def brute_embeddings(g, p):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from clawlab.canon import canonical_label
@@ -9,23 +11,8 @@ from clawlab.enumeration import (
 )
 from clawlab.graphs import to_graph6
 from clawlab.invariants import independence_number
-from clawlab.kernels import pure
 from clawlab.patterns import is_free
-from conftest import permuted, random_graph
-
-try:
-    from clawlab.kernels import _ckern as compiled
-except ImportError:
-    compiled = None
-
-BACKENDS = [
-    pytest.param(pure, id="pure"),
-    pytest.param(
-        compiled,
-        id="compiled",
-        marks=pytest.mark.skipif(compiled is None, reason="compiled kernels not built"),
-    ),
-]
+from conftest import BACKENDS, permuted, random_graph
 
 
 def collect(config):
@@ -173,6 +160,15 @@ class TestProperties:
         seen = []
         count = enumerate_graphs(EnumerationConfig(max_n=5), lambda g: seen.append(g))
         assert count == len(seen)
+
+    def test_graph6_stream_n7_pinned(self):
+        # the exact canonical rows of every class up to 7 vertices, in visit
+        # order, as first measured
+        lines = []
+        enumerate_graphs(EnumerationConfig(max_n=7), lambda g: lines.append(to_graph6(g)))
+        assert len(lines) == 1252
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "7e3303a5177cb704948d948520e2bc77be71da2ef8ed1cd9e8c0691ce7175f29"
 
     def test_representatives_are_canonical(self):
         def check(g):

@@ -49,6 +49,19 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(2, (0b10, 0b00))
 
+    def test_trusted_rows_are_valid(self, rng):
+        # complement, induced and canonical_form skip validation; their rows
+        # must pass it
+        from clawlab.canon import canonical_form
+
+        for _ in range(50):
+            g = random_graph(rng, rng.randrange(0, 12), rng.random())
+            keep = [v for v in range(g.n) if rng.random() < 0.6]
+            for h in (g.complement(), g.induced(keep), canonical_form(g)):
+                assert type(h.adj) is tuple
+                assert Graph(h.n, h.adj) == h
+            assert Graph.trusted(g.n, g.adj) == g
+
     def test_immutable(self):
         g = cycle(5)
         with pytest.raises(AttributeError):

@@ -4,6 +4,7 @@ The compiled and pure backends must return identical values -- witnesses
 included -- on every input; brute-force oracles pin the semantics.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -12,21 +13,24 @@ import pytest
 from clawlab import kernels
 from clawlab.kernels import pure
 from clawlab.graphs import Graph
-from clawlab.patterns import pattern_graph
+from clawlab.patterns import _FIXED, pattern_graph
 from conftest import (
+    BACKENDS,
+    brute_automorphisms,
     brute_chromatic_number,
     brute_clique_number,
     brute_embeddings,
     brute_oriented_cycles,
+    compiled,
     random_graph,
+    random_regular_graph,
 )
 
-try:
-    from clawlab.kernels import _ckern as compiled
-except ImportError:
-    compiled = None
+PATTERNS = ["K1_3", "P4", "P5", "2K2", "C4", "C5", "B", "K3", "Z1", "Z2", "THETA"]
 
-PATTERNS = ["K1_3", "P4", "2K2", "C4", "C5", "B", "K3", "Z1", "THETA"]
+# canon_digest as first measured: graph6 output and reports are made of
+# these exact rows
+CANON_DIGEST = "d5eece1f02be52ea184a695bbe29d49d66f8b0c8ac0c003ecad9bb9dbf463796"
 
 
 def test_backend_reports():
@@ -120,3 +124,35 @@ def test_has_induced_brute_force(rng):
             touched = {v for e in embs for v in e}
             for v in range(g.n):
                 assert kernels.has_induced(g.n, g.adj, p.n, p.adj, v) == (v in touched)
+
+
+@pytest.mark.parametrize("token", [*_FIXED, "P4", "P5", "C4", "C5", "2K2", "3K1", "AH6"])
+def test_search_plan_orbits_brute_force(token):
+    # has_induced(..., required) runs one pinned search per cached orbit
+    p = pattern_graph(token)
+    autos = brute_automorphisms(p)
+    want = {frozenset(a[v] for a in autos) for v in range(p.n)}
+    _, _, orbits, pinned = pure._search_plans(p.n, p.adj)
+    assert {frozenset(o) for o in orbits} == want
+    assert sorted(v for o in orbits for v in o) == list(range(p.n))
+    assert len(pinned) == len(orbits)
+
+
+def canon_digest(canon_form, rng):
+    """sha256 of canon_form's (rows, perm) on seeded graphs on 8-14 vertices;
+    the regular ones make the search compare several leaves."""
+    graphs = [
+        random_graph(rng, rng.randrange(8, 15), rng.choice([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9]))
+        for _ in range(1000)
+    ]
+    graphs += [
+        random_regular_graph(rng, rng.randrange(8, 15), rng.choice([(1,), (1, 2), (1, 3), (1, 2, 3)]))
+        for _ in range(100)
+    ]
+    lines = [repr(canon_form(g.n, g.adj)) for g in graphs]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_canon_form_pinned(backend, rng):
+    assert canon_digest(backend.canon_form, rng) == CANON_DIGEST
