@@ -9,12 +9,15 @@ position -- i.e. the child was built along its canonical construction
 path.  Children of one parent are deduplicated by canonical form; distinct
 parents cannot produce the same class, so no global table is needed.
 
-Before any kernel call, a vertex-invariant filter drops every extension
-whose new vertex cannot be canonically last: it must have maximum degree
+Each parent is analysed once (its degree classes and its classes of false
+and true twins), and before any kernel call each extension is dropped
+when it duplicates another through a permutation of twins, or when its new
+vertex cannot be canonically last: that vertex must have maximum degree
 and, among the maximum-degree vertices, a maximal neighbour profile over
-the degree classes (see ``_children``).  Only whole extensions the
-acceptance test would have rejected anyway, or duplicates of accepted
-ones, are dropped, so the classes produced are unchanged.
+the degree classes, read off the parent's classes and the mask (see
+``_children``).  Only whole extensions the acceptance test would have
+rejected anyway, or duplicates of accepted ones, are dropped, so the
+classes produced are unchanged.
 
 Induced-hereditary constraints (pattern-freeness) prune whole subtrees;
 connectivity, independence-number and odd-cycle filters are not hereditary
@@ -47,6 +50,8 @@ class EnumerationConfig:
         object.__setattr__(self, "free_of", tuple(self.free_of))
         if not 1 <= self.max_n <= MAX_ENUM_VERTICES:
             raise ValueError(f"max_n must be in 1..{MAX_ENUM_VERTICES}")
+        if self.min_alpha < 0:
+            raise ValueError("min_alpha must be non-negative")
         for token in self.free_of:
             p = pattern_graph(token)
             if p.n > MAX_PRUNE_PATTERN_VERTICES:
@@ -67,71 +72,131 @@ def _delete_vertex(n, adj, x):
     return tuple(rows)
 
 
-def _new_vertex_profile_maximal(n, adj, k):
-    """Whether vertex n-1 (degree ``k``, the maximum) has a lexicographically
-    maximal profile among the maximum-degree vertices.
+def _twin_classes(n, adj):
+    """The vertex classes of two or more false twins (equal rows) or true
+    twins (equal closed rows), as bitmasks.
 
-    A vertex's profile is its tuple of neighbour counts in each degree class,
-    classes in ascending degree order: the second colour-refinement round
-    from the unit partition.
+    Every permutation inside one class is an automorphism.  No vertex has
+    both a false and a true twin, and no row equals a closed row (that row
+    would contain its own vertex), so the classes are disjoint.
     """
-    by_deg = {}
-    for v in range(n):
-        d = adj[v].bit_count()
-        by_deg[d] = by_deg.get(d, 0) | (1 << v)
-    rivals = by_deg[k] & ~(1 << (n - 1))
-    if not rivals:
-        return True
-    classes = [by_deg[d] for d in sorted(by_deg)]
-    mine = [(adj[n - 1] & c).bit_count() for c in classes]
+    groups = {}
+    for v, row in enumerate(adj):
+        for key in (row, row | 1 << v):
+            groups[key] = groups.get(key, 0) | 1 << v
+    return [c for c in groups.values() if c & (c - 1)]
+
+
+def _masks_from(m, lo):
+    """Every ``m``-bit mask with at least ``lo`` bits set, by popcount, each
+    popcount in ascending order (Gosper's hack)."""
+    if lo == 0:
+        yield 0
+        lo = 1
+    for k in range(lo, m + 1):
+        mask = (1 << k) - 1
+        while not mask >> m:
+            yield mask
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | (((ripple ^ mask) >> 2) // low)
+
+
+def _keeps_lowest_twins(mask, twins):
+    """Whether ``mask`` meets each twin class in a prefix (its lowest bits)."""
+    for c in twins:
+        part = mask & c
+        if (c ^ part) & ((1 << part.bit_length()) - 1):
+            return False
+    return True
+
+
+def _outranked(parent, by_deg, below, mask, k, rivals):
+    """Whether an old vertex in ``rivals`` (child degree ``k``) has a higher
+    profile than the new vertex joined to ``mask``.
+
+    ``by_deg[d]`` holds the parent's vertices of degree ``d`` and
+    ``below[d] == by_deg[d - 1]``; the child's class of degree ``d`` keeps the
+    first outside the mask and gains the second inside it.
+    """
+    new = 1 << len(parent)
+    classes = [(by_deg[d] & ~mask) | (below[d] & mask) for d in range(k + 1)]
+    classes[k] |= new
+    mine = [(mask & c).bit_count() for c in classes]
     while rivals:
         v = (rivals & -rivals).bit_length() - 1
         rivals &= rivals - 1
-        if [(adj[v] & c).bit_count() for c in classes] > mine:
-            return False
-    return True
+        row = parent[v] | new if mask >> v & 1 else parent[v]
+        if [(row & c).bit_count() for c in classes] > mine:
+            return True
+    return False
 
 
 def _children(rep: Graph, pattern_adjs):
     """Canonically accepted one-vertex extensions of a representative.
 
-    The new vertex is joined to the parent's vertices in ``mask``.  Masks
-    whose new vertex cannot be canonically last are dropped before pruning
-    or labelling, in two stages:
+    The new vertex is joined to the parent's vertices in ``mask``.  The
+    parent is analysed once; masks are then dropped before pruning or
+    labelling, in three stages:
 
-    1. degree: the new vertex (degree ``popcount(mask)``) must have maximum
-       degree in the child;
+    0. twins: within each class of the parent's false or true twins
+       (``_twin_classes``), the mask must hold the class's lowest vertices;
+    1. degree: the new vertex (degree ``k = popcount(mask)``) must have
+       maximum degree in the child, so only masks with ``k >= top``, the
+       parent's maximum degree, are visited;
     2. profile: among the child's maximum-degree vertices it must have a
-       maximal profile (``_new_vertex_profile_maximal``).
+       lexicographically maximal profile, its tuple of neighbour counts in
+       each degree class, classes in ascending degree order.
 
-    This is sound because ``canon_form`` refines from the unit partition and
-    keeps cell order through refinement and individualisation: the first
-    round orders cells by degree and the second by profile within a degree
-    class, so the canonically last vertex lies in the last cell after both
-    rounds.  Acceptance depends only on the child's class (its canonically
-    last deletion must give the parent), and an accepted class is still
-    produced from this parent by the mask in which the new vertex plays its
-    canonically last vertex, which passes both stages.  Children are
+    Stage 0 drops only duplicates.  A permutation inside each twin class
+    takes any mask to the one holding each class's lowest vertices.  It is a
+    parent automorphism, so it extends to an isomorphism of the two children
+    that fixes the new vertex.  That isomorphism preserves the degree, the
+    profile, the pinned pattern search and the acceptance test below, and
+    both children get the same canonical form.
+
+    Stages 1 and 2 are sound because ``canon_form`` refines from the unit
+    partition and keeps cell order through refinement and
+    individualisation: the first round orders cells by degree and the second
+    by profile within a degree class, so the canonically last vertex lies in
+    the last cell after both rounds.  Acceptance depends only on the child's
+    class (its canonically last deletion must give the parent), and an
+    accepted class is still produced from this parent by a mask in which the
+    new vertex plays its canonically last vertex.  That mask passes stages 1
+    and 2, and so does the mask stage 0 keeps in its place.
+
+    Stage 2 reads the child's degree classes off the parent's (see
+    ``_outranked``).  Old vertices reach degree ``k`` only when ``k`` is
+    ``top`` or ``top + 1``, so no other mask needs the profile test.  Rows
+    are built only for masks that pass all three stages.  Children are
     canonical copies and each level is sorted, so the output is unchanged.
     """
     m = rep.n
     n = m + 1
-    degs = [row.bit_count() for row in rep.adj]
-    top = max(degs)
-    tops = sum(1 << v for v in range(m) if degs[v] == top)
+    parent = rep.adj
+    by_deg = [0] * (m + 1)
+    for v, row in enumerate(parent):
+        by_deg[row.bit_count()] |= 1 << v
+    below = [0] + by_deg
+    top = max(d for d in range(m) if by_deg[d])
+    tops = by_deg[top]
+    twins = _twin_classes(m, parent)
     out = []
     seen = set()
-    for mask in range(1 << m):
+    for mask in _masks_from(m, top):
         k = mask.bit_count()
-        # stage 1: an old vertex has degree above k when k < top, or when
-        # k == top and the mask raises one of the parent's degree-top vertices
-        if k < top or (k == top and mask & tops):
+        # stage 1: when k == top, a raised degree-top vertex would exceed k
+        if k == top and mask & tops:
             continue
-        rows = [rep.adj[v] | (((mask >> v) & 1) << m) for v in range(m)]
-        rows.append(mask)
-        adj = tuple(rows)
-        if not _new_vertex_profile_maximal(n, adj, k):
+        if not _keeps_lowest_twins(mask, twins):
             continue
+        # stage 2: old vertices reach degree k only when k is top or top + 1
+        if k - top < 2:
+            rivals = (by_deg[k] & ~mask) | (below[k] & mask)
+            if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
+                continue
+        adj = tuple(row | 1 << m if mask >> v & 1 else row for v, row in enumerate(parent))
+        adj += (mask,)
         fails = False
         for pn, padj in pattern_adjs:
             if kernels.has_induced(n, adj, pn, padj, n - 1):
@@ -147,7 +212,7 @@ def _children(rep: Graph, pattern_adjs):
             # deleting the new vertex gives the parent, whose rows are already
             # canonical; deleting the canonically last vertex must match them
             w_last = perm.index(n - 1)
-            if kernels.canon_form(n - 1, _delete_vertex(n, adj, w_last))[0] != rep.adj:
+            if kernels.canon_form(n - 1, _delete_vertex(n, adj, w_last))[0] != parent:
                 continue
         out.append(Graph.trusted(n, cert))
     return out

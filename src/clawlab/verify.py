@@ -200,6 +200,8 @@ def verify(theorem: str, max_n: int, y: str | None = None) -> VerificationReport
         raise ValueError(f"unknown theorem id {theorem!r}")
     if theorem in _NEEDS_Y and not y:
         raise ValueError(f"{theorem} requires a forbidden pattern y")
+    if theorem not in _NEEDS_Y and y:
+        raise ValueError(f"{theorem} takes no forbidden pattern y")
     setup, check = _theorem_setup(theorem, y)
     config = EnumerationConfig(
         max_n=max_n,

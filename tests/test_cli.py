@@ -115,6 +115,10 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--max-n", "4", "--free", "Q9")
         assert code == 2
 
+    def test_negative_min_alpha_exits_2(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--max-n", "4", "--min-alpha", "-3")
+        assert code == 2 and out == "" and "min_alpha" in err
+
 
 class TestVerify:
     def test_verified_exit_0(self, capsys):
@@ -135,6 +139,12 @@ class TestVerify:
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "verify", "--theorem", "NOPE", "--max-n", "5")[0] == 2
         assert run(capsys, "verify", "--theorem", "T5_ALPHA3", "--max-n", "5")[0] == 2
+
+    def test_y_for_theorem_without_y_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--theorem", "OBS2_NEIGHBORHOOD", "--y", "P5", "--max-n", "5"
+        )
+        assert code == 2 and out == "" and "takes no forbidden pattern" in err
 
 
 class TestCheck:

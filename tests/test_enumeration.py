@@ -1,18 +1,22 @@
 import hashlib
+import itertools
 
 import pytest
 
+from clawlab import kernels
 from clawlab.canon import canonical_label
 from clawlab.enumeration import (
     EnumerationConfig,
+    _children,
+    _twin_classes,
     catalog_labels,
     enumerate_graphs,
     oracle_enumerate,
 )
-from clawlab.graphs import to_graph6
+from clawlab.graphs import Graph, to_graph6
 from clawlab.invariants import independence_number
-from clawlab.patterns import is_free
-from conftest import BACKENDS, permuted, random_graph
+from clawlab.patterns import is_free, pattern_graph
+from conftest import BACKENDS, brute_automorphisms, permuted, random_graph
 
 
 def collect(config):
@@ -137,6 +141,137 @@ def test_canonically_last_vertex_passes_filter(backend, oracle7, rng):
         assert degs[last] == top, g.adj
         mine = _profile(g, last)
         assert all(_profile(g, v) <= mine for v in range(g.n) if degs[v] == top), g.adj
+
+
+def _child_rows(rep, mask):
+    """Rows of ``rep`` plus a last vertex joined to the vertices in ``mask``."""
+    m = rep.n
+    return tuple(row | ((mask >> v) & 1) << m for v, row in enumerate(rep.adj)) + (mask,)
+
+
+def _reference_children(rep, pattern_adjs):
+    """Canonical augmentation with no vertex-invariant filter and no twin
+    reduction: every mask, pinned pattern pruning, dedup by canonical form,
+    acceptance when deleting the canonically last vertex gives the parent."""
+    m, n = rep.n, rep.n + 1
+    seen, out = set(), []
+    for mask in range(1 << m):
+        adj = _child_rows(rep, mask)
+        if any(kernels.has_induced(n, adj, pn, padj, m) for pn, padj in pattern_adjs):
+            continue
+        cert, perm = kernels.canon_form(n, adj)
+        if cert in seen:
+            continue
+        seen.add(cert)
+        last = perm.index(m)
+        rest = Graph.trusted(n, adj).induced(v for v in range(n) if v != last)
+        if kernels.canon_form(m, rest.adj)[0] == rep.adj:
+            out.append(cert)
+    return sorted(out)
+
+
+def _planted_twins_parent(rng, n):
+    """A random canonical graph on ``n`` vertices with a false-twin class and
+    a true-twin class of 3 or 4 vertices each.
+
+    Each vertex is a copy of a vertex of a random base graph; copies are
+    adjacent when their originals are, and copies of the true-twin original
+    also to each other.
+    """
+    a, b = rng.choice((3, 4)), rng.choice((3, 4))
+    base = random_graph(rng, n - a - b + 2, 0.5)
+    origin = [0] * a + [1] * b + list(range(2, base.n))
+    rng.shuffle(origin)
+    edges = [
+        (u, w)
+        for u in range(n)
+        for w in range(u + 1, n)
+        if base.has_edge(origin[u], origin[w]) or origin[u] == origin[w] == 1
+    ]
+    g = Graph.from_edges(n, edges)
+    return Graph.trusted(n, kernels.canon_form(n, g.adj)[0])
+
+
+def _holds_lowest(mask, members):
+    """Whether the mask's vertices among ``members`` (ascending) come first."""
+    inside = [v for v in members if (mask >> v) & 1]
+    return inside == members[: len(inside)]
+
+
+def _reference_masks(rep):
+    """The masks stages 0-2 of ``_children`` must pass, read off each child's
+    own rows: the new vertex has maximum degree and, among the
+    maximum-degree vertices, a maximal profile, and the mask meets each twin
+    class in its lowest vertices."""
+    m = rep.n
+    twins = [[v for v in range(m) if (c >> v) & 1] for c in _twin_classes(m, rep.adj)]
+    for mask in range(1 << m):
+        if not all(_holds_lowest(mask, members) for members in twins):
+            continue
+        child = Graph.trusted(m + 1, _child_rows(rep, mask))
+        degs = child.degrees()
+        if degs[m] < max(degs):
+            continue
+        mine = _profile(child, m)
+        if any(_profile(child, v) > mine for v in range(m) if degs[v] == degs[m]):
+            continue
+        yield mask
+
+
+def _parents(oracle6, rng):
+    """Every class on 1-6 vertices, then four random parents on 8-9 vertices
+    with planted twin classes."""
+    parents = [g for k in range(1, 7) for g in oracle6[k]]
+    for n in (8, 8, 9, 9):
+        parents.append(_planted_twins_parent(rng, n))
+        assert max(c.bit_count() for c in _twin_classes(n, parents[-1].adj)) >= 3
+    return parents
+
+
+PRUNE_SETS = [(), ("K1_3",), ("K1_3", "P5"), ("K1_3", "Z2"), ("C4",)]
+
+
+class TestChildren:
+    @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
+    def test_matches_reference(self, tokens, oracle6, rng):
+        """Stages 0-2 of ``_children`` drop only masks whose class the
+        reference also drops or produces from another mask."""
+        pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
+        for rep in _parents(oracle6, rng):
+            got = sorted(g.adj for g in _children(rep, pats))
+            assert got == _reference_children(rep, pats), rep.adj
+
+    def test_stages_pass_exactly_the_documented_masks(self, oracle6, rng, monkeypatch):
+        """With no pattern, every mask that passes stages 0-2 is labelled
+        once, so the labelled masks show what the stages let through."""
+        parents = _parents(oracle6, rng)
+        labelled = []
+        canon_form = kernels.canon_form
+
+        def spy(n, adj):
+            labelled.append(adj)
+            return canon_form(n, adj)
+
+        monkeypatch.setattr(kernels, "canon_form", spy)
+        for rep in parents:
+            labelled.clear()
+            _children(rep, [])
+            got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
+            assert sorted(got) == list(_reference_masks(rep)), rep.adj
+
+    def test_twin_classes_are_transposition_orbits(self, oracle6):
+        """A transposition is an automorphism exactly when its two vertices
+        lie in one derived twin class, and the classes are disjoint."""
+        for k in range(1, 7):
+            for g in oracle6[k]:
+                classes = _twin_classes(g.n, g.adj)
+                assert not any(a & b for a, b in itertools.combinations(classes, 2)), g.adj
+                autos = set(brute_automorphisms(g))
+                for u, w in itertools.combinations(range(g.n), 2):
+                    swap = list(range(g.n))
+                    swap[u], swap[w] = w, u
+                    twins = any((c >> u) & (c >> w) & 1 for c in classes)
+                    assert (tuple(swap) in autos) == twins, (g.adj, u, w)
 
 
 class TestProperties:
