@@ -6,7 +6,8 @@ Subcommands: ``family`` (build or verify one family member), ``inflate``
 and ``check`` (full invariant report per graph).  Graph arguments accept a
 graph6 string, a file of graph6 lines, or ``-`` for stdin.
 
-Exit codes: 0 success / verified, 1 counterexample found, 2 usage error.
+Exit codes: 0 success / verified, 1 counterexample found, 2 usage error or
+unreadable input.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, PatternError, FamilyError, ValueError) as exc:
+    except (GraphError, PatternError, FamilyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClaimError as exc:

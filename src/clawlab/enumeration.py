@@ -21,7 +21,12 @@ classes produced are unchanged.
 
 Induced-hereditary constraints (pattern-freeness) prune whole subtrees;
 connectivity, independence-number and odd-cycle filters are not hereditary
-and apply only at emission.
+and apply only at emission.  At the last level, whose classes are never
+extended, the first two are also read off the parent and the mask, so an
+extension whose child could not be emitted is dropped before any kernel
+call: the child is connected iff the mask meets every component of the
+parent, and alpha(child) = max(alpha(P), 1 + alpha(P - mask)).  Both are
+properties of the child's class, so the classes emitted are unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from clawlab import kernels
-from clawlab.graphs import Graph, to_graph6
+from clawlab.graphs import Graph, bitset_of, to_graph6
 from clawlab.invariants import independence_number
 from clawlab.patterns import pattern_graph
 
@@ -111,6 +116,23 @@ def _keeps_lowest_twins(mask, twins):
     return True
 
 
+def _independent_sets(adj, size):
+    """Every independent set of ``size`` vertices, as bitmasks."""
+    out = []
+
+    def grow(chosen, cand, left):
+        if not left:
+            out.append(chosen)
+            return
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            grow(chosen | 1 << v, cand & ~adj[v], left - 1)
+
+    grow(0, (1 << len(adj)) - 1, size)
+    return out
+
+
 def _outranked(parent, by_deg, below, mask, k, rivals):
     """Whether an old vertex in ``rivals`` (child degree ``k``) has a higher
     profile than the new vertex joined to ``mask``.
@@ -132,12 +154,12 @@ def _outranked(parent, by_deg, below, mask, k, rivals):
     return False
 
 
-def _children(rep: Graph, pattern_adjs):
+def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
     """Canonically accepted one-vertex extensions of a representative.
 
     The new vertex is joined to the parent's vertices in ``mask``.  The
     parent is analysed once; masks are then dropped before pruning or
-    labelling, in three stages:
+    labelling, in three stages, plus a fourth at the last level:
 
     0. twins: within each class of the parent's false or true twins
        (``_twin_classes``), the mask must hold the class's lowest vertices;
@@ -146,7 +168,16 @@ def _children(rep: Graph, pattern_adjs):
        parent's maximum degree, are visited;
     2. profile: among the child's maximum-degree vertices it must have a
        lexicographically maximal profile, its tuple of neighbour counts in
-       each degree class, classes in ascending degree order.
+       each degree class, classes in ascending degree order;
+    3. emission (only when ``emit`` is given): the child must pass the
+       connectivity and independence-number filters of ``_emit_ok``.  It is
+       connected iff the mask meets every component of the parent, and
+       alpha(child) = max(alpha(P), 1 + alpha(P - mask)), since an
+       independent set holding the new vertex holds none of its
+       neighbours.  So no child reaches ``min_alpha`` = a when
+       alpha(P) + 1 < a; every child passes when alpha(P) >= a; and when
+       alpha(P) = a - 1 a child passes iff its mask misses one of the
+       parent's independent (a - 1)-sets, listed once per parent.
 
     Stage 0 drops only duplicates.  A permutation inside each twin class
     takes any mask to the one holding each class's lowest vertices.  It is a
@@ -168,8 +199,15 @@ def _children(rep: Graph, pattern_adjs):
     Stage 2 reads the child's degree classes off the parent's (see
     ``_outranked``).  Old vertices reach degree ``k`` only when ``k`` is
     ``top`` or ``top + 1``, so no other mask needs the profile test.  Rows
-    are built only for masks that pass all three stages.  Children are
-    canonical copies and each level is sorted, so the output is unchanged.
+    are built only for masks that pass every stage.  Children are canonical
+    copies and each level is sorted, so the output is unchanged.
+
+    Stage 3 drops whole classes: whether a child passes it depends only on
+    the child's class, so the masks that give one class are kept or dropped
+    together, and the classes kept are produced as before.
+    ``enumerate_graphs`` asks for it only at ``max_n``, whose classes are
+    never extended, and still runs ``_emit_ok`` on each child, which alone
+    applies the odd-cycle filter.
     """
     m = rep.n
     n = m + 1
@@ -181,12 +219,27 @@ def _children(rep: Graph, pattern_adjs):
     top = max(d for d in range(m) if by_deg[d])
     tops = by_deg[top]
     twins = _twin_classes(m, parent)
+    meet = avoid = ()
+    if emit is not None:
+        if emit.connected_only:
+            meet = [bitset_of(c) for c in rep.components()]
+        if emit.min_alpha:
+            alpha = independence_number(rep)[0]
+            if alpha + 1 < emit.min_alpha:
+                return []
+            if alpha + 1 == emit.min_alpha:
+                avoid = _independent_sets(parent, alpha)
     out = []
     seen = set()
     for mask in _masks_from(m, top):
         k = mask.bit_count()
         # stage 1: when k == top, a raised degree-top vertex would exceed k
         if k == top and mask & tops:
+            continue
+        # stage 3: the child is disconnected or has too small an alpha
+        if meet and not all(mask & c for c in meet):
+            continue
+        if avoid and all(mask & s for s in avoid):
             continue
         if not _keeps_lowest_twins(mask, twins):
             continue
@@ -233,7 +286,9 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
 
     Classes run over 1..max_n vertices and satisfy all config constraints;
     visit order is (n ascending, canonical adjacency ascending) and the
-    representatives passed to ``visit`` are canonical copies.
+    representatives passed to ``visit`` are canonical copies.  The last
+    level is generated only for classes ``_emit_ok`` can accept (stage 3 of
+    ``_children``); lower levels hold the whole hereditary class.
     """
     pattern_adjs = []
     for token in config.free_of:
@@ -248,8 +303,9 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
     for n in range(1, config.max_n + 1):
         if n > 1:
             nxt = []
+            emit = config if n == config.max_n else None
             for rep in level:
-                nxt.extend(_children(rep, pattern_adjs))
+                nxt.extend(_children(rep, pattern_adjs, emit))
             nxt.sort(key=lambda g: g.adj)
             level = nxt
         for g in level:

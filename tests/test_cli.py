@@ -174,3 +174,8 @@ class TestCheck:
 
     def test_bad_graph6_exit_2(self, capsys):
         assert run(capsys, "check", "not a graph6 \x01")[0] == 2
+
+    def test_directory_argument_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err

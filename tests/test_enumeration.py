@@ -8,6 +8,7 @@ from clawlab.canon import canonical_label
 from clawlab.enumeration import (
     EnumerationConfig,
     _children,
+    _emit_ok,
     _twin_classes,
     catalog_labels,
     enumerate_graphs,
@@ -27,6 +28,9 @@ def collect(config):
 
 def oracle_filtered(oracle, n_range, keep):
     return {n: {to_graph6(g) for g in oracle[n] if keep(g)} for n in n_range}
+
+
+PRUNE_SETS = [(), ("K1_3",), ("K1_3", "P5"), ("K1_3", "Z2"), ("C4",)]
 
 
 class TestConfig:
@@ -112,6 +116,30 @@ class TestAgainstOracle:
         assert [per_n[n] for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
         assert [connected[n] for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
         assert count == sum(per_n.values())
+
+    def test_oeis_connected_counts_n8(self):
+        # OEIS A001349, with the connectivity filter applied while the last
+        # level is generated
+        _, per_n = collect(EnumerationConfig(max_n=8, connected_only=True))
+        assert [len(per_n[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
+
+    @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
+    def test_last_level_matches_oracle(self, tokens, oracle7):
+        """The classes emitted at ``max_n`` are the oracle's classes that are
+        free of the patterns and pass ``_emit_ok``."""
+        for max_n in range(1, 8):
+            free = [g for g in oracle7[max_n] if is_free(g, list(tokens))]
+            for connected, min_alpha, odd in itertools.product((False, True), range(5), (False, True)):
+                config = EnumerationConfig(
+                    max_n=max_n,
+                    connected_only=connected,
+                    free_of=tokens,
+                    min_alpha=min_alpha,
+                    exclude_odd_cycles=odd,
+                )
+                _, per_n = collect(config)
+                want = {to_graph6(g) for g in free if _emit_ok(g, config)}
+                assert per_n.get(max_n, set()) == want, config
 
 
 def _profile(g, v):
@@ -228,18 +256,30 @@ def _parents(oracle6, rng):
     return parents
 
 
-PRUNE_SETS = [(), ("K1_3",), ("K1_3", "P5"), ("K1_3", "Z2"), ("C4",)]
+# the last-level filters of ``_children`` (the odd-cycle one stays in
+# ``_emit_ok`` alone)
+EMIT_CONFIGS = [
+    EnumerationConfig(max_n=7, connected_only=connected, min_alpha=min_alpha)
+    for connected in (False, True)
+    for min_alpha in range(5)
+]
 
 
 class TestChildren:
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
     def test_matches_reference(self, tokens, oracle6, rng):
         """Stages 0-2 of ``_children`` drop only masks whose class the
-        reference also drops or produces from another mask."""
+        reference also drops or produces from another mask, and stage 3
+        drops exactly the classes ``_emit_ok`` rejects."""
         pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
         for rep in _parents(oracle6, rng):
+            want = _reference_children(rep, pats)
             got = sorted(g.adj for g in _children(rep, pats))
-            assert got == _reference_children(rep, pats), rep.adj
+            assert got == want, rep.adj
+            for config in EMIT_CONFIGS:
+                got = sorted(g.adj for g in _children(rep, pats, config))
+                kept = [c for c in want if _emit_ok(Graph.trusted(rep.n + 1, c), config)]
+                assert got == kept, (rep.adj, config)
 
     def test_stages_pass_exactly_the_documented_masks(self, oracle6, rng, monkeypatch):
         """With no pattern, every mask that passes stages 0-2 is labelled

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,41 @@ class TestTheoremRuns:
             else:
                 assert not is_perfect(g, "spgt").perfect
                 assert not is_perfect(g, "direct").perfect
+
+
+# (theorem, y, max_n) -> (class_size, counterexample rows), as first measured
+CAMPAIGNS = {
+    ("T5_ALPHA3", "P5", 8): (55, 0),
+    ("T5_ALPHA3", "Z2", 8): (45, 0),
+    ("T5_ALPHA3", "C4", 8): (350, 79),
+    ("T5_ALPHA3", "B", 8): (62, 1),
+    ("T4_NOALPHA", "P4", 8): (84, 0),
+    ("T4_NOALPHA", "Z1", 8): (29, 0),
+    ("T4_NOALPHA", "C4", 7): (149, 22),
+    ("OBS2_NEIGHBORHOOD", None, 8): (1145, 0),
+    ("L7_RULES", None, 7): (181, 0),
+    ("T6_BULL", None, 8): (63, 0),
+    ("L5_BENREBEA", None, 8): (579, 0),
+    ("L6_C5FREE", None, 8): (438, 0),
+    ("T1_BRAUSE", None, 8): (25, 0),
+    ("T3_OLARIU", None, 7): (115, 0),
+}
+
+# sha256 of the sorted counterexample graph6 list, one line each
+COUNTEREXAMPLE_DIGESTS = {
+    ("T5_ALPHA3", "C4", 8): "4f571cbba34111f2961db207bfdd7365e4f050b34164be47d856df45943459ef",
+    ("T5_ALPHA3", "B", 8): "5f67c52d34f3c6ffda28e6854262d117a082984d3442934b15a106923f93462e",
+}
+
+
+@pytest.mark.parametrize("key", CAMPAIGNS, ids=lambda k: "-".join(str(x) for x in k if x))
+def test_campaign_pinned(key):
+    theorem, y, max_n = key
+    report = verify(theorem, max_n, y)
+    assert (report.class_size, len(report.counterexamples)) == CAMPAIGNS[key]
+    if key in COUNTEREXAMPLE_DIGESTS:
+        lines = "\n".join(sorted(g6 for g6, _ in report.counterexamples))
+        assert hashlib.sha256(lines.encode()).hexdigest() == COUNTEREXAMPLE_DIGESTS[key]
 
 
 class TestReportEmit:
