@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from clawlab import kernels
 from clawlab.graphs import Graph, vertices_of
+from clawlab.kernels import pure
 
 DIRECT_MAX_VERTICES = 14
 
@@ -73,6 +74,7 @@ def is_omega_colourable(g: Graph) -> bool:
     omega = kernels.max_clique(g.n, g.adj).bit_count()
     return g.n == 0 or kernels.color_with(g.n, g.adj, omega) is not None
 
+
 def invariant_report(g: Graph) -> InvariantReport:
     omega, clique = clique_number(g)
     alpha, independent = independence_number(g)
@@ -89,12 +91,25 @@ def invariant_report(g: Graph) -> InvariantReport:
 
 
 def find_odd_hole(g: Graph) -> tuple[int, ...] | None:
-    """Shortest odd chordless cycle of length >= 5, lexicographically least."""
-    for length in range(5, g.n + 1, 2):
-        cyc = kernels.find_induced_cycle(g.n, g.adj, length)
-        if cyc is not None:
-            return cyc
-    return None
+    """Shortest odd chordless cycle of length >= 5, lexicographically least.
+
+    One pass of the cycle grower (``kernels.pure.induced_cycles``): each odd
+    cycle met becomes the answer and lowers the length bound to two less
+    than its own length, so every later cycle is shorter and the last answer
+    is the shortest odd hole.  Cycles of each length arrive in lexicographic
+    order and none of the shortest length is skipped before the first one,
+    so that first one, the lex-least, is the answer.
+    """
+    hole = None
+
+    def visit(cycle):
+        nonlocal hole
+        if len(cycle) % 2:
+            hole = cycle
+            return len(cycle) - 2
+
+    pure.induced_cycles(g.n, g.adj, 5, g.n, visit)
+    return hole
 
 
 def find_odd_antihole(g: Graph) -> tuple[int, ...] | None:

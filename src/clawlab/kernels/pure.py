@@ -4,7 +4,9 @@ Every kernel entry here has a compiled twin in ``_ckern.pyx`` that returns
 identical results, witnesses included, but not by the identical search
 order: here both embedding entries run one backtracker (``_embed``) with
 bitset candidates, and ``find_induced_cycle`` runs the cycle grower
-``induced_cycles`` that also serves ``verify.induced_cycles``.
+``induced_cycles`` that also serves ``verify.induced_cycles`` and, one
+pass each, the odd-hole and odd-antihole searches of ``invariants`` and the
+long-cycle and inflation-spine searches of ``structure``.
 ``has_induced`` with a required host vertex runs one pinned search per
 automorphism orbit of the pattern, not one per pattern vertex; the orbits
 and search plans are computed once per pattern and cached
@@ -272,7 +274,12 @@ def has_induced(n, adj, pn, padj, required=-1):
 
 def induced_cycles(n, adj, min_len, max_len, visit):
     """Call ``visit(cycle)`` on each induced cycle of ``min_len..max_len``
-    vertices until it returns true; return whether it did.
+    vertices; return whether ``visit`` stopped the search.
+
+    ``visit`` returns the length bound: a falsy return goes on, any other is
+    the largest length still wanted (the bound never rises), and the search
+    stops once that is below ``min_len``, so ``True`` (= 1) stops it.  Only
+    longer cycles are skipped: the rest come in the unbounded order.
 
     A cycle is a vertex tuple that starts at its least vertex with the
     smaller of its two neighbours second.  Paths grow from each start
@@ -285,27 +292,29 @@ def induced_cycles(n, adj, min_len, max_len, visit):
     if max_len < min_len:
         return False
     path = [0] * n
+    bound = max_len
 
     def grow(depth, used, inner_forbid, v0adj):
+        nonlocal bound
         last = path[depth - 1]
         base = adj[last] & ~used & ~inner_forbid
         if depth + 1 >= min_len:
             # orientation: the closing vertex must exceed path[1]
             m = base & v0adj & ~((2 << path[1]) - 1)
-            while m:
+            while m and depth < bound:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                if visit(tuple(path[:depth]) + (v,)):
+                bound = min(bound, visit(tuple(path[:depth]) + (v,)) or bound)
+                if bound < min_len:
                     return True
-        if depth + 1 < max_len:
-            m = base & ~v0adj
-            nf = inner_forbid | adj[last]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                path[depth] = v
-                if grow(depth + 1, used | (1 << v), nf, v0adj):
-                    return True
+        m = base & ~v0adj
+        nf = inner_forbid | adj[last]
+        while m and depth + 1 < bound:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            path[depth] = v
+            if grow(depth + 1, used | (1 << v), nf, v0adj):
+                return True
         return False
 
     for v0 in range(n - min_len + 1):

@@ -3,9 +3,9 @@
 Recognition follows the characterisation proof: fix an induced cycle, sort
 every outside vertex into a part by the three consecutive cycle vertices it
 must see, then re-validate the two inflation adjacency rules from scratch.
-In a genuine inflation every induced cycle has the base length and any one
-of them works as the spine, so a single attempt per candidate length is
-complete.
+In a genuine inflation every induced cycle of length >= 4 has the base
+length and any one of them works as the spine, so the first one the cycle
+grower meets is enough.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from clawlab import kernels
 from clawlab.graphs import Graph, bitset_of, vertices_of
 from clawlab.invariants import PerfectionVerdict, independence_number, is_perfect
+from clawlab.kernels import pure
 from clawlab.patterns import find_induced, has_induced
 
 
@@ -50,14 +50,20 @@ class StructureVerdict:
 
 
 def find_long_induced_cycle(g: Graph, min_len: int) -> tuple[int, ...] | None:
-    """Longest induced cycle of length >= min_len (deterministic), or None."""
+    """Longest induced cycle of length >= min_len, the lexicographically
+    least of its length (one grower pass keeps the first cycle of each new
+    maximum length), or None."""
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
-    for length in range(g.n, min_len - 1, -1):
-        cyc = kernels.find_induced_cycle(g.n, g.adj, length)
-        if cyc is not None:
-            return cyc
-    return None
+    longest = None
+
+    def visit(cycle):
+        nonlocal longest
+        if longest is None or len(cycle) > len(longest):
+            longest = cycle
+
+    pure.induced_cycles(g.n, g.adj, min_len, g.n, visit)
+    return longest
 
 
 def validate_inflation(g: Graph, parts) -> bool:
@@ -124,16 +130,18 @@ def _normalise(g: Graph, parts) -> InflationPartition:
 def recognize_inflation(g: Graph) -> InflationPartition | None:
     """Recover the cycle-inflation structure of ``g``, or None.
 
-    Every induced cycle of an inflation of C_k has length exactly k, so the
-    candidate k is read off an induced cycle (longest first) and one spine
-    suffices; the result is re-validated before being returned.
+    In an inflation of C_k (k >= 4) the parts are cliques of adjacent twins,
+    so an induced cycle of length >= 4 meets each part at most once and,
+    the parts lying around C_k, meets every part: each such cycle has length
+    k and serves as a spine, and the first one the cycle grower meets is
+    taken.  A graph that is no inflation fails the re-validation whatever
+    spine it gets.
     """
-    if g.n < 4:
+    spine = []
+    pure.induced_cycles(g.n, g.adj, 4, g.n, lambda cycle: spine.append(cycle) or True)
+    if not spine:
         return None
-    spine = find_long_induced_cycle(g, 4)
-    if spine is None:
-        return None
-    parts = _parts_from_spine(g, spine)
+    parts = _parts_from_spine(g, spine[0])
     if parts is None or not validate_inflation(g, parts):
         return None
     return _normalise(g, parts)

@@ -26,7 +26,7 @@ from clawlab.invariants import (
     find_odd_antihole,
     is_perfect,
 )
-from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood, has_induced
+from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood
 from clawlab.structure import TheoremViolation, VerdictKind, classify_claw_bull_free, olariu_classify
 
 THEOREM_IDS = (
@@ -196,6 +196,8 @@ def _theorem_setup(theorem: str, y: str | None):
 def verify(theorem: str, max_n: int, y: str | None = None) -> VerificationReport:
     """Run one verification campaign; see THEOREM_IDS for the statements."""
     theorem = theorem.strip().upper()
+    if y is not None:
+        y = y.strip().upper()
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     if theorem in _NEEDS_Y and not y:

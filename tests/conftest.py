@@ -4,6 +4,7 @@ import random
 import pytest
 
 from clawlab.enumeration import oracle_enumerate
+from clawlab.families import InflationSpec, build_inflation
 from clawlab.graphs import Graph
 from clawlab.kernels import pure
 
@@ -62,6 +63,28 @@ def permuted(rng, g):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()]), perm
+
+
+def cycle_search_graphs(oracle7, rng):
+    """Inputs on which the one-pass cycle searches are compared with their
+    per-length references: every class on at most 7 vertices, seeded random
+    graphs on 8-16 vertices, and seeded inflations C[n1..nk] with k = 4..9
+    on at most 18 vertices, relabelled, every other one with one vertex pair
+    toggled."""
+    graphs = [g for reps in oracle7.values() for g in reps]
+    for _ in range(150):
+        graphs.append(random_graph(rng, rng.randrange(8, 17), rng.choice([0.2, 0.35, 0.5, 0.7])))
+    for i in range(120):
+        k = 4 + i % 6
+        sizes = [1] * k
+        for _ in range(rng.randrange(0, 19 - k)):
+            sizes[rng.randrange(k)] += 1
+        g, _ = permuted(rng, build_inflation(InflationSpec(tuple(sizes)))[0])
+        if i % 2:
+            u, v = rng.sample(range(g.n), 2)
+            g = Graph.from_edges(g.n, sorted(set(g.edge_list()) ^ {(min(u, v), max(u, v))}))
+        graphs.append(g)
+    return graphs
 
 
 # -- brute-force oracles (independent of the kernels under test) -----------

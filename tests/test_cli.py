@@ -136,6 +136,15 @@ class TestVerify:
         assert out.splitlines()[0] == "theorem,y,max_n,class_size,elapsed,graph6,reason"
         assert len(out.strip().splitlines()) > 1
 
+    def test_y_case_and_spaces_normalised(self, capsys):
+        reports = []
+        for y in ("c4", " C4 "):
+            code, out, _ = run(capsys, "verify", "--theorem", "T4_NOALPHA", "--y", y, "--max-n", "6")
+            assert code == 1
+            reports.append([{k: v for k, v in row.items() if k != "elapsed"} for row in json.loads(out)])
+        assert reports[0] and reports[0] == reports[1]
+        assert {row["y"] for row in reports[0]} == {"C4"}
+
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "verify", "--theorem", "NOPE", "--max-n", "5")[0] == 2
         assert run(capsys, "verify", "--theorem", "T5_ALPHA3", "--max-n", "5")[0] == 2

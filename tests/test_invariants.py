@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from clawlab import kernels
 from clawlab.canon import is_isomorphic
 from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
 from clawlab.graphs import Graph
@@ -17,7 +18,17 @@ from clawlab.invariants import (
     is_perfect,
 )
 from clawlab.patterns import pattern_graph
-from conftest import brute_chromatic_number, brute_clique_number, random_graph
+from clawlab.verify import induced_cycles
+from conftest import brute_chromatic_number, brute_clique_number, cycle_search_graphs, random_graph
+
+
+def reference_odd_hole(g):
+    """One search per odd length, shortest first."""
+    for length in range(5, g.n + 1, 2):
+        cyc = kernels.find_induced_cycle(g.n, g.adj, length)
+        if cyc is not None:
+            return cyc
+    return None
 
 
 class TestCliqueIndependence:
@@ -141,6 +152,14 @@ class TestOddHoles:
 
     def test_p6_no_antihole(self):
         assert find_odd_antihole(pattern_graph("P6")) is None
+
+    def test_one_pass_matches_per_length_search(self, oracle7, rng):
+        for g in cycle_search_graphs(oracle7, rng):
+            hole = find_odd_hole(g)
+            assert hole == reference_odd_hole(g)
+            assert find_odd_antihole(g) == reference_odd_hole(g.complement())
+            odd = [c for c in induced_cycles(g, 5) if len(c) % 2]
+            assert hole == min(odd, key=lambda c: (len(c), c), default=None)
 
     def test_hole_witness_revalidates(self, rng):
         found = 0

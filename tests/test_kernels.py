@@ -110,6 +110,31 @@ def test_find_induced_cycle_brute_force(rng):
             assert got == (want[0] if want else None)
 
 
+def test_induced_cycles_bound_contract(rng):
+    # a visit returning L gets exactly the later cycles of length <= L, in
+    # the unbounded order, and a later, larger return does not raise the
+    # bound; True stops the search and None goes on
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(4, 11), rng.choice([0.3, 0.5, 0.7]))
+        for min_len in (3, 5):
+            every = []
+            assert pure.induced_cycles(g.n, g.adj, min_len, g.n, every.append) is False
+            for i in range(len(every)):
+                for reply in (True, *range(min_len - 1, g.n + 1)):
+                    got = []
+
+                    def visit(cycle):
+                        got.append(cycle)
+                        return None if len(got) <= i else reply if len(got) == i + 1 else g.n
+
+                    stopped = pure.induced_cycles(g.n, g.adj, min_len, g.n, visit)
+                    if reply < min_len:
+                        assert stopped is True and got == every[: i + 1]
+                    else:
+                        later = [c for c in every[i + 1 :] if len(c) <= reply]
+                        assert stopped is False and got == every[: i + 1] + later
+
+
 def test_has_induced_brute_force(rng):
     # find_induced_embedding returns the lex-least embedding; has_induced with
     # a required vertex holds exactly when some embedding uses that vertex

@@ -1,5 +1,6 @@
 import pytest
 
+from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
 from clawlab.graphs import Graph
@@ -14,7 +15,30 @@ from clawlab.structure import (
     olariu_classify,
     recognize_inflation,
     validate_inflation,
+    _normalise,
+    _parts_from_spine,
 )
+from conftest import cycle_search_graphs
+
+
+def reference_long_cycle(g, min_len):
+    """One search per length, longest first."""
+    for length in range(g.n, min_len - 1, -1):
+        cyc = kernels.find_induced_cycle(g.n, g.adj, length)
+        if cyc is not None:
+            return cyc
+    return None
+
+
+def reference_inflation(g):
+    """Recognition on the longest induced cycle as the spine."""
+    spine = reference_long_cycle(g, 4) if g.n >= 4 else None
+    if spine is None:
+        return None
+    parts = _parts_from_spine(g, spine)
+    if parts is None or not validate_inflation(g, parts):
+        return None
+    return _normalise(g, parts)
 
 
 def dihedral_orbit(sizes):
@@ -61,6 +85,14 @@ class TestRecognizeInflation:
         for _ in range(3):
             assert recognize_inflation(g) == first
 
+    def test_first_spine_matches_longest_spine(self, oracle7, rng):
+        recognised = 0
+        for g in cycle_search_graphs(oracle7, rng):
+            part = recognize_inflation(g)
+            assert part == reference_inflation(g)
+            recognised += part is not None
+        assert recognised >= 60
+
     def test_near_miss_rejected(self):
         # inflation of C6 with one cross edge added between opposite parts
         g, parts = build_inflation(InflationSpec((2, 1, 1, 2, 1, 1)))
@@ -83,6 +115,11 @@ class TestLongInducedCycle:
     def test_min_len_validated(self):
         with pytest.raises(ValueError):
             find_long_induced_cycle(pattern_graph("C9"), 3)
+
+    def test_one_pass_matches_per_length_search(self, oracle7, rng):
+        for g in cycle_search_graphs(oracle7, rng):
+            for min_len in (4, 6):
+                assert find_long_induced_cycle(g, min_len) == reference_long_cycle(g, min_len)
 
     def test_longest_preferred(self):
         # C7 with a chord splits into shorter cycles; a disjoint C6+triangle
