@@ -1,30 +1,9 @@
-"""Build the optional compiled kernel extension.
+"""Setuptools entry point; all metadata is in pyproject.toml.
 
-The package works without it (pure-Python fallback is selected at import),
-so a missing compiler or Cython only costs speed, not functionality.
+The package is pure Python, so ``setup.py build_ext --inplace`` (the set-up
+step of ``perfbench/run.py``) succeeds and builds nothing.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "clawlab.kernels._ckern",
-                sources=["src/clawlab/kernels/_ckern.pyx"],
-            )
-        ],
-        compiler_directives={
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "language_level": "3",
-        },
-    )
-except Exception as exc:  # pragma: no cover - build-environment dependent
-    print(f"clawlab: compiled kernels skipped ({exc}); using pure-Python fallback")
-    extensions = []
-
-setup(ext_modules=extensions)
+setup()

@@ -138,7 +138,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify(args.theorem, args.max_n, args.y)
-    print(report_emit(report, args.format))
+    text = report_emit(report, args.format)
+    print(text, end="" if text.endswith("\n") else "\n")  # the CSV table ends in its own newline
     print(
         f"{report.theorem}: examined {report.class_size} graphs up to n={report.max_n}, "
         f"{len(report.counterexamples)} counterexample(s), {report.elapsed:.2f}s",

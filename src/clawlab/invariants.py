@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from clawlab import kernels
 from clawlab.graphs import Graph, vertices_of
-from clawlab.kernels import pure
 
 DIRECT_MAX_VERTICES = 14
 
@@ -93,7 +92,7 @@ def invariant_report(g: Graph) -> InvariantReport:
 def find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     """Shortest odd chordless cycle of length >= 5, lexicographically least.
 
-    One pass of the cycle grower (``kernels.pure.induced_cycles``): each odd
+    One pass of the cycle grower (``kernels.induced_cycles``): each odd
     cycle met becomes the answer and lowers the length bound to two less
     than its own length, so every later cycle is shorter and the last answer
     is the shortest odd hole.  Cycles of each length arrive in lexicographic
@@ -108,7 +107,7 @@ def find_odd_hole(g: Graph) -> tuple[int, ...] | None:
             hole = cycle
             return len(cycle) - 2
 
-    pure.induced_cycles(g.n, g.adj, 5, g.n, visit)
+    kernels.induced_cycles(g.n, g.adj, 5, g.n, visit)
     return hole
 
 

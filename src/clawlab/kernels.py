@@ -1,23 +1,25 @@
-"""Pure-Python reference kernels.
+"""The hot kernels: max clique, exact k-colouring, induced-subgraph search,
+induced-cycle search and canonical labelling, in pure Python.
 
-Every kernel entry here has a compiled twin in ``_ckern.pyx`` that returns
-identical results, witnesses included, but not by the identical search
-order: here both embedding entries run one backtracker (``_embed``) with
-bitset candidates, and ``find_induced_cycle`` runs the cycle grower
+Both embedding entries run one backtracker (``_embed``) with bitset
+candidates, and ``find_induced_cycle`` runs the cycle grower
 ``induced_cycles`` that also serves ``verify.induced_cycles`` and, one
 pass each, the odd-hole and odd-antihole searches of ``invariants`` and the
 long-cycle and inflation-spine searches of ``structure``.
 ``has_induced`` with a required host vertex runs one pinned search per
 automorphism orbit of the pattern, not one per pattern vertex; the orbits
 and search plans are computed once per pattern and cached
-(``_search_plans``).  Graphs enter as ``(n, adj)`` with ``adj`` a sequence
-of per-vertex neighbour bitmasks; vertex sets leave as bitmasks or index
-tuples.
+(``_search_plans``).  Every search order is fixed, so results, witnesses
+included, are reproducible bit for bit.  Graphs enter as ``(n, adj)`` with
+``adj`` a sequence of per-vertex neighbour bitmasks; vertex sets leave as
+bitmasks or index tuples.
 """
 
 from __future__ import annotations
 
 import functools
+
+BACKEND = "pure"  # reported by perfbench/probe.py and perfbench/worker.py
 
 
 def max_clique(n, adj):

@@ -18,7 +18,7 @@ from clawlab import kernels
 from clawlab.graphs import Graph, bitset_of
 
 MAX_PATTERN_VERTICES = 10
-KERNEL_MAX_PATTERN_VERTICES = 16  # the compiled kernels keep a pattern in 16 fixed rows
+KERNEL_MAX_PATTERN_VERTICES = 16  # pattern bound of the kernel contract (a C kernel may keep fixed rows)
 
 _FIXED = {
     "K1_3": (4, ((0, 1), (0, 2), (0, 3))),

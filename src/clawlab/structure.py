@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
+from clawlab import kernels
 from clawlab.graphs import Graph, bitset_of, vertices_of
-from clawlab.invariants import PerfectionVerdict, independence_number, is_perfect
-from clawlab.kernels import pure
+from clawlab.invariants import PerfectionVerdict, independence_number, is_complete_multipartite, is_perfect
 from clawlab.patterns import find_induced, has_induced
 
 
@@ -62,7 +62,7 @@ def find_long_induced_cycle(g: Graph, min_len: int) -> tuple[int, ...] | None:
         if longest is None or len(cycle) > len(longest):
             longest = cycle
 
-    pure.induced_cycles(g.n, g.adj, min_len, g.n, visit)
+    kernels.induced_cycles(g.n, g.adj, min_len, g.n, visit)
     return longest
 
 
@@ -138,7 +138,7 @@ def recognize_inflation(g: Graph) -> InflationPartition | None:
     spine it gets.
     """
     spine = []
-    pure.induced_cycles(g.n, g.adj, 4, g.n, lambda cycle: spine.append(cycle) or True)
+    kernels.induced_cycles(g.n, g.adj, 4, g.n, lambda cycle: spine.append(cycle) or True)
     if not spine:
         return None
     parts = _parts_from_spine(g, spine[0])
@@ -189,8 +189,6 @@ class OlariuVerdict:
 
 def olariu_classify(g: Graph) -> OlariuVerdict:
     """Connected paw-free graphs are triangle-free or complete multipartite."""
-    from clawlab.invariants import is_complete_multipartite
-
     if not g.is_connected():
         raise ValueError("classifier requires a connected graph")
     emb = find_induced(g, "Z1")

@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 from clawlab import kernels
-from clawlab.kernels import pure
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 from clawlab.graphs import Graph, bitset_of, to_graph6
 from clawlab.invariants import (
@@ -72,10 +71,10 @@ def induced_cycles(g: Graph, min_len: int):
 
     Cycles come out as vertex sequences starting at their least vertex with
     the smaller neighbour second, in the grower's order
-    (``kernels.pure.induced_cycles``).
+    (``kernels.induced_cycles``).
     """
     cycles = []
-    pure.induced_cycles(g.n, g.adj, min_len, g.n, cycles.append)
+    kernels.induced_cycles(g.n, g.adj, min_len, g.n, cycles.append)
     yield from cycles
 
 

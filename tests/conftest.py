@@ -6,23 +6,6 @@ import pytest
 from clawlab.enumeration import oracle_enumerate
 from clawlab.families import InflationSpec, build_inflation
 from clawlab.graphs import Graph
-from clawlab.kernels import pure
-
-try:
-    from clawlab.kernels import _ckern as compiled
-except ImportError:
-    compiled = None
-
-# kernel backends for tests that must hold on each; the compiled one only
-# where it is built
-BACKENDS = [
-    pytest.param(pure, id="pure"),
-    pytest.param(
-        compiled,
-        id="compiled",
-        marks=pytest.mark.skipif(compiled is None, reason="compiled kernels not built"),
-    ),
-]
 
 
 @pytest.fixture(scope="session")

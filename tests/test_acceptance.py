@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, exact values, pinned budgets.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-PASS lines.  The runtime budgets assume the compiled kernels; the pure
-fallback stays correct but slower.
+PASS lines.  The runtime budgets are generous ceilings for the
+pure-Python kernels, not targets.
 """
 
 import random

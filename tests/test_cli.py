@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -135,6 +136,14 @@ class TestVerify:
         assert code == 1
         assert out.splitlines()[0] == "theorem,y,max_n,class_size,elapsed,graph6,reason"
         assert len(out.strip().splitlines()) > 1
+
+    @pytest.mark.parametrize(("theorem", "y", "want_code"), [("T4_NOALPHA", "C4", 1), ("T5_ALPHA3", "P5", 0)])
+    def test_csv_has_no_empty_record(self, capsys, theorem, y, want_code):
+        code, out, _ = run(capsys, "verify", "--theorem", theorem, "--y", y, "--max-n", "6", "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == want_code and rows[0][0] == "theorem"
+        assert (len(rows) > 1) == (code == 1)
+        assert all(rows)  # no empty record, the trailing one included
 
     def test_y_case_and_spaces_normalised(self, capsys):
         reports = []
