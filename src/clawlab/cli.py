@@ -124,7 +124,7 @@ def cmd_enumerate(args) -> int:
     config = EnumerationConfig(
         max_n=args.max_n,
         connected_only=args.connected,
-        free_of=tuple(tok for tok in args.free.split(",") if tok) if args.free else (),
+        free_of=tuple(tok for tok in args.free.split(",") if tok.strip()),
         min_alpha=args.min_alpha,
         exclude_odd_cycles=args.exclude_odd_cycles,
     )

@@ -19,14 +19,18 @@ the degree classes, read off the parent's classes and the mask (see
 rejected anyway, or duplicates of accepted ones, are dropped, so the
 classes produced are unchanged.
 
-Induced-hereditary constraints (pattern-freeness) prune whole subtrees;
-connectivity, independence-number and odd-cycle filters are not hereditary
-and apply only at emission.  At the last level, whose classes are never
-extended, the first two are also read off the parent and the mask, so an
-extension whose child could not be emitted is dropped before any kernel
-call: the child is connected iff the mask meets every component of the
-parent, and alpha(child) = max(alpha(P), 1 + alpha(P - mask)).  Both are
-properties of the child's class, so the classes emitted are unchanged.
+Induced-hereditary constraints (pattern-freeness) prune whole subtrees.
+The parent is free of the patterns already, so a child fails only
+through a copy that uses the new vertex; those copies are read off the
+parent once, as ``kernels.extension_obstructions`` pairs, not searched
+per extension.  Connectivity, independence-number and odd-cycle filters
+are not hereditary and apply only at emission.  At the last level, whose
+classes are never extended, the first two are also read off the parent
+and the mask, so an extension whose child could not be emitted is dropped
+before any kernel call: the child is connected iff the mask meets every
+component of the parent, and alpha(child) = max(alpha(P), 1 + alpha(P -
+mask)).  Both are properties of the child's class, so the classes emitted
+are unchanged.
 """
 
 from __future__ import annotations
@@ -183,8 +187,8 @@ def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
     takes any mask to the one holding each class's lowest vertices.  It is a
     parent automorphism, so it extends to an isomorphism of the two children
     that fixes the new vertex.  That isomorphism preserves the degree, the
-    profile, the pinned pattern search and the acceptance test below, and
-    both children get the same canonical form.
+    profile, the pattern copies through the new vertex and the acceptance
+    test below, and both children get the same canonical form.
 
     Stages 1 and 2 are sound because ``canon_form`` refines from the unit
     partition and keeps cell order through refinement and
@@ -208,6 +212,14 @@ def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
     ``enumerate_graphs`` asks for it only at ``max_n``, whose classes are
     never extended, and still runs ``_emit_ok`` on each child, which alone
     applies the odd-cycle filter.
+
+    A mask that passes every stage is then pruned when the child holds a
+    forbidden pattern.  The parent holds none, so any copy in the child
+    uses the new vertex, and it does so iff ``mask & S == T`` for one of
+    the parent's ``kernels.extension_obstructions`` pairs (S a copy of the
+    pattern less one vertex in the parent, T the neighbours the new vertex
+    needs in S).  The pairs are listed when the first mask gets this far,
+    so a parent all of whose masks fail earlier lists none.
     """
     m = rep.n
     n = m + 1
@@ -229,6 +241,7 @@ def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
                 return []
             if alpha + 1 == emit.min_alpha:
                 avoid = _independent_sets(parent, alpha)
+    blocks = None
     out = []
     seen = set()
     for mask in _masks_from(m, top):
@@ -248,15 +261,12 @@ def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
             rivals = (by_deg[k] & ~mask) | (below[k] & mask)
             if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
                 continue
+        if blocks is None:
+            blocks = kernels.extension_obstructions(m, parent, pattern_adjs)
+        if any(mask & s == t for s, t in blocks):
+            continue
         adj = tuple(row | 1 << m if mask >> v & 1 else row for v, row in enumerate(parent))
         adj += (mask,)
-        fails = False
-        for pn, padj in pattern_adjs:
-            if kernels.has_induced(n, adj, pn, padj, n - 1):
-                fails = True
-                break
-        if fails:
-            continue
         cert, perm = kernels.canon_form(n, adj)
         if cert in seen:
             continue

@@ -9,10 +9,15 @@ long-cycle and inflation-spine searches of ``structure``.
 ``has_induced`` with a required host vertex runs one pinned search per
 automorphism orbit of the pattern, not one per pattern vertex; the orbits
 and search plans are computed once per pattern and cached
-(``_search_plans``).  Every search order is fixed, so results, witnesses
-included, are reproducible bit for bit.  Graphs enter as ``(n, adj)`` with
-``adj`` a sequence of per-vertex neighbour bitmasks; vertex sets leave as
-bitmasks or index tuples.
+(``_search_plans``).  Hereditary pruning does not search each extension:
+``extension_obstructions`` lists, once per parent, the pattern copies a
+new vertex could complete as bitmask pairs tested against its
+neighbourhood.  ``canon_form`` refines by counting neighbours only in the
+cells split in the previous round (McKay and Piperno 2014), which orders
+the cells as counting in every cell would.  Every search order is fixed,
+so results, witnesses included, are reproducible bit for bit.  Graphs
+enter as ``(n, adj)`` with ``adj`` a sequence of per-vertex neighbour
+bitmasks; vertex sets leave as bitmasks or index tuples.
 """
 
 from __future__ import annotations
@@ -252,13 +257,13 @@ def has_induced(n, adj, pn, padj, required=-1):
 
     Existence only; pattern vertices are matched in descending-degree order
     for speed.  If ``required`` is a host vertex, only embeddings using it
-    count (the hereditary-pruning case: new copies must touch the new
-    vertex).  They are found by one search per automorphism orbit of the
-    pattern, its representative pinned to ``required``: a copy that maps
-    some vertex of the orbit there, composed with an automorphism, maps the
-    representative there.  The orbits and search plans are cached per
-    pattern (``_search_plans``); the host's degree masks are built once per
-    call.
+    count (``extension_obstructions`` answers this for every neighbourhood
+    of a new vertex at once).  They are found by one search per
+    automorphism orbit of the pattern, its representative pinned to
+    ``required``: a copy that maps some vertex of the orbit there, composed
+    with an automorphism, maps the representative there.  The orbits and
+    search plans are cached per pattern (``_search_plans``); the host's
+    degree masks are built once per call.
     """
     if pn > n:
         return False
@@ -272,6 +277,87 @@ def has_induced(n, adj, pn, padj, required=-1):
         if (atleast[plan[0][0]] >> required) & 1 and _embed(adj, atleast, plan, required) is not None:
             return True
     return False
+
+
+@functools.lru_cache(maxsize=256)
+def _obstruction_plans(pn, padj):
+    """Per orbit representative ``p`` of the pattern H: ``(plan, after,
+    near)`` for listing the induced embeddings of H - p.
+
+    ``plan`` assigns the vertices of H - p in descending degree (degrees in
+    H - p).  ``after[t]`` is the latest earlier position holding a twin of
+    position ``t`` in H (equal rows apart from each other, ``p`` included),
+    or -1; ``near[t]`` is whether position ``t`` is adjacent to ``p``.
+    """
+    out = []
+    for orbit in _search_plans(pn, padj)[2]:
+        p = orbit[0]
+        sub = tuple(row & ~(1 << p) for row in padj)
+        order = tuple(sorted((q for q in range(pn) if q != p), key=lambda q: (-sub[q].bit_count(), q)))
+        after = tuple(
+            max(
+                (s for s in range(t) if padj[order[s]] & ~(1 << q) == padj[q] & ~(1 << order[s])),
+                default=-1,
+            )
+            for t, q in enumerate(order)
+        )
+        near = tuple((padj[p] >> q) & 1 for q in order)
+        out.append((_plan(sub, order), after, near))
+    return tuple(out)
+
+
+def extension_obstructions(n, adj, patterns):
+    """The ``(S, T)`` bitmask pairs that forbid a one-vertex extension: the
+    graph plus a new vertex joined to ``mask`` holds an induced copy of one
+    of the patterns (``(pn, padj)`` pairs) through the new vertex iff ``mask
+    & S == T`` for some pair.
+
+    For each pattern H, each orbit representative ``p`` (``_search_plans``)
+    and each induced embedding of H - p into the graph, S is the image and
+    T the image of p's neighbours.  A copy through the new vertex maps some
+    vertex there, so, composed with an automorphism, it maps ``p`` there
+    (the orbit argument of ``has_induced``); the rest of the copy lies in
+    the graph, which the extension leaves induced, and the new vertex is
+    joined to exactly T within S.  Images of twins in H are taken in
+    ascending order, since swapping two of them fixes S and T.  Each pair
+    is listed once, in the order first found.
+    """
+    found = {}
+    for pn, padj in patterns:
+        if pn == 0 or pn - 1 > n:
+            continue
+        atleast = _degree_masks(n, adj, pn)
+        for (degs, ups, downs), after, near in _obstruction_plans(pn, tuple(padj)):
+            k = len(degs)
+            roots = [atleast[d] for d in degs]
+            img = [0] * k
+            nb = [0] * k
+
+            def bt(t, used, touch):
+                cand = roots[t] & ~used
+                for s in ups[t]:
+                    cand &= nb[s]
+                for s in downs[t]:
+                    cand &= ~nb[s]
+                if after[t] >= 0:
+                    cand &= ~((2 << img[after[t]]) - 1)
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    reach = touch | low if near[t] else touch
+                    if t + 1 == k:
+                        found[used | low, reach] = None
+                        continue
+                    v = low.bit_length() - 1
+                    img[t] = v
+                    nb[t] = adj[v]
+                    bt(t + 1, used | low, reach)
+
+            if k:
+                bt(0, 0, 0)
+            else:
+                found[0, 0] = None
+    return list(found)
 
 
 def induced_cycles(n, adj, min_len, max_len, visit):
@@ -354,34 +440,63 @@ def canon_form(n, adj):
     the individualisation-refinement tree) and ``perm[v]`` is the canonical
     position of original vertex ``v``.  Isomorphic graphs get equal ``rows``.
 
-    Refinement is colour refinement with signatures sorted canonically; the
-    search individualises every vertex of the first non-singleton cell,
-    skipping vertices whose swap with an earlier sibling is an automorphism.
+    The partition is an ordered list of cell masks.  Each refinement round
+    keys every vertex of a non-singleton cell by its neighbour counts in the
+    fragments made in the previous round, every fragment of a split cell
+    but its last, and splits the cell in place, fragments in ascending key
+    order; it stops when no cell splits.  The first round counts in the
+    whole vertex set (the degrees); after individualising ``v`` it counts
+    in ``{v}``.  This orders the fragments as keying by the counts in every
+    cell would.  Two vertices of one cell have equal counts in each cell
+    that did not split, because the partition was equitable against the
+    previous one, and equal sums over the fragments of each split cell.  So
+    their counts first differ in a fragment that is not the last of its
+    cell, with the same values in the short key.
+
+    The search individualises every vertex of the first non-singleton cell,
+    skipping vertices whose swap with an earlier sibling is an automorphism,
+    and keeps the first leaf of least certificate.
     """
     if n == 0:
         return (), ()
     best = [None, None]  # cert rows, perm
 
-    def refine(colours):
-        ncls = max(colours) + 1
+    def refine(cells, split):
         while True:
-            masks = [0] * ncls
-            for v, c in enumerate(colours):
-                masks[c] |= 1 << v
-            # (colour, neighbours in each cell), sorted: only vertices of one
-            # cell are ever compared past the colour, so a singleton's counts
-            # cannot change any rank and are left out
-            sigs = [
-                (c, *[(row & m).bit_count() for m in masks]) if masks[c] & (masks[c] - 1) else (c,)
-                for c, row in zip(colours, adj)
-            ]
-            ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            if len(ranked) == ncls:
-                return colours
-            colours = [ranked[s] for s in sigs]
-            ncls = len(ranked)
+            # a lone split cell keys by its count alone: it sorts the same
+            single = split[0] if len(split) == 1 else 0
+            out = []
+            nxt = []
+            for cell in cells:
+                if not cell & (cell - 1):
+                    out.append(cell)
+                    continue
+                parts = {}
+                m = cell
+                while m:
+                    low = m & -m
+                    m ^= low
+                    row = adj[low.bit_length() - 1]
+                    if single:
+                        key = (row & single).bit_count()
+                    else:
+                        key = tuple([(row & s).bit_count() for s in split])
+                    parts[key] = parts.get(key, 0) | low
+                if len(parts) == 1:
+                    out.append(cell)
+                    continue
+                frags = [parts[key] for key in sorted(parts)]
+                out += frags
+                nxt += frags[:-1]
+            if not nxt:
+                return out
+            cells = out
+            split = nxt
 
-    def emit(colours):
+    def emit(cells):
+        colours = [0] * n
+        for i, cell in enumerate(cells):
+            colours[cell.bit_length() - 1] = i
         rows = [0] * n
         for v in range(n):
             row = 0
@@ -396,33 +511,25 @@ def canon_form(n, adj):
             best[0] = cert
             best[1] = tuple(colours)
 
-    def search(colours):
-        ncls = max(colours) + 1
-        if ncls == n:
-            emit(colours)
+    def search(cells):
+        if len(cells) == n:
+            emit(cells)
             return
-        counts = [0] * ncls
-        for c in colours:
-            counts[c] += 1
         target = 0
-        while counts[target] < 2:
+        while not cells[target] & (cells[target] - 1):
             target += 1
-        cell = [v for v, c in enumerate(colours) if c == target]
+        cell = cells[target]
         reps = []
-        for v in cell:
-            skip = False
-            for r in reps:
-                if (adj[r] & ~(1 << v)) == (adj[v] & ~(1 << r)):
-                    skip = True
-                    break
-            if skip:
+        m = cell
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if any((adj[r] & ~low) == (adj[v] & ~(1 << r)) for r in reps):
                 continue
             reps.append(v)
-            child = [c if c <= target else c + 1 for c in colours]
-            for u in cell:
-                if u != v:
-                    child[u] = target + 1
-            search(refine(child))
+            search(refine([*cells[:target], low, cell ^ low, *cells[target + 1 :]], [low]))
 
-    search(refine([0] * n))
+    everyone = (1 << n) - 1
+    search(refine([everyone], [everyone]))
     return best[0], best[1]

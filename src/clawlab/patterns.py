@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 
 from clawlab import kernels
-from clawlab.graphs import Graph, bitset_of
+from clawlab.graphs import Graph, GraphError, bitset_of, vertices_of
 
 MAX_PATTERN_VERTICES = 10
 KERNEL_MAX_PATTERN_VERTICES = 16  # pattern bound of the kernel contract (a C kernel may keep fixed rows)
@@ -147,8 +147,23 @@ _RUN_SHAPES = {
 
 
 def induces_cycle(g: Graph, vertices) -> bool:
-    """True iff the vertex set induces a (chordless) cycle in ``g``."""
-    return g.induced(vertices).is_cycle()
+    """True iff the vertex set induces a (chordless) cycle in ``g``: it has
+    at least 3 vertices, each with exactly two neighbours in it, and is
+    connected.  Checked on bitmasks, without building the induced graph."""
+    keep = sorted(set(vertices))
+    if keep and not (0 <= keep[0] and keep[-1] < g.n):
+        raise GraphError(f"vertex set not within 0..{g.n - 1}")
+    cmask = bitset_of(keep)
+    if len(keep) < 3 or any((g.adj[v] & cmask).bit_count() != 2 for v in keep):
+        return False
+    seen = frontier = cmask & -cmask
+    while frontier:
+        reach = 0
+        for v in vertices_of(frontier):
+            reach |= g.adj[v]
+        frontier = reach & cmask & ~seen
+        seen |= frontier
+    return seen == cmask
 
 
 def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:

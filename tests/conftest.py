@@ -70,6 +70,79 @@ def cycle_search_graphs(oracle7, rng):
     return graphs
 
 
+def full_signature_canon_form(n, adj):
+    """``kernels.canon_form`` as it was before split-only refinement: each
+    round ranks every vertex by its colour and its neighbour counts against
+    every cell.  The reference that the split-only refinement must match
+    bit for bit."""
+    if n == 0:
+        return (), ()
+    best = [None, None]
+
+    def refine(colours):
+        ncls = max(colours) + 1
+        while True:
+            masks = [0] * ncls
+            for v, c in enumerate(colours):
+                masks[c] |= 1 << v
+            sigs = [
+                (c, *[(row & m).bit_count() for m in masks]) if masks[c] & (masks[c] - 1) else (c,)
+                for c, row in zip(colours, adj)
+            ]
+            ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            if len(ranked) == ncls:
+                return colours
+            colours = [ranked[s] for s in sigs]
+            ncls = len(ranked)
+
+    def emit(colours):
+        rows = [0] * n
+        for v in range(n):
+            for u in range(n):
+                if (adj[v] >> u) & 1:
+                    rows[colours[v]] |= 1 << colours[u]
+        cert = tuple(rows)
+        if best[0] is None or cert < best[0]:
+            best[0] = cert
+            best[1] = tuple(colours)
+
+    def search(colours):
+        ncls = max(colours) + 1
+        if ncls == n:
+            emit(colours)
+            return
+        target = min(c for c in range(ncls) if colours.count(c) > 1)
+        cell = [v for v, c in enumerate(colours) if c == target]
+        reps = []
+        for v in cell:
+            if any((adj[r] & ~(1 << v)) == (adj[v] & ~(1 << r)) for r in reps):
+                continue
+            reps.append(v)
+            child = [c if c <= target else c + 1 for c in colours]
+            for u in cell:
+                if u != v:
+                    child[u] = target + 1
+            search(refine(child))
+
+    search(refine([0] * n))
+    return best[0], best[1]
+
+
+def named_graphs():
+    """C5-C12, the Petersen graph, the cube Q3, K3,3 and the Paley graph on
+    13 vertices: vertex-transitive, so refinement alone splits nothing."""
+    graphs = [Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)]) for k in range(5, 13)]
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    graphs.append(Graph.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)]))
+    graphs.append(Graph.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b]))
+    graphs.append(Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)]))
+    squares = {i * i % 13 for i in range(1, 13)}
+    paley = [(u, v) for u in range(13) for v in range(u + 1, 13) if (v - u) % 13 in squares]
+    graphs.append(Graph.from_edges(13, paley))
+    return graphs
+
+
 # -- brute-force oracles (independent of the kernels under test) -----------
 
 

@@ -112,6 +112,13 @@ class TestEnumerate:
         )
         assert code == 0 and out.strip().isdigit()
 
+    def test_blank_pattern_tokens_dropped(self, capsys):
+        # an empty or blank token between commas names no pattern
+        want = run(capsys, "enumerate", "--max-n", "5", "--free", "K1_3")
+        assert want[0] == 0
+        for free in ("K1_3,", "K1_3, ", " ,K1_3,\t"):
+            assert run(capsys, "enumerate", "--max-n", "5", "--free", free) == want
+
     def test_bad_pattern(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-n", "4", "--free", "Q9")
         assert code == 2

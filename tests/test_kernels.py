@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from clawlab import kernels
+from clawlab.graphs import Graph
 from clawlab.patterns import _FIXED, pattern_graph
 from conftest import (
     brute_automorphisms,
@@ -20,6 +21,9 @@ from conftest import (
     brute_clique_number,
     brute_embeddings,
     brute_oriented_cycles,
+    full_signature_canon_form,
+    named_graphs,
+    permuted,
     random_graph,
     random_regular_graph,
 )
@@ -27,6 +31,7 @@ from conftest import (
 ROOT = Path(__file__).resolve().parent.parent
 
 PATTERNS = ["K1_3", "P4", "P5", "2K2", "C4", "C5", "B", "K3", "Z1", "Z2", "THETA"]
+OBSTRUCTION_PATTERNS = ["K1", "2K1", "3K1", "K1_3", "P4", "P5", "C4", "C5", "Z1", "Z2", "B", "2K2", "THETA", "AH6"]
 
 # canon_digest as first measured: graph6 output and reports are made of
 # these exact rows
@@ -145,6 +150,48 @@ def test_search_plan_orbits_brute_force(token):
     assert {frozenset(o) for o in orbits} == want
     assert sorted(v for o in orbits for v in o) == list(range(p.n))
     assert len(pinned) == len(orbits)
+
+
+def test_extension_obstructions_match_pinned_search(oracle6, rng):
+    # the parent plus a new vertex joined to mask holds a pattern through
+    # the new vertex iff mask & S == T for a listed pair; a group of patterns
+    # lists the union of its members' pairs
+    pats = [pattern_graph(t) for t in OBSTRUCTION_PATTERNS]
+    parents = [g for n, reps in oracle6.items() if n for g in reps]
+    parents += [random_graph(rng, rng.randrange(7, 11), rng.choice([0.3, 0.5, 0.7])) for _ in range(8)]
+    for g in parents:
+        m = g.n
+        children = [
+            (*(row | 1 << m if mask >> v & 1 else row for v, row in enumerate(g.adj)), mask)
+            for mask in range(1 << m)
+        ]
+        single = []
+        for p in pats:
+            pairs = kernels.extension_obstructions(m, g.adj, [(p.n, p.adj)])
+            assert len(set(pairs)) == len(pairs)
+            assert all(t & ~s == 0 for s, t in pairs)
+            for mask, child in enumerate(children):
+                want = kernels.has_induced(m + 1, child, p.n, p.adj, m)
+                assert any(mask & s == t for s, t in pairs) == want, (g, p, mask)
+            single.append(set(pairs))
+        for i, p in enumerate(pats):
+            j = (i + 1) % len(pats)
+            pair = [(p.n, p.adj), (pats[j].n, pats[j].adj)]
+            assert set(kernels.extension_obstructions(m, g.adj, pair)) == single[i] | single[j]
+
+
+def test_canon_form_matches_full_signature_refinement(oracle7, rng):
+    # split-only refinement orders every cell as the full signature did, so
+    # the search meets the same leaves in the same order
+    graphs = [permuted(rng, g)[0] for reps in oracle7.values() for g in reps]
+    for g in named_graphs():
+        graphs += [g, g.complement()]
+    for n in range(13):
+        empty = Graph(n, (0,) * n)
+        graphs += [empty, empty.complement()]
+    graphs += [random_graph(rng, rng.randrange(1, 21), rng.random()) for _ in range(300)]
+    for g in graphs:
+        assert kernels.canon_form(g.n, g.adj) == full_signature_canon_form(g.n, g.adj), g
 
 
 def canon_digest(rng):
