@@ -4,33 +4,40 @@ Generation is canonical augmentation (McKay 1998, "Isomorph-free exhaustive
 generation", J. Algorithms 26:306-324): each representative on n-1 vertices
 is extended by one new vertex over all neighbourhood bitmasks, and an
 extension survives only when deleting the new vertex reaches the same
-graph (up to isomorphism) as deleting the vertex in the last canonical
-position -- i.e. the child was built along its canonical construction
-path.  Children of one parent are deduplicated by canonical form; distinct
-parents cannot produce the same class, so no global table is needed.
+graph (up to isomorphism) as deleting the canonical parent's vertex w --
+i.e. the child was built along its canonical construction path.  Children
+of one parent are deduplicated by canonical form; distinct parents cannot
+produce the same class, so no global table is needed.
 
-Each parent is analysed once (its degree classes and its classes of false
-and true twins), and before any kernel call each extension is dropped
-when it duplicates another through a permutation of twins, or when its new
-vertex cannot be canonically last: that vertex must have maximum degree
-and, among the maximum-degree vertices, a maximal neighbour profile over
-the degree classes, read off the parent's classes and the mask (see
-``_children``).  Only whole extensions the acceptance test would have
-rejected anyway, or duplicates of accepted ones, are dropped, so the
-classes produced are unchanged.
+McKay's construction lets w be any isomorphism-invariant choice, and it is
+the canonically last vertex of D(G) = {v : alpha(G - v) >= a}, with a the
+config's ``min_alpha``.  When alpha(G) >= a and G has more than a vertices,
+D(G) holds every vertex outside a fixed independent a-set, so the graphs
+with alpha >= a form their own generation tree, rooted at aK1: every level
+holds only them.  With ``min_alpha <= 1`` D(G) is every vertex, w is the
+canonically last vertex and the tree is rooted at K1, the whole class.
+
+Each parent is analysed once (its degree classes, its classes of false and
+true twins, and the set R of vertices whose deletion keeps alpha >= a),
+and before any kernel call each extension is dropped when it duplicates
+another through a permutation of twins, or when its new vertex cannot be w:
+w has maximum degree among the vertices of R and, among those of that
+degree, a maximal neighbour profile over the degree classes, read off the
+parent's classes and the mask (see ``_children``).  Only whole extensions
+the acceptance test would have rejected anyway, or duplicates of accepted
+ones, are dropped, so the classes produced are unchanged.
 
 Induced-hereditary constraints (pattern-freeness) prune whole subtrees.
 The parent is free of the patterns already, so a child fails only
 through a copy that uses the new vertex; those copies are read off the
 parent once, as ``kernels.extension_obstructions`` pairs, not searched
-per extension.  Connectivity, independence-number and odd-cycle filters
-are not hereditary and apply only at emission.  At the last level, whose
-classes are never extended, the first two are also read off the parent
-and the mask, so an extension whose child could not be emitted is dropped
-before any kernel call: the child is connected iff the mask meets every
-component of the parent, and alpha(child) = max(alpha(P), 1 + alpha(P -
-mask)).  Both are properties of the child's class, so the classes emitted
-are unchanged.
+per extension.  Connectivity and odd-cycle filters are not hereditary and
+apply only at emission.  At the last level, whose classes are never
+extended, connectivity is also read off the parent and the mask, so an
+extension whose child is disconnected is dropped before any kernel call:
+the child is connected iff the mask meets every component of the parent.
+That is a property of the child's class, so the classes emitted are
+unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from dataclasses import dataclass
 
 from clawlab import kernels
 from clawlab.graphs import Graph, bitset_of, to_graph6
-from clawlab.invariants import independence_number
 from clawlab.patterns import pattern_graph
 
 MAX_ENUM_VERTICES = 11  # documented runtime wall
@@ -158,50 +164,62 @@ def _outranked(parent, by_deg, below, mask, k, rivals):
     return False
 
 
-def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
+def _children(rep: Graph, pattern_adjs, min_alpha=0, connected=False):
     """Canonically accepted one-vertex extensions of a representative.
 
-    The new vertex is joined to the parent's vertices in ``mask``.  The
-    parent is analysed once; masks are then dropped before pruning or
+    The new vertex is joined to the parent's vertices in ``mask``.  With a
+    = ``min_alpha`` the parent must have alpha >= a, and so has every
+    child.  A child is accepted when deleting w, the canonically last vertex
+    of D(child) = {v : alpha(child - v) >= a}, gives the parent: walking
+    canonical positions down from the last, reaching the new vertex first
+    accepts it (alpha(child - new) = alpha(P) >= a), and otherwise the
+    first vertex in D(child) is w.  For an old vertex v, alpha(child - v) =
+    max(alpha(P - v), 1 + alpha(P - v - mask)), since an independent set
+    holding the new vertex holds none of its neighbours.  So v is in
+    D(child) when it is in R = {v : alpha(P - v) >= a}, the complement of
+    the intersection of the parent's independent a-sets, found once per
+    parent; and a v outside R is in D(child) iff some independent (a -
+    1)-set of the parent misses ``mask`` and v, listed on first need.  With
+    a <= 1, R is every vertex and the walk stops at the first position.
+
+    The parent is analysed once; masks are then dropped before pruning or
     labelling, in three stages, plus a fourth at the last level:
 
     0. twins: within each class of the parent's false or true twins
        (``_twin_classes``), the mask must hold the class's lowest vertices;
     1. degree: the new vertex (degree ``k = popcount(mask)``) must have
-       maximum degree in the child, so only masks with ``k >= top``, the
-       parent's maximum degree, are visited;
-    2. profile: among the child's maximum-degree vertices it must have a
-       lexicographically maximal profile, its tuple of neighbour counts in
-       each degree class, classes in ascending degree order;
-    3. emission (only when ``emit`` is given): the child must pass the
-       connectivity and independence-number filters of ``_emit_ok``.  It is
-       connected iff the mask meets every component of the parent, and
-       alpha(child) = max(alpha(P), 1 + alpha(P - mask)), since an
-       independent set holding the new vertex holds none of its
-       neighbours.  So no child reaches ``min_alpha`` = a when
-       alpha(P) + 1 < a; every child passes when alpha(P) >= a; and when
-       alpha(P) = a - 1 a child passes iff its mask misses one of the
-       parent's independent (a - 1)-sets, listed once per parent.
+       maximum degree in the child among itself and R, so only masks with
+       ``k >= top``, the maximum degree of R in the parent, are visited;
+    2. profile: among the vertices of R of degree ``k`` in the child it
+       must have a lexicographically maximal profile, its tuple of
+       neighbour counts in each degree class, classes in ascending degree
+       order;
+    3. connectivity (only when ``connected``): the child must be connected,
+       that is, the mask must meet every component of the parent.
 
     Stage 0 drops only duplicates.  A permutation inside each twin class
     takes any mask to the one holding each class's lowest vertices.  It is a
     parent automorphism, so it extends to an isomorphism of the two children
     that fixes the new vertex.  That isomorphism preserves the degree, the
-    profile, the pattern copies through the new vertex and the acceptance
-    test below, and both children get the same canonical form.
+    profile, D(child), the pattern copies through the new vertex and the
+    acceptance test, and both children get the same canonical form.
 
     Stages 1 and 2 are sound because ``canon_form`` refines from the unit
     partition and keeps cell order through refinement and
     individualisation: the first round orders cells by degree and the second
-    by profile within a degree class, so the canonically last vertex lies in
-    the last cell after both rounds.  Acceptance depends only on the child's
-    class (its canonically last deletion must give the parent), and an
+    by profile within a degree class, so a vertex of higher degree, or of
+    equal degree and higher profile, gets a later canonical position.  R is
+    part of D(child), as alpha(child - v) >= alpha(P - v), so a rival in R
+    that outranks the new vertex shows that the new vertex is not w.  (The
+    profile is taken over the degree classes up to ``k`` only: a rival that
+    ties there is kept, which only keeps more masks.)  Acceptance depends
+    only on the child's class (deleting w must give the parent), and an
     accepted class is still produced from this parent by a mask in which the
-    new vertex plays its canonically last vertex.  That mask passes stages 1
-    and 2, and so does the mask stage 0 keeps in its place.
+    new vertex plays w.  That mask passes stages 1 and 2, and so does the
+    mask stage 0 keeps in its place.
 
     Stage 2 reads the child's degree classes off the parent's (see
-    ``_outranked``).  Old vertices reach degree ``k`` only when ``k`` is
+    ``_outranked``).  Vertices of R reach degree ``k`` only when ``k`` is
     ``top`` or ``top + 1``, so no other mask needs the profile test.  Rows
     are built only for masks that pass every stage.  Children are canonical
     copies and each level is sorted, so the output is unchanged.
@@ -228,19 +246,22 @@ def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
     for v, row in enumerate(parent):
         by_deg[row.bit_count()] |= 1 << v
     below = [0] + by_deg
-    top = max(d for d in range(m) if by_deg[d])
-    tops = by_deg[top]
+    # R as a mask (the vertices whose deletion keeps alpha >= min_alpha) and
+    # its degree classes
+    deletable = (1 << m) - 1
+    rival_deg, rival_below = by_deg, below
+    if min_alpha > 1:
+        core = deletable
+        for s in _independent_sets(parent, min_alpha):
+            core &= s
+        deletable ^= core
+        rival_deg = [c & deletable for c in by_deg]
+        rival_below = [0] + rival_deg
+    top = max((d for d in range(m) if rival_deg[d]), default=0)
+    tops = rival_deg[top]
     twins = _twin_classes(m, parent)
-    meet = avoid = ()
-    if emit is not None:
-        if emit.connected_only:
-            meet = [bitset_of(c) for c in rep.components()]
-        if emit.min_alpha:
-            alpha = independence_number(rep)[0]
-            if alpha + 1 < emit.min_alpha:
-                return []
-            if alpha + 1 == emit.min_alpha:
-                avoid = _independent_sets(parent, alpha)
+    meet = [bitset_of(c) for c in rep.components()] if connected else ()
+    short_sets = None  # the parent's independent (min_alpha - 1)-sets
     blocks = None
     out = []
     seen = set()
@@ -249,16 +270,14 @@ def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
         # stage 1: when k == top, a raised degree-top vertex would exceed k
         if k == top and mask & tops:
             continue
-        # stage 3: the child is disconnected or has too small an alpha
+        # stage 3: the child is disconnected
         if meet and not all(mask & c for c in meet):
-            continue
-        if avoid and all(mask & s for s in avoid):
             continue
         if not _keeps_lowest_twins(mask, twins):
             continue
-        # stage 2: old vertices reach degree k only when k is top or top + 1
+        # stage 2: vertices of R reach degree k only when k is top or top + 1
         if k - top < 2:
-            rivals = (by_deg[k] & ~mask) | (below[k] & mask)
+            rivals = (rival_deg[k] & ~mask) | (rival_below[k] & mask)
             if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
                 continue
         if blocks is None:
@@ -271,24 +290,33 @@ def _children(rep: Graph, pattern_adjs, emit: EnumerationConfig | None = None):
         if cert in seen:
             continue
         seen.add(cert)
-        if perm[n - 1] != n - 1:
+        if perm[m] != m:
+            # walk down to w, the canonically last vertex of D(child)
+            pos = m
+            w = perm.index(pos)
+            while w != m and not deletable >> w & 1:
+                if short_sets is None:
+                    short_sets = _independent_sets(parent, min_alpha - 1)
+                cut = mask | 1 << w
+                if any(not cut & s for s in short_sets):
+                    break
+                pos -= 1
+                w = perm.index(pos)
             # deleting the new vertex gives the parent, whose rows are already
-            # canonical; deleting the canonically last vertex must match them
-            w_last = perm.index(n - 1)
-            if kernels.canon_form(n - 1, _delete_vertex(n, adj, w_last))[0] != parent:
+            # canonical; deleting w must match them
+            if w != m and kernels.canon_form(m, _delete_vertex(n, adj, w))[0] != parent:
                 continue
         out.append(Graph.trusted(n, cert))
     return out
 
 
 def _emit_ok(g: Graph, config: EnumerationConfig) -> bool:
+    """The emission filters that are not hereditary: connectivity and odd
+    cycles.  There is no alpha filter: every class the tree grows has alpha
+    >= ``min_alpha`` already."""
     if config.connected_only and not g.is_connected():
         return False
-    if config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle():
-        return False
-    if config.min_alpha > 0 and independence_number(g)[0] < config.min_alpha:
-        return False
-    return True
+    return not (config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle())
 
 
 def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
@@ -296,26 +324,31 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
 
     Classes run over 1..max_n vertices and satisfy all config constraints;
     visit order is (n ascending, canonical adjacency ascending) and the
-    representatives passed to ``visit`` are canonical copies.  The last
-    level is generated only for classes ``_emit_ok`` can accept (stage 3 of
-    ``_children``); lower levels hold the whole hereditary class.
+    representatives passed to ``visit`` are canonical copies.  Each level
+    holds the pattern-free classes with alpha >= ``min_alpha``, grown from
+    aK1 (a = ``min_alpha``, at least 1) as the module docstring describes,
+    so levels below a are empty.  The last level is generated only for
+    classes ``_emit_ok`` can accept (stage 3 of ``_children``).
     """
+    a = max(config.min_alpha, 1)  # the root aK1 has a vertices
+    if a > config.max_n:
+        return 0
     pattern_adjs = []
     for token in config.free_of:
         p = pattern_graph(token)
         pattern_adjs.append((p.n, p.adj))
 
     count = 0
-    single = Graph(1, (0,))
+    root = Graph(a, (0,) * a)
     level = []
-    if all(not kernels.has_induced(1, single.adj, pn, padj) for pn, padj in pattern_adjs):
-        level = [single]
-    for n in range(1, config.max_n + 1):
-        if n > 1:
+    if all(not kernels.has_induced(a, root.adj, pn, padj) for pn, padj in pattern_adjs):
+        level = [root]
+    for n in range(a, config.max_n + 1):
+        if n > a:
             nxt = []
-            emit = config if n == config.max_n else None
+            connected = config.connected_only and n == config.max_n
             for rep in level:
-                nxt.extend(_children(rep, pattern_adjs, emit))
+                nxt.extend(_children(rep, pattern_adjs, config.min_alpha, connected))
             nxt.sort(key=lambda g: g.adj)
             level = nxt
         for g in level:

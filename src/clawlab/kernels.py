@@ -6,18 +6,17 @@ candidates, and ``find_induced_cycle`` runs the cycle grower
 ``induced_cycles`` that also serves ``verify.induced_cycles`` and, one
 pass each, the odd-hole and odd-antihole searches of ``invariants`` and the
 long-cycle and inflation-spine searches of ``structure``.
-``has_induced`` with a required host vertex runs one pinned search per
-automorphism orbit of the pattern, not one per pattern vertex; the orbits
-and search plans are computed once per pattern and cached
-(``_search_plans``).  Hereditary pruning does not search each extension:
-``extension_obstructions`` lists, once per parent, the pattern copies a
-new vertex could complete as bitmask pairs tested against its
-neighbourhood.  ``canon_form`` refines by counting neighbours only in the
-cells split in the previous round (McKay and Piperno 2014), which orders
-the cells as counting in every cell would.  Every search order is fixed,
-so results, witnesses included, are reproducible bit for bit.  Graphs
-enter as ``(n, adj)`` with ``adj`` a sequence of per-vertex neighbour
-bitmasks; vertex sets leave as bitmasks or index tuples.
+A pattern's search plan and automorphism orbits are computed once and
+cached (``_search_plans``).  Hereditary pruning does not search each
+extension: ``extension_obstructions`` lists, once per parent, the pattern
+copies a new vertex could complete as bitmask pairs tested against its
+neighbourhood, one listing per orbit of the pattern.  ``canon_form``
+refines by counting neighbours only in the cells split in the previous
+round (McKay and Piperno 2014), which orders the cells as counting in
+every cell would.  Every search order is fixed, so results, witnesses
+included, are reproducible bit for bit.  Graphs enter as ``(n, adj)`` with
+``adj`` a sequence of per-vertex neighbour bitmasks; vertex sets leave as
+bitmasks or index tuples.
 """
 
 from __future__ import annotations
@@ -202,22 +201,20 @@ def _embed(adj, atleast, plan, pin=-1):
 
 @functools.lru_cache(maxsize=256)
 def _search_plans(pn, padj):
-    """Everything ``has_induced`` derives from a pattern alone, computed once
-    per pattern: ``(top, free, orbits, pinned)``.
+    """Everything ``has_induced`` and ``extension_obstructions`` derive from
+    a pattern alone, computed once per pattern: ``(top, free, orbits)``.
 
     ``top`` is the maximum pattern degree and ``free`` the plan of the
     unpinned search, in descending-degree order.  ``orbits`` is the partition
     of the pattern vertices into automorphism orbits, each a sorted tuple
-    whose first vertex is its representative; ``pinned`` holds one plan per
-    orbit, the representative first and the rest in descending degree.  ``q``
-    joins ``p``'s orbit when the pattern embeds into itself with ``p`` pinned
-    to ``q``: an induced self-embedding is an automorphism.
+    whose first vertex is its representative.  ``q`` joins ``p``'s orbit
+    when the pattern embeds into itself with ``p`` pinned to ``q``: an
+    induced self-embedding is an automorphism.
     """
     base = sorted(range(pn), key=lambda i: (-padj[i].bit_count(), i))
     top = padj[base[0]].bit_count()
     self_atleast = _degree_masks(pn, padj, top)
     orbits = []
-    pinned = []
     left = (1 << pn) - 1
     for p in base:
         if not (left >> p) & 1:
@@ -233,8 +230,7 @@ def _search_plans(pn, padj):
         for q in orbit:
             left &= ~(1 << q)
         orbits.append(orbit)
-        pinned.append(plan)
-    return top, _plan(padj, tuple(base)), tuple(orbits), tuple(pinned)
+    return top, _plan(padj, tuple(base)), tuple(orbits)
 
 
 def find_induced_embedding(n, adj, pn, padj):
@@ -256,27 +252,20 @@ def has_induced(n, adj, pn, padj, required=-1):
     """True iff the pattern embeds as an induced subgraph.
 
     Existence only; pattern vertices are matched in descending-degree order
-    for speed.  If ``required`` is a host vertex, only embeddings using it
-    count (``extension_obstructions`` answers this for every neighbourhood
-    of a new vertex at once).  They are found by one search per
-    automorphism orbit of the pattern, its representative pinned to
-    ``required``: a copy that maps some vertex of the orbit there, composed
-    with an automorphism, maps the representative there.  The orbits and
-    search plans are cached per pattern (``_search_plans``); the host's
-    degree masks are built once per call.
+    for speed, by a plan cached per pattern (``_search_plans``); the host's
+    degree masks are built once per call.  Copies through one host vertex
+    are not searched here: ``extension_obstructions`` answers that for
+    every neighbourhood of a new vertex at once.  ``required`` must be -1;
+    it stays in the signature because ``perfbench/tracer.py`` passes it.
     """
+    if required != -1:
+        raise ValueError("has_induced takes no required vertex; see extension_obstructions")
     if pn > n:
         return False
     if pn == 0:
-        return required < 0
-    top, free, _, pinned = _search_plans(pn, tuple(padj))
-    atleast = _degree_masks(n, adj, top)
-    if required < 0:
-        return _embed(adj, atleast, free) is not None
-    for plan in pinned:
-        if (atleast[plan[0][0]] >> required) & 1 and _embed(adj, atleast, plan, required) is not None:
-            return True
-    return False
+        return True
+    top, free, _ = _search_plans(pn, tuple(padj))
+    return _embed(adj, _degree_masks(n, adj, top), free) is not None
 
 
 @functools.lru_cache(maxsize=256)
@@ -315,10 +304,9 @@ def extension_obstructions(n, adj, patterns):
     For each pattern H, each orbit representative ``p`` (``_search_plans``)
     and each induced embedding of H - p into the graph, S is the image and
     T the image of p's neighbours.  A copy through the new vertex maps some
-    vertex there, so, composed with an automorphism, it maps ``p`` there
-    (the orbit argument of ``has_induced``); the rest of the copy lies in
-    the graph, which the extension leaves induced, and the new vertex is
-    joined to exactly T within S.  Images of twins in H are taken in
+    vertex there, so, composed with an automorphism, it maps ``p`` there;
+    the rest of the copy lies in the graph, which the extension leaves
+    induced, and the new vertex is joined to exactly T within S.  Images of twins in H are taken in
     ascending order, since swapping two of them fixes S and T.  Each pair
     is listed once, in the order first found.
     """

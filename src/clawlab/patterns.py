@@ -111,12 +111,10 @@ def find_induced(g: Graph, pattern) -> tuple[int, ...] | None:
     return kernels.find_induced_embedding(g.n, g.adj, p.n, p.adj)
 
 
-def has_induced(g: Graph, pattern, required: int = -1) -> bool:
+def has_induced(g: Graph, pattern) -> bool:
     """Existence-only containment test (faster search order than find_induced)."""
     p = _as_graph(pattern)
-    if not -1 <= required < g.n:
-        raise ValueError(f"required vertex {required} outside -1..{g.n - 1}")
-    return kernels.has_induced(g.n, g.adj, p.n, p.adj, required)
+    return kernels.has_induced(g.n, g.adj, p.n, p.adj)
 
 
 def is_free(g: Graph, patterns) -> bool:

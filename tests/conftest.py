@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from clawlab import kernels
 from clawlab.enumeration import oracle_enumerate
 from clawlab.families import InflationSpec, build_inflation
 from clawlab.graphs import Graph
@@ -195,6 +196,23 @@ def brute_embeddings(g, p):
 
 def brute_has_induced(g, p):
     return next(brute_embeddings(g, p), None) is not None
+
+
+def pinned_has_induced(n, adj, pn, padj, required):
+    """Whether some induced copy of the pattern in the host uses host vertex
+    ``required``: one embedding search per pattern vertex, that vertex
+    pinned to ``required`` (``kernels._embed``'s ``pin``) and the rest in
+    descending degree.  The reference for the per-parent obstruction
+    listing that hereditary pruning uses instead."""
+    if pn > n:
+        return False
+    degs = [row.bit_count() for row in padj]
+    atleast = kernels._degree_masks(n, adj, max(degs, default=0))
+    for p in range(pn):
+        order = (p, *sorted((q for q in range(pn) if q != p), key=lambda q: (-degs[q], q)))
+        if kernels._embed(adj, atleast, kernels._plan(tuple(padj), order), required) is not None:
+            return True
+    return False
 
 
 def brute_induced_cycle_sets(g, exact_len):

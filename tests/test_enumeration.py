@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -17,7 +18,7 @@ from clawlab.enumeration import (
 from clawlab.graphs import Graph, to_graph6
 from clawlab.invariants import independence_number
 from clawlab.patterns import is_free, pattern_graph
-from conftest import brute_automorphisms, permuted, random_graph
+from conftest import brute_automorphisms, permuted, pinned_has_induced, random_graph
 
 
 def collect(config):
@@ -28,6 +29,12 @@ def collect(config):
 
 def oracle_filtered(oracle, n_range, keep):
     return {n: {to_graph6(g) for g in oracle[n] if keep(g)} for n in n_range}
+
+
+def emitted(g, config):
+    """Whether a pattern-free class is one the config emits: alpha at least
+    ``min_alpha`` (which the generation tree guarantees) and ``_emit_ok``."""
+    return independence_number(g)[0] >= config.min_alpha and _emit_ok(g, config)
 
 
 PRUNE_SETS = [(), ("K1_3",), ("K1_3", "P5"), ("K1_3", "Z2"), ("C4",)]
@@ -138,15 +145,44 @@ class TestAgainstOracle:
                     exclude_odd_cycles=odd,
                 )
                 _, per_n = collect(config)
-                want = {to_graph6(g) for g in free if _emit_ok(g, config)}
+                want = {to_graph6(g) for g in free if emitted(g, config)}
                 assert per_n.get(max_n, set()) == want, config
 
+    @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
+    def test_every_level_matches_oracle(self, tokens, oracle7):
+        """Each level of the alpha >= a tree holds exactly the oracle's
+        pattern-free classes with alpha >= a."""
+        for min_alpha in range(1, 5):
+            _, per_n = collect(EnumerationConfig(max_n=7, free_of=tokens, min_alpha=min_alpha))
+            want = oracle_filtered(
+                oracle7,
+                range(1, 8),
+                lambda g: is_free(g, list(tokens)) and independence_number(g)[0] >= min_alpha,
+            )
+            assert {n: per_n.get(n, set()) for n in range(1, 8)} == want, min_alpha
 
-def _profile(g, v):
-    """Neighbour counts of v in each degree class, classes by ascending degree."""
+    def test_root_holds_a_pattern(self):
+        # 3K1 is the root of the alpha >= 3 tree, so the tree is empty
+        assert enumerate_graphs(EnumerationConfig(max_n=7, free_of=("3K1",), min_alpha=3)) == 0
+
+    def test_min_alpha_above_max_n_builds_nothing(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("no graph should be built")
+
+        monkeypatch.setattr(kernels, "has_induced", unused)
+        monkeypatch.setattr(kernels, "canon_form", unused)
+        config = EnumerationConfig(max_n=11, free_of=("K1_3",), min_alpha=10**6)
+        assert enumerate_graphs(config, unused) == 0
+
+
+def _profile(g, v, upto=None):
+    """Neighbour counts of v in each degree class, classes by ascending
+    degree, up to degree ``upto`` when given."""
     degs = g.degrees()
     return tuple(
-        sum(1 for u in g.neighbors(v) if degs[u] == d) for d in sorted(set(degs))
+        sum(1 for u in g.neighbors(v) if degs[u] == d)
+        for d in sorted(set(degs))
+        if upto is None or d <= upto
     )
 
 
@@ -176,23 +212,40 @@ def _child_rows(rep, mask):
     return tuple(row | ((mask >> v) & 1) << m for v, row in enumerate(rep.adj)) + (mask,)
 
 
-def _reference_children(rep, pattern_adjs):
-    """Canonical augmentation with no vertex-invariant filter and no twin
-    reduction: every mask, pinned pattern pruning, dedup by canonical form,
-    acceptance when deleting the canonically last vertex gives the parent."""
+def _alpha_without(g, v):
+    return independence_number(g.induced(u for u in range(g.n) if u != v))[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _free_children(rep, pattern_adjs):
+    """One ``(rows, perm, child)`` per class of the parent plus one vertex
+    free of the patterns: every mask, pinned pattern pruning, dedup by
+    canonical form."""
     m, n = rep.n, rep.n + 1
     seen, out = set(), []
     for mask in range(1 << m):
         adj = _child_rows(rep, mask)
-        if any(kernels.has_induced(n, adj, pn, padj, m) for pn, padj in pattern_adjs):
+        if any(pinned_has_induced(n, adj, pn, padj, m) for pn, padj in pattern_adjs):
             continue
         cert, perm = kernels.canon_form(n, adj)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        last = perm.index(m)
-        rest = Graph.trusted(n, adj).induced(v for v in range(n) if v != last)
-        if kernels.canon_form(m, rest.adj)[0] == rep.adj:
+        if cert not in seen:
+            seen.add(cert)
+            out.append((cert, perm, Graph.trusted(n, adj)))
+    return out
+
+
+def _reference_children(rep, pattern_adjs, min_alpha=0):
+    """Canonical augmentation with no vertex-invariant filter and no twin
+    reduction (``_free_children``), acceptance when deleting w gives the
+    parent.  w is the canonically last vertex of D(child) = {v : alpha(child
+    - v) >= min_alpha}, each alpha computed on the child itself; with
+    ``min_alpha <= 1`` it is the canonically last vertex."""
+    out = []
+    for cert, perm, child in _free_children(rep, tuple(pattern_adjs)):
+        from_last = sorted(range(child.n), key=perm.__getitem__, reverse=True)
+        w = next(v for v in from_last if min_alpha <= 1 or _alpha_without(child, v) >= min_alpha)
+        rest = child.induced(v for v in range(child.n) if v != w)
+        if kernels.canon_form(rep.n, rest.adj)[0] == rep.adj:
             out.append(cert)
     return sorted(out)
 
@@ -225,22 +278,25 @@ def _holds_lowest(mask, members):
     return inside == members[: len(inside)]
 
 
-def _reference_masks(rep):
+def _reference_masks(rep, min_alpha=0):
     """The masks stages 0-2 of ``_children`` must pass, read off each child's
-    own rows: the new vertex has maximum degree and, among the
-    maximum-degree vertices, a maximal profile, and the mask meets each twin
-    class in its lowest vertices."""
+    own rows: the mask meets each twin class in its lowest vertices, and
+    against the rivals R = {v : alpha(P - v) >= min_alpha} the new vertex
+    has maximum degree and, among the rivals of its degree, a maximal
+    profile over the degree classes up to its degree."""
     m = rep.n
     twins = [[v for v in range(m) if (c >> v) & 1] for c in _twin_classes(m, rep.adj)]
+    rivals = [v for v in range(m) if _alpha_without(rep, v) >= min_alpha]
     for mask in range(1 << m):
         if not all(_holds_lowest(mask, members) for members in twins):
             continue
         child = Graph.trusted(m + 1, _child_rows(rep, mask))
         degs = child.degrees()
-        if degs[m] < max(degs):
+        k = degs[m]
+        if any(degs[v] > k for v in rivals):
             continue
-        mine = _profile(child, m)
-        if any(_profile(child, v) > mine for v in range(m) if degs[v] == degs[m]):
+        mine = _profile(child, m, k)
+        if any(_profile(child, v, k) > mine for v in rivals if degs[v] == k):
             continue
         yield mask
 
@@ -267,22 +323,30 @@ EMIT_CONFIGS = [
 class TestChildren:
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
     def test_matches_reference(self, tokens, oracle6, rng):
-        """Stages 0-2 of ``_children`` drop only masks whose class the
-        reference also drops or produces from another mask, and stage 3
-        drops exactly the classes ``_emit_ok`` rejects."""
+        """For each bound a = 0..4 with alpha(P) >= a (the parents of the
+        alpha >= a tree), stages 0-2 of ``_children`` drop only masks whose
+        class the reference for a also drops or produces from another mask,
+        and stage 3 drops exactly the classes ``_emit_ok`` rejects."""
         pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
         for rep in _parents(oracle6, rng):
-            want = _reference_children(rep, pats)
-            got = sorted(g.adj for g in _children(rep, pats))
-            assert got == want, rep.adj
+            plain = _reference_children(rep, pats)
+            want = {0: plain, 1: plain}
+            for a in range(2, min(independence_number(rep)[0], 4) + 1):
+                want[a] = _reference_children(rep, pats, a)
+            for a, ref in want.items():
+                got = sorted(g.adj for g in _children(rep, pats, a))
+                assert got == ref, (rep.adj, a)
             for config in EMIT_CONFIGS:
-                got = sorted(g.adj for g in _children(rep, pats, config))
-                kept = [c for c in want if _emit_ok(Graph.trusted(rep.n + 1, c), config)]
+                if config.min_alpha not in want:
+                    continue
+                got = sorted(g.adj for g in _children(rep, pats, config.min_alpha, config.connected_only))
+                kept = [c for c in want[config.min_alpha] if _emit_ok(Graph.trusted(rep.n + 1, c), config)]
                 assert got == kept, (rep.adj, config)
 
     def test_stages_pass_exactly_the_documented_masks(self, oracle6, rng, monkeypatch):
         """With no pattern, every mask that passes stages 0-2 is labelled
-        once, so the labelled masks show what the stages let through."""
+        once, so the labelled masks show what the stages let through, for
+        the whole tree and for the alpha >= 2 and alpha >= 3 trees."""
         parents = _parents(oracle6, rng)
         labelled = []
         canon_form = kernels.canon_form
@@ -293,10 +357,14 @@ class TestChildren:
 
         monkeypatch.setattr(kernels, "canon_form", spy)
         for rep in parents:
-            labelled.clear()
-            _children(rep, [])
-            got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
-            assert sorted(got) == list(_reference_masks(rep)), rep.adj
+            alpha = independence_number(rep)[0]
+            for a in (0, 2, 3):
+                if a > alpha:
+                    continue
+                labelled.clear()
+                _children(rep, [], a)
+                got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
+                assert sorted(got) == list(_reference_masks(rep, a)), (rep.adj, a)
 
     def test_twin_classes_are_transposition_orbits(self, oracle6):
         """A transposition is an automorphism exactly when its two vertices
@@ -343,6 +411,36 @@ class TestProperties:
         assert len(lines) == 1252
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "7e3303a5177cb704948d948520e2bc77be71da2ef8ed1cd9e8c0691ce7175f29"
+
+    @pytest.mark.parametrize(
+        "config, count, digest",
+        [
+            (
+                EnumerationConfig(
+                    max_n=9, connected_only=True, free_of=("K1_3", "P5"), min_alpha=3, exclude_odd_cycles=True
+                ),
+                133,
+                "0dcc8f3989813c8db3c31b3d3e13261ca861fedf0ede1e6cf079cf75e1ae6c04",
+            ),
+            (
+                EnumerationConfig(max_n=8, connected_only=True, free_of=("K1_3",), min_alpha=3),
+                579,
+                "4d0f9bc39cfd4a8c1ed3e6f045de3b12893041ea5f7ada79eae6825ff6c22e11",
+            ),
+            (
+                EnumerationConfig(max_n=7, min_alpha=2),
+                1245,
+                "2930d4f058a77f94cd8cffe1f861cff60da84d13508f396ee1cc51dd4e4362f0",
+            ),
+        ],
+        ids=["T5-P5-9", "claw-alpha3-8", "alpha2-7"],
+    )
+    def test_alpha_streams_pinned(self, config, count, digest):
+        # graph6 streams with a min_alpha bound, as measured when every level
+        # still held the whole hereditary class
+        lines = []
+        assert enumerate_graphs(config, lambda g: lines.append(to_graph6(g))) == count
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     def test_representatives_are_canonical(self):
         def check(g):

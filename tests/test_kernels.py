@@ -24,6 +24,7 @@ from conftest import (
     full_signature_canon_form,
     named_graphs,
     permuted,
+    pinned_has_induced,
     random_graph,
     random_regular_graph,
 )
@@ -125,8 +126,8 @@ def test_induced_cycles_bound_contract(rng):
 
 
 def test_has_induced_brute_force(rng):
-    # find_induced_embedding returns the lex-least embedding; has_induced with
-    # a required vertex holds exactly when some embedding uses that vertex
+    # find_induced_embedding returns the lex-least embedding; the pinned
+    # reference search holds exactly when some embedding uses that vertex
     pats = [pattern_graph(t) for t in PATTERNS]
     for _ in range(60):
         g = random_graph(rng, rng.randrange(1, 8), 0.5)
@@ -137,19 +138,25 @@ def test_has_induced_brute_force(rng):
             assert emb == (embs[0] if embs else None)
             touched = {v for e in embs for v in e}
             for v in range(g.n):
-                assert kernels.has_induced(g.n, g.adj, p.n, p.adj, v) == (v in touched)
+                assert pinned_has_induced(g.n, g.adj, p.n, p.adj, v) == (v in touched)
+
+
+def test_has_induced_takes_no_required_vertex():
+    p5 = pattern_graph("P5")
+    assert kernels.has_induced(p5.n, p5.adj, 2, (2, 1), -1)
+    with pytest.raises(ValueError):
+        kernels.has_induced(p5.n, p5.adj, 2, (2, 1), 0)
 
 
 @pytest.mark.parametrize("token", [*_FIXED, "P4", "P5", "C4", "C5", "2K2", "3K1", "AH6"])
 def test_search_plan_orbits_brute_force(token):
-    # has_induced(..., required) runs one pinned search per cached orbit
+    # extension_obstructions lists once per cached orbit
     p = pattern_graph(token)
     autos = brute_automorphisms(p)
     want = {frozenset(a[v] for a in autos) for v in range(p.n)}
-    _, _, orbits, pinned = kernels._search_plans(p.n, p.adj)
+    _, _, orbits = kernels._search_plans(p.n, p.adj)
     assert {frozenset(o) for o in orbits} == want
     assert sorted(v for o in orbits for v in o) == list(range(p.n))
-    assert len(pinned) == len(orbits)
 
 
 def test_extension_obstructions_match_pinned_search(oracle6, rng):
@@ -171,7 +178,7 @@ def test_extension_obstructions_match_pinned_search(oracle6, rng):
             assert len(set(pairs)) == len(pairs)
             assert all(t & ~s == 0 for s, t in pairs)
             for mask, child in enumerate(children):
-                want = kernels.has_induced(m + 1, child, p.n, p.adj, m)
+                want = pinned_has_induced(m + 1, child, p.n, p.adj, m)
                 assert any(mask & s == t for s, t in pairs) == want, (g, p, mask)
             single.append(set(pairs))
         for i, p in enumerate(pats):

@@ -123,11 +123,6 @@ class TestContainment:
         with pytest.raises(ValueError):
             find_induced(host, big)
 
-    @pytest.mark.parametrize("required", [3, 5, -2])
-    def test_required_out_of_range_rejected(self, required):
-        with pytest.raises(ValueError):
-            has_induced(pattern_graph("P3"), "K2", required)
-
     def test_freeness_hereditary(self, rng):
         tokens = ["K1_3", "C4"]
         count = 0
