@@ -1,9 +1,13 @@
-"""Setuptools entry point; all metadata is in pyproject.toml.
+"""Setuptools entry point; all other metadata is in pyproject.toml.
 
-The package is pure Python, so ``setup.py build_ext --inplace`` (the set-up
-step of ``perfbench/run.py``) succeeds and builds nothing.
+Builds one optional C extension, ``clawlab._augment`` (compiled canonical
+augmentation, see ``src/clawlab/_augment.c``), with the system C compiler.
+``python setup.py build_ext --inplace``, the set-up step of
+``perfbench/run.py`` and of the test session, puts it next to the sources.
+The extension is optional: when it does not compile, the build still
+succeeds and ``clawlab.kernels`` stays on its pure-Python backend.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-setup()
+setup(ext_modules=[Extension("clawlab._augment", sources=["src/clawlab/_augment.c"], optional=True)])

@@ -1,0 +1,937 @@
+/* Compiled canonical augmentation for clawlab.
+
+   Two entries, both METH_FASTCALL:
+
+   canon_form(n, adj) -> (rows, perm)
+       The same canonical relabelling as the pure kernels.canon_form:
+       split-only refinement, sibling skipping and the first leaf of least
+       certificate.
+
+   augment(m, parent_rows, patterns, min_alpha, connected) -> [rows, ...]
+       The pure enumeration._children for one parent: the accepted
+       canonical rows of its one-vertex extensions, in the order the pure
+       loop finds them.  Parent analysis (degree classes, twin classes, R),
+       stages 0-3, obstruction listing and the mask & S == T test, labelling,
+       per-parent dedup and the acceptance walk with its deletion check.
+
+   Graphs are vertex counts and per-vertex neighbour bitmasks, one 64-bit
+   word per row.  Every input is checked before any work: an out-of-range
+   input raises ValueError and nothing here writes outside its arrays.  The
+   GIL is held throughout; the only state kept between calls is a small
+   cache of per-pattern search plans. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define MAXN 64
+#define MAXP 16
+
+typedef uint64_t word;
+
+static inline int popc(word x) { return __builtin_popcountll(x); }
+static inline int low_index(word x) { return __builtin_ctzll(x); }
+static inline word all_of(int n) { return n >= 64 ? ~(word)0 : ((word)1 << n) - 1; }
+
+/* ---- argument checks ------------------------------------------------- */
+
+/* An int in lo..hi, or -1 with ValueError set. */
+static long read_small(PyObject *obj, long lo, long hi, const char *what)
+{
+    int overflow = 0;
+    long v = PyLong_Check(obj) ? PyLong_AsLongAndOverflow(obj, &overflow) : lo - 1;
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || v < lo || v > hi) {
+        PyErr_Format(PyExc_ValueError, "%s must be an int in %ld..%ld", what, lo, hi);
+        return -1;
+    }
+    return v;
+}
+
+/* Exactly `count` rows, each an int with no bit at position `width` or
+   above, into out.  0 or -1 with ValueError set. */
+static int read_rows(PyObject *seq, long count, int width, word *out, const char *what)
+{
+    PyObject *fast = PySequence_Fast(seq, "");
+    if (fast == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_TypeError))
+            return -1;
+        PyErr_Clear();
+        PyErr_Format(PyExc_ValueError, "%s must be a sequence of %ld ints", what, count);
+        return -1;
+    }
+    if (PySequence_Fast_GET_SIZE(fast) != count) {
+        Py_DECREF(fast);
+        PyErr_Format(PyExc_ValueError, "%s must hold %ld rows", what, count);
+        return -1;
+    }
+    for (long i = 0; i < count; i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
+        word row = PyLong_Check(item) ? PyLong_AsUnsignedLongLong(item) : (word)-1;
+        if (row == (word)-1 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError)) {
+                Py_DECREF(fast);
+                return -1;
+            }
+            PyErr_Clear(); /* negative or wider than 64 bits */
+        } else if (PyLong_Check(item) && !(row & ~all_of(width))) {
+            out[i] = row;
+            continue;
+        }
+        Py_DECREF(fast);
+        PyErr_Format(PyExc_ValueError, "%s row %ld must be an int in 0..2**%d - 1", what, i, width);
+        return -1;
+    }
+    Py_DECREF(fast);
+    return 0;
+}
+
+/* ---- canonical labelling --------------------------------------------- */
+
+/* Split the cells (an ordered partition as masks) until no cell splits;
+   return the new cell count.  Each vertex of a non-singleton cell is keyed
+   by its neighbour counts in the fragments `split` made in the previous
+   round, and the cell splits in place, fragments in ascending key order;
+   every fragment but the last is a split fragment of the next round. */
+static int refine(const word *adj, word *cells, int ncells, const word *first, int nfirst)
+{
+    word split[MAXN], out[MAXN];
+    uint8_t key[MAXN][MAXN];
+    int verts[MAXN], idx[MAXN];
+    int nsplit = nfirst;
+    memcpy(split, first, nfirst * sizeof *split);
+    for (;;) {
+        int nout = 0, nnext = 0;
+        word next[MAXN];
+        for (int c = 0; c < ncells; c++) {
+            word cell = cells[c];
+            if (!(cell & (cell - 1))) {
+                out[nout++] = cell;
+                continue;
+            }
+            int cnt = 0;
+            for (word m = cell; m; m &= m - 1) {
+                int v = low_index(m);
+                for (int j = 0; j < nsplit; j++)
+                    key[cnt][j] = (uint8_t)popc(adj[v] & split[j]);
+                verts[cnt] = v;
+                idx[cnt] = cnt;
+                cnt++;
+            }
+            for (int i = 1; i < cnt; i++) {
+                int x = idx[i], j = i;
+                while (j > 0 && memcmp(key[idx[j - 1]], key[x], nsplit) > 0) {
+                    idx[j] = idx[j - 1];
+                    j--;
+                }
+                idx[j] = x;
+            }
+            if (memcmp(key[idx[0]], key[idx[cnt - 1]], nsplit) == 0) {
+                out[nout++] = cell;
+                continue;
+            }
+            word frag = (word)1 << verts[idx[0]];
+            for (int i = 1; i < cnt; i++) {
+                if (memcmp(key[idx[i - 1]], key[idx[i]], nsplit) != 0) {
+                    out[nout++] = frag;
+                    next[nnext++] = frag;
+                    frag = 0;
+                }
+                frag |= (word)1 << verts[idx[i]];
+            }
+            out[nout++] = frag;
+        }
+        memcpy(cells, out, nout * sizeof *out);
+        if (nnext == 0)
+            return nout;
+        ncells = nout;
+        nsplit = nnext;
+        memcpy(split, next, nnext * sizeof *split);
+    }
+}
+
+typedef struct {
+    int n;
+    const word *adj;
+    int have;
+    word best[MAXN];   /* rows of the least certificate so far */
+    uint8_t perm[MAXN]; /* its canonical position per vertex */
+} Canon;
+
+static void emit(Canon *cf, const word *cells)
+{
+    int n = cf->n;
+    uint8_t col[MAXN];
+    word rows[MAXN];
+    for (int i = 0; i < n; i++)
+        col[low_index(cells[i])] = (uint8_t)i;
+    for (int v = 0; v < n; v++) {
+        word row = 0;
+        for (word m = cf->adj[v]; m; m &= m - 1)
+            row |= (word)1 << col[low_index(m)];
+        rows[col[v]] = row;
+    }
+    if (cf->have) {
+        int i = 0;
+        while (i < n && rows[i] == cf->best[i])
+            i++;
+        if (i == n || rows[i] > cf->best[i])
+            return;
+    }
+    cf->have = 1;
+    memcpy(cf->best, rows, n * sizeof *rows);
+    memcpy(cf->perm, col, n);
+}
+
+/* Individualise each vertex of the first non-singleton cell in turn,
+   skipping a vertex whose swap with an earlier sibling is an automorphism. */
+static void search(Canon *cf, const word *cells, int ncells)
+{
+    const word *adj = cf->adj;
+    if (ncells == cf->n) {
+        emit(cf, cells);
+        return;
+    }
+    int target = 0;
+    while (!(cells[target] & (cells[target] - 1)))
+        target++;
+    word cell = cells[target];
+    int reps[MAXN], nreps = 0;
+    word child[MAXN];
+    for (word m = cell; m; m &= m - 1) {
+        int v = low_index(m);
+        word low = (word)1 << v;
+        int twin = 0;
+        for (int i = 0; i < nreps && !twin; i++)
+            twin = (adj[reps[i]] & ~low) == (adj[v] & ~((word)1 << reps[i]));
+        if (twin)
+            continue;
+        reps[nreps++] = v;
+        memcpy(child, cells, target * sizeof *cells);
+        child[target] = low;
+        child[target + 1] = cell ^ low;
+        memcpy(child + target + 2, cells + target + 1, (ncells - target - 1) * sizeof *cells);
+        search(cf, child, refine(adj, child, ncells + 1, &low, 1));
+    }
+}
+
+/* Canonical rows into rows and canonical positions into perm (either may
+   be NULL); n >= 1. */
+static void canon(int n, const word *adj, word *rows, uint8_t *perm)
+{
+    Canon cf;
+    word cells[MAXN];
+    word everyone = all_of(n);
+    cf.n = n;
+    cf.adj = adj;
+    cf.have = 0;
+    cells[0] = everyone;
+    search(&cf, cells, refine(adj, cells, 1, &everyone, 1));
+    if (rows)
+        memcpy(rows, cf.best, n * sizeof *rows);
+    if (perm)
+        memcpy(perm, cf.perm, n);
+}
+
+static PyObject *rows_tuple(int n, const word *rows)
+{
+    PyObject *t = PyTuple_New(n);
+    for (int i = 0; t && i < n; i++) {
+        PyObject *x = PyLong_FromUnsignedLongLong(rows[i]);
+        if (x == NULL) {
+            Py_CLEAR(t);
+            break;
+        }
+        PyTuple_SET_ITEM(t, i, x);
+    }
+    return t;
+}
+
+static PyObject *py_canon_form(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word adj[MAXN], rows[MAXN];
+    uint8_t perm[MAXN];
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "canon_form(n, adj) takes 2 arguments");
+        return NULL;
+    }
+    long n = read_small(args[0], 0, MAXN, "n");
+    if (n < 0 || read_rows(args[1], n, (int)n, adj, "adj") < 0)
+        return NULL;
+    if (n == 0)
+        return Py_BuildValue("(()())");
+    canon((int)n, adj, rows, perm);
+    PyObject *rt = rows_tuple((int)n, rows);
+    PyObject *pt = rt ? PyTuple_New(n) : NULL;
+    for (long v = 0; pt && v < n; v++) {
+        PyObject *x = PyLong_FromLong(perm[v]);
+        if (x == NULL) {
+            Py_CLEAR(pt);
+            break;
+        }
+        PyTuple_SET_ITEM(pt, v, x);
+    }
+    if (pt == NULL) {
+        Py_XDECREF(rt);
+        return NULL;
+    }
+    PyObject *out = PyTuple_Pack(2, rt, pt);
+    Py_DECREF(rt);
+    Py_DECREF(pt);
+    return out;
+}
+
+/* ---- sets of fixed-width records ------------------------------------- */
+
+typedef struct {
+    int width;        /* words per record */
+    word *data;       /* count * width words */
+    size_t count, cap;
+    uint32_t *slots;  /* record index + 1; 0 is empty */
+    size_t nslots;    /* a power of two */
+} RecordSet;
+
+static size_t rs_hash(const word *rec, int width)
+{
+    word h = 0x9E3779B97F4A7C15ull;
+    for (int i = 0; i < width; i++) {
+        h ^= rec[i];
+        h *= 0xBF58476D1CE4E5B9ull;
+        h ^= h >> 31;
+    }
+    return (size_t)h;
+}
+
+static void rs_free(RecordSet *rs)
+{
+    free(rs->data);
+    free(rs->slots);
+}
+
+/* 1 when rec is new (and now added), 0 when present, -1 out of memory. */
+static int rs_add(RecordSet *rs, const word *rec)
+{
+    int w = rs->width;
+    if (2 * (rs->count + 1) > rs->nslots) {
+        size_t nslots = rs->nslots ? 2 * rs->nslots : 64;
+        uint32_t *slots = calloc(nslots, sizeof *slots);
+        if (slots == NULL)
+            return -1;
+        for (size_t i = 0; i < rs->count; i++) {
+            size_t h = rs_hash(rs->data + i * w, w) & (nslots - 1);
+            while (slots[h])
+                h = (h + 1) & (nslots - 1);
+            slots[h] = (uint32_t)(i + 1);
+        }
+        free(rs->slots);
+        rs->slots = slots;
+        rs->nslots = nslots;
+    }
+    size_t h = rs_hash(rec, w) & (rs->nslots - 1);
+    while (rs->slots[h]) {
+        if (memcmp(rs->data + (rs->slots[h] - 1) * w, rec, w * sizeof *rec) == 0)
+            return 0;
+        h = (h + 1) & (rs->nslots - 1);
+    }
+    if (rs->count == rs->cap) {
+        size_t cap = rs->cap ? 2 * rs->cap : 64;
+        word *data = realloc(rs->data, cap * w * sizeof *data);
+        if (data == NULL)
+            return -1;
+        rs->data = data;
+        rs->cap = cap;
+    }
+    memcpy(rs->data + rs->count * w, rec, w * sizeof *rec);
+    rs->slots[h] = (uint32_t)(++rs->count);
+    return 1;
+}
+
+/* ---- pattern search plans -------------------------------------------- */
+
+/* Positions assigned in order: per position its pattern degree and the
+   earlier positions adjacent (up) and not adjacent (down) to it. */
+typedef struct {
+    int k;
+    uint8_t deg[MAXP];
+    uint16_t up[MAXP], down[MAXP];
+} Plan;
+
+/* The listing of one orbit (kernels._obstruction_plans): the plan of H - p,
+   after[t] the latest earlier position holding a twin of position t in H
+   (or -1), near[t] whether position t is adjacent to p. */
+typedef struct {
+    Plan plan;
+    int8_t after[MAXP];
+    uint8_t near[MAXP];
+} OrbitPlan;
+
+typedef struct {
+    int pn;
+    word padj[MAXP];
+    int norbits;
+    OrbitPlan orbit[MAXP];
+} Pattern;
+
+static void make_plan(const word *rows, const int *order, int k, Plan *pl)
+{
+    pl->k = k;
+    for (int t = 0; t < k; t++) {
+        word row = rows[order[t]];
+        pl->deg[t] = (uint8_t)popc(row);
+        pl->up[t] = pl->down[t] = 0;
+        for (int s = 0; s < t; s++) {
+            if ((row >> order[s]) & 1)
+                pl->up[t] |= (uint16_t)(1u << s);
+            else
+                pl->down[t] |= (uint16_t)(1u << s);
+        }
+    }
+}
+
+/* atleast[d]: the vertices of degree at least d, d in 0..top. */
+static void degree_masks(int n, const word *adj, int top, word *atleast)
+{
+    for (int d = 0; d <= top; d++)
+        atleast[d] = 0;
+    for (int v = 0; v < n; v++) {
+        int d = popc(adj[v]);
+        atleast[d < top ? d : top] |= (word)1 << v;
+    }
+    for (int d = top - 1; d >= 0; d--)
+        atleast[d] |= atleast[d + 1];
+}
+
+static int embeds(const word *adj, const word *roots, const Plan *pl, word *nb, int t, word used)
+{
+    word cand = roots[t] & ~used;
+    for (unsigned m = pl->up[t]; m; m &= m - 1)
+        cand &= nb[low_index(m)];
+    for (unsigned m = pl->down[t]; m; m &= m - 1)
+        cand &= ~nb[low_index(m)];
+    while (cand) {
+        word low = cand & -cand;
+        cand ^= low;
+        if (t + 1 == pl->k)
+            return 1;
+        nb[t] = adj[low_index(low)];
+        if (embeds(adj, roots, pl, nb, t + 1, used | low))
+            return 1;
+    }
+    return 0;
+}
+
+/* Sort vertices by descending degree in rows, then index. */
+static void by_degree(int pn, const word *rows, int *order, int skip)
+{
+    int k = 0;
+    for (int q = 0; q < pn; q++) {
+        if (q == skip)
+            continue;
+        int j = k++;
+        while (j > 0 && popc(rows[order[j - 1]]) < popc(rows[q])) {
+            order[j] = order[j - 1];
+            j--;
+        }
+        order[j] = q;
+    }
+}
+
+/* The orbits (kernels._search_plans: q joins p's orbit when H embeds into
+   itself with p pinned to q) and, per orbit representative, its listing. */
+static void build_pattern(Pattern *pat)
+{
+    int pn = pat->pn;
+    const word *padj = pat->padj;
+    int base[MAXP], order[MAXP];
+    word atleast[MAXP + 1], roots[MAXP], nb[MAXP];
+    by_degree(pn, padj, base, -1);
+    int top = popc(padj[base[0]]);
+    degree_masks(pn, padj, top, atleast);
+    word left = all_of(pn);
+    pat->norbits = 0;
+    for (int i = 0; i < pn; i++) {
+        int p = base[i];
+        if (!((left >> p) & 1))
+            continue;
+        Plan pl;
+        order[0] = p;
+        for (int j = 0, t = 1; j < pn; j++)
+            if (base[j] != p)
+                order[t++] = base[j];
+        make_plan(padj, order, pn, &pl);
+        for (int t = 0; t < pn; t++)
+            roots[t] = atleast[pl.deg[t]];
+        word orbit = (word)1 << p;
+        for (int q = 0; q < pn; q++) {
+            if (q == p || !((left >> q) & 1) || popc(padj[q]) != popc(padj[p]))
+                continue;
+            roots[0] = (word)1 << q;
+            if (embeds(padj, roots, &pl, nb, 0, 0))
+                orbit |= (word)1 << q;
+        }
+        left &= ~orbit;
+        /* the listing of H - r for the orbit's least vertex r */
+        int r = low_index(orbit);
+        OrbitPlan *op = &pat->orbit[pat->norbits++];
+        word sub[MAXP];
+        for (int q = 0; q < pn; q++)
+            sub[q] = padj[q] & ~((word)1 << r);
+        by_degree(pn, sub, order, r);
+        for (int t = 0; t < pn - 1; t++) {
+            int q = order[t];
+            op->after[t] = -1;
+            for (int s = 0; s < t; s++)
+                if ((padj[order[s]] & ~((word)1 << q)) == (padj[q] & ~((word)1 << order[s])))
+                    op->after[t] = (int8_t)s;
+            op->near[t] = (uint8_t)((padj[r] >> q) & 1);
+        }
+        make_plan(sub, order, pn - 1, &op->plan);
+    }
+}
+
+#define PATTERN_CACHE 32
+static Pattern pattern_cache[PATTERN_CACHE];
+static int cache_used, cache_next;
+
+/* The plans of a pattern, built on first sight.  The pointer is good until
+   the next call. */
+static const Pattern *pattern_plans(int pn, const word *padj)
+{
+    for (int i = 0; i < cache_used; i++)
+        if (pattern_cache[i].pn == pn && memcmp(pattern_cache[i].padj, padj, pn * sizeof *padj) == 0)
+            return &pattern_cache[i];
+    Pattern *pat = &pattern_cache[cache_next];
+    cache_next = (cache_next + 1) % PATTERN_CACHE;
+    if (cache_used < PATTERN_CACHE)
+        cache_used++;
+    pat->pn = pn;
+    memcpy(pat->padj, padj, pn * sizeof *padj);
+    build_pattern(pat);
+    return pat;
+}
+
+/* ---- obstruction listing (kernels.extension_obstructions) ------------- */
+
+typedef struct {
+    const word *adj;
+    const OrbitPlan *op;
+    word roots[MAXP], nb[MAXP];
+    int img[MAXP];
+    RecordSet *pairs;
+    int failed;
+} Lister;
+
+static void list_from(Lister *ls, int t, word used, word touch)
+{
+    const Plan *pl = &ls->op->plan;
+    word cand = ls->roots[t] & ~used;
+    for (unsigned m = pl->up[t]; m; m &= m - 1)
+        cand &= ls->nb[low_index(m)];
+    for (unsigned m = pl->down[t]; m; m &= m - 1)
+        cand &= ~ls->nb[low_index(m)];
+    if (ls->op->after[t] >= 0)
+        cand &= ~((((word)2) << ls->img[ls->op->after[t]]) - 1);
+    while (cand && !ls->failed) {
+        word low = cand & -cand;
+        cand ^= low;
+        word reach = ls->op->near[t] ? touch | low : touch;
+        if (t + 1 == pl->k) {
+            word pair[2] = {used | low, reach};
+            if (rs_add(ls->pairs, pair) < 0)
+                ls->failed = 1;
+            continue;
+        }
+        int v = low_index(low);
+        ls->img[t] = v;
+        ls->nb[t] = ls->adj[v];
+        list_from(ls, t + 1, used | low, reach);
+    }
+}
+
+typedef struct {
+    int pn;
+    word padj[MAXP];
+} PatternArg;
+
+/* Every (S, T) pair of the patterns against the graph; -1 out of memory. */
+static int list_obstructions(int n, const word *adj, const PatternArg *pats, Py_ssize_t npats, RecordSet *pairs)
+{
+    Lister ls;
+    word atleast[MAXP + 1];
+    ls.adj = adj;
+    ls.pairs = pairs;
+    ls.failed = 0;
+    for (Py_ssize_t i = 0; i < npats && !ls.failed; i++) {
+        int pn = pats[i].pn;
+        if (pn == 0 || pn - 1 > n)
+            continue;
+        const Pattern *pat = pattern_plans(pn, pats[i].padj);
+        degree_masks(n, adj, pn, atleast);
+        for (int o = 0; o < pat->norbits && !ls.failed; o++) {
+            ls.op = &pat->orbit[o];
+            const Plan *pl = &ls.op->plan;
+            if (pl->k == 0) {
+                word pair[2] = {0, 0};
+                if (rs_add(pairs, pair) < 0)
+                    ls.failed = 1;
+                continue;
+            }
+            for (int t = 0; t < pl->k; t++)
+                ls.roots[t] = atleast[pl->deg[t]];
+            list_from(&ls, 0, 0, 0);
+        }
+    }
+    return ls.failed ? -1 : 0;
+}
+
+/* ---- augment ---------------------------------------------------------- */
+
+/* Whether avail holds an independent set of `size` vertices; its vertices
+   are or-ed into found. */
+static int independent(const word *adj, word avail, int size, word *found)
+{
+    if (size <= 0)
+        return 1;
+    while (popc(avail) >= size) {
+        int v = low_index(avail);
+        avail &= avail - 1;
+        if (independent(adj, avail & ~adj[v], size - 1, found)) {
+            *found |= (word)1 << v;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* Whether a rival (child degree k) has a higher profile than the new
+   vertex joined to mask: neighbour counts in the child's degree classes up
+   to k, read off the parent's classes (enumeration._outranked). */
+static int outranked(const word *parent, int m, const word *by_deg, const word *below, word mask, int k, word rivals)
+{
+    word fresh = (word)1 << m, classes[MAXN + 1];
+    int mine[MAXN + 1];
+    for (int d = 0; d <= k; d++)
+        classes[d] = (by_deg[d] & ~mask) | (below[d] & mask);
+    classes[k] |= fresh;
+    for (int d = 0; d <= k; d++)
+        mine[d] = popc(mask & classes[d]);
+    for (; rivals; rivals &= rivals - 1) {
+        int v = low_index(rivals);
+        word row = (mask >> v) & 1 ? parent[v] | fresh : parent[v];
+        for (int d = 0; d <= k; d++) {
+            int c = popc(row & classes[d]);
+            if (c != mine[d]) {
+                if (c > mine[d])
+                    return 1;
+                break;
+            }
+        }
+    }
+    return 0;
+}
+
+/* Whether mask meets each twin class in its lowest vertices. */
+static int keeps_lowest_twins(word mask, const word *twins, int ntwins)
+{
+    for (int i = 0; i < ntwins; i++) {
+        word part = mask & twins[i];
+        if (part) {
+            word high = (word)1 << (63 - __builtin_clzll(part));
+            if ((twins[i] ^ part) & (high | (high - 1)))
+                return 0;
+        }
+    }
+    return 1;
+}
+
+typedef struct {
+    int m;
+    const word *parent;
+    const PatternArg *pats;
+    Py_ssize_t npats;
+    long min_alpha;
+    word deletable;             /* R */
+    word by_deg[MAXN + 1], below[MAXN + 2];
+    word rival_deg[MAXN + 1], rival_below[MAXN + 2];
+    int top;
+    word twins[2 * MAXN];
+    int ntwins;
+    word meet[MAXN];
+    int nmeet;
+    int listed;
+    RecordSet pairs, seen;
+    PyObject *out;
+} Augment;
+
+/* The parent analysis of enumeration._children. */
+static void analyse(Augment *a, int connected)
+{
+    int m = a->m;
+    const word *parent = a->parent;
+    word everyone = all_of(m);
+    memset(a->by_deg, 0, sizeof a->by_deg);
+    for (int v = 0; v < m; v++)
+        a->by_deg[popc(parent[v])] |= (word)1 << v;
+    a->below[0] = 0;
+    for (int d = 0; d <= m; d++)
+        a->below[d + 1] = a->by_deg[d];
+    /* R = {v : alpha(P - v) >= a}: an independent a-set avoiding v puts
+       every vertex outside it in R */
+    a->deletable = everyone;
+    if (a->min_alpha > 1) {
+        a->deletable = 0;
+        for (int v = 0; v < m; v++) {
+            word set = 0;
+            if (!((a->deletable >> v) & 1) && independent(parent, everyone & ~((word)1 << v), (int)a->min_alpha, &set))
+                a->deletable |= everyone & ~set;
+        }
+    }
+    a->rival_below[0] = 0;
+    for (int d = 0; d <= m; d++) {
+        a->rival_deg[d] = a->by_deg[d] & a->deletable;
+        a->rival_below[d + 1] = a->rival_deg[d];
+    }
+    a->top = 0;
+    for (int d = 0; d < m; d++)
+        if (a->rival_deg[d])
+            a->top = d;
+    /* classes of false twins (equal rows) and true twins (equal closed rows) */
+    a->ntwins = 0;
+    word done = 0;
+    for (int v = 0; v < m; v++) {
+        if ((done >> v) & 1)
+            continue;
+        word open = 0, closed = 0;
+        for (int u = 0; u < m; u++) {
+            if (parent[u] == parent[v])
+                open |= (word)1 << u;
+            if ((parent[u] | (word)1 << u) == (parent[v] | (word)1 << v))
+                closed |= (word)1 << u;
+        }
+        if (open & (open - 1)) {
+            a->twins[a->ntwins++] = open;
+            done |= open;
+        }
+        if (closed & (closed - 1)) {
+            a->twins[a->ntwins++] = closed;
+            done |= closed;
+        }
+    }
+    /* the parent's components, when the child must be connected */
+    a->nmeet = 0;
+    for (word unseen = connected ? everyone : 0; unseen;) {
+        word comp = unseen & -unseen, frontier = comp;
+        while (frontier) {
+            word reach = 0;
+            for (word f = frontier; f; f &= f - 1)
+                reach |= parent[low_index(f)];
+            frontier = reach & ~comp;
+            comp |= frontier;
+        }
+        a->meet[a->nmeet++] = comp;
+        unseen &= ~comp;
+    }
+}
+
+/* One mask through stages 0-3, pruning, labelling, dedup and acceptance;
+   -1 on error. */
+static int try_mask(Augment *a, word mask)
+{
+    int m = a->m, n = m + 1, k = popc(mask);
+    const word *parent = a->parent;
+    if (k == a->top && (mask & a->rival_deg[a->top]))
+        return 0;
+    for (int i = 0; i < a->nmeet; i++)
+        if (!(mask & a->meet[i]))
+            return 0;
+    if (!keeps_lowest_twins(mask, a->twins, a->ntwins))
+        return 0;
+    if (k - a->top < 2) {
+        word rivals = (a->rival_deg[k] & ~mask) | (a->rival_below[k] & mask);
+        if (rivals && outranked(parent, m, a->by_deg, a->below, mask, k, rivals))
+            return 0;
+    }
+    if (!a->listed) {
+        a->listed = 1;
+        if (list_obstructions(m, parent, a->pats, a->npats, &a->pairs) < 0) {
+            PyErr_NoMemory();
+            return -1;
+        }
+    }
+    const word *pairs = a->pairs.data;
+    for (size_t i = 0; i < a->pairs.count; i++)
+        if ((mask & pairs[2 * i]) == pairs[2 * i + 1])
+            return 0;
+    word adj[MAXN], cert[MAXN];
+    uint8_t perm[MAXN];
+    for (int v = 0; v < m; v++)
+        adj[v] = parent[v] | (((mask >> v) & 1) << m);
+    adj[m] = mask;
+    canon(n, adj, cert, perm);
+    int added = rs_add(&a->seen, cert);
+    if (added <= 0) {
+        if (added < 0)
+            PyErr_NoMemory();
+        return added;
+    }
+    if (perm[m] != m) {
+        /* walk down to w, the canonically last vertex of D(child) */
+        int inv[MAXN] = {0};
+        for (int v = 0; v < n; v++)
+            inv[perm[v]] = v;
+        int pos = m, w = inv[pos];
+        while (w != m && !((a->deletable >> w) & 1)) {
+            word set = 0;
+            if (independent(parent, all_of(m) & ~(mask | (word)1 << w), (int)a->min_alpha - 1, &set))
+                break;
+            w = inv[--pos];
+        }
+        if (w != m) {
+            word rest[MAXN], rows[MAXN];
+            for (int v = 0, i = 0; v < n; v++) {
+                if (v == w)
+                    continue;
+                word row = adj[v];
+                rest[i++] = (row & (((word)1 << w) - 1)) | ((row >> w >> 1) << w);
+            }
+            canon(m, rest, rows, NULL);
+            if (memcmp(rows, parent, m * sizeof *rows) != 0)
+                return 0;
+        }
+    }
+    PyObject *t = rows_tuple(n, cert);
+    if (t == NULL)
+        return -1;
+    int rc = PyList_Append(a->out, t);
+    Py_DECREF(t);
+    return rc;
+}
+
+/* Masks of popcount lo and up, each popcount in ascending order (Gosper's
+   hack), as enumeration._masks_from. */
+static int run_masks(Augment *a)
+{
+    int m = a->m, lo = a->top;
+    if (lo == 0) {
+        if (try_mask(a, 0) < 0)
+            return -1;
+        lo = 1;
+    }
+    for (int k = lo; k <= m; k++) {
+        word mask = all_of(k);
+        while (!(mask >> m)) {
+            if (try_mask(a, mask) < 0)
+                return -1;
+            word low = mask & -mask, ripple = mask + low;
+            mask = ripple | (((ripple ^ mask) >> 2) / low);
+        }
+    }
+    return 0;
+}
+
+static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word parent[MAXN];
+    Augment a;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "augment(m, parent_rows, patterns, min_alpha, connected) takes 5 arguments");
+        return NULL;
+    }
+    long m = read_small(args[0], 0, MAXN - 1, "m");
+    if (m < 0 || read_rows(args[1], m, (int)m, parent, "parent_rows") < 0)
+        return NULL;
+    long min_alpha = -1;
+    if (PyLong_Check(args[3])) {
+        int overflow = 0;
+        min_alpha = PyLong_AsLongAndOverflow(args[3], &overflow);
+        if (min_alpha == -1 && PyErr_Occurred())
+            return NULL;
+        if (overflow > 0 || min_alpha > MAXN + 1)
+            min_alpha = MAXN + 1; /* no graph here has an independent set that large */
+        else if (overflow < 0)
+            min_alpha = -1;
+    }
+    if (min_alpha < 0) {
+        PyErr_SetString(PyExc_ValueError, "min_alpha must be a non-negative int");
+        return NULL;
+    }
+    int connected = PyObject_IsTrue(args[4]);
+    if (connected < 0)
+        return NULL;
+
+    PyObject *fast = PySequence_Fast(args[2], "patterns must be a sequence of (pn, padj) pairs");
+    if (fast == NULL) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_ValueError, "patterns must be a sequence of (pn, padj) pairs");
+        }
+        return NULL;
+    }
+    Py_ssize_t npats = PySequence_Fast_GET_SIZE(fast);
+    PatternArg *pats = PyMem_Malloc((npats ? npats : 1) * sizeof *pats);
+    if (pats == NULL) {
+        Py_DECREF(fast);
+        return PyErr_NoMemory();
+    }
+    int bad = 0;
+    for (Py_ssize_t i = 0; i < npats && !bad; i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
+        bad = 1;
+        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 2) {
+            PyErr_SetString(PyExc_ValueError, "each pattern must be a (pn, padj) tuple");
+            break;
+        }
+        long pn = read_small(PyTuple_GET_ITEM(item, 0), 0, MAXP, "pattern vertex count");
+        if (pn < 0 || read_rows(PyTuple_GET_ITEM(item, 1), pn, (int)pn, pats[i].padj, "pattern") < 0)
+            break;
+        pats[i].pn = (int)pn;
+        bad = 0;
+        for (int v = 0; v < pn && !bad; v++)
+            for (word row = pats[i].padj[v]; row && !bad; row &= row - 1)
+                bad = low_index(row) == v || !((pats[i].padj[low_index(row)] >> v) & 1);
+        if (bad)
+            PyErr_SetString(PyExc_ValueError, "a pattern must be symmetric and loop-free");
+    }
+    Py_DECREF(fast);
+    if (bad) {
+        PyMem_Free(pats);
+        return NULL;
+    }
+
+    memset(&a, 0, sizeof a);
+    a.m = (int)m;
+    a.parent = parent;
+    a.pats = pats;
+    a.npats = npats;
+    a.min_alpha = min_alpha;
+    a.pairs.width = 2;
+    a.seen.width = (int)m + 1;
+    a.out = PyList_New(0);
+    if (a.out != NULL) {
+        analyse(&a, connected);
+        if (run_masks(&a) < 0)
+            Py_CLEAR(a.out);
+    }
+    rs_free(&a.pairs);
+    rs_free(&a.seen);
+    PyMem_Free(pats);
+    return a.out;
+}
+
+static PyMethodDef methods[] = {
+    {"canon_form", (PyCFunction)(void (*)(void))py_canon_form, METH_FASTCALL,
+     "canon_form(n, adj) -> (rows, perm): canonical relabelling, as the pure kernels.canon_form."},
+    {"augment", (PyCFunction)(void (*)(void))py_augment, METH_FASTCALL,
+     "augment(m, parent_rows, patterns, min_alpha, connected) -> list of rows: the canonically\n"
+     "accepted one-vertex extensions of a canonical parent, as the pure enumeration._children."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "clawlab._augment", "Compiled canonical augmentation.", -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__augment(void) { return PyModule_Create(&module); }

@@ -23,7 +23,7 @@ and before any kernel call each extension is dropped when it duplicates
 another through a permutation of twins, or when its new vertex cannot be w:
 w has maximum degree among the vertices of R and, among those of that
 degree, a maximal neighbour profile over the degree classes, read off the
-parent's classes and the mask (see ``_children``).  Only whole extensions
+parent's classes and the mask (see ``_pure_children``).  Only whole extensions
 the acceptance test would have rejected anyway, or duplicates of accepted
 ones, are dropped, so the classes produced are unchanged.
 
@@ -38,6 +38,11 @@ extension whose child is disconnected is dropped before any kernel call:
 the child is connected iff the mask meets every component of the parent.
 That is a property of the child's class, so the classes emitted are
 unchanged.
+
+All of this per-parent work is one step, ``_children``.  When the compiled
+backend is built it is one ``kernels.augment`` call, which does in C what
+``_pure_children`` does in Python and returns the same rows in the same
+order; ``_pure_children`` is the fallback and the reference.
 """
 
 from __future__ import annotations
@@ -165,7 +170,18 @@ def _outranked(parent, by_deg, below, mask, k, rivals):
 
 
 def _children(rep: Graph, pattern_adjs, min_alpha=0, connected=False):
-    """Canonically accepted one-vertex extensions of a representative.
+    """Canonically accepted one-vertex extensions of a representative: one
+    ``kernels.augment`` call when the compiled backend is built, else
+    ``_pure_children``, which it reproduces bit for bit."""
+    if kernels.augment is None:
+        return _pure_children(rep, pattern_adjs, min_alpha, connected)
+    n = rep.n + 1
+    return [Graph.trusted(n, rows) for rows in kernels.augment(rep.n, rep.adj, pattern_adjs, min_alpha, connected)]
+
+
+def _pure_children(rep: Graph, pattern_adjs, min_alpha=0, connected=False):
+    """Canonically accepted one-vertex extensions of a representative, in
+    pure Python: the reference for ``kernels.augment``.
 
     The new vertex is joined to the parent's vertices in ``mask``.  With a
     = ``min_alpha`` the parent must have alpha >= a, and so has every

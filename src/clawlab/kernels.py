@@ -1,5 +1,6 @@
 """The hot kernels: max clique, exact k-colouring, induced-subgraph search,
-induced-cycle search and canonical labelling, in pure Python.
+induced-cycle search and canonical labelling, in pure Python, and the
+compiled canonical-augmentation step when it is built.
 
 Both embedding entries run one backtracker (``_embed``) with bitset
 candidates, and ``find_induced_cycle`` runs the cycle grower
@@ -17,13 +18,23 @@ every cell would.  Every search order is fixed, so results, witnesses
 included, are reproducible bit for bit.  Graphs enter as ``(n, adj)`` with
 ``adj`` a sequence of per-vertex neighbour bitmasks; vertex sets leave as
 bitmasks or index tuples.
+
+Two backends.  Everything above runs in pure Python.  When the optional
+C extension ``clawlab._augment`` imports (``setup.py build_ext --inplace``
+builds it from ``_augment.c`` where a C compiler is found), this module
+binds its ``canon_form`` in place of the pure one and its ``augment``, the
+whole of ``enumeration._children`` for one parent, and ``BACKEND`` is
+``"c"``.  Otherwise ``augment`` is None and ``BACKEND`` is ``"pure"``.
+Nothing else selects a backend: no option, no environment variable.  Both
+give the same results bit for bit; ``pure_canon_form`` keeps the pure
+labelling as the reference the compiled one is tested against.
 """
 
 from __future__ import annotations
 
 import functools
 
-BACKEND = "pure"  # reported by perfbench/probe.py and perfbench/worker.py
+BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
 
 
 def max_clique(n, adj):
@@ -521,3 +532,15 @@ def canon_form(n, adj):
     everyone = (1 << n) - 1
     search(refine([everyone], [everyone]))
     return best[0], best[1]
+
+
+pure_canon_form = canon_form
+augment = None
+try:
+    from clawlab import _augment
+except ImportError:
+    pass
+else:
+    BACKEND = "c"
+    canon_form = _augment.canon_form
+    augment = _augment.augment

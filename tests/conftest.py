@@ -1,12 +1,35 @@
 import itertools
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from clawlab import kernels
-from clawlab.enumeration import oracle_enumerate
-from clawlab.families import InflationSpec, build_inflation
-from clawlab.graphs import Graph
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _build_compiled_backend():
+    """Build ``clawlab._augment`` from the current source, as
+    ``perfbench/run.py`` does, before anything imports clawlab, so the tests
+    run the backend the bench times and never an extension left from an
+    older source.  The old in-place module goes first: without gcc, or if
+    the build fails, clawlab imports its pure backend."""
+    for old in (ROOT / "src" / "clawlab").glob("_augment.*.so"):
+        old.unlink()
+    if shutil.which("gcc") is not None:
+        subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--inplace"], cwd=ROOT, capture_output=True, timeout=600
+        )
+
+
+_build_compiled_backend()
+
+from clawlab import kernels  # noqa: E402
+from clawlab.enumeration import oracle_enumerate  # noqa: E402
+from clawlab.families import InflationSpec, build_inflation  # noqa: E402
+from clawlab.graphs import Graph  # noqa: E402
 
 
 @pytest.fixture(scope="session")

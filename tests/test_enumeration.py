@@ -10,6 +10,7 @@ from clawlab.enumeration import (
     EnumerationConfig,
     _children,
     _emit_ok,
+    _pure_children,
     _twin_classes,
     catalog_labels,
     enumerate_graphs,
@@ -164,6 +165,23 @@ class TestAgainstOracle:
     def test_root_holds_a_pattern(self):
         # 3K1 is the root of the alpha >= 3 tree, so the tree is empty
         assert enumerate_graphs(EnumerationConfig(max_n=7, free_of=("3K1",), min_alpha=3)) == 0
+
+    @pytest.mark.skipif(kernels.augment is None, reason="clawlab._augment did not build")
+    def test_oeis_counts_n9(self):
+        # OEIS A000088 and A001349 at n = 9 on the compiled path, counted by
+        # a visit that keeps nothing
+        per_n, connected = [0] * 10, [0] * 10
+
+        def visit(g):
+            per_n[g.n] += 1
+
+        def visit_connected(g):
+            connected[g.n] += 1
+
+        assert enumerate_graphs(EnumerationConfig(max_n=9), visit) == sum(per_n)
+        enumerate_graphs(EnumerationConfig(max_n=9, connected_only=True), visit_connected)
+        assert per_n[1:] == [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
+        assert connected[1:] == [1, 1, 2, 6, 21, 112, 853, 11117, 261080]
 
     def test_min_alpha_above_max_n_builds_nothing(self, monkeypatch):
         def unused(*args):
@@ -343,10 +361,31 @@ class TestChildren:
                 kept = [c for c in want[config.min_alpha] if _emit_ok(Graph.trusted(rep.n + 1, c), config)]
                 assert got == kept, (rep.adj, config)
 
+    @pytest.mark.skipif(kernels.augment is None, reason="clawlab._augment did not build")
+    @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
+    def test_augment_matches_pure(self, tokens, oracle6, rng, monkeypatch):
+        """On every parent of ``test_matches_reference``, for a = 0..4 and
+        with the connectivity filter off and on, the compiled ``_children``
+        (one ``kernels.augment`` call) gives the rows of the pure one, in
+        its order; the pure one runs on the pure labelling."""
+        pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
+        parents = _parents(oracle6, rng)
+        got = {
+            (rep.adj, a, connected): [g.adj for g in _children(rep, pats, a, connected)]
+            for rep in parents
+            for a in range(5)
+            for connected in (False, True)
+        }
+        monkeypatch.setattr(kernels, "canon_form", kernels.pure_canon_form)
+        for (adj, a, connected), rows in got.items():
+            rep = Graph.trusted(len(adj), adj)
+            assert rows == [g.adj for g in _pure_children(rep, pats, a, connected)], (adj, a, connected)
+
     def test_stages_pass_exactly_the_documented_masks(self, oracle6, rng, monkeypatch):
         """With no pattern, every mask that passes stages 0-2 is labelled
         once, so the labelled masks show what the stages let through, for
-        the whole tree and for the alpha >= 2 and alpha >= 3 trees."""
+        the whole tree and for the alpha >= 2 and alpha >= 3 trees (in the
+        pure ``_children``, whose labelling calls can be watched)."""
         parents = _parents(oracle6, rng)
         labelled = []
         canon_form = kernels.canon_form
@@ -362,7 +401,7 @@ class TestChildren:
                 if a > alpha:
                     continue
                 labelled.clear()
-                _children(rep, [], a)
+                _pure_children(rep, [], a)
                 got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
                 assert sorted(got) == list(_reference_masks(rep, a)), (rep.adj, a)
 

@@ -5,6 +5,7 @@ the canonical forms that graph6 output and reports are made of.
 """
 
 import hashlib
+import importlib
 import itertools
 import subprocess
 import sys
@@ -38,19 +39,36 @@ OBSTRUCTION_PATTERNS = ["K1", "2K1", "3K1", "K1_3", "P4", "P5", "C4", "C5", "Z1"
 # these exact rows
 CANON_DIGEST = "d5eece1f02be52ea184a695bbe29d49d66f8b0c8ac0c003ecad9bb9dbf463796"
 
+# the pure labelling, then the compiled one when it is built
+CANON_FORMS = tuple(dict.fromkeys((kernels.pure_canon_form, kernels.canon_form)))
+
+
+def _compiled_imports():
+    try:
+        importlib.import_module("clawlab._augment")
+    except ImportError:
+        return False
+    return True
+
 
 def test_backend_reports():
-    assert kernels.BACKEND == "pure"
+    # the backend is the one the import selected: the compiled one exactly
+    # when clawlab._augment imports
+    compiled = _compiled_imports()
+    assert kernels.BACKEND == ("c" if compiled else "pure")
+    assert (kernels.augment is not None) == compiled
+    assert (kernels.canon_form is kernels.pure_canon_form) == (not compiled)
 
 
 def test_bench_entry_points():
     # perfbench/run.py builds the checkout with setup.py and times
-    # perfbench/probe.py, which calls every kernel entry once
+    # perfbench/probe.py, which calls every kernel entry once and reports
+    # the backend this session imported
     def run(*argv):
         return subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120)
 
     probe = run("perfbench/probe.py")
-    assert probe.returncode == 0 and probe.stdout == "ready pure\n", probe.stderr
+    assert probe.returncode == 0 and probe.stdout == f"ready {kernels.BACKEND}\n", probe.stderr
     build = run("setup.py", "build_ext", "--inplace")
     assert build.returncode == 0, build.stderr
 
@@ -58,7 +76,9 @@ def test_bench_entry_points():
 def test_capacity_edge():
     full = tuple(((1 << 64) - 1) & ~(1 << v) for v in range(64))
     assert kernels.max_clique(64, full) == (1 << 64) - 1
-    assert kernels.canon_form(64, (0,) * 64)[0] == (0,) * 64
+    for canon_form in CANON_FORMS:
+        assert canon_form(64, (0,) * 64) == ((0,) * 64, tuple(range(64)))
+        assert canon_form(64, full) == (full, tuple(range(64)))
     assert kernels.color_with(64, full, 63) is None
 
 
@@ -198,12 +218,14 @@ def test_canon_form_matches_full_signature_refinement(oracle7, rng):
         graphs += [empty, empty.complement()]
     graphs += [random_graph(rng, rng.randrange(1, 21), rng.random()) for _ in range(300)]
     for g in graphs:
-        assert kernels.canon_form(g.n, g.adj) == full_signature_canon_form(g.n, g.adj), g
+        want = full_signature_canon_form(g.n, g.adj)
+        for canon_form in CANON_FORMS:
+            assert canon_form(g.n, g.adj) == want, (canon_form, g)
 
 
-def canon_digest(rng):
-    """sha256 of canon_form's (rows, perm) on seeded graphs on 8-14 vertices;
-    the regular ones make the search compare several leaves."""
+def canon_digest(rng, canon_forms):
+    """sha256 of each canon_form's (rows, perm) on seeded graphs on 8-14
+    vertices; the regular ones make the search compare several leaves."""
     graphs = [
         random_graph(rng, rng.randrange(8, 15), rng.choice([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9]))
         for _ in range(1000)
@@ -212,9 +234,12 @@ def canon_digest(rng):
         random_regular_graph(rng, rng.randrange(8, 15), rng.choice([(1,), (1, 2), (1, 3), (1, 2, 3)]))
         for _ in range(100)
     ]
-    lines = [repr(kernels.canon_form(g.n, g.adj)) for g in graphs]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return [
+        hashlib.sha256("\n".join(repr(canon_form(g.n, g.adj)) for g in graphs).encode()).hexdigest()
+        for canon_form in canon_forms
+    ]
 
 
 def test_canon_form_pinned(rng):
-    assert canon_digest(rng) == CANON_DIGEST
+    # both labellings give the pinned rows
+    assert canon_digest(rng, CANON_FORMS) == [CANON_DIGEST] * len(CANON_FORMS)
