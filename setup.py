@@ -1,7 +1,9 @@
 """Setuptools entry point; all other metadata is in pyproject.toml.
 
 Builds one optional C extension, ``clawlab._augment`` (compiled canonical
-augmentation, see ``src/clawlab/_augment.c``), with the system C compiler.
+augmentation and the per-graph predicates max clique, DSATUR colouring and
+the induced-cycle grower, see ``src/clawlab/_augment.c``), with the system
+C compiler.
 ``python setup.py build_ext --inplace``, the set-up step of
 ``perfbench/run.py`` and of the test session, puts it next to the sources.
 The extension is optional: when it does not compile, the build still

@@ -1,6 +1,7 @@
-/* Compiled canonical augmentation for clawlab.
+/* Compiled kernels for clawlab: canonical augmentation and the per-graph
+   predicates.
 
-   Two entries, both METH_FASTCALL:
+   Five entries, all METH_FASTCALL:
 
    canon_form(n, adj) -> (rows, perm)
        The same canonical relabelling as the pure kernels.canon_form:
@@ -14,11 +15,28 @@
        stages 0-3, obstruction listing and the mask & S == T test, labelling,
        per-parent dedup and the acceptance walk with its deletion check.
 
+   max_clique(n, adj) -> mask
+       The pure kernels.max_clique: the same greedy-colour order and the
+       same first maximum clique.
+
+   color_with(n, adj, k) -> tuple or None
+       The pure kernels.color_with: the same DSATUR choice, tie-breaks and
+       colour order.  Any k >= n acts as k = n, which the search never
+       exceeds.
+
+   induced_cycles(n, adj, min_len, max_len, visit) -> bool
+       The pure kernels.induced_cycles: the same cycles in the same order
+       and orientation, each passed to visit as a tuple, and the same bound
+       contract.  A truthy return of visit must be an int (TypeError
+       otherwise); one beyond a C long is saturated.
+
    Graphs are vertex counts and per-vertex neighbour bitmasks, one 64-bit
    word per row.  Every input is checked before any work: an out-of-range
    input raises ValueError and nothing here writes outside its arrays.  The
-   GIL is held throughout; the only state kept between calls is a small
-   cache of per-pattern search plans. */
+   GIL is held throughout.  The only state kept between calls is a small
+   cache of per-pattern search plans; induced_cycles keeps its search on
+   the C stack, so visit may call any entry again, and an exception raised
+   in visit ends the search and propagates unchanged. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -37,14 +55,29 @@ static inline word all_of(int n) { return n >= 64 ? ~(word)0 : ((word)1 << n) - 
 
 /* ---- argument checks ------------------------------------------------- */
 
+/* An int, saturated to LONG_MIN..LONG_MAX, into *out: 0, or -1 with
+   ValueError set. */
+static int read_int(PyObject *obj, long *out, const char *what)
+{
+    int overflow = 0;
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_ValueError, "%s must be an int", what);
+        return -1;
+    }
+    long v = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = overflow > 0 ? LONG_MAX : overflow < 0 ? LONG_MIN : v;
+    return 0;
+}
+
 /* An int in lo..hi, or -1 with ValueError set. */
 static long read_small(PyObject *obj, long lo, long hi, const char *what)
 {
-    int overflow = 0;
-    long v = PyLong_Check(obj) ? PyLong_AsLongAndOverflow(obj, &overflow) : lo - 1;
-    if (v == -1 && PyErr_Occurred())
+    long v;
+    if (read_int(obj, &v, what) < 0)
         return -1;
-    if (overflow || v < lo || v > hi) {
+    if (v < lo || v > hi) {
         PyErr_Format(PyExc_ValueError, "%s must be an int in %ld..%ld", what, lo, hi);
         return -1;
     }
@@ -87,6 +120,20 @@ static int read_rows(PyObject *seq, long count, int width, word *out, const char
     }
     Py_DECREF(fast);
     return 0;
+}
+
+/* The (n, adj) that every graph entry starts with, adj into out: n, or -1
+   with an exception set. */
+static long read_graph(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want, const char *usage, word *out)
+{
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments", usage, want);
+        return -1;
+    }
+    long n = read_small(args[0], 0, MAXN, "n");
+    if (n < 0 || read_rows(args[1], n, (int)n, out, "adj") < 0)
+        return -1;
+    return n;
 }
 
 /* ---- canonical labelling --------------------------------------------- */
@@ -236,6 +283,21 @@ static void canon(int n, const word *adj, word *rows, uint8_t *perm)
         memcpy(perm, cf.perm, n);
 }
 
+/* A tuple of count small ints. */
+static PyObject *index_tuple(int count, const uint8_t *xs)
+{
+    PyObject *t = PyTuple_New(count);
+    for (int i = 0; t && i < count; i++) {
+        PyObject *x = PyLong_FromLong(xs[i]);
+        if (x == NULL) {
+            Py_CLEAR(t);
+            break;
+        }
+        PyTuple_SET_ITEM(t, i, x);
+    }
+    return t;
+}
+
 static PyObject *rows_tuple(int n, const word *rows)
 {
     PyObject *t = PyTuple_New(n);
@@ -254,26 +316,14 @@ static PyObject *py_canon_form(PyObject *self, PyObject *const *args, Py_ssize_t
 {
     word adj[MAXN], rows[MAXN];
     uint8_t perm[MAXN];
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "canon_form(n, adj) takes 2 arguments");
-        return NULL;
-    }
-    long n = read_small(args[0], 0, MAXN, "n");
-    if (n < 0 || read_rows(args[1], n, (int)n, adj, "adj") < 0)
+    long n = read_graph(args, nargs, 2, "canon_form(n, adj)", adj);
+    if (n < 0)
         return NULL;
     if (n == 0)
         return Py_BuildValue("(()())");
     canon((int)n, adj, rows, perm);
     PyObject *rt = rows_tuple((int)n, rows);
-    PyObject *pt = rt ? PyTuple_New(n) : NULL;
-    for (long v = 0; pt && v < n; v++) {
-        PyObject *x = PyLong_FromLong(perm[v]);
-        if (x == NULL) {
-            Py_CLEAR(pt);
-            break;
-        }
-        PyTuple_SET_ITEM(pt, v, x);
-    }
+    PyObject *pt = rt ? index_tuple((int)n, perm) : NULL;
     if (pt == NULL) {
         Py_XDECREF(rt);
         return NULL;
@@ -843,21 +893,15 @@ static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t na
     long m = read_small(args[0], 0, MAXN - 1, "m");
     if (m < 0 || read_rows(args[1], m, (int)m, parent, "parent_rows") < 0)
         return NULL;
-    long min_alpha = -1;
-    if (PyLong_Check(args[3])) {
-        int overflow = 0;
-        min_alpha = PyLong_AsLongAndOverflow(args[3], &overflow);
-        if (min_alpha == -1 && PyErr_Occurred())
-            return NULL;
-        if (overflow > 0 || min_alpha > MAXN + 1)
-            min_alpha = MAXN + 1; /* no graph here has an independent set that large */
-        else if (overflow < 0)
-            min_alpha = -1;
-    }
+    long min_alpha;
+    if (read_int(args[3], &min_alpha, "min_alpha") < 0)
+        return NULL;
     if (min_alpha < 0) {
         PyErr_SetString(PyExc_ValueError, "min_alpha must be a non-negative int");
         return NULL;
     }
+    if (min_alpha > MAXN + 1)
+        min_alpha = MAXN + 1; /* no graph here has an independent set that large */
     int connected = PyObject_IsTrue(args[4]);
     if (connected < 0)
         return NULL;
@@ -921,17 +965,233 @@ static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t na
     return a.out;
 }
 
+/* ---- per-graph predicates -------------------------------------------- */
+
+typedef struct {
+    const word *adj;
+    int size; /* the incumbent's */
+    word best;
+} Clique;
+
+/* kernels.max_clique's expand: the candidates are greedily coloured in
+   ascending vertex order and expanded from the last vertex of the highest
+   colour class down, each with the candidates before it; a branch is cut
+   when the clique so far plus the candidate's colour cannot beat the
+   incumbent, which only a strictly larger clique replaces. */
+static void expand(Clique *cq, word clique, int size, word cand)
+{
+    if (!cand) {
+        if (size > cq->size) {
+            cq->size = size;
+            cq->best = clique;
+        }
+        return;
+    }
+    word cls[MAXN];
+    int ncls = 0;
+    for (word m = cand; m; m &= m - 1) {
+        int v = low_index(m), c = 0;
+        while (c < ncls && (cq->adj[v] & cls[c]))
+            c++;
+        if (c == ncls)
+            cls[ncls++] = 0;
+        cls[c] |= (word)1 << v;
+    }
+    word before = cand;
+    for (int c = ncls - 1; c >= 0; c--) {
+        before &= ~cls[c];
+        for (word m = cls[c]; m;) {
+            int v = 63 - __builtin_clzll(m);
+            m &= ~((word)1 << v);
+            if (size + c + 1 <= cq->size)
+                return;
+            expand(cq, clique | (word)1 << v, size + 1, (before | m) & cq->adj[v]);
+        }
+    }
+}
+
+typedef struct {
+    const word *adj;
+    int k;
+    word left;         /* the uncoloured vertices */
+    word seen[MAXN];   /* per vertex, the colours on its coloured neighbours */
+    uint8_t colour[MAXN];
+} Colouring;
+
+/* kernels.color_with's go: colour the uncoloured vertex of most colours
+   seen, lowest first, with each allowed colour in ascending order; a fresh
+   colour may only be the next unused one. */
+static int dsatur(Colouring *cl, int max_used)
+{
+    if (!cl->left)
+        return 1;
+    int v = -1, sat = -1;
+    for (word m = cl->left; m; m &= m - 1) {
+        int u = low_index(m), s = popc(cl->seen[u]);
+        if (s > sat) {
+            sat = s;
+            v = u;
+        }
+    }
+    int limit = max_used + 2 < cl->k ? max_used + 2 : cl->k;
+    cl->left &= ~((word)1 << v);
+    for (word m = ~cl->seen[v] & all_of(limit); m; m &= m - 1) {
+        int c = low_index(m);
+        word bit = (word)1 << c, touched = 0;
+        cl->colour[v] = (uint8_t)c;
+        for (word nb = cl->adj[v] & cl->left; nb; nb &= nb - 1) {
+            int u = low_index(nb);
+            if (!(cl->seen[u] & bit)) {
+                cl->seen[u] |= bit;
+                touched |= (word)1 << u;
+            }
+        }
+        if (dsatur(cl, c > max_used ? c : max_used))
+            return 1;
+        for (; touched; touched &= touched - 1)
+            cl->seen[low_index(touched)] &= ~bit;
+    }
+    cl->left |= (word)1 << v;
+    return 0;
+}
+
+typedef struct {
+    const word *adj;
+    long min_len, bound;
+    uint8_t path[MAXN];
+    PyObject *visit;
+} Cycles;
+
+/* Pass the path closed by v to visit and lower the bound by its return:
+   1 when the bound is now below min_len, 0 to go on, -1 on error. */
+static int close_cycle(Cycles *cy, int depth, int v)
+{
+    cy->path[depth] = (uint8_t)v;
+    PyObject *cycle = index_tuple(depth + 1, cy->path);
+    if (cycle == NULL)
+        return -1;
+    PyObject *reply = PyObject_CallOneArg(cy->visit, cycle);
+    Py_DECREF(cycle);
+    if (reply == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(reply);
+    PyObject *wanted = truth > 0 ? PyNumber_Index(reply) : NULL;
+    Py_DECREF(reply);
+    if (truth <= 0)
+        return truth;
+    if (wanted == NULL)
+        return -1;
+    long bound;
+    int rc = read_int(wanted, &bound, "visit's return");
+    Py_DECREF(wanted);
+    if (rc < 0)
+        return -1;
+    if (bound < cy->bound)
+        cy->bound = bound;
+    return cy->bound < cy->min_len;
+}
+
+/* kernels.induced_cycles's grow: close the path with its closing vertices
+   (adjacent to the start), ascending, then extend it with the rest; 1 when
+   the search stops, 0 to go on, -1 on error. */
+static int grow(Cycles *cy, int depth, word used, word forbid, word v0adj)
+{
+    word last = cy->adj[cy->path[depth - 1]], base = last & ~used & ~forbid;
+    if (depth + 1 >= cy->min_len) {
+        /* orientation: the closing vertex must exceed path[1] */
+        for (word m = base & v0adj & ~(((word)2 << cy->path[1]) - 1); m && depth < cy->bound; m &= m - 1) {
+            int rc = close_cycle(cy, depth, low_index(m));
+            if (rc)
+                return rc;
+        }
+    }
+    for (word m = base & ~v0adj; m && depth + 1 < cy->bound; m &= m - 1) {
+        int v = low_index(m);
+        cy->path[depth] = (uint8_t)v;
+        int rc = grow(cy, depth + 1, used | (word)1 << v, forbid | last, v0adj);
+        if (rc)
+            return rc;
+    }
+    return 0;
+}
+
+static PyObject *py_max_clique(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word adj[MAXN];
+    long n = read_graph(args, nargs, 2, "max_clique(n, adj)", adj);
+    if (n < 0)
+        return NULL;
+    Clique cq = {adj, 0, 0};
+    expand(&cq, 0, 0, all_of((int)n));
+    return PyLong_FromUnsignedLongLong(cq.best);
+}
+
+static PyObject *py_color_with(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word adj[MAXN];
+    long k;
+    long n = read_graph(args, nargs, 3, "color_with(n, adj, k)", adj);
+    if (n < 0 || read_int(args[2], &k, "k") < 0)
+        return NULL;
+    if (n == 0)
+        return PyTuple_New(0);
+    if (k <= 0)
+        Py_RETURN_NONE;
+    Colouring cl = {adj, k < n ? (int)k : (int)n, all_of((int)n), {0}, {0}};
+    if (!dsatur(&cl, -1))
+        Py_RETURN_NONE;
+    return index_tuple((int)n, cl.colour);
+}
+
+static PyObject *py_induced_cycles(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word adj[MAXN];
+    long min_len, max_len;
+    long n = read_graph(args, nargs, 5, "induced_cycles(n, adj, min_len, max_len, visit)", adj);
+    if (n < 0 || read_int(args[2], &min_len, "min_len") < 0 || read_int(args[3], &max_len, "max_len") < 0)
+        return NULL;
+    if (!PyCallable_Check(args[4])) {
+        PyErr_SetString(PyExc_TypeError, "visit must be callable");
+        return NULL;
+    }
+    if (min_len < 3)
+        min_len = 3;
+    if (max_len < min_len || min_len > n)
+        Py_RETURN_FALSE;
+    Cycles cy = {adj, min_len, max_len, {0}, args[4]};
+    int rc = 0;
+    for (int v0 = 0; v0 <= n - min_len && !rc; v0++) {
+        word below = all_of(v0 + 1);
+        cy.path[0] = (uint8_t)v0;
+        for (word m = adj[v0] & ~below; m && !rc; m &= m - 1) {
+            cy.path[1] = (uint8_t)low_index(m);
+            rc = grow(&cy, 2, below | (m & -m), 0, adj[v0]);
+        }
+    }
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(rc);
+}
+
 static PyMethodDef methods[] = {
     {"canon_form", (PyCFunction)(void (*)(void))py_canon_form, METH_FASTCALL,
      "canon_form(n, adj) -> (rows, perm): canonical relabelling, as the pure kernels.canon_form."},
     {"augment", (PyCFunction)(void (*)(void))py_augment, METH_FASTCALL,
      "augment(m, parent_rows, patterns, min_alpha, connected) -> list of rows: the canonically\n"
      "accepted one-vertex extensions of a canonical parent, as the pure enumeration._children."},
+    {"max_clique", (PyCFunction)(void (*)(void))py_max_clique, METH_FASTCALL,
+     "max_clique(n, adj) -> mask: the first maximum clique, as the pure kernels.max_clique."},
+    {"color_with", (PyCFunction)(void (*)(void))py_color_with, METH_FASTCALL,
+     "color_with(n, adj, k) -> tuple or None: a DSATUR colouring with at most k colours, as the\n"
+     "pure kernels.color_with."},
+    {"induced_cycles", (PyCFunction)(void (*)(void))py_induced_cycles, METH_FASTCALL,
+     "induced_cycles(n, adj, min_len, max_len, visit) -> bool: visit each induced cycle, as the\n"
+     "pure kernels.induced_cycles."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "clawlab._augment", "Compiled canonical augmentation.", -1, methods,
+    PyModuleDef_HEAD_INIT, "clawlab._augment", "Compiled canonical augmentation and per-graph predicates.", -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__augment(void) { return PyModule_Create(&module); }

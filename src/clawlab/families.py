@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from clawlab.graphs import Graph, MAX_VERTICES
-from clawlab.invariants import chromatic_number, clique_number
+from clawlab.invariants import _chromatic_from, clique_number
 from clawlab.patterns import has_induced, is_free
 
 CLAIM_MAX_VERTICES = 40
@@ -207,7 +207,7 @@ def verify_family_claims(spec: FamilySpec) -> ClaimReport:
     if g.n > CLAIM_MAX_VERTICES:
         raise FamilyError(f"claim verification capped at {CLAIM_MAX_VERTICES} vertices, got {g.n}")
     omega, _ = clique_number(g)
-    chi, _ = chromatic_number(g)
+    chi, _ = _chromatic_from(g, omega)
     report = ClaimReport(spec=spec, n=g.n, omega=omega, chi=chi)
     checks = report.checks
 

@@ -58,9 +58,14 @@ def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number with a proper colouring witness."""
+    return _chromatic_from(g, kernels.max_clique(g.n, g.adj).bit_count())
+
+
+def _chromatic_from(g: Graph, lb: int) -> tuple[int, tuple[int, ...]]:
+    """``chromatic_number`` given a lower bound ``lb`` on chi, such as the
+    clique number a caller already has: the first k >= lb that colours."""
     if g.n == 0:
         return 0, ()
-    lb = kernels.max_clique(g.n, g.adj).bit_count()
     for k in range(lb, g.n + 1):
         col = kernels.color_with(g.n, g.adj, k)
         if col is not None:
@@ -77,7 +82,7 @@ def is_omega_colourable(g: Graph) -> bool:
 def invariant_report(g: Graph) -> InvariantReport:
     omega, clique = clique_number(g)
     alpha, independent = independence_number(g)
-    chi, coloring = chromatic_number(g)
+    chi, coloring = _chromatic_from(g, omega)
     return InvariantReport(
         omega=omega,
         alpha=alpha,

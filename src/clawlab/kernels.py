@@ -1,6 +1,7 @@
 """The hot kernels: max clique, exact k-colouring, induced-subgraph search,
-induced-cycle search and canonical labelling, in pure Python, and the
-compiled canonical-augmentation step when it is built.
+induced-cycle search and canonical labelling, in pure Python, and their
+compiled counterparts with the canonical-augmentation step when it is
+built.
 
 Both embedding entries run one backtracker (``_embed``) with bitset
 candidates, and ``find_induced_cycle`` runs the cycle grower
@@ -22,12 +23,17 @@ bitmasks or index tuples.
 Two backends.  Everything above runs in pure Python.  When the optional
 C extension ``clawlab._augment`` imports (``setup.py build_ext --inplace``
 builds it from ``_augment.c`` where a C compiler is found), this module
-binds its ``canon_form`` in place of the pure one and its ``augment``, the
-whole of ``enumeration._children`` for one parent, and ``BACKEND`` is
-``"c"``.  Otherwise ``augment`` is None and ``BACKEND`` is ``"pure"``.
-Nothing else selects a backend: no option, no environment variable.  Both
-give the same results bit for bit; ``pure_canon_form`` keeps the pure
-labelling as the reference the compiled one is tested against.
+binds its ``canon_form``, ``max_clique``, ``color_with`` and
+``induced_cycles`` in place of the pure ones (``find_induced_cycle`` then
+runs the compiled grower) and its ``augment``, the whole of
+``enumeration._children`` for one parent, and ``BACKEND`` is ``"c"``.
+Otherwise ``augment`` is None and ``BACKEND`` is ``"pure"``.  Nothing else
+selects a backend: no option, no environment variable.  Both give the same
+results bit for bit; ``pure_canon_form``, ``pure_max_clique``,
+``pure_color_with`` and ``pure_induced_cycles`` keep the pure entries as
+the references the compiled ones are tested against.  The compiled entries
+take only ``n`` in 0..64, ints and rows with no bit at ``n`` or above, and
+raise ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -535,6 +541,9 @@ def canon_form(n, adj):
 
 
 pure_canon_form = canon_form
+pure_max_clique = max_clique
+pure_color_with = color_with
+pure_induced_cycles = induced_cycles
 augment = None
 try:
     from clawlab import _augment
@@ -543,4 +552,7 @@ except ImportError:
 else:
     BACKEND = "c"
     canon_form = _augment.canon_form
+    max_clique = _augment.max_clique
+    color_with = _augment.color_with
+    induced_cycles = _augment.induced_cycles
     augment = _augment.augment

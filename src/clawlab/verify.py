@@ -20,7 +20,7 @@ from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 from clawlab.graphs import Graph, bitset_of, to_graph6
 from clawlab.invariants import (
-    chromatic_number,
+    _chromatic_from,
     clique_number,
     find_odd_antihole,
     is_perfect,
@@ -82,7 +82,7 @@ def _check_perfect_class(g: Graph):
     reasons = []
     omega, _ = clique_number(g)
     if kernels.color_with(g.n, g.adj, omega) is None:
-        chi, _ = chromatic_number(g)
+        chi, _ = _chromatic_from(g, omega + 1)
         reasons.append(f"not omega-colourable: chi={chi} > omega={omega}")
     verdict = is_perfect(g, "spgt")
     if not verdict.perfect:

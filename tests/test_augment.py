@@ -2,8 +2,9 @@
 
 Each check runs in a child process, so a crash fails the test instead of
 ending the session.  Its agreement with the pure code is checked in
-``test_kernels.py`` (``canon_form``) and ``test_enumeration.py``
-(``augment`` against ``_pure_children``).
+``test_kernels.py`` (``canon_form``, ``max_clique``, ``color_with`` and
+``induced_cycles``) and ``test_enumeration.py`` (``augment`` against
+``_pure_children``).
 """
 
 import json
@@ -43,9 +44,8 @@ def rows(n, p=None):
 
 def some_patterns():
     return rng.sample(PATTERNS, rng.randrange(0, 3))
-"""
 
-MALFORMED = PRELUDE + r"""
+
 NOT_INTS = [1.5, "3", None, [1], (), b"1", object()]
 
 
@@ -89,6 +89,19 @@ def may_reject(fn, *args):
         return "rejected"
 
 
+class Boom(Exception):
+    pass
+
+
+def tally_of(cases, count):
+    tally = {}
+    for i in range(count):
+        outcome = cases[i % len(cases)]()
+        tally[outcome] = tally.get(outcome, 0) + 1
+    return tally
+"""
+
+MALFORMED = PRELUDE + r"""
 def canon_case():
     n = rng.randrange(1, 65)
     adj = rows(n)
@@ -135,11 +148,82 @@ def augment_case():
     return may_reject(_augment.augment, *call)
 
 
-tally = {}
-for i in range(3000):
-    outcome = (canon_case if i % 2 else augment_case)()
-    tally[outcome] = tally.get(outcome, 0) + 1
-print(json.dumps(tally))
+print(json.dumps(tally_of([augment_case, canon_case], 3000)))
+"""
+
+PREDICATES_MALFORMED = PRELUDE + r"""
+def predicate_case():
+    n = rng.randrange(0, 13)
+    adj = rows(n)
+    name = rng.choice(["max_clique", "color_with", "induced_cycles"])
+    fn = getattr(_augment, name)
+    extra = {
+        "max_clique": [],
+        "color_with": [rng.randrange(-2, n + 3)],
+        "induced_cycles": [rng.randrange(0, 8), rng.randrange(0, n + 2), lambda cycle: None],
+    }[name]
+    kind = rng.randrange(6)
+    if kind == 0:
+        return must_reject(fn, rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)]), adj, *extra)
+    if kind == 1 and n:
+        return must_reject(fn, n, corrupted(adj, n), *extra)
+    if kind == 2:
+        return must_reject(fn, n, adj[:-1] if n and rng.random() < 0.5 else adj + (0,), *extra)
+    if kind == 3 and extra:
+        bad = list(extra)
+        bad[rng.randrange(min(len(extra), 2))] = rng.choice(NOT_INTS)
+        return must_reject(fn, n, adj, *bad)
+    if kind == 4 and name == "induced_cycles":
+        return visit_case(n, adj)
+    # loops and one-sided rows are within range: answered, not crashed
+    odd = tuple(row | rng.getrandbits(n) & rng.getrandbits(n) for row in adj) if n else adj
+    return may_reject(fn, n, odd, *extra)
+
+
+def visit_case(n, adj):
+    kind = rng.randrange(3)
+    if kind == 0:
+        # an exception raised in visit ends the search and comes out unchanged
+        err, at, seen = Boom(), rng.randrange(1, 4), []
+
+        def visit(cycle):
+            seen.append(cycle)
+            if len(seen) == at:
+                raise err
+
+        try:
+            _augment.induced_cycles(n, adj, 3, n, visit)
+        except Boom as e:
+            assert e is err and len(seen) == at
+            return "raised"
+        return "answered"
+    if kind == 1:
+        # a visit that is not callable, or returns a truthy non-int, is a TypeError
+        bad_reply = rng.choice([1.5, "x", [1], object()])
+        visit = rng.choice([None, 3, "visit", (), object(), lambda cycle: bad_reply])
+        try:
+            _augment.induced_cycles(n, adj, 3, n, visit)
+        except TypeError:
+            return "rejected"
+        assert callable(visit) and not _augment.induced_cycles(n, adj, 3, n, lambda cycle: True), visit
+        return "answered"
+    # a visit that runs the search again gets the same nested result
+    want = []
+    _augment.induced_cycles(n, adj, 3, n, want.append)
+    nested = []
+
+    def visit(cycle):
+        inner = []
+        stopped = _augment.induced_cycles(n, adj, 3, n, inner.append)
+        nested.append(stopped is False and inner == want)
+        return len(nested) >= 20
+
+    _augment.induced_cycles(n, adj, 3, n, visit)
+    assert len(nested) == min(len(want), 20) and all(nested)
+    return "nested"
+
+
+print(json.dumps(tally_of([predicate_case], 3000)))
 """
 
 LONG_RUN = PRELUDE + r"""
@@ -152,7 +236,11 @@ parents = [_augment.canon_form(len(g), g)[0] for g in graphs]
 configs = [(some_patterns(), rng.randrange(0, 4), rng.random() < 0.5) for _ in range(500)]
 
 
-def run(canon_calls, augment_calls):
+def raising(cycle):
+    raise Boom(cycle)
+
+
+def run(canon_calls, augment_calls, predicate_calls):
     for i in range(canon_calls):
         g = graphs[i % len(graphs)]
         _augment.canon_form(len(g), g)
@@ -164,11 +252,27 @@ def run(canon_calls, augment_calls):
             _augment.augment(len(p), p + (1,), pats, a, conn)
         except ValueError:
             pass
+    for i in range(predicate_calls):
+        g = graphs[i % len(graphs)]
+        n = len(g)
+        omega = _augment.max_clique(n, g).bit_count()
+        _augment.color_with(n, g, omega)
+        _augment.color_with(n, g, omega - 1)
+        cycles = []
+        _augment.induced_cycles(n, g, 3, n, cycles.append)
+        try:
+            _augment.induced_cycles(n, g, 3, n, raising)
+        except Boom:
+            pass
+        try:
+            _augment.color_with(n, g + (1,), omega)
+        except ValueError:
+            pass
 
 
-run(10_000, 1_000)
+run(10_000, 1_000, 1_000)
 before = rss_kib()
-run(100_000, 10_000)
+run(100_000, 10_000, 10_000)
 print(json.dumps({"before_kib": before, "growth_kib": rss_kib() - before}))
 """
 
@@ -190,8 +294,21 @@ def test_malformed_input_is_rejected_not_crashed():
     assert tally["rejected"] > 2000 and tally["answered"] > 100, tally
 
 
+def test_predicates_reject_malformed_input_and_keep_visit_errors():
+    # n outside 0..64, a wrong row count, a row bit >= n and a non-int row,
+    # k or length raise ValueError; an exception raised in visit comes out
+    # unchanged, a visit that is not callable or returns a truthy non-int
+    # raises TypeError, and a visit that searches again gets the same
+    # nested result
+    tally = run_child(PREDICATES_MALFORMED, 20261019)
+    assert tally["rejected"] > 1500 and tally["answered"] > 300, tally
+    assert tally["raised"] > 20 and tally["nested"] > 20, tally
+
+
 def test_long_runs_keep_memory_flat():
-    # 100k canon_form and 10k augment calls (plus 10k rejected ones) on
-    # 6-12 vertex graphs after warm-up: the peak RSS grows by at most 1 MiB
+    # 100k canon_form and 10k augment calls (plus 10k rejected ones), and
+    # 10k rounds of the predicates (a clique, two colourings, a full cycle
+    # search, a search whose visit raises and a rejected call) on 6-12
+    # vertex graphs after warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

@@ -22,6 +22,7 @@ from conftest import (
     brute_clique_number,
     brute_embeddings,
     brute_oriented_cycles,
+    cycle_search_graphs,
     full_signature_canon_form,
     named_graphs,
     permuted,
@@ -39,8 +40,13 @@ OBSTRUCTION_PATTERNS = ["K1", "2K1", "3K1", "K1_3", "P4", "P5", "C4", "C5", "Z1"
 # these exact rows
 CANON_DIGEST = "d5eece1f02be52ea184a695bbe29d49d66f8b0c8ac0c003ecad9bb9dbf463796"
 
-# the pure labelling, then the compiled one when it is built
+# each pure entry, then the compiled one when it is built
 CANON_FORMS = tuple(dict.fromkeys((kernels.pure_canon_form, kernels.canon_form)))
+MAX_CLIQUES = tuple(dict.fromkeys((kernels.pure_max_clique, kernels.max_clique)))
+COLOR_WITHS = tuple(dict.fromkeys((kernels.pure_color_with, kernels.color_with)))
+CYCLE_GROWERS = tuple(dict.fromkeys((kernels.pure_induced_cycles, kernels.induced_cycles)))
+
+compiled_only = pytest.mark.skipif(kernels.augment is None, reason="clawlab._augment did not build")
 
 
 def _compiled_imports():
@@ -58,6 +64,13 @@ def test_backend_reports():
     assert kernels.BACKEND == ("c" if compiled else "pure")
     assert (kernels.augment is not None) == compiled
     assert (kernels.canon_form is kernels.pure_canon_form) == (not compiled)
+
+
+def test_predicates_follow_the_backend():
+    # the compiled predicates are bound exactly when the extension is
+    compiled = kernels.augment is not None
+    for name in ("max_clique", "color_with", "induced_cycles"):
+        assert (getattr(kernels, name) is getattr(kernels, f"pure_{name}")) == (not compiled)
 
 
 def test_bench_entry_points():
@@ -85,21 +98,23 @@ def test_capacity_edge():
 def test_max_clique_brute_force(rng):
     for _ in range(150):
         g = random_graph(rng, rng.randrange(0, 9), rng.random())
-        mask = kernels.max_clique(g.n, g.adj)
-        vs = [v for v in range(g.n) if (mask >> v) & 1]
-        assert all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
-        assert len(vs) == brute_clique_number(g)
+        for max_clique in MAX_CLIQUES:
+            mask = max_clique(g.n, g.adj)
+            vs = [v for v in range(g.n) if (mask >> v) & 1]
+            assert all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+            assert len(vs) == brute_clique_number(g)
 
 
 def test_color_with_brute_force(rng):
     for _ in range(80):
         g = random_graph(rng, rng.randrange(0, 7), rng.random())
         chi = brute_chromatic_number(g)
-        col = kernels.color_with(g.n, g.adj, chi)
-        assert col is not None
-        assert all(col[u] != col[v] for u, v in g.edge_list())
-        if chi > 1:
-            assert kernels.color_with(g.n, g.adj, chi - 1) is None
+        for color_with in COLOR_WITHS:
+            col = color_with(g.n, g.adj, chi)
+            assert col is not None
+            assert all(col[u] != col[v] for u, v in g.edge_list())
+            if chi > 1:
+                assert color_with(g.n, g.adj, chi - 1) is None
 
 
 def test_color_determinism(rng):
@@ -109,15 +124,17 @@ def test_color_determinism(rng):
         assert kernels.color_with(g.n, g.adj, 5) == first
 
 
-def test_find_induced_cycle_brute_force(rng):
+def test_find_induced_cycle_brute_force(rng, monkeypatch):
     # the witness is the lex-least induced cycle of its length, least vertex
-    # first and smaller neighbour second
+    # first and smaller neighbour second, with either grower
     for _ in range(120):
         g = random_graph(rng, rng.randrange(3, 9), 0.45)
-        for length in range(3, g.n + 1):
-            got = kernels.find_induced_cycle(g.n, g.adj, length)
-            want = brute_oriented_cycles(g, length)
-            assert got == (want[0] if want else None)
+        for grower in CYCLE_GROWERS:
+            monkeypatch.setattr(kernels, "induced_cycles", grower)
+            for length in range(3, g.n + 1):
+                got = kernels.find_induced_cycle(g.n, g.adj, length)
+                want = brute_oriented_cycles(g, length)
+                assert got == (want[0] if want else None)
 
 
 def test_induced_cycles_bound_contract(rng):
@@ -126,23 +143,84 @@ def test_induced_cycles_bound_contract(rng):
     # bound; True stops the search and None goes on
     for _ in range(60):
         g = random_graph(rng, rng.randrange(4, 11), rng.choice([0.3, 0.5, 0.7]))
-        for min_len in (3, 5):
-            every = []
-            assert kernels.induced_cycles(g.n, g.adj, min_len, g.n, every.append) is False
-            for i in range(len(every)):
-                for reply in (True, *range(min_len - 1, g.n + 1)):
-                    got = []
+        for induced_cycles in CYCLE_GROWERS:
+            for min_len in (3, 5):
+                every = []
+                assert induced_cycles(g.n, g.adj, min_len, g.n, every.append) is False
+                for i in range(len(every)):
+                    for reply in (True, *range(min_len - 1, g.n + 1)):
+                        got = []
 
-                    def visit(cycle):
-                        got.append(cycle)
-                        return None if len(got) <= i else reply if len(got) == i + 1 else g.n
+                        def visit(cycle):
+                            got.append(cycle)
+                            return None if len(got) <= i else reply if len(got) == i + 1 else g.n
 
-                    stopped = kernels.induced_cycles(g.n, g.adj, min_len, g.n, visit)
-                    if reply < min_len:
-                        assert stopped is True and got == every[: i + 1]
-                    else:
-                        later = [c for c in every[i + 1 :] if len(c) <= reply]
-                        assert stopped is False and got == every[: i + 1] + later
+                        stopped = induced_cycles(g.n, g.adj, min_len, g.n, visit)
+                        if reply < min_len:
+                            assert stopped is True and got == every[: i + 1]
+                        else:
+                            later = [c for c in every[i + 1 :] if len(c) <= reply]
+                            assert stopped is False and got == every[: i + 1] + later
+
+
+def sparse_connected_graph(rng, n, chords):
+    """A random tree on n vertices plus ``chords`` random edges: few
+    induced cycles and an exact colouring search that stays small, so the
+    pure entries answer every query on it up to the 64-vertex capacity."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def cycle_visits(induced_cycles, g, min_len, stop_after=None):
+    """What a search returns and every cycle it passes to visit.  With
+    ``stop_after`` the visit lowers the bound to one more than the length
+    of every third cycle and stops the search at that many cycles."""
+    seen = []
+
+    def visit(cycle):
+        seen.append(cycle)
+        if stop_after is None:
+            return None
+        return len(seen) >= stop_after or (len(cycle) + 1 if len(seen) % 3 == 0 else 0)
+
+    return induced_cycles(g.n, g.adj, min_len, g.n, visit), seen
+
+
+@compiled_only
+def test_compiled_predicates_match_pure(oracle7, rng):
+    # every class on at most 7 vertices, the cycle-search inputs and sparse
+    # connected graphs up to 64 vertices: the same first maximum clique, the
+    # same colouring or None for every k, and the same cycles in the same
+    # order for min_len 3..6
+    graphs = cycle_search_graphs(oracle7, rng)
+    graphs += [sparse_connected_graph(rng, rng.randrange(17, 65), rng.randrange(0, 6)) for _ in range(40)]
+    for g in graphs:
+        assert kernels.max_clique(g.n, g.adj) == kernels.pure_max_clique(g.n, g.adj), g
+        for k in (*range(-1, g.n + 2), 2**70):
+            assert kernels.color_with(g.n, g.adj, k) == kernels.pure_color_with(g.n, g.adj, k), (g, k)
+        for min_len in range(3, 7):
+            got = cycle_visits(kernels.induced_cycles, g, min_len)
+            assert got == cycle_visits(kernels.pure_induced_cycles, g, min_len), (g, min_len)
+
+
+@compiled_only
+def test_compiled_predicates_match_pure_on_dense_graphs(rng):
+    # seeded graphs on 40-64 vertices, dense ones and complements of sparse
+    # ones, and the empty and complete graphs on 64: the same maximum
+    # clique, the same answers where the colouring search is short, and the
+    # same cycles from a visit that lowers the bound and stops the search
+    graphs = [random_graph(rng, rng.randrange(40, 65), rng.choice([0.5, 0.7, 0.9])) for _ in range(6)]
+    graphs += [sparse_connected_graph(rng, rng.randrange(40, 65), rng.randrange(0, 6)).complement() for _ in range(6)]
+    graphs += [Graph(64, (0,) * 64), Graph(64, (0,) * 64).complement()]
+    for g in graphs:
+        assert kernels.max_clique(g.n, g.adj) == kernels.pure_max_clique(g.n, g.adj), g
+        for k in (-(2**70), -1, 0, g.n, g.n + 1, 2**70):
+            assert kernels.color_with(g.n, g.adj, k) == kernels.pure_color_with(g.n, g.adj, k), (g, k)
+        for min_len in range(3, 7):
+            got = cycle_visits(kernels.induced_cycles, g, min_len, stop_after=300)
+            assert got == cycle_visits(kernels.pure_induced_cycles, g, min_len, stop_after=300), (g, min_len)
 
 
 def test_has_induced_brute_force(rng):
@@ -243,3 +321,34 @@ def canon_digest(rng, canon_forms):
 def test_canon_form_pinned(rng):
     # both labellings give the pinned rows
     assert canon_digest(rng, CANON_FORMS) == [CANON_DIGEST] * len(CANON_FORMS)
+
+
+@compiled_only
+def test_compiled_predicates_keep_pure_edges(rng):
+    # colour counts of at most 0 colour nothing but the empty graph and any
+    # count from n on acts as n; lengths below 3 count as 3, a maximum
+    # below the minimum visits nothing, and a visit's return beyond a C
+    # long leaves the bound (positive) or stops the search (negative)
+    huge = 2**70
+    for color_with in COLOR_WITHS:
+        for k in (-huge, -1, 0, 1, huge):
+            assert color_with(0, (), k) == ()
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(1, 11), rng.random())
+        for k in (-huge, -1, 0):
+            assert kernels.color_with(g.n, g.adj, k) is None
+        for k in (g.n + 1, g.n + 7, huge):
+            assert kernels.color_with(g.n, g.adj, k) == kernels.color_with(g.n, g.adj, g.n)
+            assert kernels.color_with(g.n, g.adj, k) == kernels.pure_color_with(g.n, g.adj, k)
+        for induced_cycles in CYCLE_GROWERS:
+            three = cycle_visits(induced_cycles, g, 3)
+            for min_len in (-huge, -1, 0, 2):
+                assert cycle_visits(induced_cycles, g, min_len) == three
+            calls = []
+            for min_len, max_len in ((3, 2), (0, 2), (5, 4), (huge, g.n), (3, -huge)):
+                assert induced_cycles(g.n, g.adj, min_len, max_len, calls.append) is False
+            assert calls == []
+            for reply, stops in ((huge, False), (-huge, True)):
+                seen = []
+                stopped = induced_cycles(g.n, g.adj, 3, g.n, lambda cycle: seen.append(cycle) or reply)
+                assert (stopped, seen) == ((True, three[1][:1]) if stops and three[1] else three)
