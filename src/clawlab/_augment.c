@@ -14,6 +14,9 @@
        loop finds them.  Parent analysis (degree classes, twin classes, R),
        stages 0-3, obstruction listing and the mask & S == T test, labelling,
        per-parent dedup and the acceptance walk with its deletion check.
+       One embedding walk (list_from, the pure kernels._embed: twin images
+       ascending) lists the obstructions and, once per pattern, the
+       self-embeddings its orbits are read from.
 
    max_clique(n, adj) -> mask
        The pure kernels.max_clique: the same greedy-colour order and the
@@ -399,44 +402,55 @@ static int rs_add(RecordSet *rs, const word *rec)
     return 1;
 }
 
-/* ---- pattern search plans -------------------------------------------- */
+/* ---- search plans ---------------------------------------------------- */
 
-/* Positions assigned in order: per position its pattern degree and the
-   earlier positions adjacent (up) and not adjacent (down) to it. */
+/* Positions assigned in order (kernels._plan): per position its degree
+   among the ordered vertices, the earlier positions adjacent (up) and not
+   adjacent (down) to it, after: the latest earlier position holding a twin
+   of it in the whole pattern (or -1), and near: whether it is adjacent to a
+   vertex left out of the order. */
 typedef struct {
     int k;
     uint8_t deg[MAXP];
     uint16_t up[MAXP], down[MAXP];
-} Plan;
-
-/* The listing of one orbit (kernels._obstruction_plans): the plan of H - p,
-   after[t] the latest earlier position holding a twin of position t in H
-   (or -1), near[t] whether position t is adjacent to p. */
-typedef struct {
-    Plan plan;
     int8_t after[MAXP];
     uint8_t near[MAXP];
-} OrbitPlan;
+} Plan;
 
+/* A pattern H: its orbits' listings, the plan of H - r for each orbit's
+   least vertex r. */
 typedef struct {
     int pn;
     word padj[MAXP];
     int norbits;
-    OrbitPlan orbit[MAXP];
+    Plan orbit[MAXP];
 } Pattern;
+
+/* Whether a and b have equal rows apart from each other. */
+static int twins(const word *rows, int a, int b)
+{
+    return (rows[a] & ~((word)1 << b)) == (rows[b] & ~((word)1 << a));
+}
 
 static void make_plan(const word *rows, const int *order, int k, Plan *pl)
 {
+    word keep = 0;
+    for (int t = 0; t < k; t++)
+        keep |= (word)1 << order[t];
     pl->k = k;
     for (int t = 0; t < k; t++) {
         word row = rows[order[t]];
-        pl->deg[t] = (uint8_t)popc(row);
+        pl->deg[t] = (uint8_t)popc(row & keep);
         pl->up[t] = pl->down[t] = 0;
+        pl->after[t] = -1;
+        pl->near[t] = (row & ~keep) != 0;
         for (int s = 0; s < t; s++) {
             if ((row >> order[s]) & 1)
                 pl->up[t] |= (uint16_t)(1u << s);
             else
                 pl->down[t] |= (uint16_t)(1u << s);
+            if (twins(rows, order[s], order[t]))
+                pl->after[t] = (int8_t)s;
         }
     }
 }
@@ -454,34 +468,13 @@ static void degree_masks(int n, const word *adj, int top, word *atleast)
         atleast[d] |= atleast[d + 1];
 }
 
-static int embeds(const word *adj, const word *roots, const Plan *pl, word *nb, int t, word used)
-{
-    word cand = roots[t] & ~used;
-    for (unsigned m = pl->up[t]; m; m &= m - 1)
-        cand &= nb[low_index(m)];
-    for (unsigned m = pl->down[t]; m; m &= m - 1)
-        cand &= ~nb[low_index(m)];
-    while (cand) {
-        word low = cand & -cand;
-        cand ^= low;
-        if (t + 1 == pl->k)
-            return 1;
-        nb[t] = adj[low_index(low)];
-        if (embeds(adj, roots, pl, nb, t + 1, used | low))
-            return 1;
-    }
-    return 0;
-}
-
-/* Sort vertices by descending degree in rows, then index. */
-static void by_degree(int pn, const word *rows, int *order, int skip)
+/* The vertices of keep by descending degree among them, then index. */
+static void by_degree(const word *rows, word keep, int *order)
 {
     int k = 0;
-    for (int q = 0; q < pn; q++) {
-        if (q == skip)
-            continue;
-        int j = k++;
-        while (j > 0 && popc(rows[order[j - 1]]) < popc(rows[q])) {
+    for (word m = keep; m; m &= m - 1) {
+        int q = low_index(m), j = k++;
+        while (j > 0 && popc(rows[order[j - 1]] & keep) < popc(rows[q] & keep)) {
             order[j] = order[j - 1];
             j--;
         }
@@ -489,56 +482,109 @@ static void by_degree(int pn, const word *rows, int *order, int skip)
     }
 }
 
-/* The orbits (kernels._search_plans: q joins p's orbit when H embeds into
-   itself with p pinned to q) and, per orbit representative, its listing. */
+/* ---- the embedding walk (kernels._embed) ----------------------------- */
+
+/* The twin-ordered induced embeddings of a plan into a host, in
+   lexicographic order of the images by position.  leaf gets the bitmask of
+   the images and of the images of near positions (img holds the images);
+   a nonzero return stops the walk. */
+typedef struct Lister {
+    const word *adj;
+    const Plan *pl;
+    word roots[MAXP], nb[MAXP];
+    int img[MAXP];
+    int (*leaf)(struct Lister *ls, word used, word touch);
+    void *ctx;
+} Lister;
+
+static int list_from(Lister *ls, int t, word used, word touch)
+{
+    const Plan *pl = ls->pl;
+    word cand = ls->roots[t] & ~used;
+    for (unsigned m = pl->up[t]; m; m &= m - 1)
+        cand &= ls->nb[low_index(m)];
+    for (unsigned m = pl->down[t]; m; m &= m - 1)
+        cand &= ~ls->nb[low_index(m)];
+    if (pl->after[t] >= 0)
+        cand &= ~((((word)2) << ls->img[pl->after[t]]) - 1);
+    while (cand) {
+        word low = cand & -cand;
+        cand ^= low;
+        word reach = pl->near[t] ? touch | low : touch;
+        int v = low_index(low);
+        ls->img[t] = v;
+        if (t + 1 == pl->k) {
+            if (ls->leaf(ls, used | low, reach))
+                return 1;
+            continue;
+        }
+        ls->nb[t] = ls->adj[v];
+        if (list_from(ls, t + 1, used | low, reach))
+            return 1;
+    }
+    return 0;
+}
+
+/* Walk pl's embeddings into ls->adj, whose degree masks are atleast;
+   nonzero when leaf stopped it. */
+static int walk(Lister *ls, const Plan *pl, const word *atleast)
+{
+    ls->pl = pl;
+    if (pl->k == 0)
+        return ls->leaf(ls, 0, 0);
+    for (int t = 0; t < pl->k; t++)
+        ls->roots[t] = atleast[pl->deg[t]];
+    return list_from(ls, 0, 0, 0);
+}
+
+/* ---- pattern search plans -------------------------------------------- */
+
+/* The images of each pattern vertex under the walked self-embeddings;
+   ctx holds the order and the image masks. */
+typedef struct {
+    const int *order;
+    word images[MAXP];
+} Images;
+
+static int mark_images(Lister *ls, word used, word touch)
+{
+    Images *im = ls->ctx;
+    (void)used, (void)touch;
+    for (int t = 0; t < ls->pl->k; t++)
+        im->images[im->order[t]] |= (word)1 << ls->img[t];
+    return 0;
+}
+
+/* The orbits (kernels._search_plans: p's orbit holds the images of p's
+   twins under the twin-ordered self-embeddings) and, per orbit, its
+   listing. */
 static void build_pattern(Pattern *pat)
 {
     int pn = pat->pn;
     const word *padj = pat->padj;
     int base[MAXP], order[MAXP];
-    word atleast[MAXP + 1], roots[MAXP], nb[MAXP];
-    by_degree(pn, padj, base, -1);
-    int top = popc(padj[base[0]]);
-    degree_masks(pn, padj, top, atleast);
+    word atleast[MAXP + 1];
+    Plan free;
+    by_degree(padj, all_of(pn), base);
+    make_plan(padj, base, pn, &free);
+    degree_masks(pn, padj, free.deg[0], atleast);
+    Images im = {.order = base};
+    Lister ls = {.adj = padj, .leaf = mark_images, .ctx = &im};
+    walk(&ls, &free, atleast);
     word left = all_of(pn);
     pat->norbits = 0;
     for (int i = 0; i < pn; i++) {
         int p = base[i];
         if (!((left >> p) & 1))
             continue;
-        Plan pl;
-        order[0] = p;
-        for (int j = 0, t = 1; j < pn; j++)
-            if (base[j] != p)
-                order[t++] = base[j];
-        make_plan(padj, order, pn, &pl);
-        for (int t = 0; t < pn; t++)
-            roots[t] = atleast[pl.deg[t]];
-        word orbit = (word)1 << p;
-        for (int q = 0; q < pn; q++) {
-            if (q == p || !((left >> q) & 1) || popc(padj[q]) != popc(padj[p]))
-                continue;
-            roots[0] = (word)1 << q;
-            if (embeds(padj, roots, &pl, nb, 0, 0))
-                orbit |= (word)1 << q;
-        }
-        left &= ~orbit;
-        /* the listing of H - r for the orbit's least vertex r */
-        int r = low_index(orbit);
-        OrbitPlan *op = &pat->orbit[pat->norbits++];
-        word sub[MAXP];
+        word orbit = 0;
         for (int q = 0; q < pn; q++)
-            sub[q] = padj[q] & ~((word)1 << r);
-        by_degree(pn, sub, order, r);
-        for (int t = 0; t < pn - 1; t++) {
-            int q = order[t];
-            op->after[t] = -1;
-            for (int s = 0; s < t; s++)
-                if ((padj[order[s]] & ~((word)1 << q)) == (padj[q] & ~((word)1 << order[s])))
-                    op->after[t] = (int8_t)s;
-            op->near[t] = (uint8_t)((padj[r] >> q) & 1);
-        }
-        make_plan(sub, order, pn - 1, &op->plan);
+            if (twins(padj, p, q))
+                orbit |= im.images[q];
+        left &= ~orbit;
+        word rest = all_of(pn) & ~(orbit & -orbit);
+        by_degree(padj, rest, order);
+        make_plan(padj, order, pn - 1, &pat->orbit[pat->norbits++]);
     }
 }
 
@@ -565,40 +611,11 @@ static const Pattern *pattern_plans(int pn, const word *padj)
 
 /* ---- obstruction listing (kernels.extension_obstructions) ------------- */
 
-typedef struct {
-    const word *adj;
-    const OrbitPlan *op;
-    word roots[MAXP], nb[MAXP];
-    int img[MAXP];
-    RecordSet *pairs;
-    int failed;
-} Lister;
-
-static void list_from(Lister *ls, int t, word used, word touch)
+/* Record the (S, T) pair; stop when out of memory. */
+static int add_pair(Lister *ls, word used, word touch)
 {
-    const Plan *pl = &ls->op->plan;
-    word cand = ls->roots[t] & ~used;
-    for (unsigned m = pl->up[t]; m; m &= m - 1)
-        cand &= ls->nb[low_index(m)];
-    for (unsigned m = pl->down[t]; m; m &= m - 1)
-        cand &= ~ls->nb[low_index(m)];
-    if (ls->op->after[t] >= 0)
-        cand &= ~((((word)2) << ls->img[ls->op->after[t]]) - 1);
-    while (cand && !ls->failed) {
-        word low = cand & -cand;
-        cand ^= low;
-        word reach = ls->op->near[t] ? touch | low : touch;
-        if (t + 1 == pl->k) {
-            word pair[2] = {used | low, reach};
-            if (rs_add(ls->pairs, pair) < 0)
-                ls->failed = 1;
-            continue;
-        }
-        int v = low_index(low);
-        ls->img[t] = v;
-        ls->nb[t] = ls->adj[v];
-        list_from(ls, t + 1, used | low, reach);
-    }
+    word pair[2] = {used, touch};
+    return rs_add(ls->ctx, pair) < 0;
 }
 
 typedef struct {
@@ -609,32 +626,19 @@ typedef struct {
 /* Every (S, T) pair of the patterns against the graph; -1 out of memory. */
 static int list_obstructions(int n, const word *adj, const PatternArg *pats, Py_ssize_t npats, RecordSet *pairs)
 {
-    Lister ls;
+    Lister ls = {.adj = adj, .leaf = add_pair, .ctx = pairs};
     word atleast[MAXP + 1];
-    ls.adj = adj;
-    ls.pairs = pairs;
-    ls.failed = 0;
-    for (Py_ssize_t i = 0; i < npats && !ls.failed; i++) {
+    for (Py_ssize_t i = 0; i < npats; i++) {
         int pn = pats[i].pn;
         if (pn == 0 || pn - 1 > n)
             continue;
         const Pattern *pat = pattern_plans(pn, pats[i].padj);
         degree_masks(n, adj, pn, atleast);
-        for (int o = 0; o < pat->norbits && !ls.failed; o++) {
-            ls.op = &pat->orbit[o];
-            const Plan *pl = &ls.op->plan;
-            if (pl->k == 0) {
-                word pair[2] = {0, 0};
-                if (rs_add(pairs, pair) < 0)
-                    ls.failed = 1;
-                continue;
-            }
-            for (int t = 0; t < pl->k; t++)
-                ls.roots[t] = atleast[pl->deg[t]];
-            list_from(&ls, 0, 0, 0);
-        }
+        for (int o = 0; o < pat->norbits; o++)
+            if (walk(&ls, &pat->orbit[o], atleast))
+                return -1;
     }
-    return ls.failed ? -1 : 0;
+    return 0;
 }
 
 /* ---- augment ---------------------------------------------------------- */

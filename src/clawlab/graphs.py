@@ -35,6 +35,22 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def reachable(adj: Sequence[int], seed: int, within: int) -> int:
+    """Bitmask of the vertices reachable from the vertices of ``seed`` (a
+    subset of ``within``) along paths inside ``within``, one breadth-first
+    layer at a time; ``adj`` holds the neighbour bitmasks."""
+    seen = frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
 class Graph:
     """Simple undirected graph; immutable after construction.
 
@@ -154,20 +170,8 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff the graph has one component (n=0, n=1 count as connected)."""
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return self.n <= 1 or reachable(self.adj, 1, full) == full
 
     def is_cycle(self) -> bool:
         """True iff the graph is a chordless cycle: n >= 3, 2-regular, connected."""
@@ -178,18 +182,7 @@ class Graph:
         out = []
         unseen = (1 << self.n) - 1
         while unseen:
-            start = (unseen & -unseen).bit_length() - 1
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-                comp |= frontier
+            comp = reachable(self.adj, unseen & -unseen, unseen)
             out.append(vertices_of(comp))
             unseen &= ~comp
         return out

@@ -3,16 +3,19 @@ induced-cycle search and canonical labelling, in pure Python, and their
 compiled counterparts with the canonical-augmentation step when it is
 built.
 
-Both embedding entries run one backtracker (``_embed``) with bitset
-candidates, and ``find_induced_cycle`` runs the cycle grower
-``induced_cycles`` that also serves ``verify.induced_cycles`` and, one
-pass each, the odd-hole and odd-antihole searches of ``invariants`` and the
-long-cycle and inflation-spine searches of ``structure``.
-A pattern's search plan and automorphism orbits are computed once and
-cached (``_search_plans``).  Hereditary pruning does not search each
-extension: ``extension_obstructions`` lists, once per parent, the pattern
-copies a new vertex could complete as bitmask pairs tested against its
-neighbourhood, one listing per orbit of the pattern.  ``canon_form``
+One backtracker (``_embed``) walks induced embeddings with bitset
+candidates and calls a leaf action on each: it serves ``has_induced``,
+``find_induced_embedding``, the automorphism orbits of a pattern and
+``extension_obstructions``.  It takes the images of a pattern's twins in
+ascending order, which changes no answer.  ``find_induced_cycle`` runs the
+cycle grower ``induced_cycles`` that also serves ``verify.induced_cycles``
+and, one pass each, the odd-hole and odd-antihole searches of
+``invariants`` and the long-cycle and inflation-spine searches of
+``structure``.  A pattern's search plans and orbits are computed once and
+cached (``_plan``, ``_search_plans``).  Hereditary pruning does not search
+each extension: ``extension_obstructions`` lists, once per parent, the
+pattern copies a new vertex could complete as bitmask pairs tested against
+its neighbourhood, one listing per orbit of the pattern.  ``canon_form``
 refines by counting neighbours only in the cells split in the previous
 round (McKay and Piperno 2014), which orders the cells as counting in
 every cell would.  Every search order is fixed, so results, witnesses
@@ -39,6 +42,8 @@ raise ValueError otherwise.
 from __future__ import annotations
 
 import functools
+
+from clawlab.graphs import vertices_of
 
 BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
 
@@ -159,61 +164,94 @@ def _degree_masks(n, adj, top):
     return atleast
 
 
+def _twins(padj, a, b):
+    """Whether pattern vertices ``a`` and ``b`` have equal rows apart from
+    each other, so that swapping them is an automorphism."""
+    return padj[a] & ~(1 << b) == padj[b] & ~(1 << a)
+
+
 @functools.lru_cache(maxsize=256)
 def _plan(padj, order):
-    """Search plan for assigning pattern vertices in ``order`` (both tuples):
-    per position, its pattern degree, the earlier positions adjacent to it
-    and the earlier positions not adjacent to it.  Cached, as it depends on
-    the pattern alone."""
-    degs = []
-    ups = []
-    downs = []
+    """Search plan for assigning the pattern vertices in ``order`` (both
+    tuples; ``order`` may leave vertices out): ``(degs, ups, downs, after,
+    near)``, one entry per position.  ``degs[t]`` is the degree of position
+    ``t`` among the ordered vertices, ``ups[t]`` and ``downs[t]`` the
+    earlier positions adjacent and not adjacent to it, ``after[t]`` the
+    latest earlier position holding a twin of it in the whole pattern, or
+    -1, and ``near[t]`` whether it is adjacent to a vertex left out of
+    ``order``.  Cached, as it depends on the pattern alone."""
+    keep = 0
+    for p in order:
+        keep |= 1 << p
+    degs, ups, downs, after, near = [], [], [], [], []
     for t, p in enumerate(order):
         row = padj[p]
-        degs.append(row.bit_count())
-        links = [(row >> order[s]) & 1 for s in range(t)]
-        ups.append(tuple([s for s in range(t) if links[s]]))
-        downs.append(tuple([s for s in range(t) if not links[s]]))
-    return tuple(degs), tuple(ups), tuple(downs)
+        degs.append((row & keep).bit_count())
+        ups.append(tuple([s for s in range(t) if (row >> order[s]) & 1]))
+        downs.append(tuple([s for s in range(t) if not (row >> order[s]) & 1]))
+        after.append(max([s for s in range(t) if _twins(padj, p, order[s])], default=-1))
+        near.append(bool(row & ~keep))
+    return tuple(degs), tuple(ups), tuple(downs), tuple(after), tuple(near)
 
 
-def _embed(adj, atleast, plan, pin=-1):
-    """Host images of the plan's positions in the first induced embedding
-    found, or None.  Position 0 is pinned to host ``pin`` when ``pin >= 0``.
+def _by_degree(padj, keep):
+    """The vertices of bitmask ``keep`` by descending degree among them,
+    then ascending index."""
+    return tuple(sorted(vertices_of(keep), key=lambda q: (-(padj[q] & keep).bit_count(), q)))
+
+
+def _embed(adj, atleast, plan, leaf):
+    """Walk the twin-ordered induced embeddings of the plan's positions into
+    the host and call ``leaf(img, used, reach)`` on each: ``img`` the host
+    images by position, ``used`` their bitmask and ``reach`` the bitmask of
+    the images of ``near`` positions.  Return ``img`` when ``leaf`` returns
+    true, which stops the walk, else None.
 
     The candidates for the next position are a bitset: unused host vertices
     of at least its degree (``atleast``, from ``_degree_masks``), adjacent to
-    the images of its earlier neighbours and to no other earlier image.  They
-    are tried in ascending order, so with the identity order the first
-    embedding found is the lexicographically least.
+    the images of its earlier neighbours, to no other earlier image, and
+    above the image of its ``after`` twin.  They are tried in ascending
+    order, so the embeddings come in lexicographic order of ``img``.  Only
+    twin-ordered ones are walked: swapping the images of two twins gives
+    another embedding of the same vertex set, so every embedding is one of
+    these with the images of some twin classes permuted.  The least
+    embedding is always walked, since swapping two twins whose images
+    descend gives a smaller one.
     """
-    degs, ups, downs = plan
-    pn = len(degs)
+    degs, ups, downs, after, near = plan
+    k = len(degs)
     roots = [atleast[d] for d in degs]
-    if pin >= 0:
-        roots[0] &= 1 << pin
-    img = [0] * pn
-    nb = [0] * pn  # host neighbourhoods of the images
+    img = [0] * k
+    nb = [0] * k  # host neighbourhoods of the images
 
-    def bt(t, used):
+    def bt(t, used, touch):
         cand = roots[t] & ~used
         for s in ups[t]:
             cand &= nb[s]
         for s in downs[t]:
             cand &= ~nb[s]
+        if after[t] >= 0:
+            cand &= ~((2 << img[after[t]]) - 1)
         while cand:
             low = cand & -cand
             cand ^= low
+            reach = touch | low if near[t] else touch
             v = low.bit_length() - 1
             img[t] = v
-            if t + 1 == pn:
-                return True
+            if t + 1 == k:
+                if leaf(img, used | low, reach):
+                    return True
+                continue
             nb[t] = adj[v]
-            if bt(t + 1, used | low):
+            if bt(t + 1, used | low, reach):
                 return True
         return False
 
-    return img if bt(0, 0) else None
+    return img if (bt(0, 0, 0) if k else leaf(img, 0, 0)) else None
+
+
+def _stop(img, used, reach):
+    return True
 
 
 @functools.lru_cache(maxsize=256)
@@ -222,32 +260,35 @@ def _search_plans(pn, padj):
     a pattern alone, computed once per pattern: ``(top, free, orbits)``.
 
     ``top`` is the maximum pattern degree and ``free`` the plan of the
-    unpinned search, in descending-degree order.  ``orbits`` is the partition
+    whole pattern, in descending-degree order.  ``orbits`` is the partition
     of the pattern vertices into automorphism orbits, each a sorted tuple
-    whose first vertex is its representative.  ``q`` joins ``p``'s orbit
-    when the pattern embeds into itself with ``p`` pinned to ``q``: an
-    induced self-embedding is an automorphism.
+    whose first vertex is its representative, in the order of their first
+    vertices in ``free``.  An induced self-embedding is an automorphism,
+    and every automorphism is a twin-ordered one (``_embed``) after a
+    permutation of vertices within twin classes, so ``p``'s orbit holds the
+    images of ``p``'s twins under the twin-ordered self-embeddings.
     """
-    base = sorted(range(pn), key=lambda i: (-padj[i].bit_count(), i))
-    top = padj[base[0]].bit_count()
-    self_atleast = _degree_masks(pn, padj, top)
+    base = _by_degree(padj, (1 << pn) - 1)
+    free = _plan(padj, base)
+    top = free[0][0]
+    images = [0] * pn  # images[p]: p's images under the walked automorphisms
+
+    def mark(img, used, reach):
+        for p, v in zip(base, img):
+            images[p] |= 1 << v
+
+    _embed(padj, _degree_masks(pn, padj, top), free, mark)
     orbits = []
     left = (1 << pn) - 1
     for p in base:
-        if not (left >> p) & 1:
-            continue
-        plan = _plan(padj, (p, *[q for q in base if q != p]))
-        orbit = tuple(
-            q
-            for q in range(pn)
-            if (left >> q) & 1
-            and padj[q].bit_count() == padj[p].bit_count()
-            and _embed(padj, self_atleast, plan, q) is not None
-        )
-        for q in orbit:
-            left &= ~(1 << q)
-        orbits.append(orbit)
-    return top, _plan(padj, tuple(base)), tuple(orbits)
+        if (left >> p) & 1:
+            orbit = 0
+            for q in range(pn):
+                if _twins(padj, p, q):
+                    orbit |= images[q]
+            orbits.append(vertices_of(orbit))
+            left &= ~orbit
+    return top, free, tuple(orbits)
 
 
 def find_induced_embedding(n, adj, pn, padj):
@@ -261,7 +302,7 @@ def find_induced_embedding(n, adj, pn, padj):
     if pn == 0:
         return ()
     plan = _plan(tuple(padj), tuple(range(pn)))
-    img = _embed(adj, _degree_masks(n, adj, max(plan[0])), plan)
+    img = _embed(adj, _degree_masks(n, adj, max(plan[0])), plan, _stop)
     return None if img is None else tuple(img)
 
 
@@ -282,34 +323,16 @@ def has_induced(n, adj, pn, padj, required=-1):
     if pn == 0:
         return True
     top, free, _ = _search_plans(pn, tuple(padj))
-    return _embed(adj, _degree_masks(n, adj, top), free) is not None
+    return _embed(adj, _degree_masks(n, adj, top), free, _stop) is not None
 
 
 @functools.lru_cache(maxsize=256)
 def _obstruction_plans(pn, padj):
-    """Per orbit representative ``p`` of the pattern H: ``(plan, after,
-    near)`` for listing the induced embeddings of H - p.
-
-    ``plan`` assigns the vertices of H - p in descending degree (degrees in
-    H - p).  ``after[t]`` is the latest earlier position holding a twin of
-    position ``t`` in H (equal rows apart from each other, ``p`` included),
-    or -1; ``near[t]`` is whether position ``t`` is adjacent to ``p``.
-    """
-    out = []
-    for orbit in _search_plans(pn, padj)[2]:
-        p = orbit[0]
-        sub = tuple(row & ~(1 << p) for row in padj)
-        order = tuple(sorted((q for q in range(pn) if q != p), key=lambda q: (-sub[q].bit_count(), q)))
-        after = tuple(
-            max(
-                (s for s in range(t) if padj[order[s]] & ~(1 << q) == padj[q] & ~(1 << order[s])),
-                default=-1,
-            )
-            for t, q in enumerate(order)
-        )
-        near = tuple((padj[p] >> q) & 1 for q in order)
-        out.append((_plan(sub, order), after, near))
-    return tuple(out)
+    """The plan of H - p, in descending degree in H - p, for each orbit
+    representative ``p`` of the pattern H."""
+    full = (1 << pn) - 1
+    orbits = _search_plans(pn, padj)[2]
+    return tuple(_plan(padj, _by_degree(padj, full & ~(1 << orbit[0]))) for orbit in orbits)
 
 
 def extension_obstructions(n, adj, patterns):
@@ -323,45 +346,22 @@ def extension_obstructions(n, adj, patterns):
     T the image of p's neighbours.  A copy through the new vertex maps some
     vertex there, so, composed with an automorphism, it maps ``p`` there;
     the rest of the copy lies in the graph, which the extension leaves
-    induced, and the new vertex is joined to exactly T within S.  Images of twins in H are taken in
-    ascending order, since swapping two of them fixes S and T.  Each pair
-    is listed once, in the order first found.
+    induced, and the new vertex is joined to exactly T within S.  Only the
+    twin-ordered embeddings are listed (``_embed``; twins in H, ``p``
+    included), since swapping two twins fixes S and T.  Each pair is listed
+    once, in the order first found.
     """
     found = {}
+
+    def add(img, used, reach):
+        found[used, reach] = None
+
     for pn, padj in patterns:
         if pn == 0 or pn - 1 > n:
             continue
         atleast = _degree_masks(n, adj, pn)
-        for (degs, ups, downs), after, near in _obstruction_plans(pn, tuple(padj)):
-            k = len(degs)
-            roots = [atleast[d] for d in degs]
-            img = [0] * k
-            nb = [0] * k
-
-            def bt(t, used, touch):
-                cand = roots[t] & ~used
-                for s in ups[t]:
-                    cand &= nb[s]
-                for s in downs[t]:
-                    cand &= ~nb[s]
-                if after[t] >= 0:
-                    cand &= ~((2 << img[after[t]]) - 1)
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    reach = touch | low if near[t] else touch
-                    if t + 1 == k:
-                        found[used | low, reach] = None
-                        continue
-                    v = low.bit_length() - 1
-                    img[t] = v
-                    nb[t] = adj[v]
-                    bt(t + 1, used | low, reach)
-
-            if k:
-                bt(0, 0, 0)
-            else:
-                found[0, 0] = None
+        for plan in _obstruction_plans(pn, tuple(padj)):
+            _embed(adj, atleast, plan, add)
     return list(found)
 
 

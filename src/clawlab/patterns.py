@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 
 from clawlab import kernels
-from clawlab.graphs import Graph, GraphError, bitset_of, vertices_of
+from clawlab.graphs import Graph, GraphError, bitset_of, reachable
 
 MAX_PATTERN_VERTICES = 10
 KERNEL_MAX_PATTERN_VERTICES = 16  # pattern bound of the kernel contract (a C kernel may keep fixed rows)
@@ -154,24 +154,20 @@ def induces_cycle(g: Graph, vertices) -> bool:
     cmask = bitset_of(keep)
     if len(keep) < 3 or any((g.adj[v] & cmask).bit_count() != 2 for v in keep):
         return False
-    seen = frontier = cmask & -cmask
-    while frontier:
-        reach = 0
-        for v in vertices_of(frontier):
-            reach |= g.adj[v]
-        frontier = reach & cmask & ~seen
-        seen |= frontier
-    return seen == cmask
+    return reachable(g.adj, cmask & -cmask, cmask) == cmask
 
 
 def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
     """Isomorphism type of the subgraph induced by ``N(x)`` on a cycle.
 
-    ``cycle`` must induce a cycle of length at least 5 and ``x`` must lie
-    outside it.  Returns NONE when ``x`` has no neighbour on the cycle and
-    OTHER for shapes outside the claw-free repertoire, so the classifier
-    doubles as a falsifier on hosts that do contain a claw.
+    ``cycle`` must induce a cycle of length at least 5 and ``x`` must be a
+    vertex of ``g`` outside it (ValueError otherwise).  Returns NONE when
+    ``x`` has no neighbour on the cycle and OTHER for shapes outside the
+    claw-free repertoire, so the classifier doubles as a falsifier on hosts
+    that do contain a claw.
     """
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
     cset = sorted(set(cycle))
     if x in cset:
         raise ValueError(f"vertex {x} lies on the cycle")

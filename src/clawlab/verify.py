@@ -28,21 +28,6 @@ from clawlab.invariants import (
 from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood
 from clawlab.structure import TheoremViolation, VerdictKind, classify_claw_bull_free, olariu_classify
 
-THEOREM_IDS = (
-    "T1_BRAUSE",
-    "T3_OLARIU",
-    "T4_NOALPHA",
-    "T5_ALPHA3",
-    "T6_BULL",
-    "L5_BENREBEA",
-    "L6_C5FREE",
-    "OBS2_NEIGHBORHOOD",
-    "SPGT_CROSSCHECK",
-    "L7_RULES",
-)
-
-_NEEDS_Y = ("T4_NOALPHA", "T5_ALPHA3")
-
 _GOOD_SHAPES = (
     NeighborhoodShape.K2,
     NeighborhoodShape.P3,
@@ -168,32 +153,29 @@ def _check_l7_rules(g: Graph):
     return reasons
 
 
-def _theorem_setup(theorem: str, y: str | None):
-    if theorem == "T1_BRAUSE":
-        return dict(free=("K1_3", "2K2"), connected=True, min_alpha=3), _check_perfect_class
-    if theorem == "T3_OLARIU":
-        return dict(free=("Z1",), connected=True), _check_olariu
-    if theorem == "T4_NOALPHA":
-        return dict(free=("K1_3", y), connected=True, exclude_odd=True), _check_perfect_class
-    if theorem == "T5_ALPHA3":
-        return dict(free=("K1_3", y), connected=True, exclude_odd=True, min_alpha=3), _check_perfect_class
-    if theorem == "T6_BULL":
-        return dict(free=("K1_3", "B"), connected=True, min_alpha=3), _check_bull_dichotomy
-    if theorem == "L5_BENREBEA":
-        return dict(free=("K1_3",), connected=True, min_alpha=3), _check_ben_rebea
-    if theorem == "L6_C5FREE":
-        return dict(free=("K1_3", "THETA"), connected=True, min_alpha=3), _check_c5_free
-    if theorem == "OBS2_NEIGHBORHOOD":
-        return dict(free=("K1_3",), connected=True), _check_obs2
-    if theorem == "SPGT_CROSSCHECK":
-        return dict(free=(), connected=False), _check_spgt
-    if theorem == "L7_RULES":
-        return dict(free=("K1_3", "B"), connected=True), _check_l7_rules
-    raise ValueError(f"unknown theorem id {theorem!r}")
+# Each theorem's class and per-graph check: (forbidden patterns, None
+# standing for the campaign's y; connected only; minimum alpha; odd cycles
+# excluded; check).
+_THEOREMS = {
+    "T1_BRAUSE": (("K1_3", "2K2"), True, 3, False, _check_perfect_class),
+    "T3_OLARIU": (("Z1",), True, 0, False, _check_olariu),
+    "T4_NOALPHA": (("K1_3", None), True, 0, True, _check_perfect_class),
+    "T5_ALPHA3": (("K1_3", None), True, 3, True, _check_perfect_class),
+    "T6_BULL": (("K1_3", "B"), True, 3, False, _check_bull_dichotomy),
+    "L5_BENREBEA": (("K1_3",), True, 3, False, _check_ben_rebea),
+    "L6_C5FREE": (("K1_3", "THETA"), True, 3, False, _check_c5_free),
+    "OBS2_NEIGHBORHOOD": (("K1_3",), True, 0, False, _check_obs2),
+    "SPGT_CROSSCHECK": ((), False, 0, False, _check_spgt),
+    "L7_RULES": (("K1_3", "B"), True, 0, False, _check_l7_rules),
+}
+
+THEOREM_IDS = tuple(_THEOREMS)
+
+_NEEDS_Y = frozenset(theorem for theorem, (free, *_) in _THEOREMS.items() if None in free)
 
 
 def verify(theorem: str, max_n: int, y: str | None = None) -> VerificationReport:
-    """Run one verification campaign; see THEOREM_IDS for the statements."""
+    """Run one verification campaign: the class and check of ``_THEOREMS[theorem]``."""
     theorem = theorem.strip().upper()
     if y is not None:
         y = y.strip().upper()
@@ -203,13 +185,13 @@ def verify(theorem: str, max_n: int, y: str | None = None) -> VerificationReport
         raise ValueError(f"{theorem} requires a forbidden pattern y")
     if theorem not in _NEEDS_Y and y:
         raise ValueError(f"{theorem} takes no forbidden pattern y")
-    setup, check = _theorem_setup(theorem, y)
+    free, connected, min_alpha, exclude_odd, check = _THEOREMS[theorem]
     config = EnumerationConfig(
         max_n=max_n,
-        connected_only=setup.get("connected", False),
-        free_of=setup.get("free", ()),
-        min_alpha=setup.get("min_alpha", 0),
-        exclude_odd_cycles=setup.get("exclude_odd", False),
+        connected_only=connected,
+        free_of=tuple(y if p is None else p for p in free),
+        min_alpha=min_alpha,
+        exclude_odd_cycles=exclude_odd,
     )
     t0 = time.perf_counter()
     examined = 0

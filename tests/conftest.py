@@ -26,7 +26,6 @@ def _build_compiled_backend():
 
 _build_compiled_backend()
 
-from clawlab import kernels  # noqa: E402
 from clawlab.enumeration import oracle_enumerate  # noqa: E402
 from clawlab.families import InflationSpec, build_inflation  # noqa: E402
 from clawlab.graphs import Graph  # noqa: E402
@@ -221,19 +220,45 @@ def brute_has_induced(g, p):
     return next(brute_embeddings(g, p), None) is not None
 
 
+def plain_embeddings(n, adj, pn, padj, order=None, first=None):
+    """Every induced embedding of the pattern in the host as a tuple of host
+    images by pattern vertex, by plain backtracking: pattern vertices
+    assigned in ``order`` (index order by default), unused host vertices
+    tried in ascending order, each checked against every earlier image.
+    With the index order they come in lexicographic order.  ``first`` (a
+    bitmask) limits the images of the first vertex in ``order``."""
+    order = tuple(range(pn)) if order is None else order
+    img = [0] * pn
+
+    def go(t, used):
+        if t == len(order):
+            yield tuple(img)
+            return
+        p = order[t]
+        cand = ((1 << n) - 1) & ~used
+        if t == 0 and first is not None:
+            cand &= first
+        for q in order[:t]:
+            cand &= adj[img[q]] if (padj[p] >> q) & 1 else ~adj[img[q]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            img[p] = low.bit_length() - 1
+            yield from go(t + 1, used | low)
+
+    yield from go(0, 0)
+
+
 def pinned_has_induced(n, adj, pn, padj, required):
     """Whether some induced copy of the pattern in the host uses host vertex
-    ``required``: one embedding search per pattern vertex, that vertex
-    pinned to ``required`` (``kernels._embed``'s ``pin``) and the rest in
-    descending degree.  The reference for the per-parent obstruction
-    listing that hereditary pruning uses instead."""
+    ``required``: one plain search per pattern vertex, that vertex first
+    and pinned to ``required``.  The reference for the per-parent
+    obstruction listing that hereditary pruning uses instead."""
     if pn > n:
         return False
-    degs = [row.bit_count() for row in padj]
-    atleast = kernels._degree_masks(n, adj, max(degs, default=0))
     for p in range(pn):
-        order = (p, *sorted((q for q in range(pn) if q != p), key=lambda q: (-degs[q], q)))
-        if kernels._embed(adj, atleast, kernels._plan(tuple(padj), order), required) is not None:
+        order = (p, *[q for q in range(pn) if q != p])
+        if next(plain_embeddings(n, adj, pn, padj, order, 1 << required), None) is not None:
             return True
     return False
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from clawlab import kernels
+from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
 from clawlab.graphs import Graph
 from clawlab.patterns import _FIXED, pattern_graph
 from conftest import (
@@ -27,6 +28,7 @@ from conftest import (
     named_graphs,
     permuted,
     pinned_has_induced,
+    plain_embeddings,
     random_graph,
     random_regular_graph,
 )
@@ -34,6 +36,9 @@ from conftest import (
 ROOT = Path(__file__).resolve().parent.parent
 
 PATTERNS = ["K1_3", "P4", "P5", "2K2", "C4", "C5", "B", "K3", "Z1", "Z2", "THETA"]
+# patterns with twins (equal rows apart from each other), whose images the
+# embedding search takes in ascending order
+TWIN_PATTERNS = ["K1_3", "3K1", "4K1", "2K2", "C4", "D", "H", "K2+K3", "2K1+K2"]
 OBSTRUCTION_PATTERNS = ["K1", "2K1", "3K1", "K1_3", "P4", "P5", "C4", "C5", "Z1", "Z2", "B", "2K2", "THETA", "AH6"]
 
 # canon_digest as first measured: graph6 output and reports are made of
@@ -237,6 +242,67 @@ def test_has_induced_brute_force(rng):
             touched = {v for e in embs for v in e}
             for v in range(g.n):
                 assert pinned_has_induced(g.n, g.adj, p.n, p.adj, v) == (v in touched)
+
+
+def _twin_hosts(rng):
+    """Hosts on 8-28 vertices: seeded random graphs of every density,
+    family members and relabelled cycle inflations."""
+    hosts = [random_graph(rng, rng.randrange(8, 29), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])) for _ in range(24)]
+    members = {"F0": (3, 6), "F1": (3, 9), "F2": (2, 7), "F3": (1, 3), "F4": (3, 5)}
+    hosts += [build_family(FamilySpec(family, s))[0] for family, sizes in members.items() for s in sizes]
+    for k in (5, 6, 7, 9):
+        sizes = [1] * k
+        for _ in range(rng.randrange(3, 29 - k)):
+            sizes[rng.randrange(k)] += 1
+        hosts.append(permuted(rng, build_inflation(InflationSpec(tuple(sizes)))[0])[0])
+    return hosts
+
+
+def test_twin_ordered_search_finds_the_least_embedding(rng):
+    # the search takes twin images in ascending order, which keeps the
+    # lex-least embedding and every answer of has_induced; the reference is
+    # a plain search in index order
+    hosts = _twin_hosts(rng)
+    found = dict.fromkeys(TWIN_PATTERNS, 0)
+    for g in hosts:
+        for token in TWIN_PATTERNS:
+            p = pattern_graph(token)
+            want = next(plain_embeddings(g.n, g.adj, p.n, p.adj), None)
+            assert kernels.find_induced_embedding(g.n, g.adj, p.n, p.adj) == want, (g, token)
+            assert kernels.has_induced(g.n, g.adj, p.n, p.adj) == (want is not None), (g, token)
+            found[token] += want is not None
+    # each pattern occurs in some hosts and not in others
+    assert all(0 < count < len(hosts) for count in found.values()), found
+
+
+def test_embedding_walk_is_exactly_the_twin_ordered_embeddings(rng):
+    # on the plan of the whole pattern and on the plan of the pattern less
+    # each orbit's representative, the walk meets once each embedding whose
+    # images ascend on every pair of twins (in the whole pattern), and no
+    # other embedding
+    graphs = [random_graph(rng, rng.randrange(5, 11), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
+    for token in TWIN_PATTERNS:
+        p = pattern_graph(token)
+        pairs = itertools.combinations(range(p.n), 2)
+        twins = [(a, b) for a, b in pairs if p.adj[a] & ~(1 << b) == p.adj[b] & ~(1 << a)]
+        assert twins, token
+        _, free, orbits = kernels._search_plans(p.n, p.adj)
+        plans = (free, *kernels._obstruction_plans(p.n, p.adj))
+        for omit, plan in zip((None, *[orbit[0] for orbit in orbits]), plans, strict=True):
+            rest = [q for q in range(p.n) if q != omit]
+            sub = p.induced(rest)
+            order = tuple(sorted(rest, key=lambda q: (-sub.degree(rest.index(q)), q)))
+            assert plan == kernels._plan(p.adj, order)
+            ordered = [(rest.index(a), rest.index(b)) for a, b in twins if omit not in (a, b)]
+            for g in graphs:
+                walked = []
+
+                def keep(img, used, reach):
+                    walked.append(tuple(img[order.index(q)] for q in rest))
+
+                kernels._embed(g.adj, kernels._degree_masks(g.n, g.adj, p.n), plan, keep)
+                want = [e for e in plain_embeddings(g.n, g.adj, sub.n, sub.adj) if all(e[a] < e[b] for a, b in ordered)]
+                assert sorted(walked) == want, (g, token, omit)
 
 
 def test_has_induced_takes_no_required_vertex():

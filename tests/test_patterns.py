@@ -176,6 +176,19 @@ class TestCycleNeighborhood:
         with pytest.raises(ValueError):
             classify_cycle_neighborhood(g, [0, 1, 2], 5)  # too short
 
+    # C5 plus vertex 6 joined to 0 and 1: x = -1 must not be read as vertex
+    # 6 (the answer there is K2), and x = 7 must not reach past the rows
+    _C5_AND_K2 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (6, 0), (6, 1)])
+
+    def test_negative_vertex_rejected(self):
+        assert classify_cycle_neighborhood(self._C5_AND_K2, [0, 1, 2, 3, 4], 6) is NeighborhoodShape.K2
+        with pytest.raises(ValueError):
+            classify_cycle_neighborhood(self._C5_AND_K2, [0, 1, 2, 3, 4], -1)
+
+    def test_vertex_past_the_graph_rejected(self):
+        with pytest.raises(ValueError):
+            classify_cycle_neighborhood(self._C5_AND_K2, [0, 1, 2, 3, 4], 7)
+
     def test_induces_cycle_helper(self):
         c5 = pattern_graph("C5")
         assert induces_cycle(c5, range(5))
