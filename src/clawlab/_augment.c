@@ -9,11 +9,14 @@
        certificate.
 
    augment(m, parent_rows, patterns, min_alpha, connected) -> [rows, ...]
-       The pure enumeration._children for one parent: the accepted
-       canonical rows of its one-vertex extensions, in the order the pure
-       loop finds them.  Parent analysis (degree classes, twin classes, R),
-       stages 0-3, obstruction listing and the mask & S == T test, labelling,
-       per-parent dedup and the acceptance walk with its deletion check.
+       The pure kernels.pure_augment, step for step: the accepted
+       canonical rows of a parent's one-vertex extensions, in the order the
+       pure loop finds them.  Parent analysis (degree classes, twin classes,
+       R grown by one independent-set search per vertex not yet in it),
+       stages 0-3, obstruction listing and the mask & S == T test,
+       labelling, per-parent dedup and the acceptance walk (one search for
+       an independent (a - 1)-set missing mask | w per step) with its
+       deletion check.
        One embedding walk (list_from, the pure kernels._embed: twin images
        ascending) lists the obstructions and, once per pattern, the
        self-embeddings its orbits are read from.
@@ -644,7 +647,7 @@ static int list_obstructions(int n, const word *adj, const PatternArg *pats, Py_
 /* ---- augment ---------------------------------------------------------- */
 
 /* Whether avail holds an independent set of `size` vertices; its vertices
-   are or-ed into found. */
+   are or-ed into found (kernels._independent). */
 static int independent(const word *adj, word avail, int size, word *found)
 {
     if (size <= 0)
@@ -662,7 +665,7 @@ static int independent(const word *adj, word avail, int size, word *found)
 
 /* Whether a rival (child degree k) has a higher profile than the new
    vertex joined to mask: neighbour counts in the child's degree classes up
-   to k, read off the parent's classes (enumeration._outranked). */
+   to k, read off the parent's classes (kernels._outranked). */
 static int outranked(const word *parent, int m, const word *by_deg, const word *below, word mask, int k, word rivals)
 {
     word fresh = (word)1 << m, classes[MAXN + 1];
@@ -720,7 +723,7 @@ typedef struct {
     PyObject *out;
 } Augment;
 
-/* The parent analysis of enumeration._children. */
+/* The parent analysis of kernels.pure_augment. */
 static void analyse(Augment *a, int connected)
 {
     int m = a->m;
@@ -865,7 +868,7 @@ static int try_mask(Augment *a, word mask)
 }
 
 /* Masks of popcount lo and up, each popcount in ascending order (Gosper's
-   hack), as enumeration._masks_from. */
+   hack), as kernels._masks_from. */
 static int run_masks(Augment *a)
 {
     int m = a->m, lo = a->top;
@@ -1182,7 +1185,7 @@ static PyMethodDef methods[] = {
      "canon_form(n, adj) -> (rows, perm): canonical relabelling, as the pure kernels.canon_form."},
     {"augment", (PyCFunction)(void (*)(void))py_augment, METH_FASTCALL,
      "augment(m, parent_rows, patterns, min_alpha, connected) -> list of rows: the canonically\n"
-     "accepted one-vertex extensions of a canonical parent, as the pure enumeration._children."},
+     "accepted one-vertex extensions of a canonical parent, as the pure kernels.pure_augment."},
     {"max_clique", (PyCFunction)(void (*)(void))py_max_clique, METH_FASTCALL,
      "max_clique(n, adj) -> mask: the first maximum clique, as the pure kernels.max_clique."},
     {"color_with", (PyCFunction)(void (*)(void))py_color_with, METH_FASTCALL,

@@ -117,9 +117,13 @@ class Graph:
     # -- basic queries -------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphError(f"vertex pair ({u},{v}) out of range for n={self.n}")
         return bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} out of range for n={self.n}")
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -129,6 +133,8 @@ class Graph:
         return max((row.bit_count() for row in self.adj), default=0)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} out of range for n={self.n}")
         return vertices_of(self.adj[v])
 
     def edge_list(self) -> list[tuple[int, int]]:

@@ -1,7 +1,7 @@
 """The hot kernels: max clique, exact k-colouring, induced-subgraph search,
-induced-cycle search and canonical labelling, in pure Python, and their
-compiled counterparts with the canonical-augmentation step when it is
-built.
+induced-cycle search, canonical labelling and the per-parent step of
+canonical augmentation, in pure Python, and their compiled counterparts
+when they are built.
 
 One backtracker (``_embed``) walks induced embeddings with bitset
 candidates and calls a leaf action on each: it serves ``has_induced``,
@@ -23,18 +23,20 @@ included, are reproducible bit for bit.  Graphs enter as ``(n, adj)`` with
 ``adj`` a sequence of per-vertex neighbour bitmasks; vertex sets leave as
 bitmasks or index tuples.
 
-Two backends.  Everything above runs in pure Python.  When the optional
-C extension ``clawlab._augment`` imports (``setup.py build_ext --inplace``
-builds it from ``_augment.c`` where a C compiler is found), this module
-binds its ``canon_form``, ``max_clique``, ``color_with`` and
-``induced_cycles`` in place of the pure ones (``find_induced_cycle`` then
-runs the compiled grower) and its ``augment``, the whole of
-``enumeration._children`` for one parent, and ``BACKEND`` is ``"c"``.
-Otherwise ``augment`` is None and ``BACKEND`` is ``"pure"``.  Nothing else
-selects a backend: no option, no environment variable.  Both give the same
-results bit for bit; ``pure_canon_form``, ``pure_max_clique``,
-``pure_color_with`` and ``pure_induced_cycles`` keep the pure entries as
-the references the compiled ones are tested against.  The compiled entries
+Two backends.  Everything above runs in pure Python, and so does
+``pure_augment``, the per-parent step of ``enumeration.enumerate_graphs``:
+the accepted canonical rows of a parent's one-vertex extensions, labelled
+by ``pure_canon_form``.  ``canon_form``, ``max_clique``, ``color_with``,
+``induced_cycles`` and ``augment`` are bound to the pure entries, and when
+the optional C extension ``clawlab._augment`` imports (``setup.py
+build_ext --inplace`` builds it from ``_augment.c`` where a C compiler is
+found) to its five entries instead (``find_induced_cycle`` then runs the
+compiled grower), and ``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.
+Nothing else selects a backend: no option, no environment variable.  Both
+give the same results bit for bit, and both run one algorithm step for
+step; ``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
+``pure_induced_cycles`` and ``pure_augment`` keep the pure entries as the
+references the compiled ones are tested against.  The compiled entries
 take only ``n`` in 0..64, ints and rows with no bit at ``n`` or above, and
 raise ValueError otherwise.
 """
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import functools
 
-from clawlab.graphs import vertices_of
+from clawlab.graphs import reachable, vertices_of
 
 BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
 
@@ -540,11 +542,246 @@ def canon_form(n, adj):
     return best[0], best[1]
 
 
+def _delete_vertex(adj, x):
+    """The rows of the graph less vertex ``x``, later vertices moved down."""
+    low = (1 << x) - 1
+    return tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != x)
+
+
+def _twin_classes(n, adj):
+    """The vertex classes of two or more false twins (equal rows) or true
+    twins (equal closed rows), as bitmasks.
+
+    Every permutation inside one class is an automorphism.  No vertex has
+    both a false and a true twin, and no row equals a closed row (that row
+    would contain its own vertex), so the classes are disjoint.
+    """
+    groups = {}
+    for v, row in enumerate(adj):
+        for key in (row, row | 1 << v):
+            groups[key] = groups.get(key, 0) | 1 << v
+    return [c for c in groups.values() if c & (c - 1)]
+
+
+def _masks_from(m, lo):
+    """Every ``m``-bit mask with at least ``lo`` bits set, by popcount, each
+    popcount in ascending order (Gosper's hack)."""
+    if lo == 0:
+        yield 0
+        lo = 1
+    for k in range(lo, m + 1):
+        mask = (1 << k) - 1
+        while not mask >> m:
+            yield mask
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | (((ripple ^ mask) >> 2) // low)
+
+
+def _keeps_lowest_twins(mask, twins):
+    """Whether ``mask`` meets each twin class in a prefix (its lowest bits)."""
+    for c in twins:
+        part = mask & c
+        if (c ^ part) & ((1 << part.bit_length()) - 1):
+            return False
+    return True
+
+
+def _independent(adj, avail, size):
+    """An independent set of ``size`` vertices inside bitmask ``avail``, as
+    a bitmask, or None: the first one found, lowest vertices first."""
+    if size <= 0:
+        return 0
+    while avail.bit_count() >= size:
+        low = avail & -avail
+        avail ^= low
+        found = _independent(adj, avail & ~adj[low.bit_length() - 1], size - 1)
+        if found is not None:
+            return found | low
+    return None
+
+
+def _outranked(parent, by_deg, below, mask, k, rivals):
+    """Whether an old vertex in ``rivals`` (child degree ``k``) has a higher
+    profile than the new vertex joined to ``mask``.
+
+    ``by_deg[d]`` holds the parent's vertices of degree ``d`` and
+    ``below[d] == by_deg[d - 1]``; the child's class of degree ``d`` keeps the
+    first outside the mask and gains the second inside it.
+    """
+    new = 1 << len(parent)
+    classes = [(by_deg[d] & ~mask) | (below[d] & mask) for d in range(k + 1)]
+    classes[k] |= new
+    mine = [(mask & c).bit_count() for c in classes]
+    while rivals:
+        v = (rivals & -rivals).bit_length() - 1
+        rivals &= rivals - 1
+        row = parent[v] | new if mask >> v & 1 else parent[v]
+        if [(row & c).bit_count() for c in classes] > mine:
+            return True
+    return False
+
+
+def pure_augment(m, parent_rows, patterns, min_alpha, connected):
+    """The canonically accepted one-vertex extensions of a canonical parent
+    on ``m`` vertices, as canonical row tuples in the order they are found:
+    the per-parent step of ``enumeration.enumerate_graphs``, free of the
+    patterns (``(pn, padj)`` pairs) and, with ``connected``, connected.
+
+    The new vertex is joined to the parent's vertices in ``mask``.  With a
+    = ``min_alpha`` the parent must have alpha >= a, and so has every
+    child.  A child is accepted when deleting w, the canonically last vertex
+    of D(child) = {v : alpha(child - v) >= a}, gives the parent: walking
+    canonical positions down from the last, reaching the new vertex first
+    accepts it (alpha(child - new) = alpha(P) >= a), and otherwise the
+    first vertex in D(child) is w.  For an old vertex v, alpha(child - v) =
+    max(alpha(P - v), 1 + alpha(P - v - mask)), since an independent set
+    holding the new vertex holds none of its neighbours.  So v is in
+    D(child) when it is in R = {v : alpha(P - v) >= a}, found once per
+    parent by one search per vertex not yet in R (an independent a-set
+    that avoids v puts every vertex outside it in R); and a v outside R is
+    in D(child) iff the parent has an independent (a - 1)-set that misses
+    ``mask`` and v.  With a <= 1, R is every vertex and the walk stops at
+    the first position.
+
+    The parent is analysed once; masks are then dropped before pruning or
+    labelling, in three stages, plus a fourth at the last level:
+
+    0. twins: within each class of the parent's false or true twins
+       (``_twin_classes``), the mask must hold the class's lowest vertices;
+    1. degree: the new vertex (degree ``k = popcount(mask)``) must have
+       maximum degree in the child among itself and R, so only masks with
+       ``k >= top``, the maximum degree of R in the parent, are visited;
+    2. profile: among the vertices of R of degree ``k`` in the child it
+       must have a lexicographically maximal profile, its tuple of
+       neighbour counts in each degree class, classes in ascending degree
+       order;
+    3. connectivity (only when ``connected``): the child must be connected,
+       that is, the mask must meet every component of the parent.
+
+    Stage 0 drops only duplicates.  A permutation inside each twin class
+    takes any mask to the one holding each class's lowest vertices.  It is a
+    parent automorphism, so it extends to an isomorphism of the two children
+    that fixes the new vertex.  That isomorphism preserves the degree, the
+    profile, D(child), the pattern copies through the new vertex and the
+    acceptance test, and both children get the same canonical form.
+
+    Stages 1 and 2 are sound because ``canon_form`` refines from the unit
+    partition and keeps cell order through refinement and
+    individualisation: the first round orders cells by degree and the second
+    by profile within a degree class, so a vertex of higher degree, or of
+    equal degree and higher profile, gets a later canonical position.  R is
+    part of D(child), as alpha(child - v) >= alpha(P - v), so a rival in R
+    that outranks the new vertex shows that the new vertex is not w.  (The
+    profile is taken over the degree classes up to ``k`` only: a rival that
+    ties there is kept, which only keeps more masks.)  Acceptance depends
+    only on the child's class (deleting w must give the parent), and an
+    accepted class is still produced from this parent by a mask in which the
+    new vertex plays w.  That mask passes stages 1 and 2, and so does the
+    mask stage 0 keeps in its place.
+
+    Stage 2 reads the child's degree classes off the parent's (see
+    ``_outranked``).  Vertices of R reach degree ``k`` only when ``k`` is
+    ``top`` or ``top + 1``, so no other mask needs the profile test.  Rows
+    are built only for masks that pass every stage.  Children are canonical
+    copies and each level is sorted, so the output is unchanged.
+
+    Stage 3 drops whole classes: whether a child passes it depends only on
+    the child's class, so the masks that give one class are kept or dropped
+    together, and the classes kept are produced as before.
+    ``enumerate_graphs`` asks for it only at ``max_n``, whose classes are
+    never extended, and still runs ``_emit_ok`` on each child, which alone
+    applies the odd-cycle filter.
+
+    A mask that passes every stage is then pruned when the child holds a
+    forbidden pattern.  The parent holds none, so any copy in the child
+    uses the new vertex, and it does so iff ``mask & S == T`` for one of
+    the parent's ``extension_obstructions`` pairs (S a copy of the pattern
+    less one vertex in the parent, T the neighbours the new vertex needs in
+    S).  The pairs are listed when the first mask gets this far, so a
+    parent all of whose masks fail earlier lists none.
+
+    Labelling is ``pure_canon_form``: this is the pure step on either
+    backend, and the reference the compiled ``augment`` is tested against.
+    """
+    parent = tuple(parent_rows)
+    n = m + 1
+    everyone = (1 << m) - 1
+    by_deg = [0] * (m + 1)
+    for v, row in enumerate(parent):
+        by_deg[row.bit_count()] |= 1 << v
+    below = [0] + by_deg
+    # R as a mask (the vertices whose deletion keeps alpha >= min_alpha) and
+    # its degree classes
+    deletable = everyone
+    if min_alpha > 1:
+        deletable = 0
+        for v in range(m):
+            if not deletable >> v & 1:
+                found = _independent(parent, everyone & ~(1 << v), min_alpha)
+                if found is not None:
+                    deletable |= everyone & ~found
+    rival_deg = [c & deletable for c in by_deg]
+    rival_below = [0] + rival_deg
+    top = max((d for d in range(m) if rival_deg[d]), default=0)
+    twins = _twin_classes(m, parent)
+    # the parent's components, when the child must be connected
+    meet = []
+    unseen = everyone if connected else 0
+    while unseen:
+        comp = reachable(parent, unseen & -unseen, unseen)
+        meet.append(comp)
+        unseen &= ~comp
+    blocks = None
+    out = []
+    seen = set()
+    for mask in _masks_from(m, top):
+        k = mask.bit_count()
+        # stage 1: when k == top, a raised degree-top vertex would exceed k
+        if k == top and mask & rival_deg[top]:
+            continue
+        # stage 3: the child is disconnected
+        if meet and not all(mask & c for c in meet):
+            continue
+        if not _keeps_lowest_twins(mask, twins):
+            continue
+        # stage 2: vertices of R reach degree k only when k is top or top + 1
+        if k - top < 2:
+            rivals = (rival_deg[k] & ~mask) | (rival_below[k] & mask)
+            if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
+                continue
+        if blocks is None:
+            blocks = extension_obstructions(m, parent, patterns)
+        if any(mask & s == t for s, t in blocks):
+            continue
+        adj = tuple(row | 1 << m if mask >> v & 1 else row for v, row in enumerate(parent))
+        adj += (mask,)
+        cert, perm = pure_canon_form(n, adj)
+        if cert in seen:
+            continue
+        seen.add(cert)
+        if perm[m] != m:
+            # walk down to w, the canonically last vertex of D(child)
+            pos = m
+            w = perm.index(pos)
+            while w != m and not deletable >> w & 1:
+                if _independent(parent, everyone & ~(mask | 1 << w), min_alpha - 1) is not None:
+                    break
+                pos -= 1
+                w = perm.index(pos)
+            # deleting the new vertex gives the parent, whose rows are already
+            # canonical; deleting w must match them
+            if w != m and pure_canon_form(m, _delete_vertex(adj, w))[0] != parent:
+                continue
+        out.append(cert)
+    return out
+
+
 pure_canon_form = canon_form
 pure_max_clique = max_clique
 pure_color_with = color_with
 pure_induced_cycles = induced_cycles
-augment = None
+augment = pure_augment
 try:
     from clawlab import _augment
 except ImportError:

@@ -38,31 +38,29 @@ class PatternError(ValueError):
     """Unknown pattern token or parameter out of range."""
 
 
-def _term_graph(body: str) -> Graph:
+def _term_graph(m: re.Match) -> Graph:
+    """The graph of one term, multiplier aside, from its ``_TERM_RE`` match."""
+    body, antihole, kind, k = m.group(2, 3, 4, 5)
     if body in _FIXED:
         n, edges = _FIXED[body]
         return Graph.from_edges(n, edges)
-    m = re.match(r"^AH(\d+)$", body)
-    if m:
-        k = int(m.group(1))
+    k = int(antihole or k)
+    if antihole is not None:
         if k < 4:
             raise PatternError(f"antihole needs k >= 4, got {k}")
-        return _term_graph(f"C{k}").complement()
-    m = re.match(r"^([KPC])(\d+)$", body)
-    if m:
-        kind, k = m.group(1), int(m.group(2))
-        if kind == "K":
-            if k < 1:
-                raise PatternError(f"K{k} needs k >= 1")
-            return Graph.from_edges(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
-        if kind == "P":
-            if k < 1:
-                raise PatternError(f"P{k} needs k >= 1")
-            return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
-        if k < 3:
-            raise PatternError(f"C{k} needs k >= 3")
-        return Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
-    raise PatternError(f"unknown pattern term {body!r}")
+        kind = "C"
+    if kind == "K":
+        if k < 1:
+            raise PatternError(f"K{k} needs k >= 1")
+        return Graph.from_edges(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
+    if kind == "P":
+        if k < 1:
+            raise PatternError(f"P{k} needs k >= 1")
+        return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
+    if k < 3:
+        raise PatternError(f"C{k} needs k >= 3")
+    cycle = Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+    return cycle if antihole is None else cycle.complement()
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +78,7 @@ def pattern_graph(token: str) -> Graph:
         mult = int(m.group(1)) if m.group(1) else 1
         if mult < 1:
             raise PatternError(f"multiplier must be positive in {term!r}")
-        g = _term_graph(m.group(2))
+        g = _term_graph(m)
         pieces.extend([g] * mult)
     total = sum(g.n for g in pieces)
     if total > MAX_PATTERN_VERTICES:

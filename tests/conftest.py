@@ -15,16 +15,18 @@ def _build_compiled_backend():
     ``perfbench/run.py`` does, before anything imports clawlab, so the tests
     run the backend the bench times and never an extension left from an
     older source.  The old in-place module goes first: without gcc, or if
-    the build fails, clawlab imports its pure backend."""
+    the build fails, clawlab imports its pure backend.  Returns the build's
+    ``CompletedProcess`` (text output), or None without gcc."""
     for old in (ROOT / "src" / "clawlab").glob("_augment.*.so"):
         old.unlink()
-    if shutil.which("gcc") is not None:
-        subprocess.run(
-            [sys.executable, "setup.py", "build_ext", "--inplace"], cwd=ROOT, capture_output=True, timeout=600
-        )
+    if shutil.which("gcc") is None:
+        return None
+    return subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--inplace"], cwd=ROOT, capture_output=True, text=True, timeout=600
+    )
 
 
-_build_compiled_backend()
+BUILD = _build_compiled_backend()
 
 from clawlab.enumeration import oracle_enumerate  # noqa: E402
 from clawlab.families import InflationSpec, build_inflation  # noqa: E402

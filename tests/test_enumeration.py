@@ -8,16 +8,14 @@ from clawlab import kernels
 from clawlab.canon import canonical_label
 from clawlab.enumeration import (
     EnumerationConfig,
-    _children,
     _emit_ok,
-    _pure_children,
-    _twin_classes,
     catalog_labels,
     enumerate_graphs,
     oracle_enumerate,
 )
 from clawlab.graphs import Graph, to_graph6
 from clawlab.invariants import independence_number
+from clawlab.kernels import _twin_classes
 from clawlab.patterns import is_free, pattern_graph
 from conftest import brute_automorphisms, permuted, pinned_has_induced, random_graph
 
@@ -39,6 +37,11 @@ def emitted(g, config):
 
 
 PRUNE_SETS = [(), ("K1_3",), ("K1_3", "P5"), ("K1_3", "Z2"), ("C4",)]
+
+# the pure per-parent step, then the compiled one when it is built
+AUGMENTS = tuple(dict.fromkeys((kernels.pure_augment, kernels.augment)))
+
+compiled_only = pytest.mark.skipif(kernels.BACKEND != "c", reason="clawlab._augment did not build")
 
 
 class TestConfig:
@@ -166,7 +169,7 @@ class TestAgainstOracle:
         # 3K1 is the root of the alpha >= 3 tree, so the tree is empty
         assert enumerate_graphs(EnumerationConfig(max_n=7, free_of=("3K1",), min_alpha=3)) == 0
 
-    @pytest.mark.skipif(kernels.augment is None, reason="clawlab._augment did not build")
+    @compiled_only
     def test_oeis_counts_n9(self):
         # OEIS A000088 and A001349 at n = 9 on the compiled path, counted by
         # a visit that keeps nothing
@@ -209,7 +212,7 @@ def test_canonically_last_vertex_passes_filter(oracle7, rng):
 
     The vertex ``canon_form`` puts last has maximum degree and, among the
     maximum-degree vertices, a lexicographically maximal profile.  If it
-    did not, the filter in ``_children`` would silently drop classes.
+    did not, the filter in ``kernels.augment`` would silently drop classes.
     """
     graphs = [permuted(rng, g)[0] for n in range(1, 8) for g in oracle7[n]]
     for _ in range(200):
@@ -297,7 +300,7 @@ def _holds_lowest(mask, members):
 
 
 def _reference_masks(rep, min_alpha=0):
-    """The masks stages 0-2 of ``_children`` must pass, read off each child's
+    """The masks stages 0-2 of ``kernels.augment`` must pass, read off each child's
     own rows: the mask meets each twin class in its lowest vertices, and
     against the rivals R = {v : alpha(P - v) >= min_alpha} the new vertex
     has maximum degree and, among the rivals of its degree, a maximal
@@ -329,7 +332,7 @@ def _parents(oracle6, rng):
     return parents
 
 
-# the last-level filters of ``_children`` (the odd-cycle one stays in
+# the last-level filters of ``kernels.augment`` (the odd-cycle one stays in
 # ``_emit_ok`` alone)
 EMIT_CONFIGS = [
     EnumerationConfig(max_n=7, connected_only=connected, min_alpha=min_alpha)
@@ -342,66 +345,86 @@ class TestChildren:
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
     def test_matches_reference(self, tokens, oracle6, rng):
         """For each bound a = 0..4 with alpha(P) >= a (the parents of the
-        alpha >= a tree), stages 0-2 of ``_children`` drop only masks whose
-        class the reference for a also drops or produces from another mask,
-        and stage 3 drops exactly the classes ``_emit_ok`` rejects."""
+        alpha >= a tree), stages 0-2 of each ``augment`` entry drop only
+        masks whose class the reference for a also drops or produces from
+        another mask, and stage 3 drops exactly the classes ``_emit_ok``
+        rejects."""
         pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
         for rep in _parents(oracle6, rng):
             plain = _reference_children(rep, pats)
             want = {0: plain, 1: plain}
             for a in range(2, min(independence_number(rep)[0], 4) + 1):
                 want[a] = _reference_children(rep, pats, a)
-            for a, ref in want.items():
-                got = sorted(g.adj for g in _children(rep, pats, a))
-                assert got == ref, (rep.adj, a)
-            for config in EMIT_CONFIGS:
-                if config.min_alpha not in want:
-                    continue
-                got = sorted(g.adj for g in _children(rep, pats, config.min_alpha, config.connected_only))
-                kept = [c for c in want[config.min_alpha] if _emit_ok(Graph.trusted(rep.n + 1, c), config)]
-                assert got == kept, (rep.adj, config)
+            for augment in AUGMENTS:
+                for a, ref in want.items():
+                    got = sorted(augment(rep.n, rep.adj, pats, a, False))
+                    assert got == ref, (augment, rep.adj, a)
+                for config in EMIT_CONFIGS:
+                    if config.min_alpha not in want:
+                        continue
+                    got = sorted(augment(rep.n, rep.adj, pats, config.min_alpha, config.connected_only))
+                    kept = [c for c in want[config.min_alpha] if _emit_ok(Graph.trusted(rep.n + 1, c), config)]
+                    assert got == kept, (augment, rep.adj, config)
 
-    @pytest.mark.skipif(kernels.augment is None, reason="clawlab._augment did not build")
+    @compiled_only
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
-    def test_augment_matches_pure(self, tokens, oracle6, rng, monkeypatch):
+    def test_augment_matches_pure(self, tokens, oracle6, rng):
         """On every parent of ``test_matches_reference``, for a = 0..4 and
-        with the connectivity filter off and on, the compiled ``_children``
-        (one ``kernels.augment`` call) gives the rows of the pure one, in
-        its order; the pure one runs on the pure labelling."""
+        with the connectivity filter off and on, the compiled ``augment``
+        gives the rows of ``pure_augment``, in its order."""
         pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
-        parents = _parents(oracle6, rng)
-        got = {
-            (rep.adj, a, connected): [g.adj for g in _children(rep, pats, a, connected)]
-            for rep in parents
-            for a in range(5)
+        for rep in _parents(oracle6, rng):
+            for a in range(5):
+                for connected in (False, True):
+                    got = kernels.augment(rep.n, rep.adj, pats, a, connected)
+                    want = kernels.pure_augment(rep.n, rep.adj, pats, a, connected)
+                    assert got == want, (rep.adj, a, connected)
+
+    def test_pure_augment_calls_no_compiled_entry(self, oracle6, rng, monkeypatch):
+        """``pure_augment`` gives the same rows with every kernel binding
+        and every entry of ``clawlab._augment`` (when it imports) replaced
+        by one that raises: it runs pure code alone on either backend."""
+        pats = [(p.n, p.adj) for p in map(pattern_graph, ("K1_3", "P5"))]
+        calls = [
+            (rep.n, rep.adj, pats, a, connected)
+            for rep in _parents(oracle6, rng)
+            for a in range(4)
             for connected in (False, True)
-        }
-        monkeypatch.setattr(kernels, "canon_form", kernels.pure_canon_form)
-        for (adj, a, connected), rows in got.items():
-            rep = Graph.trusted(len(adj), adj)
-            assert rows == [g.adj for g in _pure_children(rep, pats, a, connected)], (adj, a, connected)
+        ]
+        want = [kernels.pure_augment(*call) for call in calls]
+
+        def compiled(*args):
+            raise AssertionError("a compiled entry was called")
+
+        entries = ("canon_form", "augment", "max_clique", "color_with", "induced_cycles")
+        for name in entries:
+            monkeypatch.setattr(kernels, name, compiled)
+        if kernels.BACKEND == "c":
+            for name in entries:
+                monkeypatch.setattr(kernels._augment, name, compiled)
+        assert [kernels.pure_augment(*call) for call in calls] == want
 
     def test_stages_pass_exactly_the_documented_masks(self, oracle6, rng, monkeypatch):
         """With no pattern, every mask that passes stages 0-2 is labelled
         once, so the labelled masks show what the stages let through, for
-        the whole tree and for the alpha >= 2 and alpha >= 3 trees (in the
-        pure ``_children``, whose labelling calls can be watched)."""
+        the whole tree and for the alpha >= 2 and alpha >= 3 trees (in
+        ``pure_augment``, whose labelling calls can be watched)."""
         parents = _parents(oracle6, rng)
         labelled = []
-        canon_form = kernels.canon_form
+        canon_form = kernels.pure_canon_form
 
         def spy(n, adj):
             labelled.append(adj)
             return canon_form(n, adj)
 
-        monkeypatch.setattr(kernels, "canon_form", spy)
+        monkeypatch.setattr(kernels, "pure_canon_form", spy)
         for rep in parents:
             alpha = independence_number(rep)[0]
             for a in (0, 2, 3):
                 if a > alpha:
                     continue
                 labelled.clear()
-                _pure_children(rep, [], a)
+                kernels.pure_augment(rep.n, rep.adj, [], a, False)
                 got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
                 assert sorted(got) == list(_reference_masks(rep, a)), (rep.adj, a)
 

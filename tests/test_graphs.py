@@ -62,6 +62,22 @@ class TestConstruction:
                 assert Graph(h.n, h.adj) == h
             assert Graph.trusted(g.n, g.adj) == g
 
+    def test_vertex_queries_reject_out_of_range(self):
+        # no negative index may answer for vertex n - 1, and no vertex at n
+        # may raise IndexError
+        g = Graph.from_edges(3, [(1, 2)])
+        for v in (-1, 3, 64):
+            with pytest.raises(GraphError):
+                g.degree(v)
+            with pytest.raises(GraphError):
+                g.neighbors(v)
+            with pytest.raises(GraphError):
+                g.has_edge(v, 1)
+            with pytest.raises(GraphError):
+                g.has_edge(1, v)
+        with pytest.raises(GraphError):
+            Graph(0).degree(0)
+
     def test_immutable(self):
         g = cycle(5)
         with pytest.raises(AttributeError):

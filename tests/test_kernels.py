@@ -7,6 +7,7 @@ the canonical forms that graph6 output and reports are made of.
 import hashlib
 import importlib
 import itertools
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from clawlab.families import FamilySpec, InflationSpec, build_family, build_infl
 from clawlab.graphs import Graph
 from clawlab.patterns import _FIXED, pattern_graph
 from conftest import (
+    BUILD,
     brute_automorphisms,
     brute_chromatic_number,
     brute_clique_number,
@@ -51,7 +53,7 @@ MAX_CLIQUES = tuple(dict.fromkeys((kernels.pure_max_clique, kernels.max_clique))
 COLOR_WITHS = tuple(dict.fromkeys((kernels.pure_color_with, kernels.color_with)))
 CYCLE_GROWERS = tuple(dict.fromkeys((kernels.pure_induced_cycles, kernels.induced_cycles)))
 
-compiled_only = pytest.mark.skipif(kernels.augment is None, reason="clawlab._augment did not build")
+compiled_only = pytest.mark.skipif(kernels.BACKEND != "c", reason="clawlab._augment did not build")
 
 
 def _compiled_imports():
@@ -67,14 +69,27 @@ def test_backend_reports():
     # when clawlab._augment imports
     compiled = _compiled_imports()
     assert kernels.BACKEND == ("c" if compiled else "pure")
-    assert (kernels.augment is not None) == compiled
     assert (kernels.canon_form is kernels.pure_canon_form) == (not compiled)
 
 
+def test_compiled_backend_builds_where_gcc_is_found():
+    # setup.py marks the extension optional, so a C source that does not
+    # compile still builds with exit status 0 and the session would fall
+    # back to pure with the compiled tests skipped.  Where gcc is on PATH
+    # the extension must import.  A CC in the environment names the
+    # compiler instead (CC=false builds nothing, which is how the pure
+    # backend is tested on a host with gcc), so then nothing is asked.
+    if BUILD is None:
+        pytest.skip("gcc is not on PATH")
+    if "CC" in os.environ:
+        pytest.skip(f"CC={os.environ['CC']} names the compiler")
+    assert _compiled_imports(), f"setup.py build_ext did not build clawlab._augment:\n{BUILD.stderr}"
+
+
 def test_predicates_follow_the_backend():
-    # the compiled predicates are bound exactly when the extension is
-    compiled = kernels.augment is not None
-    for name in ("max_clique", "color_with", "induced_cycles"):
+    # the compiled entries are bound exactly when the extension is
+    compiled = kernels.BACKEND == "c"
+    for name in ("max_clique", "color_with", "induced_cycles", "augment"):
         assert (getattr(kernels, name) is getattr(kernels, f"pure_{name}")) == (not compiled)
 
 
