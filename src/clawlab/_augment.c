@@ -8,18 +8,19 @@
        split-only refinement, sibling skipping and the first leaf of least
        certificate.
 
-   augment(m, parent_rows, patterns, min_alpha, connected) -> [rows, ...]
-       The pure kernels.pure_augment, step for step: the accepted
-       canonical rows of a parent's one-vertex extensions, in the order the
-       pure loop finds them.  Parent analysis (degree classes, twin classes,
-       R grown by one independent-set search per vertex not yet in it),
-       stages 0-3, obstruction listing and the mask & S == T test,
-       labelling, per-parent dedup and the acceptance walk (one search for
-       an independent (a - 1)-set missing mask | w per step) with its
-       deletion check.
-       One embedding walk (list_from, the pure kernels._embed: twin images
-       ascending) lists the obstructions and, once per pattern, the
-       self-embeddings its orbits are read from.
+   augment(m, parents, plans, min_alpha, connected) -> [rows, ...]
+       The pure kernels.pure_augment, step for step: one enumeration level,
+       the accepted canonical rows of each parent's one-vertex extensions,
+       parent by parent in the order the pure loop finds them.  Per parent:
+       analysis (degree classes, twin classes, R grown by one
+       independent-set search per vertex not yet in it), stages 0-3,
+       obstruction listing and the mask & S == T test, labelling, dedup
+       and the acceptance walk (one search for an independent (a - 1)-set
+       missing mask | w per step) with its deletion check.  plans is
+       kernels.obstruction_plans of the patterns, built in Python, which
+       alone reads a pattern's orbits; one embedding walk (list_from, the
+       pure kernels._embed: twin images ascending) lists the obstructions
+       from them.
 
    max_clique(n, adj) -> mask
        The pure kernels.max_clique: the same greedy-colour order and the
@@ -37,12 +38,14 @@
        otherwise); one beyond a C long is saturated.
 
    Graphs are vertex counts and per-vertex neighbour bitmasks, one 64-bit
-   word per row.  Every input is checked before any work: an out-of-range
-   input raises ValueError and nothing here writes outside its arrays.  The
-   GIL is held throughout.  The only state kept between calls is a small
-   cache of per-pattern search plans; induced_cycles keeps its search on
-   the C stack, so visit may call any entry again, and an exception raised
-   in visit ends the search and propagates unchanged. */
+   word per row.  Every input is checked before it is used: an
+   out-of-range input raises ValueError and nothing here writes outside
+   its arrays.  augment checks each plan once per call, so that its walk
+   reads only what it has written, and each parent when it reaches it; a
+   bad parent ends the call with nothing returned.  The GIL is held
+   throughout and no state is kept between calls.  induced_cycles keeps
+   its search on the C stack, so visit may call any entry again, and an
+   exception raised in visit ends the search and propagates unchanged. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -361,10 +364,12 @@ static size_t rs_hash(const word *rec, int width)
     return (size_t)h;
 }
 
+/* Free the records; the set is then empty and can be used again. */
 static void rs_free(RecordSet *rs)
 {
     free(rs->data);
     free(rs->slots);
+    *rs = (RecordSet){.width = rs->width};
 }
 
 /* 1 when rec is new (and now added), 0 when present, -1 out of memory. */
@@ -405,7 +410,7 @@ static int rs_add(RecordSet *rs, const word *rec)
     return 1;
 }
 
-/* ---- search plans ---------------------------------------------------- */
+/* ---- obstruction plans (kernels.obstruction_plans) -------------------- */
 
 /* Positions assigned in order (kernels._plan): per position its degree
    among the ordered vertices, the earlier positions adjacent (up) and not
@@ -420,42 +425,88 @@ typedef struct {
     uint8_t near[MAXP];
 } Plan;
 
-/* A pattern H: its orbits' listings, the plan of H - r for each orbit's
-   least vertex r. */
-typedef struct {
-    int pn;
-    word padj[MAXP];
-    int norbits;
-    Plan orbit[MAXP];
-} Pattern;
+#define PLAN_USAGE "plans must be a tuple of (degs, ups, downs, after, near) tuples"
 
-/* Whether a and b have equal rows apart from each other. */
-static int twins(const word *rows, int a, int b)
+/* The tuple of positions earlier than t into *mask: 0, or -1 with
+   ValueError set. */
+static int read_earlier(PyObject *positions, int t, uint16_t *mask, const char *what)
 {
-    return (rows[a] & ~((word)1 << b)) == (rows[b] & ~((word)1 << a));
+    if (!PyTuple_Check(positions)) {
+        PyErr_Format(PyExc_ValueError, "%s must be a tuple of ints", what);
+        return -1;
+    }
+    *mask = 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(positions); i++) {
+        long s = read_small(PyTuple_GET_ITEM(positions, i), 0, t - 1, what);
+        if (s < 0)
+            return -1;
+        *mask |= (uint16_t)(1u << s);
+    }
+    return 0;
 }
 
-static void make_plan(const word *rows, const int *order, int k, Plan *pl)
+/* One plan tuple into pl, checked so that the walk reads only what it has
+   written: at most MAXP - 1 positions, degrees in 0..MAXP (the range of
+   the degree masks), and up, down and after positions earlier than their
+   own.  0, or -1 with ValueError set. */
+static int read_plan(PyObject *obj, Plan *pl)
 {
-    word keep = 0;
-    for (int t = 0; t < k; t++)
-        keep |= (word)1 << order[t];
-    pl->k = k;
-    for (int t = 0; t < k; t++) {
-        word row = rows[order[t]];
-        pl->deg[t] = (uint8_t)popc(row & keep);
-        pl->up[t] = pl->down[t] = 0;
-        pl->after[t] = -1;
-        pl->near[t] = (row & ~keep) != 0;
-        for (int s = 0; s < t; s++) {
-            if ((row >> order[s]) & 1)
-                pl->up[t] |= (uint16_t)(1u << s);
-            else
-                pl->down[t] |= (uint16_t)(1u << s);
-            if (twins(rows, order[s], order[t]))
-                pl->after[t] = (int8_t)s;
+    if (!PyTuple_Check(obj) || PyTuple_GET_SIZE(obj) != 5) {
+        PyErr_SetString(PyExc_ValueError, PLAN_USAGE);
+        return -1;
+    }
+    PyObject *field[5];
+    for (int f = 0; f < 5; f++) {
+        field[f] = PyTuple_GET_ITEM(obj, f);
+        if (!PyTuple_Check(field[f]) || PyTuple_GET_SIZE(field[f]) != PyTuple_GET_SIZE(field[0])) {
+            PyErr_SetString(PyExc_ValueError, "plan fields must be tuples of equal length");
+            return -1;
         }
     }
+    if (PyTuple_GET_SIZE(field[0]) > MAXP - 1) {
+        PyErr_Format(PyExc_ValueError, "plan positions must be at most %d", MAXP - 1);
+        return -1;
+    }
+    pl->k = (int)PyTuple_GET_SIZE(field[0]);
+    for (int t = 0; t < pl->k; t++) {
+        long deg = read_small(PyTuple_GET_ITEM(field[0], t), 0, MAXP, "plan degree"), after, near;
+        if (deg < 0 || read_earlier(PyTuple_GET_ITEM(field[1], t), t, &pl->up[t], "plan up position") < 0
+            || read_earlier(PyTuple_GET_ITEM(field[2], t), t, &pl->down[t], "plan down position") < 0
+            || read_int(PyTuple_GET_ITEM(field[3], t), &after, "plan after position") < 0
+            || (near = read_small(PyTuple_GET_ITEM(field[4], t), 0, 1, "plan near flag")) < 0)
+            return -1;
+        if (after < -1 || after >= t) {
+            PyErr_Format(PyExc_ValueError, "plan after position must be an int in -1..%d", t - 1);
+            return -1;
+        }
+        pl->deg[t] = (uint8_t)deg;
+        pl->after[t] = (int8_t)after;
+        pl->near[t] = (uint8_t)near;
+    }
+    return 0;
+}
+
+/* The plans tuple into *out, a PyMem array of *count plans: 0, or -1 with
+   an exception set. */
+static int read_plans(PyObject *obj, Plan **out, Py_ssize_t *count)
+{
+    if (!PyTuple_Check(obj)) {
+        PyErr_SetString(PyExc_ValueError, PLAN_USAGE);
+        return -1;
+    }
+    *count = PyTuple_GET_SIZE(obj);
+    *out = PyMem_Malloc((*count ? *count : 1) * sizeof **out);
+    if (*out == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < *count; i++) {
+        if (read_plan(PyTuple_GET_ITEM(obj, i), &(*out)[i]) < 0) {
+            PyMem_Free(*out);
+            return -1;
+        }
+    }
+    return 0;
 }
 
 /* atleast[d]: the vertices of degree at least d, d in 0..top. */
@@ -469,20 +520,6 @@ static void degree_masks(int n, const word *adj, int top, word *atleast)
     }
     for (int d = top - 1; d >= 0; d--)
         atleast[d] |= atleast[d + 1];
-}
-
-/* The vertices of keep by descending degree among them, then index. */
-static void by_degree(const word *rows, word keep, int *order)
-{
-    int k = 0;
-    for (word m = keep; m; m &= m - 1) {
-        int q = low_index(m), j = k++;
-        while (j > 0 && popc(rows[order[j - 1]] & keep) < popc(rows[q] & keep)) {
-            order[j] = order[j - 1];
-            j--;
-        }
-        order[j] = q;
-    }
 }
 
 /* ---- the embedding walk (kernels._embed) ----------------------------- */
@@ -540,79 +577,7 @@ static int walk(Lister *ls, const Plan *pl, const word *atleast)
     return list_from(ls, 0, 0, 0);
 }
 
-/* ---- pattern search plans -------------------------------------------- */
-
-/* The images of each pattern vertex under the walked self-embeddings;
-   ctx holds the order and the image masks. */
-typedef struct {
-    const int *order;
-    word images[MAXP];
-} Images;
-
-static int mark_images(Lister *ls, word used, word touch)
-{
-    Images *im = ls->ctx;
-    (void)used, (void)touch;
-    for (int t = 0; t < ls->pl->k; t++)
-        im->images[im->order[t]] |= (word)1 << ls->img[t];
-    return 0;
-}
-
-/* The orbits (kernels._search_plans: p's orbit holds the images of p's
-   twins under the twin-ordered self-embeddings) and, per orbit, its
-   listing. */
-static void build_pattern(Pattern *pat)
-{
-    int pn = pat->pn;
-    const word *padj = pat->padj;
-    int base[MAXP], order[MAXP];
-    word atleast[MAXP + 1];
-    Plan free;
-    by_degree(padj, all_of(pn), base);
-    make_plan(padj, base, pn, &free);
-    degree_masks(pn, padj, free.deg[0], atleast);
-    Images im = {.order = base};
-    Lister ls = {.adj = padj, .leaf = mark_images, .ctx = &im};
-    walk(&ls, &free, atleast);
-    word left = all_of(pn);
-    pat->norbits = 0;
-    for (int i = 0; i < pn; i++) {
-        int p = base[i];
-        if (!((left >> p) & 1))
-            continue;
-        word orbit = 0;
-        for (int q = 0; q < pn; q++)
-            if (twins(padj, p, q))
-                orbit |= im.images[q];
-        left &= ~orbit;
-        word rest = all_of(pn) & ~(orbit & -orbit);
-        by_degree(padj, rest, order);
-        make_plan(padj, order, pn - 1, &pat->orbit[pat->norbits++]);
-    }
-}
-
-#define PATTERN_CACHE 32
-static Pattern pattern_cache[PATTERN_CACHE];
-static int cache_used, cache_next;
-
-/* The plans of a pattern, built on first sight.  The pointer is good until
-   the next call. */
-static const Pattern *pattern_plans(int pn, const word *padj)
-{
-    for (int i = 0; i < cache_used; i++)
-        if (pattern_cache[i].pn == pn && memcmp(pattern_cache[i].padj, padj, pn * sizeof *padj) == 0)
-            return &pattern_cache[i];
-    Pattern *pat = &pattern_cache[cache_next];
-    cache_next = (cache_next + 1) % PATTERN_CACHE;
-    if (cache_used < PATTERN_CACHE)
-        cache_used++;
-    pat->pn = pn;
-    memcpy(pat->padj, padj, pn * sizeof *padj);
-    build_pattern(pat);
-    return pat;
-}
-
-/* ---- obstruction listing (kernels.extension_obstructions) ------------- */
+/* ---- obstruction listing (kernels._obstructions) ---------------------- */
 
 /* Record the (S, T) pair; stop when out of memory. */
 static int add_pair(Lister *ls, word used, word touch)
@@ -621,26 +586,16 @@ static int add_pair(Lister *ls, word used, word touch)
     return rs_add(ls->ctx, pair) < 0;
 }
 
-typedef struct {
-    int pn;
-    word padj[MAXP];
-} PatternArg;
-
-/* Every (S, T) pair of the patterns against the graph; -1 out of memory. */
-static int list_obstructions(int n, const word *adj, const PatternArg *pats, Py_ssize_t npats, RecordSet *pairs)
+/* Every (S, T) pair of the plans against the graph, skipping a plan of
+   more than n positions (kernels._obstructions); -1 out of memory. */
+static int list_obstructions(int n, const word *adj, const Plan *plans, Py_ssize_t nplans, RecordSet *pairs)
 {
     Lister ls = {.adj = adj, .leaf = add_pair, .ctx = pairs};
     word atleast[MAXP + 1];
-    for (Py_ssize_t i = 0; i < npats; i++) {
-        int pn = pats[i].pn;
-        if (pn == 0 || pn - 1 > n)
-            continue;
-        const Pattern *pat = pattern_plans(pn, pats[i].padj);
-        degree_masks(n, adj, pn, atleast);
-        for (int o = 0; o < pat->norbits; o++)
-            if (walk(&ls, &pat->orbit[o], atleast))
-                return -1;
-    }
+    degree_masks(n, adj, MAXP, atleast);
+    for (Py_ssize_t i = 0; i < nplans; i++)
+        if (plans[i].k <= n && walk(&ls, &plans[i], atleast))
+            return -1;
     return 0;
 }
 
@@ -707,8 +662,8 @@ static int keeps_lowest_twins(word mask, const word *twins, int ntwins)
 typedef struct {
     int m;
     const word *parent;
-    const PatternArg *pats;
-    Py_ssize_t npats;
+    const Plan *plans;
+    Py_ssize_t nplans;
     long min_alpha;
     word deletable;             /* R */
     word by_deg[MAXN + 1], below[MAXN + 2];
@@ -813,7 +768,7 @@ static int try_mask(Augment *a, word mask)
     }
     if (!a->listed) {
         a->listed = 1;
-        if (list_obstructions(m, parent, a->pats, a->npats, &a->pairs) < 0) {
+        if (list_obstructions(m, parent, a->plans, a->nplans, &a->pairs) < 0) {
             PyErr_NoMemory();
             return -1;
         }
@@ -891,14 +846,12 @@ static int run_masks(Augment *a)
 
 static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    word parent[MAXN];
-    Augment a;
     if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError, "augment(m, parent_rows, patterns, min_alpha, connected) takes 5 arguments");
+        PyErr_SetString(PyExc_TypeError, "augment(m, parents, plans, min_alpha, connected) takes 5 arguments");
         return NULL;
     }
     long m = read_small(args[0], 0, MAXN - 1, "m");
-    if (m < 0 || read_rows(args[1], m, (int)m, parent, "parent_rows") < 0)
+    if (m < 0)
         return NULL;
     long min_alpha;
     if (read_int(args[3], &min_alpha, "min_alpha") < 0)
@@ -912,63 +865,45 @@ static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t na
     int connected = PyObject_IsTrue(args[4]);
     if (connected < 0)
         return NULL;
-
-    PyObject *fast = PySequence_Fast(args[2], "patterns must be a sequence of (pn, padj) pairs");
-    if (fast == NULL) {
+    PyObject *parents = PySequence_Fast(args[1], "");
+    if (parents == NULL) {
         if (PyErr_ExceptionMatches(PyExc_TypeError)) {
             PyErr_Clear();
-            PyErr_SetString(PyExc_ValueError, "patterns must be a sequence of (pn, padj) pairs");
+            PyErr_SetString(PyExc_ValueError, "parents must be a sequence of row sequences");
         }
         return NULL;
     }
-    Py_ssize_t npats = PySequence_Fast_GET_SIZE(fast);
-    PatternArg *pats = PyMem_Malloc((npats ? npats : 1) * sizeof *pats);
-    if (pats == NULL) {
-        Py_DECREF(fast);
-        return PyErr_NoMemory();
-    }
-    int bad = 0;
-    for (Py_ssize_t i = 0; i < npats && !bad; i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
-        bad = 1;
-        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 2) {
-            PyErr_SetString(PyExc_ValueError, "each pattern must be a (pn, padj) tuple");
-            break;
-        }
-        long pn = read_small(PyTuple_GET_ITEM(item, 0), 0, MAXP, "pattern vertex count");
-        if (pn < 0 || read_rows(PyTuple_GET_ITEM(item, 1), pn, (int)pn, pats[i].padj, "pattern") < 0)
-            break;
-        pats[i].pn = (int)pn;
-        bad = 0;
-        for (int v = 0; v < pn && !bad; v++)
-            for (word row = pats[i].padj[v]; row && !bad; row &= row - 1)
-                bad = low_index(row) == v || !((pats[i].padj[low_index(row)] >> v) & 1);
-        if (bad)
-            PyErr_SetString(PyExc_ValueError, "a pattern must be symmetric and loop-free");
-    }
-    Py_DECREF(fast);
-    if (bad) {
-        PyMem_Free(pats);
+    Plan *plans;
+    Py_ssize_t nplans;
+    if (read_plans(args[2], &plans, &nplans) < 0) {
+        Py_DECREF(parents);
         return NULL;
     }
-
+    word parent[MAXN];
+    Augment a;
     memset(&a, 0, sizeof a);
     a.m = (int)m;
     a.parent = parent;
-    a.pats = pats;
-    a.npats = npats;
+    a.plans = plans;
+    a.nplans = nplans;
     a.min_alpha = min_alpha;
     a.pairs.width = 2;
     a.seen.width = (int)m + 1;
     a.out = PyList_New(0);
-    if (a.out != NULL) {
+    for (Py_ssize_t i = 0; a.out && i < PySequence_Fast_GET_SIZE(parents); i++) {
+        if (read_rows(PySequence_Fast_GET_ITEM(parents, i), m, (int)m, parent, "parent") < 0) {
+            Py_CLEAR(a.out);
+            break;
+        }
+        a.listed = 0;
         analyse(&a, connected);
         if (run_masks(&a) < 0)
             Py_CLEAR(a.out);
+        rs_free(&a.pairs);
+        rs_free(&a.seen);
     }
-    rs_free(&a.pairs);
-    rs_free(&a.seen);
-    PyMem_Free(pats);
+    PyMem_Free(plans);
+    Py_DECREF(parents);
     return a.out;
 }
 
@@ -1184,8 +1119,10 @@ static PyMethodDef methods[] = {
     {"canon_form", (PyCFunction)(void (*)(void))py_canon_form, METH_FASTCALL,
      "canon_form(n, adj) -> (rows, perm): canonical relabelling, as the pure kernels.canon_form."},
     {"augment", (PyCFunction)(void (*)(void))py_augment, METH_FASTCALL,
-     "augment(m, parent_rows, patterns, min_alpha, connected) -> list of rows: the canonically\n"
-     "accepted one-vertex extensions of a canonical parent, as the pure kernels.pure_augment."},
+     "augment(m, parents, plans, min_alpha, connected) -> list of rows: the canonically accepted\n"
+     "one-vertex extensions of each canonical parent on m vertices, parent by parent, free of the\n"
+     "patterns whose kernels.obstruction_plans are plans, as the pure kernels.pure_augment.  No\n"
+     "state is kept between calls."},
     {"max_clique", (PyCFunction)(void (*)(void))py_max_clique, METH_FASTCALL,
      "max_clique(n, adj) -> mask: the first maximum clique, as the pure kernels.max_clique."},
     {"color_with", (PyCFunction)(void (*)(void))py_color_with, METH_FASTCALL,

@@ -40,10 +40,14 @@ the child is connected iff the mask meets every component of the parent.
 That is a property of the child's class, so the classes emitted are
 unchanged.
 
-All of this per-parent work is one ``kernels.augment`` call, which
-returns the accepted children's canonical rows.  It is bound like every
-other kernel: ``kernels.pure_augment``, or the compiled entry that returns
-the same rows in the same order when ``clawlab._augment`` is built.
+All of this work for one level is one ``kernels.augment`` call over the
+level's parents, which returns the accepted children's canonical rows
+parent by parent; sorted, they are the next level.  Levels hold row
+tuples, and a ``Graph`` is made only to emit a class.  The patterns are
+analysed once per config, into the ``kernels.obstruction_plans`` every
+call takes.  ``augment`` is bound like every other kernel:
+``kernels.pure_augment``, or the compiled entry that returns the same rows
+in the same order when ``clawlab._augment`` is built.
 """
 
 from __future__ import annotations
@@ -98,8 +102,9 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
     representatives passed to ``visit`` are canonical copies.  Each level
     holds the pattern-free classes with alpha >= ``min_alpha``, grown from
     aK1 (a = ``min_alpha``, at least 1) as the module docstring describes,
-    so levels below a are empty.  The last level is generated only for
-    classes ``_emit_ok`` can accept (stage 3 of ``kernels.augment``).
+    so levels below a are empty.  Each level above the root is one
+    ``kernels.augment`` call, and the last is generated only for classes
+    ``_emit_ok`` can accept (stage 3 of ``kernels.augment``).
     """
     a = max(config.min_alpha, 1)  # the root aK1 has a vertices
     if a > config.max_n:
@@ -108,22 +113,19 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
     for token in config.free_of:
         p = pattern_graph(token)
         pattern_adjs.append((p.n, p.adj))
+    plans = kernels.obstruction_plans(pattern_adjs)
 
     count = 0
-    root = Graph(a, (0,) * a)
+    root = (0,) * a
     level = []
-    if all(not kernels.has_induced(a, root.adj, pn, padj) for pn, padj in pattern_adjs):
+    if all(not kernels.has_induced(a, root, pn, padj) for pn, padj in pattern_adjs):
         level = [root]
     for n in range(a, config.max_n + 1):
         if n > a:
-            nxt = []
             connected = config.connected_only and n == config.max_n
-            for rep in level:
-                rows = kernels.augment(rep.n, rep.adj, pattern_adjs, config.min_alpha, connected)
-                nxt.extend(Graph.trusted(n, cert) for cert in rows)
-            nxt.sort(key=lambda g: g.adj)
-            level = nxt
-        for g in level:
+            level = sorted(kernels.augment(n - 1, level, plans, config.min_alpha, connected))
+        for rows in level:
+            g = Graph.trusted(n, rows)
             if _emit_ok(g, config):
                 count += 1
                 if visit is not None:

@@ -17,6 +17,12 @@ class GraphError(ValueError):
     """Invalid graph construction or serialisation input."""
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise GraphError unless a graph may have ``n`` vertices."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def bitset_of(vertices: Iterable[int]) -> int:
     """Pack an iterable of vertex indices into a bitmask."""
     mask = 0
@@ -61,8 +67,7 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int] = ()):
-        if not 0 <= n <= MAX_VERTICES:
-            raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        check_vertex_count(n)
         adj = tuple(adj) if adj else (0,) * n
         if len(adj) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(adj)}")
@@ -102,8 +107,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; duplicate edges collapse."""
-        if not 0 <= n <= MAX_VERTICES:
-            raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:

@@ -1,7 +1,7 @@
 """The hot kernels: max clique, exact k-colouring, induced-subgraph search,
-induced-cycle search, canonical labelling and the per-parent step of
-canonical augmentation, in pure Python, and their compiled counterparts
-when they are built.
+induced-cycle search, canonical labelling and one level of canonical
+augmentation, in pure Python, and their compiled counterparts when they
+are built.
 
 One backtracker (``_embed``) walks induced embeddings with bitset
 candidates and calls a leaf action on each: it serves ``has_induced``,
@@ -15,18 +15,21 @@ and, one pass each, the odd-hole and odd-antihole searches of
 cached (``_plan``, ``_search_plans``).  Hereditary pruning does not search
 each extension: ``extension_obstructions`` lists, once per parent, the
 pattern copies a new vertex could complete as bitmask pairs tested against
-its neighbourhood, one listing per orbit of the pattern.  ``canon_form``
-refines by counting neighbours only in the cells split in the previous
-round (McKay and Piperno 2014), which orders the cells as counting in
-every cell would.  Every search order is fixed, so results, witnesses
-included, are reproducible bit for bit.  Graphs enter as ``(n, adj)`` with
-``adj`` a sequence of per-vertex neighbour bitmasks; vertex sets leave as
-bitmasks or index tuples.
+its neighbourhood, one listing per orbit of the pattern, by walking the
+patterns' ``obstruction_plans``.  Those plans are the only pattern
+analysis ``augment`` needs, and both backends take them from here.
+``canon_form`` refines by counting neighbours only in the cells split in
+the previous round (McKay and Piperno 2014), which orders the cells as
+counting in every cell would.  Every search order is fixed, so results,
+witnesses included, are reproducible bit for bit.  Graphs enter as ``(n,
+adj)`` with ``adj`` a sequence of per-vertex neighbour bitmasks; vertex
+sets leave as bitmasks or index tuples.
 
 Two backends.  Everything above runs in pure Python, and so does
-``pure_augment``, the per-parent step of ``enumeration.enumerate_graphs``:
-the accepted canonical rows of a parent's one-vertex extensions, labelled
-by ``pure_canon_form``.  ``canon_form``, ``max_clique``, ``color_with``,
+``pure_augment``, one level of ``enumeration.enumerate_graphs`` per call:
+for each parent of the level in turn, the per-parent step, which gives the
+accepted canonical rows of its one-vertex extensions, labelled by
+``pure_canon_form``.  ``canon_form``, ``max_clique``, ``color_with``,
 ``induced_cycles`` and ``augment`` are bound to the pure entries, and when
 the optional C extension ``clawlab._augment`` imports (``setup.py
 build_ext --inplace`` builds it from ``_augment.c`` where a C compiler is
@@ -38,7 +41,9 @@ step; ``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
 ``pure_induced_cycles`` and ``pure_augment`` keep the pure entries as the
 references the compiled ones are tested against.  The compiled entries
 take only ``n`` in 0..64, ints and rows with no bit at ``n`` or above, and
-raise ValueError otherwise.
+``augment`` only plans of at most 15 positions, degrees up to 16 and up,
+down and ``after`` positions earlier than their own; they raise ValueError
+otherwise and keep no state between calls.
 """
 
 from __future__ import annotations
@@ -337,6 +342,13 @@ def _obstruction_plans(pn, padj):
     return tuple(_plan(padj, _by_degree(padj, full & ~(1 << orbit[0]))) for orbit in orbits)
 
 
+def obstruction_plans(patterns):
+    """The plans ``extension_obstructions`` walks for the patterns (``(pn,
+    padj)`` pairs), as one tuple: each pattern's ``_obstruction_plans`` in
+    turn.  This is the ``plans`` argument of ``augment``."""
+    return tuple(plan for pn, padj in patterns if pn for plan in _obstruction_plans(pn, tuple(padj)))
+
+
 def extension_obstructions(n, adj, patterns):
     """The ``(S, T)`` bitmask pairs that forbid a one-vertex extension: the
     graph plus a new vertex joined to ``mask`` holds an induced copy of one
@@ -353,16 +365,20 @@ def extension_obstructions(n, adj, patterns):
     included), since swapping two twins fixes S and T.  Each pair is listed
     once, in the order first found.
     """
+    return _obstructions(n, adj, obstruction_plans(patterns))
+
+
+def _obstructions(n, adj, plans):
+    """``extension_obstructions`` from the patterns' ``obstruction_plans``;
+    a plan of more than ``n`` positions has no embedding and is skipped."""
     found = {}
 
     def add(img, used, reach):
         found[used, reach] = None
 
-    for pn, padj in patterns:
-        if pn == 0 or pn - 1 > n:
-            continue
-        atleast = _degree_masks(n, adj, pn)
-        for plan in _obstruction_plans(pn, tuple(padj)):
+    atleast = _degree_masks(n, adj, n)
+    for plan in plans:
+        if len(plan[0]) <= n:
             _embed(adj, atleast, plan, add)
     return list(found)
 
@@ -622,11 +638,13 @@ def _outranked(parent, by_deg, below, mask, k, rivals):
     return False
 
 
-def pure_augment(m, parent_rows, patterns, min_alpha, connected):
-    """The canonically accepted one-vertex extensions of a canonical parent
-    on ``m`` vertices, as canonical row tuples in the order they are found:
-    the per-parent step of ``enumeration.enumerate_graphs``, free of the
-    patterns (``(pn, padj)`` pairs) and, with ``connected``, connected.
+def pure_augment(m, parents, plans, min_alpha, connected):
+    """The canonically accepted one-vertex extensions of the canonical
+    parents (row sequences, each on ``m`` vertices), as canonical row
+    tuples, parent by parent and each parent's in the order they are found:
+    one level of ``enumeration.enumerate_graphs``, free of the patterns
+    whose ``obstruction_plans`` are ``plans`` and, with ``connected``,
+    connected.  The loop body is the per-parent step described below.
 
     The new vertex is joined to the parent's vertices in ``mask``.  With a
     = ``min_alpha`` the parent must have alpha >= a, and so has every
@@ -698,82 +716,83 @@ def pure_augment(m, parent_rows, patterns, min_alpha, connected):
     uses the new vertex, and it does so iff ``mask & S == T`` for one of
     the parent's ``extension_obstructions`` pairs (S a copy of the pattern
     less one vertex in the parent, T the neighbours the new vertex needs in
-    S).  The pairs are listed when the first mask gets this far, so a
-    parent all of whose masks fail earlier lists none.
+    S).  The pairs are listed from ``plans`` when the first mask gets this
+    far, so a parent all of whose masks fail earlier lists none.
 
     Labelling is ``pure_canon_form``: this is the pure step on either
     backend, and the reference the compiled ``augment`` is tested against.
     """
-    parent = tuple(parent_rows)
     n = m + 1
     everyone = (1 << m) - 1
-    by_deg = [0] * (m + 1)
-    for v, row in enumerate(parent):
-        by_deg[row.bit_count()] |= 1 << v
-    below = [0] + by_deg
-    # R as a mask (the vertices whose deletion keeps alpha >= min_alpha) and
-    # its degree classes
-    deletable = everyone
-    if min_alpha > 1:
-        deletable = 0
-        for v in range(m):
-            if not deletable >> v & 1:
-                found = _independent(parent, everyone & ~(1 << v), min_alpha)
-                if found is not None:
-                    deletable |= everyone & ~found
-    rival_deg = [c & deletable for c in by_deg]
-    rival_below = [0] + rival_deg
-    top = max((d for d in range(m) if rival_deg[d]), default=0)
-    twins = _twin_classes(m, parent)
-    # the parent's components, when the child must be connected
-    meet = []
-    unseen = everyone if connected else 0
-    while unseen:
-        comp = reachable(parent, unseen & -unseen, unseen)
-        meet.append(comp)
-        unseen &= ~comp
-    blocks = None
     out = []
-    seen = set()
-    for mask in _masks_from(m, top):
-        k = mask.bit_count()
-        # stage 1: when k == top, a raised degree-top vertex would exceed k
-        if k == top and mask & rival_deg[top]:
-            continue
-        # stage 3: the child is disconnected
-        if meet and not all(mask & c for c in meet):
-            continue
-        if not _keeps_lowest_twins(mask, twins):
-            continue
-        # stage 2: vertices of R reach degree k only when k is top or top + 1
-        if k - top < 2:
-            rivals = (rival_deg[k] & ~mask) | (rival_below[k] & mask)
-            if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
+    for parent_rows in parents:
+        parent = tuple(parent_rows)
+        by_deg = [0] * (m + 1)
+        for v, row in enumerate(parent):
+            by_deg[row.bit_count()] |= 1 << v
+        below = [0] + by_deg
+        # R as a mask (the vertices whose deletion keeps alpha >= min_alpha) and
+        # its degree classes
+        deletable = everyone
+        if min_alpha > 1:
+            deletable = 0
+            for v in range(m):
+                if not deletable >> v & 1:
+                    found = _independent(parent, everyone & ~(1 << v), min_alpha)
+                    if found is not None:
+                        deletable |= everyone & ~found
+        rival_deg = [c & deletable for c in by_deg]
+        rival_below = [0] + rival_deg
+        top = max((d for d in range(m) if rival_deg[d]), default=0)
+        twins = _twin_classes(m, parent)
+        # the parent's components, when the child must be connected
+        meet = []
+        unseen = everyone if connected else 0
+        while unseen:
+            comp = reachable(parent, unseen & -unseen, unseen)
+            meet.append(comp)
+            unseen &= ~comp
+        blocks = None
+        seen = set()
+        for mask in _masks_from(m, top):
+            k = mask.bit_count()
+            # stage 1: when k == top, a raised degree-top vertex would exceed k
+            if k == top and mask & rival_deg[top]:
                 continue
-        if blocks is None:
-            blocks = extension_obstructions(m, parent, patterns)
-        if any(mask & s == t for s, t in blocks):
-            continue
-        adj = tuple(row | 1 << m if mask >> v & 1 else row for v, row in enumerate(parent))
-        adj += (mask,)
-        cert, perm = pure_canon_form(n, adj)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        if perm[m] != m:
-            # walk down to w, the canonically last vertex of D(child)
-            pos = m
-            w = perm.index(pos)
-            while w != m and not deletable >> w & 1:
-                if _independent(parent, everyone & ~(mask | 1 << w), min_alpha - 1) is not None:
-                    break
-                pos -= 1
+            # stage 3: the child is disconnected
+            if meet and not all(mask & c for c in meet):
+                continue
+            if not _keeps_lowest_twins(mask, twins):
+                continue
+            # stage 2: vertices of R reach degree k only when k is top or top + 1
+            if k - top < 2:
+                rivals = (rival_deg[k] & ~mask) | (rival_below[k] & mask)
+                if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
+                    continue
+            if blocks is None:
+                blocks = _obstructions(m, parent, plans)
+            if any(mask & s == t for s, t in blocks):
+                continue
+            adj = tuple(row | 1 << m if mask >> v & 1 else row for v, row in enumerate(parent))
+            adj += (mask,)
+            cert, perm = pure_canon_form(n, adj)
+            if cert in seen:
+                continue
+            seen.add(cert)
+            if perm[m] != m:
+                # walk down to w, the canonically last vertex of D(child)
+                pos = m
                 w = perm.index(pos)
-            # deleting the new vertex gives the parent, whose rows are already
-            # canonical; deleting w must match them
-            if w != m and pure_canon_form(m, _delete_vertex(adj, w))[0] != parent:
-                continue
-        out.append(cert)
+                while w != m and not deletable >> w & 1:
+                    if _independent(parent, everyone & ~(mask | 1 << w), min_alpha - 1) is not None:
+                        break
+                    pos -= 1
+                    w = perm.index(pos)
+                # deleting the new vertex gives the parent, whose rows are already
+                # canonical; deleting w must match them
+                if w != m and pure_canon_form(m, _delete_vertex(adj, w))[0] != parent:
+                    continue
+            out.append(cert)
     return out
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 
 from clawlab import kernels
-from clawlab.graphs import Graph, GraphError, bitset_of, reachable
+from clawlab.graphs import Graph, GraphError, bitset_of, check_vertex_count, reachable
 
 MAX_PATTERN_VERTICES = 10
 KERNEL_MAX_PATTERN_VERTICES = 16  # pattern bound of the kernel contract (a C kernel may keep fixed rows)
@@ -49,16 +49,14 @@ def _term_graph(m: re.Match) -> Graph:
         if k < 4:
             raise PatternError(f"antihole needs k >= 4, got {k}")
         kind = "C"
+    least = 3 if kind == "C" else 1
+    if k < least:
+        raise PatternError(f"{kind}{k} needs k >= {least}")
+    check_vertex_count(k)  # before an edge list of k vertices is built
     if kind == "K":
-        if k < 1:
-            raise PatternError(f"K{k} needs k >= 1")
         return Graph.from_edges(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
     if kind == "P":
-        if k < 1:
-            raise PatternError(f"P{k} needs k >= 1")
         return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
-    if k < 3:
-        raise PatternError(f"C{k} needs k >= 3")
     cycle = Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
     return cycle if antihole is None else cycle.complement()
 
@@ -69,7 +67,7 @@ def pattern_graph(token: str) -> Graph:
     token = token.strip().upper()
     if not token:
         raise PatternError("empty pattern token")
-    pieces = []
+    terms = []  # (graph, multiplier); copies are made only under the cap
     for term in token.split("+"):
         term = term.strip()
         m = _TERM_RE.match(term)
@@ -78,16 +76,16 @@ def pattern_graph(token: str) -> Graph:
         mult = int(m.group(1)) if m.group(1) else 1
         if mult < 1:
             raise PatternError(f"multiplier must be positive in {term!r}")
-        g = _term_graph(m)
-        pieces.extend([g] * mult)
-    total = sum(g.n for g in pieces)
+        terms.append((_term_graph(m), mult))
+    total = sum(g.n * mult for g, mult in terms)
     if total > MAX_PATTERN_VERTICES:
         raise PatternError(f"pattern {token!r} has {total} vertices (max {MAX_PATTERN_VERTICES})")
     edges = []
     off = 0
-    for g in pieces:
-        edges.extend((u + off, v + off) for u, v in g.edge_list())
-        off += g.n
+    for g, mult in terms:
+        for _ in range(mult):
+            edges.extend((u + off, v + off) for u, v in g.edge_list())
+            off += g.n
     return Graph.from_edges(total, edges)
 
 

@@ -25,6 +25,7 @@ pytestmark = pytest.mark.skipif(kernels.BACKEND != "c", reason="clawlab._augment
 PRELUDE = r"""
 import json, random, resource, sys
 from clawlab import _augment
+from clawlab.kernels import obstruction_plans
 from clawlab.patterns import pattern_graph
 
 rng = random.Random(int(sys.argv[1]))
@@ -42,8 +43,8 @@ def rows(n, p=None):
     return tuple(adj)
 
 
-def some_patterns():
-    return rng.sample(PATTERNS, rng.randrange(0, 3))
+def some_plans():
+    return obstruction_plans(rng.sample(PATTERNS, rng.randrange(0, 3)))
 
 
 NOT_INTS = [1.5, "3", None, [1], (), b"1", object()]
@@ -71,11 +72,13 @@ class Unsure:
         raise RuntimeError("no truth value")
 
 
-def must_reject(fn, *args):
-    # a ValueError, and nothing else, for input out of range
+def must_reject(fn, field, *args):
+    # a ValueError about the field under test, and nothing else, for input
+    # out of range
     try:
         fn(*args)
-    except ValueError:
+    except ValueError as e:
+        assert str(e).startswith(field), (field, str(e), fn.__name__, args)
         return "rejected"
     raise AssertionError(f"accepted {fn.__name__}{args!r}")
 
@@ -107,42 +110,114 @@ def canon_case():
     adj = rows(n)
     kind = rng.randrange(4)
     if kind == 0:
-        return must_reject(_augment.canon_form, rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70)]), adj)
+        return must_reject(_augment.canon_form, "n must", rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70)]), adj)
     if kind == 1:
-        return must_reject(_augment.canon_form, n, corrupted(adj, n))
+        return must_reject(_augment.canon_form, "adj row", n, corrupted(adj, n))
     if kind == 2:
-        return must_reject(_augment.canon_form, n, adj[:-1] if rng.random() < 0.5 else adj + (0,))
+        return must_reject(_augment.canon_form, "adj must hold", n, adj[:-1] if rng.random() < 0.5 else adj + (0,))
     # loops and one-sided rows are within range: answered, not crashed
     odd = [row | rng.getrandbits(n) & rng.getrandbits(n) for row in adj]
     bad = rng.choice([None, 1.5, "3", n])
     return may_reject(_augment.canon_form, rng.choice([n, bad]), rng.choice([odd, odd, 7, None]))
 
 
+def random_plan(k):
+    # a well-formed plan on k positions, seldom one a pattern gives
+    return (
+        tuple(rng.randrange(0, 17) for t in range(k)),
+        tuple(tuple(s for s in range(t) if rng.random() < 0.4) for t in range(k)),
+        tuple(tuple(s for s in range(t) if rng.random() < 0.4) for t in range(k)),
+        tuple(rng.randrange(-1, t) for t in range(k)),
+        tuple(rng.random() < 0.5 for t in range(k)),
+    )
+
+
+def broken_plan():
+    # a plan with one defect, and the start of the message it must get
+    k = rng.randrange(1, 16)
+    plan = list(random_plan(k))
+    t = rng.randrange(k)
+    kind = rng.randrange(8)
+    if kind == 0:
+        return random_plan(rng.randrange(16, 40)), "plan positions"
+    if kind == 1:
+        degs = list(plan[0])
+        degs[t] = rng.choice([17, 18, 2 ** 70, -1, -(2 ** 70), rng.choice(NOT_INTS)])
+        plan[0], field = tuple(degs), "plan degree"
+    elif kind == 2:
+        # an up or down position that is not earlier than its own
+        f = rng.choice([1, 2])
+        positions = list(plan[f])
+        extra = rng.choice([t, t + 1, 15, 16, 2 ** 70, -1, -(2 ** 70), rng.choice(NOT_INTS)])
+        positions[t] += (extra,)
+        plan[f], field = tuple(positions), ("plan up position", "plan down position")[f - 1]
+    elif kind == 3:
+        after = list(plan[3])
+        after[t] = rng.choice([t, t + 1, 15, -2, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)])
+        plan[3], field = tuple(after), "plan after position"
+    elif kind == 4:
+        near = list(plan[4])
+        near[t] = rng.choice([2, -1, 2 ** 70, rng.choice(NOT_INTS)])
+        plan[4], field = tuple(near), "plan near flag"
+    elif kind == 5:
+        f = rng.randrange(5)
+        plan[f] = plan[f][:-1] if rng.random() < 0.5 else plan[f] + plan[f][:1]
+        field = "plan fields"
+    elif kind == 6:
+        f = rng.randrange(5)
+        plan[f], field = rng.choice([list(plan[f]), None, 3, "abc"]), "plan fields"
+    else:
+        # one position's ups or downs not a tuple
+        f = rng.choice([1, 2])
+        positions = list(plan[f])
+        positions[t] = rng.choice([list(positions[t]), None, 3, {0}])
+        plan[f], field = tuple(positions), ("plan up position", "plan down position")[f - 1]
+    if rng.random() < 0.1:
+        # the plan itself not a 5-tuple
+        return rng.choice([plan, tuple(plan[:4]), (*plan, ()), None, 5]), "plans must"
+    return tuple(plan), field
+
+
 def augment_case():
     m = rng.randrange(0, 9)
-    adj = rows(m)
-    pats = some_patterns()
+    parents = [rows(m) for _ in range(rng.randrange(1, 4))]
+    plans = some_plans()
     a = rng.randrange(0, 5)
     conn = rng.random() < 0.5
-    kind = rng.randrange(7)
+    i = rng.randrange(len(parents))
+    kind = rng.randrange(10)
     if kind == 0:
-        return must_reject(_augment.augment, rng.choice([-1, 64, 65, 2 ** 70]), adj, pats, a, conn)
+        m = rng.choice([-1, 64, 65, 2 ** 70, rng.choice(NOT_INTS)])
+        return must_reject(_augment.augment, "m must", m, parents, plans, a, conn)
     if kind == 1 and m:
-        return must_reject(_augment.augment, m, corrupted(adj, m), pats, a, conn)
+        parents[i] = corrupted(parents[i], m)
+        return must_reject(_augment.augment, "parent row", m, parents, plans, a, conn)
     if kind == 2:
-        pn = rng.randrange(17, 40)
-        return must_reject(_augment.augment, m, adj, pats + [(pn, (0,) * pn)], a, conn)
+        # a parent with the wrong row count, or not a sequence
+        wrong = rng.choice([parents[i][:-1] if m else (0,), parents[i] + (0,), None, 3])
+        parents[i] = wrong
+        return must_reject(_augment.augment, "parent must", m, parents, plans, a, conn)
     if kind == 3:
-        pn, padj = rng.choice(PATTERNS)
-        return must_reject(_augment.augment, m, adj, pats + [(pn, corrupted(padj, pn))], a, conn)
+        return must_reject(_augment.augment, "parents must", m, rng.choice([None, 3, 1.5]), plans, a, conn)
     if kind == 4:
-        return must_reject(_augment.augment, m, adj, pats, rng.choice([-1, -5, -(2 ** 70)]), conn)
+        return must_reject(_augment.augment, "min_alpha", m, parents, plans, rng.choice([-1, -5, -(2 ** 70)]), conn)
     if kind == 5:
+        return must_reject(_augment.augment, "plans must", m, parents, rng.choice([list(plans), None, 3]), a, conn)
+    if kind == 6:
+        plan, field = broken_plan()
+        at = rng.randrange(len(plans) + 1)
+        return must_reject(_augment.augment, field, m, parents, plans[:at] + (plan,) + plans[at:], a, conn)
+    if kind == 7:
+        # well-formed plans a pattern never gives are answered
+        plans = tuple(random_plan(rng.randrange(0, 16)) for _ in range(rng.randrange(1, 4)))
+        _augment.augment(m, parents, plans, a, conn)
+        return "answered"
+    if kind == 8:
         # well-typed oddities: loops, one-sided rows, huge min_alpha
-        odd = tuple(row | rng.getrandbits(m) & rng.getrandbits(m) for row in adj)
-        return may_reject(_augment.augment, m, odd, pats, rng.choice([a, 2 ** 70]), conn)
-    junk = [None, 1.5, "x", [(3, (1, 2))], [(2, (2, 1), 0)], [[2, (2, 1)]], [(2, (1, 1))], Unsure()]
-    args = [m, adj, pats, a, conn]
+        odd = [tuple(row | rng.getrandbits(m) & rng.getrandbits(m) for row in p) for p in parents]
+        return may_reject(_augment.augment, m, odd, plans, rng.choice([a, 2 ** 70]), conn)
+    junk = [None, 1.5, "x", [(3, (1, 2))], [[2, (2, 1)]], ((2, 1),), Unsure()]
+    args = [m, parents, plans, a, conn]
     args[rng.randrange(5)] = rng.choice(junk)
     call = rng.choice([args, args[:4], args + [0]])
     return may_reject(_augment.augment, *call)
@@ -164,15 +239,18 @@ def predicate_case():
     }[name]
     kind = rng.randrange(6)
     if kind == 0:
-        return must_reject(fn, rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)]), adj, *extra)
+        return must_reject(fn, "n must", rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)]), adj, *extra)
     if kind == 1 and n:
-        return must_reject(fn, n, corrupted(adj, n), *extra)
+        return must_reject(fn, "adj row", n, corrupted(adj, n), *extra)
     if kind == 2:
-        return must_reject(fn, n, adj[:-1] if n and rng.random() < 0.5 else adj + (0,), *extra)
+        return must_reject(fn, "adj must hold", n, adj[:-1] if n and rng.random() < 0.5 else adj + (0,), *extra)
     if kind == 3 and extra:
         bad = list(extra)
-        bad[rng.randrange(min(len(extra), 2))] = rng.choice(NOT_INTS)
-        return must_reject(fn, n, adj, *bad)
+        junk = rng.choice(NOT_INTS)
+        at = rng.randrange(min(len(extra), 2))
+        bad[at] = junk
+        field = {"color_with": ("k",), "induced_cycles": ("min_len", "max_len")}[name][at]
+        return must_reject(fn, field + " must", n, adj, *bad)
     if kind == 4 and name == "induced_cycles":
         return visit_case(n, adj)
     # loops and one-sided rows are within range: answered, not crashed
@@ -233,7 +311,9 @@ def rss_kib():
 
 graphs = [rows(rng.randrange(6, 13)) for _ in range(500)]
 parents = [_augment.canon_form(len(g), g)[0] for g in graphs]
-configs = [(some_patterns(), rng.randrange(0, 4), rng.random() < 0.5) for _ in range(500)]
+configs = [(some_plans(), rng.randrange(0, 4), rng.random() < 0.5) for _ in range(500)]
+# after[1] is not earlier than position 1
+BAD_PLAN = ((0, 0), ((), ()), ((), ()), (-1, 1), (0, 0))
 
 
 def raising(cycle):
@@ -246,10 +326,12 @@ def run(canon_calls, augment_calls, predicate_calls):
         _augment.canon_form(len(g), g)
     for i in range(augment_calls):
         p = parents[i % len(parents)]
-        pats, a, conn = configs[i % len(configs)]
-        _augment.augment(len(p), p, pats, a, conn)
+        plans, a, conn = configs[i % len(configs)]
+        _augment.augment(len(p), [p], plans, a, conn)
+        # rejected: a bad parent after a good one, or a bad plan
+        bad = ([p, p + (1,)], plans) if i % 2 else ([p], plans + (BAD_PLAN,))
         try:
-            _augment.augment(len(p), p + (1,), pats, a, conn)
+            _augment.augment(len(p), *bad, a, conn)
         except ValueError:
             pass
     for i in range(predicate_calls):
@@ -287,9 +369,12 @@ def run_child(script, seed):
 
 
 def test_malformed_input_is_rejected_not_crashed():
-    # n outside 0..64, rows negative, not ints or too wide, patterns over 16
-    # vertices and negative min_alpha raise ValueError; the rest of the
-    # malformed calls raise and the well-typed odd ones are answered
+    # n or m out of range, rows negative, not ints or too wide, a wrong row
+    # count, parents or plans of the wrong type, a plan of unequal fields,
+    # over 15 positions, a degree over 16 or a position not earlier than
+    # its own, and negative min_alpha raise ValueError about that field;
+    # the rest of the malformed calls raise, and the well-typed odd ones
+    # and well-formed plans no pattern gives are answered
     tally = run_child(MALFORMED, 20261018)
     assert tally["rejected"] > 2000 and tally["answered"] > 100, tally
 
@@ -306,9 +391,10 @@ def test_predicates_reject_malformed_input_and_keep_visit_errors():
 
 
 def test_long_runs_keep_memory_flat():
-    # 100k canon_form and 10k augment calls (plus 10k rejected ones), and
-    # 10k rounds of the predicates (a clique, two colourings, a full cycle
-    # search, a search whose visit raises and a rejected call) on 6-12
-    # vertex graphs after warm-up: the peak RSS grows by at most 1 MiB
+    # 100k canon_form and 10k augment calls (plus 10k rejected ones, by a
+    # bad parent after a good one or by a bad plan), and 10k rounds of the
+    # predicates (a clique, two colourings, a full cycle search, a search
+    # whose visit raises and a rejected call) on 6-12 vertex graphs after
+    # warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

@@ -350,6 +350,7 @@ class TestChildren:
         another mask, and stage 3 drops exactly the classes ``_emit_ok``
         rejects."""
         pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
+        plans = kernels.obstruction_plans(pats)
         for rep in _parents(oracle6, rng):
             plain = _reference_children(rep, pats)
             want = {0: plain, 1: plain}
@@ -357,12 +358,12 @@ class TestChildren:
                 want[a] = _reference_children(rep, pats, a)
             for augment in AUGMENTS:
                 for a, ref in want.items():
-                    got = sorted(augment(rep.n, rep.adj, pats, a, False))
+                    got = sorted(augment(rep.n, [rep.adj], plans, a, False))
                     assert got == ref, (augment, rep.adj, a)
                 for config in EMIT_CONFIGS:
                     if config.min_alpha not in want:
                         continue
-                    got = sorted(augment(rep.n, rep.adj, pats, config.min_alpha, config.connected_only))
+                    got = sorted(augment(rep.n, [rep.adj], plans, config.min_alpha, config.connected_only))
                     kept = [c for c in want[config.min_alpha] if _emit_ok(Graph.trusted(rep.n + 1, c), config)]
                     assert got == kept, (augment, rep.adj, config)
 
@@ -372,21 +373,35 @@ class TestChildren:
         """On every parent of ``test_matches_reference``, for a = 0..4 and
         with the connectivity filter off and on, the compiled ``augment``
         gives the rows of ``pure_augment``, in its order."""
-        pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
+        plans = kernels.obstruction_plans([(p.n, p.adj) for p in map(pattern_graph, tokens)])
         for rep in _parents(oracle6, rng):
             for a in range(5):
                 for connected in (False, True):
-                    got = kernels.augment(rep.n, rep.adj, pats, a, connected)
-                    want = kernels.pure_augment(rep.n, rep.adj, pats, a, connected)
+                    got = kernels.augment(rep.n, [rep.adj], plans, a, connected)
+                    want = kernels.pure_augment(rep.n, [rep.adj], plans, a, connected)
                     assert got == want, (rep.adj, a, connected)
+
+    def test_level_call_concatenates_parent_calls(self, oracle6):
+        """One call on many parents, in any order, gives each parent's
+        children in turn, as one call per parent does, on each ``augment``
+        entry."""
+        plans = kernels.obstruction_plans([(p.n, p.adj) for p in map(pattern_graph, ("K1_3", "C4"))])
+        for augment in AUGMENTS:
+            assert augment(3, [], plans, 0, False) == []
+            for m in range(1, 7):
+                parents = [rep.adj for rep in reversed(oracle6[m])]
+                for a in (0, 2):
+                    for connected in (False, True):
+                        want = [rows for p in parents for rows in augment(m, [p], plans, a, connected)]
+                        assert augment(m, parents, plans, a, connected) == want, (augment, m, a, connected)
 
     def test_pure_augment_calls_no_compiled_entry(self, oracle6, rng, monkeypatch):
         """``pure_augment`` gives the same rows with every kernel binding
         and every entry of ``clawlab._augment`` (when it imports) replaced
         by one that raises: it runs pure code alone on either backend."""
-        pats = [(p.n, p.adj) for p in map(pattern_graph, ("K1_3", "P5"))]
+        plans = kernels.obstruction_plans([(p.n, p.adj) for p in map(pattern_graph, ("K1_3", "P5"))])
         calls = [
-            (rep.n, rep.adj, pats, a, connected)
+            (rep.n, [rep.adj], plans, a, connected)
             for rep in _parents(oracle6, rng)
             for a in range(4)
             for connected in (False, True)
@@ -424,7 +439,7 @@ class TestChildren:
                 if a > alpha:
                     continue
                 labelled.clear()
-                kernels.pure_augment(rep.n, rep.adj, [], a, False)
+                kernels.pure_augment(rep.n, [rep.adj], (), a, False)
                 got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
                 assert sorted(got) == list(_reference_masks(rep, a)), (rep.adj, a)
 
@@ -459,6 +474,28 @@ class TestProperties:
             return seq
 
         assert run() == run()
+
+    def test_one_augment_call_per_level(self, monkeypatch):
+        """``enumerate_graphs`` extends each level above the root aK1 by one
+        ``kernels.augment`` call, empty levels included."""
+        calls = []
+        augment = kernels.augment
+
+        def counted(m, parents, plans, min_alpha, connected):
+            calls.append(m)
+            return augment(m, parents, plans, min_alpha, connected)
+
+        monkeypatch.setattr(kernels, "augment", counted)
+        configs = [
+            EnumerationConfig(max_n=6),
+            EnumerationConfig(max_n=8, connected_only=True, free_of=("K1_3", "P5"), min_alpha=3),
+            EnumerationConfig(max_n=4, free_of=("K1",)),
+            EnumerationConfig(max_n=2, min_alpha=3),
+        ]
+        for config in configs:
+            calls.clear()
+            enumerate_graphs(config)
+            assert calls == list(range(max(config.min_alpha, 1), config.max_n)), config
 
     def test_count_equals_visits(self):
         seen = []

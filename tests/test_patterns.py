@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from clawlab.canon import is_isomorphic
 from clawlab.families import FamilySpec, build_family
-from clawlab.graphs import Graph, bitset_of
+from clawlab.graphs import Graph, GraphError, bitset_of
 from clawlab.patterns import (
     NeighborhoodShape,
     PatternError,
@@ -83,6 +85,27 @@ class TestCatalog:
         with pytest.raises(PatternError):
             pattern_graph("C11")
         assert pattern_graph("C10").n == 10
+
+    @pytest.mark.parametrize("token", ["K65", "P65", "C65", "AH65"])
+    def test_term_size_checked_before_building(self, token, monkeypatch):
+        # the vertex-count GraphError comes before any edge list is built
+        def no_build(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(Graph, "from_edges", no_build)
+        with pytest.raises(GraphError, match=r"vertex count \d+ outside 0\.\.64"):
+            pattern_graph(token)
+
+    def test_multiplier_checked_before_copying(self):
+        # a huge multiplier is refused without a list of its copies
+        tracemalloc.start()
+        try:
+            with pytest.raises(PatternError, match="has 3000000 vertices"):
+                pattern_graph("3000000K1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestContainment:
