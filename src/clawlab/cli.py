@@ -13,6 +13,7 @@ unreadable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -154,7 +155,10 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call (not at
+    import) and kept for the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="clawlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -196,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, PatternError, FamilyError, ValueError, OSError) as exc:

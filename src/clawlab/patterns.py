@@ -130,14 +130,36 @@ class NeighborhoodShape(Enum):
     OTHER = "OTHER"
 
 
-# N(x) on a cycle, short of the whole cycle, induces disjoint paths: the
-# runs of consecutive neighbours.  Run lengths name the shape.
-_RUN_SHAPES = {
-    (2,): NeighborhoodShape.K2,
-    (3,): NeighborhoodShape.P3,
-    (4,): NeighborhoodShape.P4,
-    (2, 2): NeighborhoodShape.TWO_K2,
-}
+# On an induced cycle C each vertex has two neighbours on C, so N = N(x) on
+# C, short of all of C, induces disjoint paths (runs), and each v in N has
+# 0, 1 or 2 neighbours in N.  With no v isolated in N and |N| <= 4, the runs
+# have 2 to 4 vertices: two ends (a v with one neighbour in N) make one run
+# of |N| vertices, four ends make two runs of 2.  No vertex order is needed.
+_ONE_RUN = (NeighborhoodShape.K2, NeighborhoodShape.P3, NeighborhoodShape.P4)
+
+
+def cycle_neighborhood_shape(adj, cmask: int, length: int, nb: int) -> NeighborhoodShape:
+    """Shape of ``nb`` = N(x) on the induced cycle ``cmask`` of ``length``
+    vertices in the host rows ``adj``, by the rule of
+    ``classify_cycle_neighborhood``.  Trusted: nothing is checked, so the
+    cycle must be induced and ``x`` off it."""
+    if not nb:
+        return NeighborhoodShape.NONE
+    if nb == cmask:
+        return NeighborhoodShape.C5 if length == 5 else NeighborhoodShape.OTHER
+    size = nb.bit_count()
+    if size > 4:
+        return NeighborhoodShape.OTHER
+    ends = 0
+    rest = nb
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        inside = (adj[low.bit_length() - 1] & nb).bit_count()
+        if not inside:
+            return NeighborhoodShape.OTHER
+        ends += inside == 1
+    return _ONE_RUN[size - 2] if ends == 2 else NeighborhoodShape.TWO_K2
 
 
 def induces_cycle(g: Graph, vertices) -> bool:
@@ -160,34 +182,19 @@ def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
     vertex of ``g`` outside it (ValueError otherwise).  Returns NONE when
     ``x`` has no neighbour on the cycle and OTHER for shapes outside the
     claw-free repertoire, so the classifier doubles as a falsifier on hosts
-    that do contain a claw.
+    that do contain a claw.  The order of ``cycle`` does not matter.
+
+    The rule, on N = N(x) on the cycle: all of the cycle is C5 on five
+    vertices and OTHER on more; |N| > 4, or a vertex of N with no
+    neighbour in N, is OTHER; otherwise the ends (vertices of N with one
+    neighbour in N) decide: two ends give K2, P3 or P4 by |N|, four give 2K2.
     """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
-    cset = sorted(set(cycle))
+    cset = set(cycle)
     if x in cset:
         raise ValueError(f"vertex {x} lies on the cycle")
     if len(cset) < 5 or not induces_cycle(g, cset):
         raise ValueError("vertex set does not induce a cycle of length >= 5")
     cmask = bitset_of(cset)
-    nb = g.adj[x] & cmask
-    if not nb:
-        return NeighborhoodShape.NONE
-    if nb == cmask:
-        return NeighborhoodShape.C5 if len(cset) == 5 else NeighborhoodShape.OTHER
-    # walk the cycle once from a non-neighbour, so no run wraps past the start
-    rest = cmask & ~nb
-    cur = (rest & -rest).bit_length() - 1
-    back = 0
-    runs = []
-    run = 0
-    for _ in cset:
-        step = g.adj[cur] & cmask & ~back
-        back = 1 << cur
-        cur = (step & -step).bit_length() - 1
-        if (nb >> cur) & 1:
-            run += 1
-        elif run:
-            runs.append(run)
-            run = 0
-    return _RUN_SHAPES.get(tuple(runs), NeighborhoodShape.OTHER)
+    return cycle_neighborhood_shape(g.adj, cmask, len(cset), g.adj[x] & cmask)

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
-from clawlab.graphs import Graph, bitset_of, to_graph6
+from clawlab.graphs import Graph, bitset_of, to_graph6, vertices_of
 from clawlab.invariants import (
     _chromatic_from,
     clique_number,
     find_odd_antihole,
     is_perfect,
 )
-from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood
+from clawlab.patterns import NeighborhoodShape, cycle_neighborhood_shape
 from clawlab.structure import TheoremViolation, VerdictKind, classify_claw_bull_free, olariu_classify
 
 _GOOD_SHAPES = (
@@ -123,14 +123,16 @@ def _check_c5_free(g: Graph):
 
 
 def _check_obs2(g: Graph):
+    # the grower yields induced cycles only, so the trusted rule needs no check
+    adj = g.adj
     reasons = []
     for cycle in induced_cycles(g, 5):
         cmask = bitset_of(cycle)
-        cset = set(cycle)
-        for x in range(g.n):
-            if x in cset or not (g.adj[x] & cmask):
-                continue
-            shape = classify_cycle_neighborhood(g, cycle, x)
+        around = 0
+        for v in cycle:
+            around |= adj[v]
+        for x in vertices_of(around & ~cmask):
+            shape = cycle_neighborhood_shape(adj, cmask, len(cycle), adj[x] & cmask)
             if shape not in _GOOD_SHAPES:
                 reasons.append(f"cycle {list(cycle)}, vertex {x}: shape {shape.value}")
     return reasons

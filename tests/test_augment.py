@@ -261,8 +261,17 @@ def predicate_case():
 def visit_case(n, adj):
     kind = rng.randrange(3)
     if kind == 0:
-        # an exception raised in visit ends the search and comes out unchanged
-        err, at, seen = Boom(), rng.randrange(1, 4), []
+        # an exception raised in visit, at one of the graph's cycles, ends
+        # the search and comes out unchanged; a forest on 3 or more
+        # vertices gets the triangle 0-1-2, so that it has a cycle
+        cycles = []
+        _augment.induced_cycles(n, adj, 3, n, cycles.append)
+        if not cycles and n >= 3:
+            adj = (adj[0] | 6, adj[1] | 5, adj[2] | 3) + adj[3:]
+            _augment.induced_cycles(n, adj, 3, n, cycles.append)
+        if not cycles:
+            return "answered"
+        err, at, seen = Boom(), rng.randrange(1, len(cycles) + 1), []
 
         def visit(cycle):
             seen.append(cycle)
@@ -272,9 +281,9 @@ def visit_case(n, adj):
         try:
             _augment.induced_cycles(n, adj, 3, n, visit)
         except Boom as e:
-            assert e is err and len(seen) == at
+            assert e is err and seen == cycles[:at]
             return "raised"
-        return "answered"
+        raise AssertionError("the error raised in visit was lost")
     if kind == 1:
         # a visit that is not callable, or returns a truthy non-int, is a TypeError
         bad_reply = rng.choice([1.5, "x", [1], object()])

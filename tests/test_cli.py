@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
 from clawlab.canon import is_isomorphic
-from clawlab.cli import main
+from clawlab.cli import build_parser, main
 from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
 from clawlab.graphs import parse_graph6, to_graph6
 from clawlab.patterns import pattern_graph
@@ -204,3 +205,38 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(tmp_path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestParserReuse:
+    # a clean verify, an argparse usage error, a usage error from the
+    # campaign, check, and a verify that finds counterexamples
+    CALLS = [
+        ("verify", "--theorem", "T5_ALPHA3", "--y", "P5", "--max-n", "6"),
+        ("verify", "--theorem", "T5_ALPHA3", "--max-n", "6", "--format", "xml"),
+        ("verify", "--theorem", "NOPE", "--max-n", "5"),
+        ("check", to_graph6(pattern_graph("C5"))),
+        ("verify", "--theorem", "T4_NOALPHA", "--y", "C4", "--max-n", "6"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        """Exit code, stdout and stderr, with the wall-clock times dropped."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed"', captured.out)
+        return code, out, re.sub(r", [0-9.]+s$", "", captured.err, flags=re.M)
+
+    def test_each_call_matches_a_fresh_parser(self, capsys):
+        build_parser.cache_clear()
+        warm = [self.outcome(capsys, argv) for argv in self.CALLS]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert warm == fresh
+        assert [code for code, _, _ in warm] == [0, 2, 2, 0, 1]
+        assert "invalid choice" in warm[1][2] and warm[4][1].count('"graph6"') > 1

@@ -9,6 +9,7 @@ from clawlab.patterns import (
     NeighborhoodShape,
     PatternError,
     classify_cycle_neighborhood,
+    cycle_neighborhood_shape,
     find_induced,
     has_induced,
     induces_cycle,
@@ -157,6 +158,54 @@ class TestContainment:
             for _ in range(10):
                 keep = [v for v in range(g.n) if rng.random() < 0.6]
                 assert is_free(g.induced(keep), tokens)
+
+
+# runs of consecutive cycle neighbours (None: the whole cycle) and the
+# shape they make, on every cycle length from 5 to 8 that fits them with a
+# gap after each run
+_RUN_CASES = [
+    ((1,), NeighborhoodShape.OTHER),
+    ((2,), NeighborhoodShape.K2),
+    ((3,), NeighborhoodShape.P3),
+    ((4,), NeighborhoodShape.P4),
+    ((1, 1), NeighborhoodShape.OTHER),
+    ((1, 3), NeighborhoodShape.OTHER),
+    ((2, 2), NeighborhoodShape.TWO_K2),
+    (None, None),
+]
+
+
+def _run_case_params():
+    for length in range(5, 9):
+        for runs, want in _RUN_CASES:
+            if runs is None:
+                want = NeighborhoodShape.C5 if length == 5 else NeighborhoodShape.OTHER
+            elif sum(runs) + len(runs) > length:
+                continue
+            yield pytest.param(length, runs, want, id=f"C{length}-{runs or 'all'}")
+
+
+class TestCycleNeighborhoodRule:
+    @pytest.mark.parametrize("length,runs,want", list(_run_case_params()))
+    def test_runs_on_cycle(self, length, runs, want, rng):
+        # C_length on relabelled vertices plus x = length; run i starts after
+        # the previous run and one gap
+        label = list(range(length))
+        rng.shuffle(label)
+        on = list(range(length))
+        if runs is not None:
+            on, at = [], 0
+            for run in runs:
+                on += range(at, at + run)
+                at += run + 1
+        x = length
+        edges = [(label[i], label[(i + 1) % length]) for i in range(length)] + [(label[i], x) for i in on]
+        g = Graph.from_edges(length + 1, edges)
+        cmask = (1 << length) - 1
+        assert cycle_neighborhood_shape(g.adj, cmask, length, g.adj[x] & cmask) is want
+        shuffled = list(range(length))
+        rng.shuffle(shuffled)
+        assert classify_cycle_neighborhood(g, shuffled, x) is want
 
 
 class TestCycleNeighborhood:

@@ -5,13 +5,14 @@ import pytest
 
 from clawlab.canon import is_isomorphic
 from clawlab.families import FamilySpec, build_family
-from clawlab.graphs import parse_graph6
+from clawlab.graphs import bitset_of, parse_graph6
 from clawlab.invariants import (
     chromatic_number,
     clique_number,
     is_perfect,
 )
-from clawlab.verify import VerificationReport, induced_cycles, report_emit, verify
+from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood
+from clawlab.verify import VerificationReport, _check_obs2, induced_cycles, report_emit, verify
 from conftest import brute_oriented_cycles, random_graph
 
 
@@ -95,6 +96,35 @@ class TestTheoremRuns:
             else:
                 assert not is_perfect(g, "spgt").perfect
                 assert not is_perfect(g, "direct").perfect
+
+
+def _obs2_by_classifier(g):
+    """OBS2's reasons from one validated classifier call per cycle and
+    outside neighbour, in the order of cycles and then of x."""
+    good = {NeighborhoodShape.K2, NeighborhoodShape.P3, NeighborhoodShape.P4, NeighborhoodShape.C5,
+            NeighborhoodShape.TWO_K2}
+    reasons = []
+    for cycle in induced_cycles(g, 5):
+        cmask = bitset_of(cycle)
+        for x in range(g.n):
+            if x in cycle or not (g.adj[x] & cmask):
+                continue
+            shape = classify_cycle_neighborhood(g, cycle, x)
+            if shape not in good:
+                reasons.append(f"cycle {list(cycle)}, vertex {x}: shape {shape.value}")
+    return reasons
+
+
+def test_obs2_check_matches_classifier_loop(oracle7):
+    # the campaign's trusted rule gives the classifier's reasons, in order,
+    # on every class up to 7 vertices (claws included, so OTHER shapes occur)
+    failing = 0
+    for graphs in oracle7.values():
+        for g in graphs:
+            want = _obs2_by_classifier(g)
+            assert _check_obs2(g) == want, g
+            failing += bool(want)
+    assert failing == 99
 
 
 # (theorem, y, max_n) -> (class_size, counterexample rows), as first measured
