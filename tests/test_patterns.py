@@ -168,6 +168,7 @@ _RUN_CASES = [
     ((2,), NeighborhoodShape.K2),
     ((3,), NeighborhoodShape.P3),
     ((4,), NeighborhoodShape.P4),
+    ((5,), NeighborhoodShape.OTHER),
     ((1, 1), NeighborhoodShape.OTHER),
     ((1, 3), NeighborhoodShape.OTHER),
     ((2, 2), NeighborhoodShape.TWO_K2),
