@@ -38,7 +38,7 @@ extended, connectivity is also read off the parent and the mask, so an
 extension whose child is disconnected is dropped before any kernel call:
 the child is connected iff the mask meets every component of the parent.
 That is a property of the child's class, so the classes emitted are
-unchanged.
+unchanged, and emission does not test their connectivity again.
 
 All of this work for one level is one ``kernels.augment`` call over the
 level's parents, which returns the accepted children's canonical rows
@@ -85,11 +85,13 @@ class EnumerationConfig:
                 )
 
 
-def _emit_ok(g: Graph, config: EnumerationConfig) -> bool:
+def _emit_ok(g: Graph, config: EnumerationConfig, connected: bool = False) -> bool:
     """The emission filters that are not hereditary: connectivity and odd
     cycles.  There is no alpha filter: every class the tree grows has alpha
-    >= ``min_alpha`` already."""
-    if config.connected_only and not g.is_connected():
+    >= ``min_alpha`` already.  ``connected`` says the level came from an
+    ``augment`` call that kept connected children only, so connectivity is
+    not tested again."""
+    if config.connected_only and not connected and not g.is_connected():
         return False
     return not (config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle())
 
@@ -121,12 +123,12 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
     if all(not kernels.has_induced(a, root, pn, padj) for pn, padj in pattern_adjs):
         level = [root]
     for n in range(a, config.max_n + 1):
+        connected = n > a and config.connected_only and n == config.max_n
         if n > a:
-            connected = config.connected_only and n == config.max_n
             level = sorted(kernels.augment(n - 1, level, plans, config.min_alpha, connected))
         for rows in level:
             g = Graph.trusted(n, rows)
-            if _emit_ok(g, config):
+            if _emit_ok(g, config, connected):
                 count += 1
                 if visit is not None:
                     visit(g)

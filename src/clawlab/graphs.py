@@ -96,8 +96,10 @@ class Graph:
         of ``__init__``.
 
         ``adj`` must be a tuple of ``n`` symmetric, loop-free rows within
-        ``0..n-1``: rows derived from a valid graph, or a kernel's canonical
-        relabelling of one.  Input from outside goes through ``Graph(...)``.
+        ``0..n-1``: rows derived from a valid graph, a kernel's canonical
+        relabelling of one, or rows ``from_edges`` and ``parse_graph6`` set
+        both ways from checked edges.  Other input from outside goes
+        through ``Graph(...)``.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
@@ -116,7 +118,7 @@ class Graph:
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        return cls.trusted(n, tuple(rows))
 
     # -- basic queries -------------------------------------------------
 
@@ -272,4 +274,4 @@ def parse_graph6(text: str) -> Graph:
                 rows[row] |= 1 << col
                 rows[col] |= 1 << row
             i += 1
-    return Graph(n, rows)
+    return Graph.trusted(n, tuple(rows))

@@ -158,15 +158,19 @@ def is_perfect(g: Graph, method: str = "spgt") -> PerfectionVerdict:
 
 
 def is_complete_multipartite(g: Graph) -> tuple[tuple[int, ...], ...] | None:
-    """Partition into independent parts with all cross edges, or None.
+    """Partition into independent parts with all cross edges, ordered by
+    least vertex, or None.
 
-    A graph is complete multipartite exactly when its complement is a
-    disjoint union of cliques, so the parts are the complement's components.
+    A graph is complete multipartite exactly when every u in M(v) = V - N(v)
+    has the row of v, and then the parts are the distinct M(v).  A vertex
+    with the row of v is never joined to v, so it lies in M(v): the rule
+    says that M(v) is exactly the group of vertices sharing the row of v,
+    and that is checked one group at a time.
     """
-    comp = g.complement()
-    parts = comp.components()
-    for part in parts:
-        for u, v in itertools.combinations(part, 2):
-            if g.has_edge(u, v):
-                return None
-    return tuple(parts)
+    full = (1 << g.n) - 1
+    groups: dict[int, int] = {}
+    for v, row in enumerate(g.adj):
+        groups[row] = groups.get(row, 0) | 1 << v
+    if any(members != full & ~row for row, members in groups.items()):
+        return None
+    return tuple(vertices_of(members) for members in groups.values())

@@ -10,12 +10,12 @@ candidates and calls a leaf action on each: it serves ``has_induced``,
 ascending order, which changes no answer.  ``find_induced_cycle`` runs the
 cycle grower ``induced_cycles`` that also serves ``verify.induced_cycles``
 and, one pass each, the odd-hole and odd-antihole searches of
-``invariants`` and the long-cycle and inflation-spine searches of
-``structure``.  A pattern's search plans and orbits are computed once and
-cached (``_plan``, ``_search_plans``).  Hereditary pruning does not search
-each extension: ``extension_obstructions`` lists, once per parent, the
-pattern copies a new vertex could complete as bitmask pairs tested against
-its neighbourhood, one listing per orbit of the pattern, by walking the
+``invariants`` and the long-cycle search of ``structure``.  A pattern's
+search plans and orbits are computed once and cached (``_plan``,
+``_search_plans``).  Hereditary pruning does not search each extension:
+``extension_obstructions`` lists, once per parent, the pattern copies a
+new vertex could complete as bitmask pairs tested against its
+neighbourhood, one listing per orbit of the pattern, by walking the
 patterns' ``obstruction_plans``.  Those plans are the only pattern
 analysis ``augment`` needs, and both backends take them from here.
 ``canon_form`` refines by counting neighbours only in the cells split in
@@ -708,8 +708,8 @@ def pure_augment(m, parents, plans, min_alpha, connected):
     the child's class, so the masks that give one class are kept or dropped
     together, and the classes kept are produced as before.
     ``enumerate_graphs`` asks for it only at ``max_n``, whose classes are
-    never extended, and still runs ``_emit_ok`` on each child, which alone
-    applies the odd-cycle filter.
+    never extended, and does not test those children's connectivity again;
+    ``_emit_ok`` alone applies the odd-cycle filter.
 
     A mask that passes every stage is then pruned when the child holds a
     forbidden pattern.  The parent holds none, so any copy in the child

@@ -1,16 +1,14 @@
 """Inflation-of-cycle recognition and the structural classifiers.
 
-Recognition follows the characterisation proof: fix an induced cycle, sort
-every outside vertex into a part by the three consecutive cycle vertices it
-must see, then re-validate the two inflation adjacency rules from scratch.
-In a genuine inflation every induced cycle of length >= 4 has the base
-length and any one of them works as the spine, so the first one the cycle
-grower meets is enough.
+An inflation of C_k (k >= 4) is read off its true-twin classes (vertices
+with equal closed neighbourhoods): those classes are its parts, and a
+graph whose classes lie around a cycle is that cycle's inflation, so
+recognition is one walk over the classes with no cycle search
+(``recognize_inflation`` gives the argument).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,57 +65,21 @@ def find_long_induced_cycle(g: Graph, min_len: int) -> tuple[int, ...] | None:
 
 
 def validate_inflation(g: Graph, parts) -> bool:
-    """Re-check the two inflation adjacency rules verbatim."""
+    """Whether ``parts`` (k >= 4 of them, partitioning the vertices) are the
+    parts of an inflation of C_k in this order: every u in part i is joined
+    to exactly the other vertices of parts i - 1, i and i + 1 (mod k)."""
     k = len(parts)
     if k < 4:
         return False
     if sorted(v for p in parts for v in p) != list(range(g.n)):
         return False
     masks = [bitset_of(p) for p in parts]
-    for i in range(k):
-        for j in range(i + 1, k):
-            both = list(parts[i]) + list(parts[j])
-            complete = all(g.has_edge(u, v) for u, v in itertools.combinations(both, 2))
-            if j - i == 1 or j - i == k - 1:
-                if not complete:
-                    return False
-            else:
-                # two cliques, no cross edges
-                if any((g.adj[u] & masks[j]) for u in parts[i]):
-                    return False
-                for pp in (parts[i], parts[j]):
-                    if not all(g.has_edge(u, v) for u, v in itertools.combinations(pp, 2)):
-                        return False
-    return True
+    return all(
+        g.adj[u] == (masks[i - 1] | masks[i] | masks[(i + 1) % k]) & ~(1 << u) for i in range(k) for u in parts[i]
+    )
 
 
-def _parts_from_spine(g: Graph, cycle) -> tuple[tuple[int, ...], ...] | None:
-    """Assign every vertex off the spine to the part of the middle cycle
-    vertex among the three consecutive ones it neighbours; None if some
-    vertex does not fit that shape."""
-    k = len(cycle)
-    pos = {v: i for i, v in enumerate(cycle)}
-    cmask = bitset_of(cycle)
-    parts = [[v] for v in cycle]
-    for w in range(g.n):
-        if w in pos:
-            continue
-        nb = [pos[v] for v in vertices_of(g.adj[w] & cmask)]
-        if len(nb) != 3:
-            return None
-        # positions must be i, i+1, i+2 cyclically; the middle one owns w
-        mid = None
-        for i in nb:
-            if (i - 1) % k in nb and (i + 1) % k in nb:
-                mid = i
-                break
-        if mid is None:
-            return None
-        parts[mid].append(w)
-    return tuple(tuple(sorted(p)) for p in parts)
-
-
-def _normalise(g: Graph, parts) -> InflationPartition:
+def _normalise(parts) -> InflationPartition:
     """Rotate/reflect so the part containing vertex 0 comes first, then pick
     the lexicographically smaller direction."""
     k = len(parts)
@@ -130,21 +92,43 @@ def _normalise(g: Graph, parts) -> InflationPartition:
 def recognize_inflation(g: Graph) -> InflationPartition | None:
     """Recover the cycle-inflation structure of ``g``, or None.
 
-    In an inflation of C_k (k >= 4) the parts are cliques of adjacent twins,
-    so an induced cycle of length >= 4 meets each part at most once and,
-    the parts lying around C_k, meets every part: each such cycle has length
-    k and serves as a spine, and the first one the cycle grower meets is
-    taken.  A graph that is no inflation fails the re-validation whatever
-    spine it gets.
+    The parts of an inflation of C_k (k >= 4) are its true-twin classes: a
+    vertex of part i has closed neighbourhood P(i-1) | P(i) | P(i+1), and
+    for k >= 4 these unions differ for different i.  Conversely two
+    true-twin classes are cliques joined completely or not at all, so if
+    the classes lie around a cycle, each meeting exactly two others, the
+    graph is that cycle's inflation.  The cycle has length at least 4: on
+    three classes pairwise joined every vertex would have the same closed
+    neighbourhood.  So the classes are walked from the class of vertex 0,
+    and the answer is None unless each class met has exactly two
+    neighbouring classes and the walk closes over all the vertices.
     """
-    spine = []
-    kernels.induced_cycles(g.n, g.adj, 4, g.n, lambda cycle: spine.append(cycle) or True)
-    if not spine:
+    if g.n == 0:
         return None
-    parts = _parts_from_spine(g, spine[0])
-    if parts is None or not validate_inflation(g, parts):
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    members: dict[int, int] = {}
+    for v, row in enumerate(closed):
+        members[row] = members.get(row, 0) | 1 << v
+
+    def part_of(mask):
+        return members[closed[(mask & -mask).bit_length() - 1]]
+
+    parts, prev = [part_of(1)], 0
+    while True:
+        cur = parts[-1]
+        around = closed[(cur & -cur).bit_length() - 1] & ~cur
+        one = part_of(around) if around else 0
+        other = around & ~one
+        if not other or other != part_of(other):
+            return None
+        nxt = other if one == prev else one
+        if nxt == parts[0]:
+            break
+        prev = cur
+        parts.append(nxt)
+    if sum(p.bit_count() for p in parts) != g.n:
         return None
-    return _normalise(g, parts)
+    return _normalise(tuple(vertices_of(p) for p in parts))
 
 
 def classify_claw_bull_free(g: Graph) -> StructureVerdict:

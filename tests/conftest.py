@@ -82,17 +82,30 @@ def cycle_search_graphs(oracle7, rng):
     graphs = [g for reps in oracle7.values() for g in reps]
     for _ in range(150):
         graphs.append(random_graph(rng, rng.randrange(8, 17), rng.choice([0.2, 0.35, 0.5, 0.7])))
-    for i in range(120):
-        k = 4 + i % 6
+    return graphs + perturbed_inflations(rng, 120, 6, 18)
+
+
+def perturbed_inflations(rng, count, spread, max_n):
+    """``count`` seeded inflations C[n1..nk] with k = 4..3+spread (cycling)
+    on at most ``max_n`` vertices, relabelled, every other one with one
+    vertex pair toggled."""
+    graphs = []
+    for i in range(count):
+        k = 4 + i % spread
         sizes = [1] * k
-        for _ in range(rng.randrange(0, 19 - k)):
+        for _ in range(rng.randrange(0, max_n + 1 - k)):
             sizes[rng.randrange(k)] += 1
         g, _ = permuted(rng, build_inflation(InflationSpec(tuple(sizes)))[0])
         if i % 2:
-            u, v = rng.sample(range(g.n), 2)
-            g = Graph.from_edges(g.n, sorted(set(g.edge_list()) ^ {(min(u, v), max(u, v))}))
+            g = toggled(rng, g)
         graphs.append(g)
     return graphs
+
+
+def toggled(rng, g):
+    """``g`` with one random vertex pair toggled (edge added or removed)."""
+    u, v = rng.sample(range(g.n), 2)
+    return Graph.from_edges(g.n, sorted(set(g.edge_list()) ^ {(min(u, v), max(u, v))}))
 
 
 def full_signature_canon_form(n, adj):

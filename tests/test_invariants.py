@@ -19,7 +19,14 @@ from clawlab.invariants import (
 )
 from clawlab.patterns import pattern_graph
 from clawlab.verify import induced_cycles
-from conftest import brute_chromatic_number, brute_clique_number, cycle_search_graphs, random_graph
+from conftest import (
+    brute_chromatic_number,
+    brute_clique_number,
+    cycle_search_graphs,
+    permuted,
+    random_graph,
+    toggled,
+)
 
 
 def reference_odd_hole(g):
@@ -216,7 +223,46 @@ class TestPerfection:
             assert is_perfect(g, "spgt").perfect == is_perfect(g, "direct").perfect
 
 
+def reference_complete_multipartite(g):
+    """The complement's components as the parts, kept when each of them is
+    independent in ``g``."""
+    parts = g.complement().components()
+    for part in parts:
+        if any(g.has_edge(u, v) for u, v in itertools.combinations(part, 2)):
+            return None
+    return tuple(parts)
+
+
+def complete_multipartite_graphs(rng, count, max_n):
+    """``count`` seeded complete multipartite graphs on at most ``max_n``
+    vertices with 1-8 parts, relabelled, every other one with one vertex
+    pair toggled."""
+    graphs = []
+    for i in range(count):
+        k = 1 + i % 8
+        sizes = [1] * k
+        for _ in range(rng.randrange(0, max_n + 1 - k)):
+            sizes[rng.randrange(k)] += 1
+        owner = [j for j, size in enumerate(sizes) for _ in range(size)]
+        n = len(owner)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if owner[u] != owner[v]])
+        g, _ = permuted(rng, g)
+        if i % 2 and n > 1:
+            g = toggled(rng, g)
+        graphs.append(g)
+    return graphs
+
+
 class TestCompleteMultipartite:
+    def test_matches_complement_components(self, oracle7, rng):
+        graphs = [g for reps in oracle7.values() for g in reps] + complete_multipartite_graphs(rng, 200, 28)
+        recognised = 0
+        for g in graphs:
+            parts = is_complete_multipartite(g)
+            assert parts == reference_complete_multipartite(g), g
+            recognised += parts is not None
+        assert recognised >= 140
+
     def test_k23(self):
         parts = is_complete_multipartite(pattern_graph("K2_3"))
         assert parts is not None and sorted(len(p) for p in parts) == [2, 3]

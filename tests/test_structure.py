@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
-from clawlab.graphs import Graph
+from clawlab.graphs import Graph, bitset_of, vertices_of
 from clawlab.invariants import independence_number
 from clawlab.patterns import has_induced, pattern_graph
 from clawlab.structure import (
@@ -16,9 +18,8 @@ from clawlab.structure import (
     recognize_inflation,
     validate_inflation,
     _normalise,
-    _parts_from_spine,
 )
-from conftest import cycle_search_graphs
+from conftest import cycle_search_graphs, perturbed_inflations, toggled
 
 
 def reference_long_cycle(g, min_len):
@@ -30,15 +31,101 @@ def reference_long_cycle(g, min_len):
     return None
 
 
+def reference_validation(g, parts):
+    """The two inflation adjacency rules checked pair of parts by pair of
+    parts: consecutive parts (and so each part) form one clique, other
+    pairs are two cliques with no edge between them."""
+    k = len(parts)
+    if k < 4:
+        return False
+    if sorted(v for p in parts for v in p) != list(range(g.n)):
+        return False
+    masks = [bitset_of(p) for p in parts]
+    for i in range(k):
+        for j in range(i + 1, k):
+            both = list(parts[i]) + list(parts[j])
+            complete = all(g.has_edge(u, v) for u, v in itertools.combinations(both, 2))
+            if j - i == 1 or j - i == k - 1:
+                if not complete:
+                    return False
+            else:
+                if any((g.adj[u] & masks[j]) for u in parts[i]):
+                    return False
+                for pp in (parts[i], parts[j]):
+                    if not all(g.has_edge(u, v) for u, v in itertools.combinations(pp, 2)):
+                        return False
+    return True
+
+
+def spine_parts(g, cycle):
+    """Every vertex off the spine goes to the part of the middle cycle
+    vertex among the three consecutive ones it neighbours; None if some
+    vertex does not fit that shape."""
+    k = len(cycle)
+    pos = {v: i for i, v in enumerate(cycle)}
+    cmask = bitset_of(cycle)
+    parts = [[v] for v in cycle]
+    for w in range(g.n):
+        if w in pos:
+            continue
+        nb = [pos[v] for v in vertices_of(g.adj[w] & cmask)]
+        if len(nb) != 3:
+            return None
+        mid = None
+        for i in nb:
+            if (i - 1) % k in nb and (i + 1) % k in nb:
+                mid = i
+                break
+        if mid is None:
+            return None
+        parts[mid].append(w)
+    return tuple(tuple(sorted(p)) for p in parts)
+
+
 def reference_inflation(g):
-    """Recognition on the longest induced cycle as the spine."""
+    """Recognition on the longest induced cycle as the spine: every other
+    vertex sorted onto it, then every pair of parts re-checked.  It shares
+    nothing with the twin-class walk of ``recognize_inflation`` but the
+    final rotation."""
     spine = reference_long_cycle(g, 4) if g.n >= 4 else None
     if spine is None:
         return None
-    parts = _parts_from_spine(g, spine)
-    if parts is None or not validate_inflation(g, parts):
+    parts = spine_parts(g, spine)
+    if parts is None or not reference_validation(g, parts):
         return None
-    return _normalise(g, parts)
+    return _normalise(parts)
+
+
+def validation_cases(rng, count):
+    """Seeded (graph, parts) pairs around inflations C[n1..nk] with k = 4..9
+    on at most 16 vertices: the parts as built, or moved a vertex, cut
+    short, reordered, with a vertex repeated or with an empty part added,
+    the graph as built or with one vertex pair toggled."""
+    cases = []
+    for i in range(count):
+        k = 4 + i % 6
+        sizes = [1] * k
+        for _ in range(rng.randrange(0, 17 - k)):
+            sizes[rng.randrange(k)] += 1
+        g, built = build_inflation(InflationSpec(tuple(sizes)))
+        parts = [list(p) for p in built]
+        kind = rng.randrange(6)
+        if kind == 1:
+            src = rng.choice([p for p in parts if p])
+            rng.choice(parts).append(src.pop(rng.randrange(len(src))))
+        elif kind == 2:
+            parts = parts[: rng.randrange(len(parts) + 1)]
+        elif kind == 3:
+            i, j = rng.sample(range(k), 2)
+            parts[i], parts[j] = parts[j], parts[i]
+        elif kind == 4:
+            rng.choice(parts).append(rng.randrange(g.n))
+        elif kind == 5:
+            parts.insert(rng.randrange(k + 1), [])
+        if rng.random() < 0.3:
+            g = toggled(rng, g)
+        cases.append((g, [tuple(p) for p in parts]))
+    return cases
 
 
 def dihedral_orbit(sizes):
@@ -87,11 +174,25 @@ class TestRecognizeInflation:
 
     def test_first_spine_matches_longest_spine(self, oracle7, rng):
         recognised = 0
-        for g in cycle_search_graphs(oracle7, rng):
+        for g in cycle_search_graphs(oracle7, rng) + perturbed_inflations(rng, 120, 12, 28):
             part = recognize_inflation(g)
             assert part == reference_inflation(g)
             recognised += part is not None
         assert recognised >= 60
+
+    def test_validation_matches_pairwise_rules(self, oracle7, rng):
+        cases = validation_cases(rng, 3000)
+        for g in (g for reps in oracle7.values() for g in reps if g.n >= 4):
+            spine = reference_long_cycle(g, 4)
+            parts = spine and spine_parts(g, spine)
+            if parts:
+                cases.append((g, parts))
+        verdicts = [0, 0]
+        for g, parts in cases:
+            ok = validate_inflation(g, parts)
+            assert ok == reference_validation(g, parts), (g, parts)
+            verdicts[ok] += 1
+        assert min(verdicts) >= 300
 
     def test_near_miss_rejected(self):
         # inflation of C6 with one cross edge added between opposite parts
