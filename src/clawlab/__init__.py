@@ -37,7 +37,6 @@ from clawlab.structure import (
     InflationPartition,
     StructureVerdict,
     classify_claw_bull_free,
-    find_long_induced_cycle,
     olariu_classify,
     recognize_inflation,
 )

@@ -72,6 +72,8 @@ class EnumerationConfig:
     exclude_odd_cycles: bool = False
 
     def __post_init__(self):
+        if isinstance(self.free_of, str):
+            raise ValueError(f"free_of must be a sequence of pattern tokens, not the string {self.free_of!r}")
         object.__setattr__(self, "free_of", tuple(self.free_of))
         if not 1 <= self.max_n <= MAX_ENUM_VERTICES:
             raise ValueError(f"max_n must be in 1..{MAX_ENUM_VERTICES}")

@@ -57,6 +57,27 @@ def reachable(adj: Sequence[int], seed: int, within: int) -> int:
     return seen
 
 
+def row_classes(rows: Iterable[int]) -> dict[int, int]:
+    """Map each distinct row to the bitmask of the vertices that have it, in
+    order of first appearance."""
+    classes: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        classes[row] = classes.get(row, 0) | 1 << v
+    return classes
+
+
+def component_masks(adj: Sequence[int]) -> list[int]:
+    """Connected components of the graph with neighbour bitmasks ``adj``, as
+    vertex bitmasks ordered by least vertex."""
+    out = []
+    unseen = (1 << len(adj)) - 1
+    while unseen:
+        comp = reachable(adj, unseen & -unseen, unseen)
+        out.append(comp)
+        unseen &= ~comp
+    return out
+
+
 class Graph:
     """Simple undirected graph; immutable after construction.
 
@@ -191,13 +212,7 @@ class Graph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by least vertex."""
-        out = []
-        unseen = (1 << self.n) - 1
-        while unseen:
-            comp = reachable(self.adj, unseen & -unseen, unseen)
-            out.append(vertices_of(comp))
-            unseen &= ~comp
-        return out
+        return [vertices_of(comp) for comp in component_masks(self.adj)]
 
     # -- dunder --------------------------------------------------------
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from clawlab import kernels
-from clawlab.graphs import Graph, vertices_of
+from clawlab.graphs import Graph, row_classes, vertices_of
 
 DIRECT_MAX_VERTICES = 14
 
@@ -168,9 +168,7 @@ def is_complete_multipartite(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     and that is checked one group at a time.
     """
     full = (1 << g.n) - 1
-    groups: dict[int, int] = {}
-    for v, row in enumerate(g.adj):
-        groups[row] = groups.get(row, 0) | 1 << v
+    groups = row_classes(g.adj)
     if any(members != full & ~row for row, members in groups.items()):
         return None
     return tuple(vertices_of(members) for members in groups.values())

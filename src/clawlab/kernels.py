@@ -10,13 +10,12 @@ candidates and calls a leaf action on each: it serves ``has_induced``,
 ascending order, which changes no answer.  ``find_induced_cycle`` runs the
 cycle grower ``induced_cycles`` that also serves ``verify.induced_cycles``
 and, one pass each, the odd-hole and odd-antihole searches of
-``invariants`` and the long-cycle search of ``structure``.  A pattern's
-search plans and orbits are computed once and cached (``_plan``,
-``_search_plans``).  Hereditary pruning does not search each extension:
-``extension_obstructions`` lists, once per parent, the pattern copies a
-new vertex could complete as bitmask pairs tested against its
-neighbourhood, one listing per orbit of the pattern, by walking the
-patterns' ``obstruction_plans``.  Those plans are the only pattern
+``invariants``.  A pattern's search plans and orbits are computed once
+and cached (``_plan``, ``_search_plans``).  Hereditary pruning does not
+search each extension: ``extension_obstructions`` lists, once per parent,
+the pattern copies a new vertex could complete as bitmask pairs tested
+against its neighbourhood, one listing per orbit of the pattern, by
+walking the patterns' ``obstruction_plans``.  Those plans are the only pattern
 analysis ``augment`` needs, and both backends take them from here.
 ``canon_form`` refines by counting neighbours only in the cells split in
 the previous round (McKay and Piperno 2014), which orders the cells as
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import functools
 
-from clawlab.graphs import reachable, vertices_of
+from clawlab.graphs import component_masks, row_classes, vertices_of
 
 BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
 
@@ -564,7 +563,7 @@ def _delete_vertex(adj, x):
     return tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != x)
 
 
-def _twin_classes(n, adj):
+def _twin_classes(adj):
     """The vertex classes of two or more false twins (equal rows) or true
     twins (equal closed rows), as bitmasks.
 
@@ -572,10 +571,8 @@ def _twin_classes(n, adj):
     both a false and a true twin, and no row equals a closed row (that row
     would contain its own vertex), so the classes are disjoint.
     """
-    groups = {}
-    for v, row in enumerate(adj):
-        for key in (row, row | 1 << v):
-            groups[key] = groups.get(key, 0) | 1 << v
+    closed = (row | 1 << v for v, row in enumerate(adj))
+    groups = row_classes(adj) | row_classes(closed)
     return [c for c in groups.values() if c & (c - 1)]
 
 
@@ -744,14 +741,9 @@ def pure_augment(m, parents, plans, min_alpha, connected):
         rival_deg = [c & deletable for c in by_deg]
         rival_below = [0] + rival_deg
         top = max((d for d in range(m) if rival_deg[d]), default=0)
-        twins = _twin_classes(m, parent)
+        twins = _twin_classes(parent)
         # the parent's components, when the child must be connected
-        meet = []
-        unseen = everyone if connected else 0
-        while unseen:
-            comp = reachable(parent, unseen & -unseen, unseen)
-            meet.append(comp)
-            unseen &= ~comp
+        meet = component_masks(parent) if connected else []
         blocks = None
         seen = set()
         for mask in _masks_from(m, top):

@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 
 from clawlab import kernels
-from clawlab.graphs import Graph, GraphError, bitset_of, check_vertex_count, reachable
+from clawlab.graphs import Graph, bitset_of, check_vertex_count
 
 MAX_PATTERN_VERTICES = 10
 KERNEL_MAX_PATTERN_VERTICES = 16  # pattern bound of the kernel contract (a C kernel may keep fixed rows)
@@ -162,19 +162,6 @@ def cycle_neighborhood_shape(adj, cmask: int, length: int, nb: int) -> Neighborh
     return _ONE_RUN[size - 2] if ends == 2 else NeighborhoodShape.TWO_K2
 
 
-def induces_cycle(g: Graph, vertices) -> bool:
-    """True iff the vertex set induces a (chordless) cycle in ``g``: it has
-    at least 3 vertices, each with exactly two neighbours in it, and is
-    connected.  Checked on bitmasks, without building the induced graph."""
-    keep = sorted(set(vertices))
-    if keep and not (0 <= keep[0] and keep[-1] < g.n):
-        raise GraphError(f"vertex set not within 0..{g.n - 1}")
-    cmask = bitset_of(keep)
-    if len(keep) < 3 or any((g.adj[v] & cmask).bit_count() != 2 for v in keep):
-        return False
-    return reachable(g.adj, cmask & -cmask, cmask) == cmask
-
-
 def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
     """Isomorphism type of the subgraph induced by ``N(x)`` on a cycle.
 
@@ -194,7 +181,7 @@ def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
     cset = set(cycle)
     if x in cset:
         raise ValueError(f"vertex {x} lies on the cycle")
-    if len(cset) < 5 or not induces_cycle(g, cset):
+    if len(cset) < 5 or not g.induced(cset).is_cycle():
         raise ValueError("vertex set does not induce a cycle of length >= 5")
     cmask = bitset_of(cset)
     return cycle_neighborhood_shape(g.adj, cmask, len(cset), g.adj[x] & cmask)

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from clawlab import kernels
-from clawlab.graphs import Graph, bitset_of, vertices_of
+from clawlab.graphs import Graph, bitset_of, row_classes, vertices_of
 from clawlab.invariants import PerfectionVerdict, independence_number, is_complete_multipartite, is_perfect
 from clawlab.patterns import find_induced, has_induced
 
@@ -45,23 +44,6 @@ class StructureVerdict:
     partition: InflationPartition | None = None
     violation: str | None = None
     witness: tuple[int, ...] | None = None
-
-
-def find_long_induced_cycle(g: Graph, min_len: int) -> tuple[int, ...] | None:
-    """Longest induced cycle of length >= min_len, the lexicographically
-    least of its length (one grower pass keeps the first cycle of each new
-    maximum length), or None."""
-    if min_len < 4:
-        raise ValueError("min_len must be at least 4")
-    longest = None
-
-    def visit(cycle):
-        nonlocal longest
-        if longest is None or len(cycle) > len(longest):
-            longest = cycle
-
-    kernels.induced_cycles(g.n, g.adj, min_len, g.n, visit)
-    return longest
 
 
 def validate_inflation(g: Graph, parts) -> bool:
@@ -106,9 +88,7 @@ def recognize_inflation(g: Graph) -> InflationPartition | None:
     if g.n == 0:
         return None
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
-    members: dict[int, int] = {}
-    for v, row in enumerate(closed):
-        members[row] = members.get(row, 0) | 1 << v
+    members = row_classes(closed)
 
     def part_of(mask):
         return members[closed[(mask & -mask).bit_length() - 1]]

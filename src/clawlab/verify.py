@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 from clawlab.graphs import Graph, bitset_of, to_graph6, vertices_of
-from clawlab.invariants import (
-    _chromatic_from,
-    clique_number,
-    find_odd_antihole,
-    is_perfect,
-)
+from clawlab.invariants import _chromatic_from, find_odd_antihole, is_perfect
 from clawlab.patterns import NeighborhoodShape, cycle_neighborhood_shape
 from clawlab.structure import TheoremViolation, VerdictKind, classify_claw_bull_free, olariu_classify
 
@@ -65,9 +60,9 @@ def induced_cycles(g: Graph, min_len: int):
 
 def _check_perfect_class(g: Graph):
     reasons = []
-    omega, _ = clique_number(g)
-    if kernels.color_with(g.n, g.adj, omega) is None:
-        chi, _ = _chromatic_from(g, omega + 1)
+    omega = kernels.max_clique(g.n, g.adj).bit_count()
+    chi, _ = _chromatic_from(g, omega)
+    if chi > omega:
         reasons.append(f"not omega-colourable: chi={chi} > omega={omega}")
     verdict = is_perfect(g, "spgt")
     if not verdict.perfect:
@@ -157,7 +152,9 @@ def _check_l7_rules(g: Graph):
 
 # Each theorem's class and per-graph check: (forbidden patterns, None
 # standing for the campaign's y; connected only; minimum alpha; odd cycles
-# excluded; check).
+# excluded; check).  T1_BRAUSE is T5_ALPHA3 at y = 2K2, a subgraph of P5:
+# no connected (claw, 2K2)-free graph with alpha >= 3 is an odd cycle (C7
+# and longer hold a 2K2), so the two have the same class and check.
 _THEOREMS = {
     "T1_BRAUSE": (("K1_3", "2K2"), True, 3, False, _check_perfect_class),
     "T3_OLARIU": (("Z1",), True, 0, False, _check_olariu),

@@ -56,6 +56,13 @@ class TestConfig:
             EnumerationConfig(max_n=5, free_of=("AH8",))
         EnumerationConfig(max_n=5, free_of=("AH7",))
 
+    def test_string_free_of_rejected(self):
+        # a bare string would be read as one token per character
+        for token in ("P5", "B"):
+            with pytest.raises(ValueError, match="free_of"):
+                EnumerationConfig(max_n=6, free_of=token)
+        assert EnumerationConfig(max_n=6, free_of=["P5"]).free_of == ("P5",)
+
 
 class TestAgainstOracle:
     def test_unrestricted_counts(self, oracle6):
@@ -306,7 +313,7 @@ def _reference_masks(rep, min_alpha=0):
     has maximum degree and, among the rivals of its degree, a maximal
     profile over the degree classes up to its degree."""
     m = rep.n
-    twins = [[v for v in range(m) if (c >> v) & 1] for c in _twin_classes(m, rep.adj)]
+    twins = [[v for v in range(m) if (c >> v) & 1] for c in _twin_classes(rep.adj)]
     rivals = [v for v in range(m) if _alpha_without(rep, v) >= min_alpha]
     for mask in range(1 << m):
         if not all(_holds_lowest(mask, members) for members in twins):
@@ -328,7 +335,7 @@ def _parents(oracle6, rng):
     parents = [g for k in range(1, 7) for g in oracle6[k]]
     for n in (8, 8, 9, 9):
         parents.append(_planted_twins_parent(rng, n))
-        assert max(c.bit_count() for c in _twin_classes(n, parents[-1].adj)) >= 3
+        assert max(c.bit_count() for c in _twin_classes(parents[-1].adj)) >= 3
     return parents
 
 
@@ -448,7 +455,7 @@ class TestChildren:
         lie in one derived twin class, and the classes are disjoint."""
         for k in range(1, 7):
             for g in oracle6[k]:
-                classes = _twin_classes(g.n, g.adj)
+                classes = _twin_classes(g.adj)
                 assert not any(a & b for a, b in itertools.combinations(classes, 2)), g.adj
                 autos = set(brute_automorphisms(g))
                 for u, w in itertools.combinations(range(g.n), 2):

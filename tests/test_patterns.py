@@ -12,7 +12,6 @@ from clawlab.patterns import (
     cycle_neighborhood_shape,
     find_induced,
     has_induced,
-    induces_cycle,
     is_free,
     pattern_graph,
 )
@@ -249,6 +248,19 @@ class TestCycleNeighborhood:
         with pytest.raises(ValueError):
             classify_cycle_neighborhood(g, [0, 1, 2], 5)  # too short
 
+    def test_cycle_checked_on_the_induced_subgraph(self):
+        # P5 plus a vertex: five vertices in a path are no cycle
+        p5x = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 0)])
+        with pytest.raises(ValueError, match="does not induce a cycle of length >= 5"):
+            classify_cycle_neighborhood(p5x, range(5), 5)
+        # C5 with a pendant vertex: the cycle holds, a vertex past n - 1 does not
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+        assert classify_cycle_neighborhood(g, range(5), 5) is NeighborhoodShape.OTHER
+        with pytest.raises(GraphError, match=r"vertex set not within 0\.\.5"):
+            classify_cycle_neighborhood(g, [0, 1, 2, 3, 6], 5)
+        with pytest.raises(GraphError, match=r"vertex set not within 0\.\.5"):
+            classify_cycle_neighborhood(g, [-1, 1, 2, 3, 4], 5)
+
     # C5 plus vertex 6 joined to 0 and 1: x = -1 must not be read as vertex
     # 6 (the answer there is K2), and x = 7 must not reach past the rows
     _C5_AND_K2 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (6, 0), (6, 1)])
@@ -261,11 +273,6 @@ class TestCycleNeighborhood:
     def test_vertex_past_the_graph_rejected(self):
         with pytest.raises(ValueError):
             classify_cycle_neighborhood(self._C5_AND_K2, [0, 1, 2, 3, 4], 7)
-
-    def test_induces_cycle_helper(self):
-        c5 = pattern_graph("C5")
-        assert induces_cycle(c5, range(5))
-        assert not induces_cycle(pattern_graph("P5"), range(5))
 
     def test_matches_brute_force_isomorphism_type(self, oracle7, rng):
         shapes = [(shape, pattern_graph(shape.value)) for shape in NeighborhoodShape

@@ -4,7 +4,7 @@ import pytest
 
 from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
-from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
+from clawlab.families import InflationSpec, build_inflation
 from clawlab.graphs import Graph, bitset_of, vertices_of
 from clawlab.invariants import independence_number
 from clawlab.patterns import has_induced, pattern_graph
@@ -13,7 +13,6 @@ from clawlab.structure import (
     TheoremViolation,
     VerdictKind,
     classify_claw_bull_free,
-    find_long_induced_cycle,
     olariu_classify,
     recognize_inflation,
     validate_inflation,
@@ -199,35 +198,6 @@ class TestRecognizeInflation:
         g, parts = build_inflation(InflationSpec((2, 1, 1, 2, 1, 1)))
         edges = g.edge_list() + [(parts[0][0], parts[3][0])]
         assert recognize_inflation(Graph.from_edges(g.n, edges)) is None
-
-
-class TestLongInducedCycle:
-    def test_c9(self):
-        cyc = find_long_induced_cycle(pattern_graph("C9"), 6)
-        assert cyc is not None and len(cyc) == 9
-
-    def test_f10_has_no_long_cycle(self):
-        g, _ = build_family(FamilySpec("F0", 1))
-        assert find_long_induced_cycle(g, 6) is None
-
-    def test_paths_have_none(self):
-        assert find_long_induced_cycle(pattern_graph("P9"), 6) is None
-
-    def test_min_len_validated(self):
-        with pytest.raises(ValueError):
-            find_long_induced_cycle(pattern_graph("C9"), 3)
-
-    def test_one_pass_matches_per_length_search(self, oracle7, rng):
-        for g in cycle_search_graphs(oracle7, rng):
-            for min_len in (4, 6):
-                assert find_long_induced_cycle(g, min_len) == reference_long_cycle(g, min_len)
-
-    def test_longest_preferred(self):
-        # C7 with a chord splits into shorter cycles; a disjoint C6+triangle
-        # union keeps the 6-cycle findable
-        g = Graph.from_edges(9, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (6, 8)])
-        cyc = find_long_induced_cycle(g, 4)
-        assert len(cyc) == 6
 
 
 class TestClassifier:

@@ -61,6 +61,15 @@ class TestTheoremRuns:
     def test_t1_clean(self):
         assert verify("T1_BRAUSE", 8).ok
 
+    def test_t1_is_t5_at_2k2(self):
+        # T5's class is T1's less the odd cycles, and none is (claw, 2K2)-free
+        # with alpha >= 3 (C7 and longer hold a 2K2), so equal sizes mean
+        # equal classes; the check is the same
+        for max_n in range(1, 10):
+            t1, t5 = verify("T1_BRAUSE", max_n), verify("T5_ALPHA3", max_n, "2K2")
+            assert (t1.class_size, t1.counterexamples) == (t5.class_size, t5.counterexamples)
+        assert t1.class_size == 46
+
     def test_t6_clean(self):
         assert verify("T6_BULL", 8).ok
 
