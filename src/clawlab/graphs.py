@@ -228,38 +228,46 @@ class Graph:
 
 # -- graph6 ------------------------------------------------------------
 #
-# Format (one graph per line, no header): for n <= 62 the first byte is
-# n+63; for 63 <= n <= 258047 the first byte is '~' (126) followed by n in
-# three 6-bit groups.  The upper triangle of the adjacency matrix is read
-# column by column -- x(0,1), x(0,2), x(1,2), x(0,3), ... -- packed
-# big-endian into 6-bit groups, zero-padded, each group offset by 63.
+# Format (nauty's; one graph per line): for n <= 62 the first byte is n+63;
+# for 63 <= n <= 258047 the first byte is '~' (126) followed by n in three
+# 6-bit groups.  The upper triangle of the adjacency matrix is read column
+# by column -- x(0,1), x(0,2), x(1,2), x(0,3), ... -- packed big-endian
+# into 6-bit groups, zero-padded, each group offset by 63.  A line may open
+# with the optional header ">>graph6<<" (networkx writes it by default);
+# the parser drops it and the encoder never writes it.
+#
+# Column c of the triangle is the low c bits of adj[c], so the codec moves
+# whole columns: the encoder packs column c at offset c(c-1)/2 of one
+# LSB-first integer and maps each 6-bit slice through _G6_CHAR (the slice
+# bit-reversed, plus 63); the decoder maps characters back through
+# _G6_SLICE and cuts the integer into columns again.  The tests compare
+# both directions with networkx for every n in 0..64.
+
+_G6_CHAR = [chr(63 + int(f"{k:06b}"[::-1], 2)) for k in range(64)]
+_G6_SLICE = {ch: k for k, ch in enumerate(_G6_CHAR)}
 
 
 def to_graph6(g: Graph) -> str:
-    n = g.n
+    n, adj = g.n, g.adj
     if n <= 62:
-        head = [chr(n + 63)]
+        head = chr(n + 63)
     else:
-        head = ["~", chr(63 + ((n >> 12) & 63)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
-    bits = []
-    for col in range(1, n):
-        for row in range(col):
-            bits.append((g.adj[row] >> col) & 1)
-    chars = []
-    for i in range(0, len(bits), 6):
-        group = 0
-        for j, b in enumerate(bits[i : i + 6]):
-            group |= b << (5 - j)
-        chars.append(chr(group + 63))
-    return "".join(head) + "".join(chars)
+        head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    acc = off = 0
+    for c in range(1, n):
+        acc |= (adj[c] & ((1 << c) - 1)) << off
+        off += c
+    return head + "".join([_G6_CHAR[(acc >> i) & 63] for i in range(0, off, 6)])
 
 
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[10:]
     if not s:
         raise GraphError("empty graph6 string")
     for ch in s:
-        if not 63 <= ord(ch) <= 126:
+        if ch not in _G6_SLICE:
             raise GraphError(f"character {ch!r} outside graph6 range 63..126")
     if s[0] == "~":
         if len(s) < 4:
@@ -274,19 +282,17 @@ def parse_graph6(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphError(f"graph6 body length {len(body)} wrong for n={n}")
-    bits = []
-    for ch in body:
-        group = ord(ch) - 63
-        for j in range(5, -1, -1):
-            bits.append((group >> j) & 1)
-    if any(bits[nbits:]):
+    acc = 0
+    for ch in reversed(body):
+        acc = (acc << 6) | _G6_SLICE[ch]
+    if acc >> nbits:
         raise GraphError("nonzero trailing bits in graph6 body")
     rows = [0] * n
-    i = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[i]:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            i += 1
+    for c in range(1, n):
+        rows[c] = col = acc & ((1 << c) - 1)
+        acc >>= c
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << c
+            col ^= low
     return Graph.trusted(n, tuple(rows))

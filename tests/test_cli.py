@@ -3,6 +3,7 @@ import io
 import json
 import re
 
+import networkx as nx
 import pytest
 
 from clawlab.canon import is_isomorphic
@@ -72,6 +73,14 @@ class TestClassify:
         payloads = [json.loads(line) for line in out.strip().splitlines()]
         assert payloads[0]["kind"] == "PERFECT"
         assert payloads[1]["kind"] == "OUT_OF_CLASS" and payloads[1]["violation"] == "bull"
+
+    def test_stdin_with_networkx_header(self, capsys, monkeypatch):
+        lines = "".join(nx.to_graph6_bytes(g).decode() for g in (nx.path_graph(6), nx.cycle_graph(7)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, _ = run(capsys, "classify", "-")
+        assert code == 0
+        kinds = [json.loads(line)["kind"] for line in out.strip().splitlines()]
+        assert kinds == ["PERFECT", "ODD_CYCLE_INFLATION"]
 
     def test_theorem_violation_exits_1(self, capsys, monkeypatch):
         def violated(g):
@@ -197,6 +206,15 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "-")
         payloads = [json.loads(line) for line in out.strip().splitlines()]
         assert [p["perfect"] for p in payloads] == [False, True, True]
+
+    def test_networkx_file_with_header(self, capsys, tmp_path):
+        path = tmp_path / "c5.g6"
+        nx.write_graph6(nx.cycle_graph(5), str(path))
+        assert path.read_text().startswith(">>graph6<<")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["perfect"] is False and payload["certificate"]["kind"] == "odd_hole"
 
     def test_bad_graph6_exit_2(self, capsys):
         assert run(capsys, "check", "not a graph6 \x01")[0] == 2

@@ -112,15 +112,27 @@ class TestGraph6:
             assert parse_graph6(to_graph6(g)) == g
 
     def test_matches_networkx_codec(self, rng):
-        for _ in range(100):
-            g = random_graph(rng, rng.randrange(1, 16), 0.4)
-            mine = to_graph6(g)
-            gnx = nx.Graph()
-            gnx.add_nodes_from(range(g.n))
-            gnx.add_edges_from(g.edge_list())
-            assert nx.to_graph6_bytes(gnx, header=False).strip().decode() == mine
-            back = nx.from_graph6_bytes(mine.encode())
-            assert {frozenset(e) for e in back.edges()} == {frozenset(e) for e in g.edge_list()}
+        # every size the codec takes, from "?" through the "~" header with a
+        # body (n = 63, 64), each edgeless, half dense and complete, both ways
+        for n in range(65):
+            for p in (0, 0.5, 1):
+                g = random_graph(rng, n, p)
+                mine = to_graph6(g)
+                gnx = nx.Graph()
+                gnx.add_nodes_from(range(n))
+                gnx.add_edges_from(g.edge_list())
+                theirs = nx.to_graph6_bytes(gnx, header=False).strip().decode()
+                assert theirs == mine
+                back = nx.from_graph6_bytes(mine.encode())
+                assert sorted(back.nodes()) == list(range(n))
+                assert {frozenset(e) for e in back.edges()} == {frozenset(e) for e in g.edge_list()}
+                assert parse_graph6(theirs) == g
+
+    def test_networkx_header_dropped(self):
+        gnx = nx.cycle_graph(5)
+        text = nx.to_graph6_bytes(gnx).decode()
+        assert text.startswith(">>graph6<<")
+        assert parse_graph6(text) == cycle(5)
 
     def test_large_n_header(self):
         g = Graph(64, tuple(0 for _ in range(64)))
@@ -128,22 +140,27 @@ class TestGraph6:
         assert s.startswith("~")
         assert parse_graph6(s) == g
 
-    def test_bad_character(self):
-        with pytest.raises(GraphError):
-            parse_graph6("D?\x1f")
+    # every way parse_graph6 refuses a string, with the exact text the CLI
+    # prints before it exits 2; a string with several faults gets the first
+    # message in this order
+    ERRORS = [
+        ("empty", "", "empty graph6 string"),
+        ("blank", " \n", "empty graph6 string"),
+        ("header_only", ">>graph6<<", "empty graph6 string"),
+        ("bad_character", "D\x7f?\x01", "character '\\x7f' outside graph6 range 63..126"),
+        ("bad_character_first", "~?\x01", "character '\\x01' outside graph6 range 63..126"),
+        ("truncated_prefix", "~??", "truncated graph6 size prefix"),
+        ("too_many_vertices", "~?@@", "graph6 vertex count 65 exceeds capacity 64"),
+        ("short_body", "D?", "graph6 body length 1 wrong for n=5"),
+        ("long_body", "D?{{", "graph6 body length 3 wrong for n=5"),
+        ("padding_bit", "A" + chr(63 + 1), "nonzero trailing bits in graph6 body"),
+    ]
 
-    def test_truncated_body(self):
-        with pytest.raises(GraphError):
-            parse_graph6("D?")
-
-    def test_trailing_bits_nonzero(self):
-        # n=2 needs 1 bit; set a padding bit
-        with pytest.raises(GraphError):
-            parse_graph6("A" + chr(63 + 1))
-
-    def test_empty_string(self):
-        with pytest.raises(GraphError):
-            parse_graph6("")
+    @pytest.mark.parametrize("text, message", [row[1:] for row in ERRORS], ids=[row[0] for row in ERRORS])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphError) as err:
+            parse_graph6(text)
+        assert str(err.value) == message
 
 
 class TestAlgebra:
