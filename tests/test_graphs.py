@@ -113,7 +113,8 @@ class TestGraph6:
 
     def test_matches_networkx_codec(self, rng):
         # every size the codec takes, from "?" through the "~" header with a
-        # body (n = 63, 64), each edgeless, half dense and complete, both ways
+        # body (n = 63, 64), each edgeless, half dense and complete, both
+        # ways; networkx's default output opens with ">>graph6<<"
         for n in range(65):
             for p in (0, 0.5, 1):
                 g = random_graph(rng, n, p)
@@ -121,18 +122,12 @@ class TestGraph6:
                 gnx = nx.Graph()
                 gnx.add_nodes_from(range(n))
                 gnx.add_edges_from(g.edge_list())
-                theirs = nx.to_graph6_bytes(gnx, header=False).strip().decode()
-                assert theirs == mine
+                theirs = nx.to_graph6_bytes(gnx).decode()
+                assert theirs == ">>graph6<<" + mine + "\n"
+                assert parse_graph6(theirs) == g
                 back = nx.from_graph6_bytes(mine.encode())
                 assert sorted(back.nodes()) == list(range(n))
                 assert {frozenset(e) for e in back.edges()} == {frozenset(e) for e in g.edge_list()}
-                assert parse_graph6(theirs) == g
-
-    def test_networkx_header_dropped(self):
-        gnx = nx.cycle_graph(5)
-        text = nx.to_graph6_bytes(gnx).decode()
-        assert text.startswith(">>graph6<<")
-        assert parse_graph6(text) == cycle(5)
 
     def test_large_n_header(self):
         g = Graph(64, tuple(0 for _ in range(64)))
@@ -154,6 +149,7 @@ class TestGraph6:
         ("short_body", "D?", "graph6 body length 1 wrong for n=5"),
         ("long_body", "D?{{", "graph6 body length 3 wrong for n=5"),
         ("padding_bit", "A" + chr(63 + 1), "nonzero trailing bits in graph6 body"),
+        ("first_padding_bit", "A" + chr(63 + 16), "nonzero trailing bits in graph6 body"),
     ]
 
     @pytest.mark.parametrize("text, message", [row[1:] for row in ERRORS], ids=[row[0] for row in ERRORS])
