@@ -148,7 +148,7 @@ class TestGraph6:
         ("too_many_vertices", "~?@@", "graph6 vertex count 65 exceeds capacity 64"),
         ("short_body", "D?", "graph6 body length 1 wrong for n=5"),
         ("long_body", "D?{{", "graph6 body length 3 wrong for n=5"),
-        ("padding_bit", "A" + chr(63 + 1), "nonzero trailing bits in graph6 body"),
+        ("last_padding_bit", "A" + chr(63 + 1), "nonzero trailing bits in graph6 body"),
         ("first_padding_bit", "A" + chr(63 + 16), "nonzero trailing bits in graph6 body"),
     ]
 
