@@ -9,14 +9,17 @@
        certificate.
 
    augment(m, parents, plans, min_alpha, connected) -> [rows, ...]
-       The pure kernels.pure_augment, step for step: one enumeration level,
-       the accepted canonical rows of each parent's one-vertex extensions,
+       The pure kernels.pure_augment, step for step: one enumeration level
+       on the alpha tree or, with connected, the connected tree, the
+       accepted canonical rows of each parent's one-vertex extensions,
        parent by parent in the order the pure loop finds them.  Per parent:
        analysis (degree classes, twin classes, R grown by one
-       independent-set search per vertex not yet in it), stages 0-3,
-       obstruction listing and the mask & S == T test, labelling, dedup
-       and the acceptance walk (one search for an independent (a - 1)-set
-       missing mask | w per step) with its deletion check.  plans is
+       independent-set search per vertex not yet in it and, on the
+       connected tree, the parent's cut vertices), stages 0-2, obstruction
+       listing and the mask & S == T test, labelling, dedup and the
+       acceptance walk (a connectivity test of child - w on the connected
+       tree, and one search for an independent (a - 1)-set missing
+       mask | w per step) with its deletion check.  plans is
        kernels.obstruction_plans of the patterns, built in Python, which
        alone reads a pattern's orbits; one embedding walk (list_from, the
        pure kernels._embed: twin images ascending) lists the obstructions
@@ -618,6 +621,21 @@ static int independent(const word *adj, word avail, int size, word *found)
     return 0;
 }
 
+/* Whether the vertices of keep induce a connected graph (none or one
+   counts), as kernels._spans. */
+static int spans(const word *adj, word keep)
+{
+    word seen = keep & -keep, frontier = seen;
+    while (frontier) {
+        word reach = 0;
+        for (; frontier; frontier &= frontier - 1)
+            reach |= adj[low_index(frontier)];
+        frontier = reach & keep & ~seen;
+        seen |= frontier;
+    }
+    return seen == keep;
+}
+
 /* Whether a rival (child degree k) has a higher profile than the new
    vertex joined to mask: neighbour counts in the child's degree classes up
    to k, read off the parent's classes (kernels._outranked). */
@@ -665,31 +683,36 @@ typedef struct {
     const Plan *plans;
     Py_ssize_t nplans;
     long min_alpha;
+    int connected;              /* the connected tree */
     word deletable;             /* R */
-    word by_deg[MAXN + 1], below[MAXN + 2];
-    word rival_deg[MAXN + 1], rival_below[MAXN + 2];
+    word rival;                 /* R, less the cut vertices when connected */
+    word by_deg[MAXN + 1], below[MAXN + 2], atleast[MAXN + 2];
     int top;
     word twins[2 * MAXN];
     int ntwins;
-    word meet[MAXN];
-    int nmeet;
     int listed;
     RecordSet pairs, seen;
     PyObject *out;
 } Augment;
 
-/* The parent analysis of kernels.pure_augment. */
-static void analyse(Augment *a, int connected)
+/* The parent analysis of kernels.pure_augment: 0, or 1 when the parent
+   has no children (disconnected on the connected tree). */
+static int analyse(Augment *a)
 {
     int m = a->m;
     const word *parent = a->parent;
     word everyone = all_of(m);
+    if (a->connected && !spans(parent, everyone))
+        return 1;
     memset(a->by_deg, 0, sizeof a->by_deg);
     for (int v = 0; v < m; v++)
         a->by_deg[popc(parent[v])] |= (word)1 << v;
     a->below[0] = 0;
-    for (int d = 0; d <= m; d++)
+    a->atleast[m + 1] = 0;
+    for (int d = m; d >= 0; d--) {
         a->below[d + 1] = a->by_deg[d];
+        a->atleast[d] = a->atleast[d + 1] | a->by_deg[d];
+    }
     /* R = {v : alpha(P - v) >= a}: an independent a-set avoiding v puts
        every vertex outside it in R */
     a->deletable = everyone;
@@ -701,14 +724,13 @@ static void analyse(Augment *a, int connected)
                 a->deletable |= everyone & ~set;
         }
     }
-    a->rival_below[0] = 0;
-    for (int d = 0; d <= m; d++) {
-        a->rival_deg[d] = a->by_deg[d] & a->deletable;
-        a->rival_below[d + 1] = a->rival_deg[d];
-    }
+    a->rival = a->deletable;
+    for (int v = 0; a->connected && v < m; v++)
+        if (!spans(parent, everyone & ~((word)1 << v)))
+            a->rival &= ~((word)1 << v);
     a->top = 0;
     for (int d = 0; d < m; d++)
-        if (a->rival_deg[d])
+        if (a->by_deg[d] & a->rival)
             a->top = d;
     /* classes of false twins (equal rows) and true twins (equal closed rows) */
     a->ntwins = 0;
@@ -732,40 +754,23 @@ static void analyse(Augment *a, int connected)
             done |= closed;
         }
     }
-    /* the parent's components, when the child must be connected */
-    a->nmeet = 0;
-    for (word unseen = connected ? everyone : 0; unseen;) {
-        word comp = unseen & -unseen, frontier = comp;
-        while (frontier) {
-            word reach = 0;
-            for (word f = frontier; f; f &= f - 1)
-                reach |= parent[low_index(f)];
-            frontier = reach & ~comp;
-            comp |= frontier;
-        }
-        a->meet[a->nmeet++] = comp;
-        unseen &= ~comp;
-    }
+    return 0;
 }
 
-/* One mask through stages 0-3, pruning, labelling, dedup and acceptance;
+/* One mask through stages 0-2, pruning, labelling, dedup and acceptance;
    -1 on error. */
 static int try_mask(Augment *a, word mask)
 {
     int m = a->m, n = m + 1, k = popc(mask);
     const word *parent = a->parent;
-    if (k == a->top && (mask & a->rival_deg[a->top]))
+    word ranked = a->connected && k == 1 ? a->rival & ~mask : a->rival;
+    if (ranked & ((a->atleast[k + 1] & ~mask) | (a->atleast[k] & mask)))
         return 0;
-    for (int i = 0; i < a->nmeet; i++)
-        if (!(mask & a->meet[i]))
-            return 0;
     if (!keeps_lowest_twins(mask, a->twins, a->ntwins))
         return 0;
-    if (k - a->top < 2) {
-        word rivals = (a->rival_deg[k] & ~mask) | (a->rival_below[k] & mask);
-        if (rivals && outranked(parent, m, a->by_deg, a->below, mask, k, rivals))
-            return 0;
-    }
+    word rivals = ranked & ((a->by_deg[k] & ~mask) | (a->below[k] & mask));
+    if (rivals && outranked(parent, m, a->by_deg, a->below, mask, k, rivals))
+        return 0;
     if (!a->listed) {
         a->listed = 1;
         if (list_obstructions(m, parent, a->plans, a->nplans, &a->pairs) < 0) {
@@ -795,10 +800,14 @@ static int try_mask(Augment *a, word mask)
         for (int v = 0; v < n; v++)
             inv[perm[v]] = v;
         int pos = m, w = inv[pos];
-        while (w != m && !((a->deletable >> w) & 1)) {
-            word set = 0;
-            if (independent(parent, all_of(m) & ~(mask | (word)1 << w), (int)a->min_alpha - 1, &set))
-                break;
+        while (w != m) {
+            if (!a->connected || spans(adj, all_of(n) & ~((word)1 << w))) {
+                word set = 0;
+                if ((a->deletable >> w) & 1)
+                    break;
+                if (independent(parent, all_of(m) & ~(mask | (word)1 << w), (int)a->min_alpha - 1, &set))
+                    break;
+            }
             w = inv[--pos];
         }
         if (w != m) {
@@ -822,25 +831,36 @@ static int try_mask(Augment *a, word mask)
     return rc;
 }
 
-/* Masks of popcount lo and up, each popcount in ascending order (Gosper's
-   hack), as kernels._masks_from. */
+/* The m-bit masks of popcount k (k <= m) in ascending order (Gosper's
+   hack). */
+static int run_popcount(Augment *a, int k)
+{
+    int m = a->m;
+    word mask = all_of(k);
+    while (!(mask >> m)) {
+        if (try_mask(a, mask) < 0)
+            return -1;
+        if (!mask)
+            break;
+        word low = mask & -mask, ripple = mask + low;
+        mask = ripple | (((ripple ^ mask) >> 2) / low);
+    }
+    return 0;
+}
+
+/* Masks by popcount, as kernels._masks_of: top and up on the alpha tree;
+   on the connected tree one vertex, then max(top, 2) and up. */
 static int run_masks(Augment *a)
 {
     int m = a->m, lo = a->top;
-    if (lo == 0) {
-        if (try_mask(a, 0) < 0)
+    if (a->connected) {
+        if (m >= 1 && run_popcount(a, 1) < 0)
             return -1;
-        lo = 1;
+        lo = lo > 2 ? lo : 2;
     }
-    for (int k = lo; k <= m; k++) {
-        word mask = all_of(k);
-        while (!(mask >> m)) {
-            if (try_mask(a, mask) < 0)
-                return -1;
-            word low = mask & -mask, ripple = mask + low;
-            mask = ripple | (((ripple ^ mask) >> 2) / low);
-        }
-    }
+    for (int k = lo; k <= m; k++)
+        if (run_popcount(a, k) < 0)
+            return -1;
     return 0;
 }
 
@@ -887,6 +907,7 @@ static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t na
     a.plans = plans;
     a.nplans = nplans;
     a.min_alpha = min_alpha;
+    a.connected = connected;
     a.pairs.width = 2;
     a.seen.width = (int)m + 1;
     a.out = PyList_New(0);
@@ -896,8 +917,7 @@ static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t na
             break;
         }
         a.listed = 0;
-        analyse(&a, connected);
-        if (run_masks(&a) < 0)
+        if (analyse(&a) == 0 && run_masks(&a) < 0)
             Py_CLEAR(a.out);
         rs_free(&a.pairs);
         rs_free(&a.seen);
@@ -1121,8 +1141,8 @@ static PyMethodDef methods[] = {
     {"augment", (PyCFunction)(void (*)(void))py_augment, METH_FASTCALL,
      "augment(m, parents, plans, min_alpha, connected) -> list of rows: the canonically accepted\n"
      "one-vertex extensions of each canonical parent on m vertices, parent by parent, free of the\n"
-     "patterns whose kernels.obstruction_plans are plans, as the pure kernels.pure_augment.  No\n"
-     "state is kept between calls."},
+     "patterns whose kernels.obstruction_plans are plans, on the alpha tree or, with connected,\n"
+     "the connected tree, as the pure kernels.pure_augment.  No state is kept between calls."},
     {"max_clique", (PyCFunction)(void (*)(void))py_max_clique, METH_FASTCALL,
      "max_clique(n, adj) -> mask: the first maximum clique, as the pure kernels.max_clique."},
     {"color_with", (PyCFunction)(void (*)(void))py_color_with, METH_FASTCALL,
@@ -1136,6 +1156,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "clawlab._augment", "Compiled canonical augmentation and per-graph predicates.", -1, methods,
+    NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__augment(void) { return PyModule_Create(&module); }

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 
-from clawlab.graphs import component_masks, row_classes, vertices_of
+from clawlab.graphs import reachable, row_classes, vertices_of
 
 BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
 
@@ -576,19 +576,24 @@ def _twin_classes(adj):
     return [c for c in groups.values() if c & (c - 1)]
 
 
-def _masks_from(m, lo):
-    """Every ``m``-bit mask with at least ``lo`` bits set, by popcount, each
-    popcount in ascending order (Gosper's hack)."""
-    if lo == 0:
-        yield 0
-        lo = 1
-    for k in range(lo, m + 1):
+def _masks_of(m, counts):
+    """Every ``m``-bit mask whose popcount is in ``counts`` (ascending), by
+    popcount, each popcount in ascending order (Gosper's hack)."""
+    for k in counts:
         mask = (1 << k) - 1
         while not mask >> m:
             yield mask
+            if not mask:
+                break
             low = mask & -mask
             ripple = mask + low
             mask = ripple | (((ripple ^ mask) >> 2) // low)
+
+
+def _spans(adj, keep):
+    """Whether the vertices in bitmask ``keep`` induce a connected graph
+    (none or one vertex counts as connected)."""
+    return reachable(adj, keep & -keep, keep) == keep
 
 
 def _keeps_lowest_twins(mask, twins):
@@ -640,39 +645,49 @@ def pure_augment(m, parents, plans, min_alpha, connected):
     parents (row sequences, each on ``m`` vertices), as canonical row
     tuples, parent by parent and each parent's in the order they are found:
     one level of ``enumeration.enumerate_graphs``, free of the patterns
-    whose ``obstruction_plans`` are ``plans`` and, with ``connected``,
-    connected.  The loop body is the per-parent step described below.
+    whose ``obstruction_plans`` are ``plans``, on the alpha tree or, with
+    ``connected``, on the connected tree.  The loop body is the per-parent
+    step described below.
 
     The new vertex is joined to the parent's vertices in ``mask``.  With a
     = ``min_alpha`` the parent must have alpha >= a, and so has every
     child.  A child is accepted when deleting w, the canonically last vertex
-    of D(child) = {v : alpha(child - v) >= a}, gives the parent: walking
-    canonical positions down from the last, reaching the new vertex first
-    accepts it (alpha(child - new) = alpha(P) >= a), and otherwise the
-    first vertex in D(child) is w.  For an old vertex v, alpha(child - v) =
-    max(alpha(P - v), 1 + alpha(P - v - mask)), since an independent set
-    holding the new vertex holds none of its neighbours.  So v is in
-    D(child) when it is in R = {v : alpha(P - v) >= a}, found once per
-    parent by one search per vertex not yet in R (an independent a-set
-    that avoids v puts every vertex outside it in R); and a v outside R is
-    in D(child) iff the parent has an independent (a - 1)-set that misses
-    ``mask`` and v.  With a <= 1, R is every vertex and the walk stops at
-    the first position.
+    of D(child), gives the parent.  On the alpha tree D(child) = {v :
+    alpha(child - v) >= a}; on the connected tree it is D_c(child) = {v :
+    child - v connected, alpha(child - v) >= a}, the parent must be
+    connected (a disconnected one has no children) and only non-empty masks
+    are visited, so every child is connected.  The new vertex is in D(child)
+    on either tree, as child - new is the parent.  So walking canonical
+    positions down from the last, reaching the new vertex first accepts it,
+    and otherwise the first vertex in D(child) is w.  For an old vertex v,
+    alpha(child - v) = max(alpha(P - v), 1 + alpha(P - v - mask)), since an
+    independent set holding the new vertex holds none of its neighbours.  So
+    alpha(child - v) >= a when v is in R = {v : alpha(P - v) >= a}, found
+    once per parent by one search per vertex not yet in R (an independent
+    a-set that avoids v puts every vertex outside it in R); and for a v
+    outside R iff the parent has an independent (a - 1)-set that misses
+    ``mask`` and v.  With a <= 1, R is every vertex.  On the connected tree
+    the walk also tests that child - v is connected.
 
     The parent is analysed once; masks are then dropped before pruning or
-    labelling, in three stages, plus a fourth at the last level:
+    labelling, in three stages.  Stages 1 and 2 compare the new vertex with
+    rivals that are surely in D(child): on the alpha tree R; on the connected tree
+    R less the parent's cut vertices, and less the mask's own vertex when
+    the mask has one vertex (deleting that vertex cuts the new one off).  A
+    vertex v of R that is no cut vertex of P is in D_c(child) whenever the
+    mask holds a vertex other than v, since child - v is P - v plus a vertex
+    joined to it.
 
     0. twins: within each class of the parent's false or true twins
        (``_twin_classes``), the mask must hold the class's lowest vertices;
     1. degree: the new vertex (degree ``k = popcount(mask)``) must have
-       maximum degree in the child among itself and R, so only masks with
-       ``k >= top``, the maximum degree of R in the parent, are visited;
-    2. profile: among the vertices of R of degree ``k`` in the child it
-       must have a lexicographically maximal profile, its tuple of
-       neighbour counts in each degree class, classes in ascending degree
-       order;
-    3. connectivity (only when ``connected``): the child must be connected,
-       that is, the mask must meet every component of the parent.
+       maximum degree in the child among itself and its rivals, so only
+       masks with ``k >= top``, the maximum degree of the rivals in the
+       parent, are visited (on the connected tree the masks of one vertex
+       as well, as their rivals lack that vertex);
+    2. profile: among the rivals of degree ``k`` in the child it must have
+       a lexicographically maximal profile, its tuple of neighbour counts in
+       each degree class, classes in ascending degree order.
 
     Stage 0 drops only duplicates.  A permutation inside each twin class
     takes any mask to the one holding each class's lowest vertices.  It is a
@@ -685,28 +700,20 @@ def pure_augment(m, parents, plans, min_alpha, connected):
     partition and keeps cell order through refinement and
     individualisation: the first round orders cells by degree and the second
     by profile within a degree class, so a vertex of higher degree, or of
-    equal degree and higher profile, gets a later canonical position.  R is
-    part of D(child), as alpha(child - v) >= alpha(P - v), so a rival in R
-    that outranks the new vertex shows that the new vertex is not w.  (The
-    profile is taken over the degree classes up to ``k`` only: a rival that
-    ties there is kept, which only keeps more masks.)  Acceptance depends
-    only on the child's class (deleting w must give the parent), and an
-    accepted class is still produced from this parent by a mask in which the
-    new vertex plays w.  That mask passes stages 1 and 2, and so does the
-    mask stage 0 keeps in its place.
+    equal degree and higher profile, gets a later canonical position.  Each
+    rival is in D(child), so a rival that outranks the new vertex shows
+    that the new vertex is not w.  (The profile is taken over the degree
+    classes up to ``k`` only: a rival that ties there is kept, which only
+    keeps more masks.)  Acceptance depends only on the child's class
+    (deleting w must give the parent), and an accepted class is still
+    produced from this parent by a mask in which the new vertex plays w.
+    That mask passes stages 1 and 2, and so does the mask stage 0 keeps in
+    its place.
 
     Stage 2 reads the child's degree classes off the parent's (see
-    ``_outranked``).  Vertices of R reach degree ``k`` only when ``k`` is
-    ``top`` or ``top + 1``, so no other mask needs the profile test.  Rows
-    are built only for masks that pass every stage.  Children are canonical
-    copies and each level is sorted, so the output is unchanged.
-
-    Stage 3 drops whole classes: whether a child passes it depends only on
-    the child's class, so the masks that give one class are kept or dropped
-    together, and the classes kept are produced as before.
-    ``enumerate_graphs`` asks for it only at ``max_n``, whose classes are
-    never extended, and does not test those children's connectivity again;
-    ``_emit_ok`` alone applies the odd-cycle filter.
+    ``_outranked``).  Rows are built only for masks that pass every stage.
+    Children are canonical copies and each level is sorted, so the output
+    is unchanged.
 
     A mask that passes every stage is then pruned when the child holds a
     forbidden pattern.  The parent holds none, so any copy in the child
@@ -724,12 +731,16 @@ def pure_augment(m, parents, plans, min_alpha, connected):
     out = []
     for parent_rows in parents:
         parent = tuple(parent_rows)
+        if connected and not _spans(parent, everyone):
+            continue
         by_deg = [0] * (m + 1)
         for v, row in enumerate(parent):
             by_deg[row.bit_count()] |= 1 << v
         below = [0] + by_deg
-        # R as a mask (the vertices whose deletion keeps alpha >= min_alpha) and
-        # its degree classes
+        atleast = [0] * (m + 2)
+        for d in range(m, -1, -1):
+            atleast[d] = atleast[d + 1] | by_deg[d]
+        # R as a mask (the vertices whose deletion keeps alpha >= min_alpha)
         deletable = everyone
         if min_alpha > 1:
             deletable = 0
@@ -738,29 +749,28 @@ def pure_augment(m, parents, plans, min_alpha, connected):
                     found = _independent(parent, everyone & ~(1 << v), min_alpha)
                     if found is not None:
                         deletable |= everyone & ~found
-        rival_deg = [c & deletable for c in by_deg]
-        rival_below = [0] + rival_deg
-        top = max((d for d in range(m) if rival_deg[d]), default=0)
+        rival = deletable
+        if connected:
+            for v in range(m):
+                if not _spans(parent, everyone & ~(1 << v)):
+                    rival &= ~(1 << v)
+        top = max((d for d in range(m) if by_deg[d] & rival), default=0)
         twins = _twin_classes(parent)
-        # the parent's components, when the child must be connected
-        meet = component_masks(parent) if connected else []
         blocks = None
         seen = set()
-        for mask in _masks_from(m, top):
+        counts = (1, *range(max(top, 2), m + 1)) if connected else range(top, m + 1)
+        for mask in _masks_of(m, counts):
             k = mask.bit_count()
-            # stage 1: when k == top, a raised degree-top vertex would exceed k
-            if k == top and mask & rival_deg[top]:
-                continue
-            # stage 3: the child is disconnected
-            if meet and not all(mask & c for c in meet):
+            ranked = rival & ~mask if connected and k == 1 else rival
+            # stage 1: a rival of degree above k in the child
+            if ranked & (atleast[k + 1] & ~mask | atleast[k] & mask):
                 continue
             if not _keeps_lowest_twins(mask, twins):
                 continue
-            # stage 2: vertices of R reach degree k only when k is top or top + 1
-            if k - top < 2:
-                rivals = (rival_deg[k] & ~mask) | (rival_below[k] & mask)
-                if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
-                    continue
+            # stage 2: the rivals of degree k in the child
+            rivals = ranked & (by_deg[k] & ~mask | below[k] & mask)
+            if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
+                continue
             if blocks is None:
                 blocks = _obstructions(m, parent, plans)
             if any(mask & s == t for s, t in blocks):
@@ -771,19 +781,21 @@ def pure_augment(m, parents, plans, min_alpha, connected):
             if cert in seen:
                 continue
             seen.add(cert)
-            if perm[m] != m:
-                # walk down to w, the canonically last vertex of D(child)
-                pos = m
-                w = perm.index(pos)
-                while w != m and not deletable >> w & 1:
+            # walk down to w, the canonically last vertex of D(child)
+            pos = m
+            w = perm.index(pos)
+            while w != m:
+                if not connected or _spans(adj, (everyone | 1 << m) & ~(1 << w)):
+                    if deletable >> w & 1:
+                        break
                     if _independent(parent, everyone & ~(mask | 1 << w), min_alpha - 1) is not None:
                         break
-                    pos -= 1
-                    w = perm.index(pos)
-                # deleting the new vertex gives the parent, whose rows are already
-                # canonical; deleting w must match them
-                if w != m and pure_canon_form(m, _delete_vertex(adj, w))[0] != parent:
-                    continue
+                pos -= 1
+                w = perm.index(pos)
+            # deleting the new vertex gives the parent, whose rows are already
+            # canonical; deleting w must match them
+            if w != m and pure_canon_form(m, _delete_vertex(adj, w))[0] != parent:
+                continue
             out.append(cert)
     return out
 

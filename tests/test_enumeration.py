@@ -9,6 +9,7 @@ from clawlab.canon import canonical_label
 from clawlab.enumeration import (
     EnumerationConfig,
     _emit_ok,
+    _grows_connected,
     catalog_labels,
     enumerate_graphs,
     oracle_enumerate,
@@ -136,8 +137,7 @@ class TestAgainstOracle:
         assert count == sum(per_n.values())
 
     def test_oeis_connected_counts_n8(self):
-        # OEIS A001349, with the connectivity filter applied while the last
-        # level is generated
+        # OEIS A001349, grown on the connected tree
         _, per_n = collect(EnumerationConfig(max_n=8, connected_only=True))
         assert [len(per_n[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
 
@@ -171,6 +171,37 @@ class TestAgainstOracle:
                 lambda g: is_free(g, list(tokens)) and independence_number(g)[0] >= min_alpha,
             )
             assert {n: per_n.get(n, set()) for n in range(1, 8)} == want, min_alpha
+
+    @pytest.mark.parametrize("tokens", [(), ("C4",), ("P5",)], ids=lambda t: ",".join(t) or "none")
+    def test_fallback_configs_match_oracle(self, tokens, oracle7):
+        """Connected configs with a >= 2 and no pattern under K1_3 keep the
+        alpha tree and test connectivity at emission; every level still
+        holds the oracle's connected pattern-free classes with alpha >= a."""
+        for min_alpha in (2, 3):
+            config = EnumerationConfig(max_n=7, connected_only=True, free_of=tokens, min_alpha=min_alpha)
+            pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
+            assert not _grows_connected(config, pats)
+            _, per_n = collect(config)
+            want = oracle_filtered(
+                oracle7,
+                range(1, 8),
+                lambda g: g.is_connected() and is_free(g, list(tokens)) and independence_number(g)[0] >= min_alpha,
+            )
+            assert {n: per_n.get(n, set()) for n in range(1, 8)} == want, min_alpha
+
+    def test_connected_tree_configs(self):
+        """The connected tree serves every connected config that is claw-free
+        (a pattern under K1_3, such as P3 or 3K1) or has a <= 1, and no
+        config that wants disconnected graphs too."""
+        cases = [
+            ((), 0, True), ((), 1, True), ((), 2, False), (("C4",), 3, False),
+            (("K1_3",), 3, True), (("C4", "K1_3"), 4, True), (("P3",), 2, True), (("3K1",), 2, True),
+        ]
+        for tokens, a, grows in cases:
+            pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
+            config = EnumerationConfig(max_n=7, connected_only=True, free_of=tokens, min_alpha=a)
+            assert _grows_connected(config, pats) == grows, (tokens, a)
+            assert not _grows_connected(EnumerationConfig(max_n=7, free_of=tokens, min_alpha=a), pats)
 
     def test_root_holds_a_pattern(self):
         # 3K1 is the root of the alpha >= 3 tree, so the tree is empty
@@ -262,17 +293,32 @@ def _free_children(rep, pattern_adjs):
     return out
 
 
-def _reference_children(rep, pattern_adjs, min_alpha=0):
+def _without(g, v):
+    return g.induced(u for u in range(g.n) if u != v)
+
+
+def _reference_children(rep, pattern_adjs, min_alpha=0, connected=False):
     """Canonical augmentation with no vertex-invariant filter and no twin
     reduction (``_free_children``), acceptance when deleting w gives the
     parent.  w is the canonically last vertex of D(child) = {v : alpha(child
     - v) >= min_alpha}, each alpha computed on the child itself; with
-    ``min_alpha <= 1`` it is the canonically last vertex."""
+    ``min_alpha <= 1`` it is the canonically last vertex.  With
+    ``connected`` (the connected tree, for a connected parent) only the
+    connected children count, and w is the canonically last vertex of
+    D_c(child), the vertices of D(child) whose deletion leaves the child
+    connected."""
     out = []
     for cert, perm, child in _free_children(rep, tuple(pattern_adjs)):
+        if connected and not child.is_connected():
+            continue
         from_last = sorted(range(child.n), key=perm.__getitem__, reverse=True)
-        w = next(v for v in from_last if min_alpha <= 1 or _alpha_without(child, v) >= min_alpha)
-        rest = child.induced(v for v in range(child.n) if v != w)
+        w = next(
+            v
+            for v in from_last
+            if (min_alpha <= 1 or _alpha_without(child, v) >= min_alpha)
+            and (not connected or _without(child, v).is_connected())
+        )
+        rest = _without(child, w)
         if kernels.canon_form(rep.n, rest.adj)[0] == rep.adj:
             out.append(cert)
     return sorted(out)
@@ -306,25 +352,33 @@ def _holds_lowest(mask, members):
     return inside == members[: len(inside)]
 
 
-def _reference_masks(rep, min_alpha=0):
+def _reference_masks(rep, min_alpha=0, connected=False):
     """The masks stages 0-2 of ``kernels.augment`` must pass, read off each child's
     own rows: the mask meets each twin class in its lowest vertices, and
     against the rivals R = {v : alpha(P - v) >= min_alpha} the new vertex
     has maximum degree and, among the rivals of its degree, a maximal
-    profile over the degree classes up to its degree."""
+    profile over the degree classes up to its degree.  With ``connected``
+    the mask is not empty, and the rivals are the vertices of R that are no
+    cut vertex of P, less the mask's own vertex when it has one."""
     m = rep.n
     twins = [[v for v in range(m) if (c >> v) & 1] for c in _twin_classes(rep.adj)]
     rivals = [v for v in range(m) if _alpha_without(rep, v) >= min_alpha]
-    for mask in range(1 << m):
+    if connected:
+        rivals = [v for v in rivals if _without(rep, v).is_connected()]
+    for mask in range(connected, 1 << m):
         if not all(_holds_lowest(mask, members) for members in twins):
             continue
         child = Graph.trusted(m + 1, _child_rows(rep, mask))
+        if connected and mask.bit_count() == 1:
+            rivals_here = [v for v in rivals if mask != 1 << v]
+        else:
+            rivals_here = rivals
         degs = child.degrees()
         k = degs[m]
-        if any(degs[v] > k for v in rivals):
+        if any(degs[v] > k for v in rivals_here):
             continue
         mine = _profile(child, m, k)
-        if any(_profile(child, v, k) > mine for v in rivals if degs[v] == k):
+        if any(_profile(child, v, k) > mine for v in rivals_here if degs[v] == k):
             continue
         yield mask
 
@@ -339,40 +393,40 @@ def _parents(oracle6, rng):
     return parents
 
 
-# the last-level filters of ``kernels.augment`` (the odd-cycle one stays in
-# ``_emit_ok`` alone)
-EMIT_CONFIGS = [
-    EnumerationConfig(max_n=7, connected_only=connected, min_alpha=min_alpha)
-    for connected in (False, True)
-    for min_alpha in range(5)
-]
-
-
 class TestChildren:
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
     def test_matches_reference(self, tokens, oracle6, rng):
         """For each bound a = 0..4 with alpha(P) >= a (the parents of the
         alpha >= a tree), stages 0-2 of each ``augment`` entry drop only
         masks whose class the reference for a also drops or produces from
-        another mask, and stage 3 drops exactly the classes ``_emit_ok``
-        rejects."""
+        another mask, on the alpha tree and, for a connected parent, on the
+        connected tree (D_c acceptance)."""
         pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
         plans = kernels.obstruction_plans(pats)
         for rep in _parents(oracle6, rng):
-            plain = _reference_children(rep, pats)
-            want = {0: plain, 1: plain}
-            for a in range(2, min(independence_number(rep)[0], 4) + 1):
-                want[a] = _reference_children(rep, pats, a)
+            bounds = [0, 1, *range(2, min(independence_number(rep)[0], 4) + 1)]
+            trees = (False, True) if rep.is_connected() else (False,)
+            want = {(a, c): _reference_children(rep, pats, a, c) for a in bounds for c in trees}
             for augment in AUGMENTS:
-                for a, ref in want.items():
-                    got = sorted(augment(rep.n, [rep.adj], plans, a, False))
-                    assert got == ref, (augment, rep.adj, a)
-                for config in EMIT_CONFIGS:
-                    if config.min_alpha not in want:
+                for (a, connected), ref in want.items():
+                    got = sorted(augment(rep.n, [rep.adj], plans, a, connected))
+                    assert got == ref, (augment, rep.adj, a, connected)
+
+    def test_connected_tree_skips_disconnected_parents(self, oracle6):
+        """On the connected tree a disconnected parent has no children, on
+        each ``augment`` entry; its connected siblings on the same call keep
+        theirs."""
+        plans = kernels.obstruction_plans([(p.n, p.adj) for p in map(pattern_graph, ("K1_3",))])
+        for augment in AUGMENTS:
+            for m in range(2, 7):
+                for rep in oracle6[m]:
+                    if rep.is_connected():
                         continue
-                    got = sorted(augment(rep.n, [rep.adj], plans, config.min_alpha, config.connected_only))
-                    kept = [c for c in want[config.min_alpha] if _emit_ok(Graph.trusted(rep.n + 1, c), config)]
-                    assert got == kept, (augment, rep.adj, config)
+                    for a in range(4):
+                        assert augment(m, [rep.adj], plans, a, True) == [], (augment, rep.adj, a)
+                connected = [rep.adj for rep in oracle6[m] if rep.is_connected()]
+                every = [rep.adj for rep in oracle6[m]]
+                assert augment(m, every, plans, 0, True) == augment(m, connected, plans, 0, True), (augment, m)
 
     @compiled_only
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
@@ -429,8 +483,9 @@ class TestChildren:
     def test_stages_pass_exactly_the_documented_masks(self, oracle6, rng, monkeypatch):
         """With no pattern, every mask that passes stages 0-2 is labelled
         once, so the labelled masks show what the stages let through, for
-        the whole tree and for the alpha >= 2 and alpha >= 3 trees (in
-        ``pure_augment``, whose labelling calls can be watched)."""
+        the whole tree and for the alpha >= 2 and alpha >= 3 trees, and for
+        the connected tree from each connected parent (in ``pure_augment``,
+        whose labelling calls can be watched)."""
         parents = _parents(oracle6, rng)
         labelled = []
         canon_form = kernels.pure_canon_form
@@ -445,10 +500,11 @@ class TestChildren:
             for a in (0, 2, 3):
                 if a > alpha:
                     continue
-                labelled.clear()
-                kernels.pure_augment(rep.n, [rep.adj], (), a, False)
-                got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
-                assert sorted(got) == list(_reference_masks(rep, a)), (rep.adj, a)
+                for connected in (False, True) if rep.is_connected() else (False,):
+                    labelled.clear()
+                    kernels.pure_augment(rep.n, [rep.adj], (), a, connected)
+                    got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
+                    assert sorted(got) == list(_reference_masks(rep, a, connected)), (rep.adj, a, connected)
 
     def test_twin_classes_are_transposition_orbits(self, oracle6):
         """A transposition is an automorphism exactly when its two vertices
@@ -555,6 +611,106 @@ class TestProperties:
             assert canonical_form(g) == g
 
         enumerate_graphs(EnumerationConfig(max_n=5), check)
+
+
+CLOSURE_MAX_N = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _claw_free_extensions():
+    """Per n in 2..``CLOSURE_MAX_N``, each claw-free class on n - 1 vertices
+    (canonical rows) with its one-vertex extensions, over every mask, that
+    have no claw through the new vertex (``pinned_has_induced``), as
+    ``(rows, canonical rows)`` pairs.  The classes on n - 1 vertices are the
+    canonical forms of the extensions one level down, deduplicated."""
+    claw = pattern_graph("K1_3")
+    out = {}
+    level = {(0,)}
+    for n in range(2, CLOSURE_MAX_N + 1):
+        out[n] = {}
+        for rows in sorted(level):
+            kids = out[n][rows] = []
+            for mask in range(1 << (n - 1)):
+                adj = tuple(row | ((mask >> v) & 1) << (n - 1) for v, row in enumerate(rows)) + (mask,)
+                if not pinned_has_induced(n, adj, claw.n, claw.adj, n - 1):
+                    kids.append((adj, kernels.canon_form(n, adj)[0]))
+        level = {cert for kids in out[n].values() for _, cert in kids}
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _hereditary_closure(y):
+    """The (K1_3, ``y``)-free classes on 1..``CLOSURE_MAX_N`` vertices, level
+    by level, as sets of canonical rows, with no acceptance rule, mask stage,
+    alpha tree or connected tree: level n holds the canonical form of every
+    one-vertex extension, over every mask, of every member on n - 1
+    vertices that has no claw and no ``y`` through the new vertex.  The
+    claw test is shared through ``_claw_free_extensions``.  Complete because
+    the class is hereditary: a member on n vertices less its last vertex is
+    a member on n - 1, and the member is that graph plus one vertex joined by
+    some mask."""
+    p = pattern_graph(y)
+    extensions = _claw_free_extensions()
+    levels = {1: {(0,)}}
+    for n in range(2, CLOSURE_MAX_N + 1):
+        levels[n] = {
+            cert
+            for rows in levels[n - 1]
+            for adj, cert in extensions[n][rows]
+            if not pinned_has_induced(n, adj, p.n, p.adj, n - 1)
+        }
+    return levels
+
+
+def _alpha(n, rows):
+    return independence_number(Graph.trusted(n, rows))[0]
+
+
+class TestCompleteness:
+    @pytest.mark.parametrize("y", ("P5", "Z2", "B", "2K2"))
+    def test_matches_hereditary_closure(self, y, monkeypatch):
+        """Up to 8 vertices, each level of ``enumerate_graphs`` for K1_3 and
+        ``y`` holds exactly the hereditary closure's classes with alpha >= a,
+        connected or not, for a = 0 and 3, with each ``augment`` entry: the
+        alpha tree and the connected tree against a reference with no tree."""
+        levels = _hereditary_closure(y)
+        for augment in AUGMENTS:
+            monkeypatch.setattr(kernels, "augment", augment)
+            for a, connected in itertools.product((0, 3), (False, True)):
+                config = EnumerationConfig(max_n=CLOSURE_MAX_N, connected_only=connected, free_of=("K1_3", y), min_alpha=a)
+                got = {n: set() for n in levels}
+                enumerate_graphs(config, lambda g: got[g.n].add(g.adj))
+                want = {
+                    n: {
+                        rows
+                        for rows in members
+                        if _alpha(n, rows) >= a and (not connected or Graph.trusted(n, rows).is_connected())
+                    }
+                    for n, members in levels.items()
+                }
+                assert got == want, (augment, config)
+
+    def test_closure_level_sizes(self):
+        """The (K1_3, P5)-free closure on 1..8 vertices, as first counted."""
+        assert [len(level) for level in _hereditary_closure("P5").values()] == [1, 2, 4, 10, 25, 74, 217, 748]
+
+    def test_connected_tree_has_a_deletable_vertex(self):
+        """The connected tree's lemma, checked past its hypothesis: every
+        connected graph G on 2..8 vertices with n >= 2 alpha(G), claws
+        included, has a vertex v with G - v connected and alpha(G - v) =
+        alpha(G), so D_c(G) is not empty for any a <= alpha(G) with n >= 2a
+        (for a < alpha(G) every non-cut vertex is in it)."""
+        graphs = []
+        enumerate_graphs(EnumerationConfig(max_n=8, connected_only=True), graphs.append)
+        checked = 0
+        for g in graphs:
+            alpha = independence_number(g)[0]
+            if g.n < 2 or g.n < 2 * alpha:
+                continue
+            checked += 1
+            rests = (_without(g, v) for v in range(g.n))
+            assert any(h.is_connected() and independence_number(h)[0] == alpha for h in rests), g.adj
+        assert checked > 10_000
 
 
 class TestOracle:

@@ -1,10 +1,16 @@
-"""Source hygiene: no module under ``src/clawlab/`` imports a name it never uses.
+"""Source hygiene: no module under ``src/clawlab/`` imports a name it never
+uses, and the C extension compiles with no warning.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 
 import ast
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "clawlab"
 
@@ -44,3 +50,16 @@ def test_no_unused_imports_in_package():
         for name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_c_source_compiles_without_warnings(tmp_path):
+    """``_augment.c`` compiles under ``-Wall -Wextra -Werror`` (unused
+    parameters allowed: every METH_FASTCALL entry takes ``self``)."""
+    gcc = shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if gcc is None or not (Path(include) / "Python.h").exists():
+        pytest.skip("gcc or the Python headers are missing")
+    cmd = [gcc, "-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror", f"-I{include}"]
+    cmd += ["-c", str(SRC / "_augment.c"), "-o", str(tmp_path / "_augment.o")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
