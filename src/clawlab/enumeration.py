@@ -142,7 +142,9 @@ def _emit_ok(g: Graph, config: EnumerationConfig, connected: bool = False) -> bo
     cycles.  There is no alpha filter: every class the tree grows has alpha
     >= ``min_alpha`` already.  ``connected`` says the level holds connected
     classes only (the connected tree and its roots), so connectivity is not
-    tested again."""
+    tested again.  It is tested on the alpha-tree levels below the roots,
+    and on every level of the configs that keep the alpha tree: connected,
+    ``min_alpha`` >= 2 and no pattern under K1_3."""
     if config.connected_only and not connected and not g.is_connected():
         return False
     return not (config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle())

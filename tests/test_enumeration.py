@@ -144,7 +144,9 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
     def test_last_level_matches_oracle(self, tokens, oracle7):
         """The classes emitted at ``max_n`` are the oracle's classes that are
-        free of the patterns and pass ``_emit_ok``."""
+        free of the patterns and pass ``_emit_ok``: from the alpha tree, the
+        connected tree, and (connected, a >= 2, no pattern or C4) the configs
+        that keep the alpha tree and test connectivity at emission."""
         for max_n in range(1, 8):
             free = [g for g in oracle7[max_n] if is_free(g, list(tokens))]
             for connected, min_alpha, odd in itertools.product((False, True), range(5), (False, True)):
@@ -172,29 +174,13 @@ class TestAgainstOracle:
             )
             assert {n: per_n.get(n, set()) for n in range(1, 8)} == want, min_alpha
 
-    @pytest.mark.parametrize("tokens", [(), ("C4",), ("P5",)], ids=lambda t: ",".join(t) or "none")
-    def test_fallback_configs_match_oracle(self, tokens, oracle7):
-        """Connected configs with a >= 2 and no pattern under K1_3 keep the
-        alpha tree and test connectivity at emission; every level still
-        holds the oracle's connected pattern-free classes with alpha >= a."""
-        for min_alpha in (2, 3):
-            config = EnumerationConfig(max_n=7, connected_only=True, free_of=tokens, min_alpha=min_alpha)
-            pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
-            assert not _grows_connected(config, pats)
-            _, per_n = collect(config)
-            want = oracle_filtered(
-                oracle7,
-                range(1, 8),
-                lambda g: g.is_connected() and is_free(g, list(tokens)) and independence_number(g)[0] >= min_alpha,
-            )
-            assert {n: per_n.get(n, set()) for n in range(1, 8)} == want, min_alpha
-
     def test_connected_tree_configs(self):
         """The connected tree serves every connected config that is claw-free
         (a pattern under K1_3, such as P3 or 3K1) or has a <= 1, and no
-        config that wants disconnected graphs too."""
+        config that wants disconnected graphs too; the other connected
+        configs keep the alpha tree."""
         cases = [
-            ((), 0, True), ((), 1, True), ((), 2, False), (("C4",), 3, False),
+            ((), 0, True), ((), 1, True), ((), 2, False), (("C4",), 3, False), (("P5",), 2, False),
             (("K1_3",), 3, True), (("C4", "K1_3"), 4, True), (("P3",), 2, True), (("3K1",), 2, True),
         ]
         for tokens, a, grows in cases:
@@ -689,10 +675,6 @@ class TestCompleteness:
                     for n, members in levels.items()
                 }
                 assert got == want, (augment, config)
-
-    def test_closure_level_sizes(self):
-        """The (K1_3, P5)-free closure on 1..8 vertices, as first counted."""
-        assert [len(level) for level in _hereditary_closure("P5").values()] == [1, 2, 4, 10, 25, 74, 217, 748]
 
     def test_connected_tree_has_a_deletable_vertex(self):
         """The connected tree's lemma, checked past its hypothesis: every
