@@ -1,7 +1,7 @@
 /* Compiled kernels for clawlab: canonical augmentation and the per-graph
    predicates.
 
-   Five entries, all METH_FASTCALL:
+   Six entries, all METH_FASTCALL:
 
    canon_form(n, adj) -> (rows, perm)
        The same canonical relabelling as the pure kernels.canon_form:
@@ -39,6 +39,12 @@
        and orientation, each passed to visit as a tuple, and the same bound
        contract.  A truthy return of visit must be an int (TypeError
        otherwise); one beyond a C long is saturated.
+
+   odd_hole(n, adj, complement) -> tuple or None
+       The pure kernels.odd_hole: the shortest odd induced cycle of length
+       >= 5, the lex-least of its length, of the graph or, with a truthy
+       complement, of its complement, whose rows are built here.  It runs
+       the same grower as induced_cycles with the odd-hole visit built in.
 
    Graphs are vertex counts and per-vertex neighbour bitmasks, one 64-bit
    word per row.  Every input is checked before it is used: an
@@ -1021,14 +1027,26 @@ typedef struct {
     const word *adj;
     long min_len, bound;
     uint8_t path[MAXN];
-    PyObject *visit;
+    PyObject *visit;   /* NULL: the odd-hole visit */
+    int hole;          /* the length of the last odd cycle met, or 0 */
+    uint8_t best[MAXN]; /* that cycle */
 } Cycles;
 
 /* Pass the path closed by v to visit and lower the bound by its return:
-   1 when the bound is now below min_len, 0 to go on, -1 on error. */
+   1 when the bound is now below min_len, 0 to go on, -1 on error.  With
+   no visit, an odd cycle is kept and lowers the bound to its length less
+   two (kernels.odd_hole's visit). */
 static int close_cycle(Cycles *cy, int depth, int v)
 {
     cy->path[depth] = (uint8_t)v;
+    if (cy->visit == NULL) {
+        if (depth % 2 == 0) {
+            cy->hole = depth + 1;
+            memcpy(cy->best, cy->path, depth + 1);
+            cy->bound = depth - 1; /* the length less two: grow closes only lengths <= bound */
+        }
+        return cy->bound < cy->min_len;
+    }
     PyObject *cycle = index_tuple(depth + 1, cy->path);
     if (cycle == NULL)
         return -1;
@@ -1077,6 +1095,22 @@ static int grow(Cycles *cy, int depth, word used, word forbid, word v0adj)
     return 0;
 }
 
+/* kernels.induced_cycles's start loop: grow from each start v0 and each
+   second vertex above it; 1 when the search stopped, 0, or -1 on error. */
+static int cycles_from(Cycles *cy, int n)
+{
+    int rc = 0;
+    for (int v0 = 0; v0 <= n - cy->min_len && !rc; v0++) {
+        word below = all_of(v0 + 1);
+        cy->path[0] = (uint8_t)v0;
+        for (word m = cy->adj[v0] & ~below; m && !rc; m &= m - 1) {
+            cy->path[1] = (uint8_t)low_index(m);
+            rc = grow(cy, 2, below | (m & -m), 0, cy->adj[v0]);
+        }
+    }
+    return rc;
+}
+
 static PyObject *py_max_clique(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     word adj[MAXN];
@@ -1120,19 +1154,29 @@ static PyObject *py_induced_cycles(PyObject *self, PyObject *const *args, Py_ssi
         min_len = 3;
     if (max_len < min_len || min_len > n)
         Py_RETURN_FALSE;
-    Cycles cy = {adj, min_len, max_len, {0}, args[4]};
-    int rc = 0;
-    for (int v0 = 0; v0 <= n - min_len && !rc; v0++) {
-        word below = all_of(v0 + 1);
-        cy.path[0] = (uint8_t)v0;
-        for (word m = adj[v0] & ~below; m && !rc; m &= m - 1) {
-            cy.path[1] = (uint8_t)low_index(m);
-            rc = grow(&cy, 2, below | (m & -m), 0, adj[v0]);
-        }
-    }
+    Cycles cy = {.adj = adj, .min_len = min_len, .bound = max_len, .visit = args[4]};
+    int rc = cycles_from(&cy, (int)n);
     if (rc < 0)
         return NULL;
     return PyBool_FromLong(rc);
+}
+
+static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word adj[MAXN];
+    long n = read_graph(args, nargs, 3, "odd_hole(n, adj, complement)", adj);
+    if (n < 0)
+        return NULL;
+    int complement = PyObject_IsTrue(args[2]);
+    if (complement < 0)
+        return NULL;
+    for (int v = 0; complement && v < n; v++)
+        adj[v] = all_of((int)n) & ~adj[v] & ~((word)1 << v);
+    Cycles cy = {.adj = adj, .min_len = 5, .bound = n};
+    cycles_from(&cy, (int)n);
+    if (!cy.hole)
+        Py_RETURN_NONE;
+    return index_tuple(cy.hole, cy.best);
 }
 
 static PyMethodDef methods[] = {
@@ -1151,6 +1195,9 @@ static PyMethodDef methods[] = {
     {"induced_cycles", (PyCFunction)(void (*)(void))py_induced_cycles, METH_FASTCALL,
      "induced_cycles(n, adj, min_len, max_len, visit) -> bool: visit each induced cycle, as the\n"
      "pure kernels.induced_cycles."},
+    {"odd_hole", (PyCFunction)(void (*)(void))py_odd_hole, METH_FASTCALL,
+     "odd_hole(n, adj, complement) -> tuple or None: the shortest odd hole, lex-least, of the graph\n"
+     "or of its complement, as the pure kernels.odd_hole."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -95,43 +95,34 @@ def invariant_report(g: Graph) -> InvariantReport:
 
 
 def find_odd_hole(g: Graph) -> tuple[int, ...] | None:
-    """Shortest odd chordless cycle of length >= 5, lexicographically least.
-
-    One pass of the cycle grower (``kernels.induced_cycles``): each odd
-    cycle met becomes the answer and lowers the length bound to two less
-    than its own length, so every later cycle is shorter and the last answer
-    is the shortest odd hole.  Cycles of each length arrive in lexicographic
-    order and none of the shortest length is skipped before the first one,
-    so that first one, the lex-least, is the answer.
-    """
-    hole = None
-
-    def visit(cycle):
-        nonlocal hole
-        if len(cycle) % 2:
-            hole = cycle
-            return len(cycle) - 2
-
-    kernels.induced_cycles(g.n, g.adj, 5, g.n, visit)
-    return hole
+    """Shortest odd chordless cycle of length >= 5, lexicographically least:
+    one pass of the cycle grower (``kernels.odd_hole``, which proves it)."""
+    return kernels.odd_hole(g.n, g.adj, False)
 
 
 def find_odd_antihole(g: Graph) -> tuple[int, ...] | None:
     """Odd hole of the complement, as a vertex sequence of g.
 
     The returned vertices induce a chordless odd cycle of length >= 5 in the
-    complement; a C5 reports itself (it is its own antihole).
+    complement; a C5 reports itself (it is its own antihole).  The kernel
+    builds the complement's rows, with no complement ``Graph``.
     """
-    return find_odd_hole(g.complement())
+    return kernels.odd_hole(g.n, g.adj, True)
+
+
+# the verdict of every perfect graph under "spgt"; frozen, so one is shared
+_SPGT_PERFECT = PerfectionVerdict(True, "spgt", None)
 
 
 def is_perfect(g: Graph, method: str = "spgt") -> PerfectionVerdict:
     """Perfection verdict with a certificate when imperfect.
 
-    ``spgt`` searches for an odd hole, then an odd antihole.  ``direct``
-    (only for n <= 14) scans connected induced subgraphs on >= 5 vertices
-    for chi > omega; smaller or disconnected subgraphs can never be the
-    smallest violators.
+    ``spgt`` searches for an odd hole, then an odd antihole (through
+    ``find_odd_hole`` and ``find_odd_antihole``, one pass of the cycle
+    grower each), and gives every perfect graph one shared verdict.
+    ``direct`` (only for n <= 14) scans connected induced subgraphs on >= 5
+    vertices for chi > omega; smaller or disconnected subgraphs can never
+    be the smallest violators.
     """
     method = method.lower()
     if method == "spgt":
@@ -141,7 +132,7 @@ def is_perfect(g: Graph, method: str = "spgt") -> PerfectionVerdict:
         anti = find_odd_antihole(g)
         if anti is not None:
             return PerfectionVerdict(False, "spgt", Certificate("odd_antihole", anti))
-        return PerfectionVerdict(True, "spgt", None)
+        return _SPGT_PERFECT
     if method == "direct":
         if g.n > DIRECT_MAX_VERTICES:
             raise ValueError(f"direct perfection test limited to n <= {DIRECT_MAX_VERTICES}")

@@ -9,8 +9,9 @@ candidates and calls a leaf action on each: it serves ``has_induced``,
 ``extension_obstructions``.  It takes the images of a pattern's twins in
 ascending order, which changes no answer.  ``find_induced_cycle`` runs the
 cycle grower ``induced_cycles`` that also serves ``verify.induced_cycles``
-and, one pass each, the odd-hole and odd-antihole searches of
-``invariants``.  A pattern's search plans and orbits are computed once
+and ``odd_hole``, the odd-hole search of ``invariants`` and, on the
+complement's rows it builds itself, its odd-antihole search, one pass
+each.  A pattern's search plans and orbits are computed once
 and cached (``_plan``, ``_search_plans``).  Hereditary pruning does not
 search each extension: ``extension_obstructions`` lists, once per parent,
 the pattern copies a new vertex could complete as bitmask pairs tested
@@ -29,16 +30,18 @@ Two backends.  Everything above runs in pure Python, and so does
 for each parent of the level in turn, the per-parent step, which gives the
 accepted canonical rows of its one-vertex extensions, labelled by
 ``pure_canon_form``.  ``canon_form``, ``max_clique``, ``color_with``,
-``induced_cycles`` and ``augment`` are bound to the pure entries, and when
-the optional C extension ``clawlab._augment`` imports (``setup.py
-build_ext --inplace`` builds it from ``_augment.c`` where a C compiler is
-found) to its five entries instead (``find_induced_cycle`` then runs the
-compiled grower), and ``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.
-Nothing else selects a backend: no option, no environment variable.  Both
-give the same results bit for bit, and both run one algorithm step for
-step; ``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
-``pure_induced_cycles`` and ``pure_augment`` keep the pure entries as the
-references the compiled ones are tested against.  The compiled entries
+``induced_cycles``, ``odd_hole`` and ``augment`` are bound to the pure
+entries, and when the optional C extension ``clawlab._augment`` imports
+(``setup.py build_ext --inplace`` builds it from ``_augment.c`` where a C
+compiler is found) to its six entries instead (``find_induced_cycle`` then
+runs the compiled grower, and ``odd_hole`` runs it with its visit built in,
+with no Python call per cycle), and ``BACKEND`` is ``"c"``; otherwise it is
+``"pure"``.  Nothing else selects a backend: no option, no environment
+variable.  Both give the same results bit for bit, and both run one
+algorithm step for step; ``pure_canon_form``, ``pure_max_clique``,
+``pure_color_with``, ``pure_induced_cycles``, ``pure_odd_hole`` and
+``pure_augment`` keep the pure entries as the references the compiled ones
+are tested against.  The compiled entries
 take only ``n`` in 0..64, ints and rows with no bit at ``n`` or above, and
 ``augment`` only plans of at most 15 positions, degrees up to 16 and up,
 down and ``after`` positions earlier than their own; they raise ValueError
@@ -455,6 +458,33 @@ def find_induced_cycle(n, adj, length):
     return found[0] if found else None
 
 
+def odd_hole(n, adj, complement):
+    """Shortest odd induced cycle of length >= 5, lexicographically least,
+    oriented as in ``induced_cycles``, or None; of the graph or, with
+    ``complement``, of its complement, whose rows are built first.
+
+    One pass of the cycle grower: each odd cycle met becomes the answer and
+    lowers the length bound to two less than its own length, so every later
+    cycle is shorter and the last answer is the shortest odd hole.  Cycles
+    of each length arrive in lexicographic order and none of the shortest
+    length is skipped before the first one, so that first one, the
+    lex-least, is the answer.  This is the pure entry, on the pure grower.
+    """
+    if complement:
+        full = (1 << n) - 1
+        adj = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    hole = None
+
+    def visit(cycle):
+        nonlocal hole
+        if len(cycle) % 2:
+            hole = cycle
+            return len(cycle) - 2
+
+    pure_induced_cycles(n, adj, 5, n, visit)
+    return hole
+
+
 def canon_form(n, adj):
     """Canonical relabelling: ``(rows, perm)``.
 
@@ -804,6 +834,7 @@ pure_canon_form = canon_form
 pure_max_clique = max_clique
 pure_color_with = color_with
 pure_induced_cycles = induced_cycles
+pure_odd_hole = odd_hole
 augment = pure_augment
 try:
     from clawlab import _augment
@@ -815,4 +846,5 @@ else:
     max_clique = _augment.max_clique
     color_with = _augment.color_with
     induced_cycles = _augment.induced_cycles
+    odd_hole = _augment.odd_hole
     augment = _augment.augment

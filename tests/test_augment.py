@@ -351,6 +351,8 @@ def run(canon_calls, augment_calls, predicate_calls):
         _augment.color_with(n, g, omega - 1)
         cycles = []
         _augment.induced_cycles(n, g, 3, n, cycles.append)
+        _augment.odd_hole(n, g, False)
+        _augment.odd_hole(n, g, True)
         try:
             _augment.induced_cycles(n, g, 3, n, raising)
         except Boom:
@@ -402,8 +404,9 @@ def test_predicates_reject_malformed_input_and_keep_visit_errors():
 def test_long_runs_keep_memory_flat():
     # 100k canon_form and 10k augment calls (plus 10k rejected ones, by a
     # bad parent after a good one or by a bad plan), and 10k rounds of the
-    # predicates (a clique, two colourings, a full cycle search, a search
-    # whose visit raises and a rejected call) on 6-12 vertex graphs after
-    # warm-up: the peak RSS grows by at most 1 MiB
+    # predicates (a clique, two colourings, a full cycle search, the odd
+    # hole and odd antihole searches, a search whose visit raises and a
+    # rejected call) on 6-12 vertex graphs after warm-up: the peak RSS
+    # grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

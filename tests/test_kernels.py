@@ -52,6 +52,7 @@ CANON_FORMS = tuple(dict.fromkeys((kernels.pure_canon_form, kernels.canon_form))
 MAX_CLIQUES = tuple(dict.fromkeys((kernels.pure_max_clique, kernels.max_clique)))
 COLOR_WITHS = tuple(dict.fromkeys((kernels.pure_color_with, kernels.color_with)))
 CYCLE_GROWERS = tuple(dict.fromkeys((kernels.pure_induced_cycles, kernels.induced_cycles)))
+ODD_HOLES = tuple(dict.fromkeys((kernels.pure_odd_hole, kernels.odd_hole)))
 
 compiled_only = pytest.mark.skipif(kernels.BACKEND != "c", reason="clawlab._augment did not build")
 
@@ -89,7 +90,7 @@ def test_compiled_backend_builds_where_gcc_is_found():
 def test_predicates_follow_the_backend():
     # the compiled entries are bound exactly when the extension is
     compiled = kernels.BACKEND == "c"
-    for name in ("max_clique", "color_with", "induced_cycles", "augment"):
+    for name in ("max_clique", "color_with", "induced_cycles", "odd_hole", "augment"):
         assert (getattr(kernels, name) is getattr(kernels, f"pure_{name}")) == (not compiled)
 
 
@@ -208,15 +209,28 @@ def cycle_visits(induced_cycles, g, min_len, stop_after=None):
     return induced_cycles(g.n, g.adj, min_len, g.n, visit), seen
 
 
+def sparse_graphs(oracle7, rng):
+    """The cycle-search inputs (every class on at most 7 vertices among
+    them) and 40 sparse connected graphs on 17-64 vertices."""
+    graphs = cycle_search_graphs(oracle7, rng)
+    return graphs + [sparse_connected_graph(rng, rng.randrange(17, 65), rng.randrange(0, 6)) for _ in range(40)]
+
+
+def dense_graphs(rng):
+    """Seeded graphs on 40-64 vertices, dense ones and complements of
+    sparse ones, and the empty and complete graphs on 64."""
+    graphs = [random_graph(rng, rng.randrange(40, 65), rng.choice([0.5, 0.7, 0.9])) for _ in range(6)]
+    graphs += [sparse_connected_graph(rng, rng.randrange(40, 65), rng.randrange(0, 6)).complement() for _ in range(6)]
+    return graphs + [Graph(64, (0,) * 64), Graph(64, (0,) * 64).complement()]
+
+
 @compiled_only
 def test_compiled_predicates_match_pure(oracle7, rng):
     # every class on at most 7 vertices, the cycle-search inputs and sparse
     # connected graphs up to 64 vertices: the same first maximum clique, the
     # same colouring or None for every k, and the same cycles in the same
     # order for min_len 3..6
-    graphs = cycle_search_graphs(oracle7, rng)
-    graphs += [sparse_connected_graph(rng, rng.randrange(17, 65), rng.randrange(0, 6)) for _ in range(40)]
-    for g in graphs:
+    for g in sparse_graphs(oracle7, rng):
         assert kernels.max_clique(g.n, g.adj) == kernels.pure_max_clique(g.n, g.adj), g
         for k in (*range(-1, g.n + 2), 2**70):
             assert kernels.color_with(g.n, g.adj, k) == kernels.pure_color_with(g.n, g.adj, k), (g, k)
@@ -231,16 +245,30 @@ def test_compiled_predicates_match_pure_on_dense_graphs(rng):
     # ones, and the empty and complete graphs on 64: the same maximum
     # clique, the same answers where the colouring search is short, and the
     # same cycles from a visit that lowers the bound and stops the search
-    graphs = [random_graph(rng, rng.randrange(40, 65), rng.choice([0.5, 0.7, 0.9])) for _ in range(6)]
-    graphs += [sparse_connected_graph(rng, rng.randrange(40, 65), rng.randrange(0, 6)).complement() for _ in range(6)]
-    graphs += [Graph(64, (0,) * 64), Graph(64, (0,) * 64).complement()]
-    for g in graphs:
+    for g in dense_graphs(rng):
         assert kernels.max_clique(g.n, g.adj) == kernels.pure_max_clique(g.n, g.adj), g
         for k in (-(2**70), -1, 0, g.n, g.n + 1, 2**70):
             assert kernels.color_with(g.n, g.adj, k) == kernels.pure_color_with(g.n, g.adj, k), (g, k)
         for min_len in range(3, 7):
             got = cycle_visits(kernels.induced_cycles, g, min_len, stop_after=300)
             assert got == cycle_visits(kernels.pure_induced_cycles, g, min_len, stop_after=300), (g, min_len)
+
+
+def test_odd_hole_backends_agree_and_search_the_complement(oracle7, rng):
+    # the graphs of the two tests above: the compiled odd_hole gives the
+    # pure answer in both modes, complement=True is the search on the
+    # complement's rows on either backend, and fewer than 5 vertices hold
+    # no odd hole
+    for g in sparse_graphs(oracle7, rng) + dense_graphs(rng):
+        rows = g.complement().adj
+        hole = kernels.pure_odd_hole(g.n, g.adj, False)
+        anti = kernels.pure_odd_hole(g.n, g.adj, True)
+        assert anti == kernels.pure_odd_hole(g.n, rows, False), g
+        for odd_hole in ODD_HOLES[1:]:
+            assert odd_hole(g.n, g.adj, False) == hole, g
+            assert odd_hole(g.n, g.adj, True) == anti == odd_hole(g.n, rows, False), g
+        if g.n < 5:
+            assert hole is None and anti is None, g
 
 
 def test_has_induced_brute_force(rng):
@@ -433,3 +461,21 @@ def test_compiled_predicates_keep_pure_edges(rng):
                 seen = []
                 stopped = induced_cycles(g.n, g.adj, 3, g.n, lambda cycle: seen.append(cycle) or reply)
                 assert (stopped, seen) == ((True, three[1][:1]) if stops and three[1] else three)
+    # odd_hole takes what its siblings take: n = 65, a wrong row count, a
+    # negative or non-int row and a bit at n or above raise ValueError; any
+    # truth value selects the mode
+    c5 = pattern_graph("C5")
+    for complement in (False, True):
+        with pytest.raises(ValueError, match="n must"):
+            kernels.odd_hole(65, (0,) * 65, complement)
+        for adj in (c5.adj[:-1], c5.adj + (0,)):
+            with pytest.raises(ValueError, match="adj must hold"):
+                kernels.odd_hole(c5.n, adj, complement)
+        for row in (-1, "1", 1.0, None, 1 << c5.n, 1 << 64):
+            with pytest.raises(ValueError, match="adj row"):
+                kernels.odd_hole(c5.n, c5.adj[:-1] + (row,), complement)
+    assert kernels.odd_hole(c5.n, c5.adj, False) == (0, 1, 2, 3, 4)
+    assert kernels.odd_hole(c5.n, c5.adj, True) == (0, 2, 4, 1, 3)
+    for falsy, truthy in ((0, 1), ((), "x"), (None, [0])):
+        assert kernels.odd_hole(c5.n, c5.adj, falsy) == (0, 1, 2, 3, 4)
+        assert kernels.odd_hole(c5.n, c5.adj, truthy) == (0, 2, 4, 1, 3)

@@ -160,6 +160,14 @@ COUNTEREXAMPLE_DIGESTS = {
     ("T5_ALPHA3", "B", 8): "5f67c52d34f3c6ffda28e6854262d117a082984d3442934b15a106923f93462e",
 }
 
+# sha256 of the sorted "graph6<TAB>reason" lines, one per counterexample:
+# the certificates (odd hole and odd antihole vertex lists) as well
+REASON_DIGESTS = {
+    ("T5_ALPHA3", "C4", 8): "650a2a7a4083ef716ac1d5fad926e4469417554d8ecc0514a0bd01e5f58d9a4d",
+    ("T5_ALPHA3", "B", 8): "816db4430b263e051ee859eeb565c62993d931f163679e457768878c99302bed",
+    ("T4_NOALPHA", "C4", 7): "6bddb50f59a6c3a5038a2f97fdd31ccf1ad4eec21063591f686a2bd1cc5d1327",
+}
+
 
 @pytest.mark.parametrize("key", CAMPAIGNS, ids=lambda k: "-".join(str(x) for x in k if x))
 def test_campaign_pinned(key):
@@ -169,6 +177,9 @@ def test_campaign_pinned(key):
     if key in COUNTEREXAMPLE_DIGESTS:
         lines = "\n".join(sorted(g6 for g6, _ in report.counterexamples))
         assert hashlib.sha256(lines.encode()).hexdigest() == COUNTEREXAMPLE_DIGESTS[key]
+    if key in REASON_DIGESTS:
+        lines = "\n".join(sorted(f"{g6}\t{reason}" for g6, reason in report.counterexamples))
+        assert hashlib.sha256(lines.encode()).hexdigest() == REASON_DIGESTS[key]
 
 
 class TestReportEmit:
