@@ -1173,7 +1173,7 @@ static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t n
     for (int v = 0; complement && v < n; v++)
         adj[v] = all_of((int)n) & ~adj[v] & ~((word)1 << v);
     Cycles cy = {.adj = adj, .min_len = 5, .bound = n};
-    cycles_from(&cy, (int)n);
+    cycles_from(&cy, (int)n); /* no visit to fail */
     if (!cy.hole)
         Py_RETURN_NONE;
     return index_tuple(cy.hole, cy.best);
