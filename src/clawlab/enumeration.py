@@ -42,52 +42,61 @@ of a connected G is G - w, with w the canonically last vertex of D_c(G) =
 {v : G - v connected, alpha(G - v) >= a}.  Its parent is again a
 connected member, one vertex smaller, so by induction on n this tree
 holds every connected member on more vertices than its roots whenever
-D_c(G) is not empty for each of them.  With a <= 1 any non-cut vertex is in D_c(G), and every
-connected graph on two or more vertices has one, so the tree is rooted at
-K1.  For a claw-free class with a >= 2 it is rooted at the connected
-members on 2a - 1 vertices, taken from the alpha tree, by this lemma:
+D_c(G) is not empty for each of them.  It is rooted at the connected
+members on 2a - 1 vertices, taken from the alpha tree (K1 when a <= 1),
+by this lemma:
 
-    A connected claw-free G with alpha(G) >= a and at least 2a vertices
-    has D_c(G) non-empty.
+    A connected G with alpha(G) >= a and at least 2a vertices has D_c(G)
+    non-empty.
 
 Call a connected G *tight* when every non-cut vertex lies in every
 maximum independent set.  If D_c(G) is empty, every non-cut v has
 alpha(G - v) < a <= alpha(G), so alpha(G) = a and every maximum
 independent set holds v: G is tight.  So it suffices that a tight
-connected claw-free G has n <= 2 alpha(G) - 1, by induction on n.  K1 is
-tight and K2 is not.  Let G be tight with n >= 3.  Its non-cut vertices
-are pairwise non-adjacent, as they share a maximum independent set.  So
-G has a cut vertex (else its n >= 3 vertices would have no edge between
+connected G has n <= 2 alpha(G) - 1, by induction on n.  K1 is tight and
+K2 is not.  Let G be tight with n >= 3.  Its non-cut vertices are
+pairwise non-adjacent, as they share a maximum independent set.  So G
+has a cut vertex (else its n >= 3 vertices would have no edge between
 them), and a leaf block B, with cut vertex c, has B - c made of non-cut
 vertices.  B - c would be connected with no edge if B were 2-connected,
-so B - c is one vertex x and B is the pendant edge cx.
-N(c) - x is a clique, or c, x and two non-adjacent vertices of N(c) - x
-would be a claw.  It is not empty, as c is a cut vertex, and every
-component of G - c but {x} meets it, so G' = G - {c, x} is connected.  It
-is claw-free, and alpha(G') = alpha(G) - 1: an independent set of G' plus
-x is independent in G, and a maximum independent set of G holds at most
-one of c and x.  G' is tight.  Otherwise some non-cut v of G' is missed
-by a maximum independent set J of G'.  If c has a neighbour in G' other
-than v, then G - v is connected, so v is a non-cut vertex of G, and J + x
-is a maximum independent set of G that misses it.  If N(c) = {x, v},
-then J + c is a maximum independent set of G that misses the non-cut
-vertex x.  Either way G is not tight.  So by induction n - 2 <= 2
-alpha(G') - 1, and n <= 2 alpha(G) - 1.
+so B - c is one vertex x and B is the pendant edge cx.  The leaf x is a
+non-cut vertex, so it is in every maximum independent set, and c, its
+neighbour, is in none.
 
-``enumerate_graphs`` grows a ``connected_only`` config on the connected
-tree when the config is claw-free (one of its patterns is an induced
-subgraph of K1_3) or its ``min_alpha`` is at most 1.  That holds for every
-campaign of ``verify`` that wants connected graphs.  The levels below the
-roots come from the alpha tree and are tested for connectivity at
-emission; the root level is cut to its connected members, and every level
-above holds only connected classes.  The other ``connected_only`` configs
-(``min_alpha`` >= 2 with no pattern under K1_3, reachable only from
-``clawlab enumerate``) keep the alpha tree to ``max_n`` and test
-connectivity at emission.  The tests find D_c(G) non-empty on every
-connected graph with n >= 2 alpha(G) on up to 8 vertices, claws included,
-but the lemma is proved only for claw-free graphs, so those configs keep
-that fallback.  Either way a level is the sorted canonical rows of the same
-classes, so every emitted stream is the same.
+Let C1..Cr (r >= 1, as c is a cut vertex) be the components of
+G - {c, x}; c has a neighbour in each, as G is connected.  A maximum
+independent set of G is x and an independent set of each Ci, and x has
+no neighbour in any Ci, so alpha(G) = 1 + sum alpha(Ci) and every maximum
+independent set of a Ci extends, by x and maximum independent sets of
+the others, to one of G.  Each Ci is one of two kinds.
+
+(A) Some maximum independent set J of Ci misses N(c).  Then H = Ci + c
+is connected, J + c is independent, and alpha(H) = alpha(Ci) + 1.  H is
+tight: a maximum independent set of H without c would be one of Ci with
+alpha(Ci) + 1 vertices, so c is in all of them; and a non-cut v of H
+other than c is a non-cut vertex of G (H - v holds c, which joins x and
+the other Cj), and a maximum independent set of H that misses v would be
+c and a maximum independent set of Ci that misses v, which extends to
+one of G that misses v, though G is tight.  By induction |Ci| + 1 <= 2
+alpha(Ci) + 1.
+
+(B) Every maximum independent set of Ci meets N(c).  Then Ci is tight.
+Let v be a non-cut vertex of Ci and J a maximum independent set of Ci.
+If c has a neighbour in Ci other than v, then G - v is connected, v is a
+non-cut vertex of G, and J extends to a maximum independent set of G,
+so J holds v.  If N(c) meets Ci in v alone, J meets N(c), so it holds v.
+By induction |Ci| <= 2 alpha(Ci) - 1.
+
+Not every Ci is of kind (A): otherwise c and a maximum independent set
+of each Ci that misses N(c) would be a maximum independent set of G
+without x.  So n = 2 + sum |Ci| <= 2 + 2 sum alpha(Ci) - 1 = 2 alpha(G) - 1.
+
+``enumerate_graphs`` grows every ``connected_only`` config on the
+connected tree.  The levels below the roots come from the alpha tree and
+are tested for connectivity at emission; the root level is cut to its
+connected members, and every level above holds only connected classes.
+A level is the sorted canonical rows of its classes, so every emitted
+stream is the one the alpha tree, cut to its connected classes, gives.
 
 All of this work for one level is one ``kernels.augment`` call over the
 level's parents, which returns the accepted children's canonical rows
@@ -110,7 +119,6 @@ from clawlab.patterns import pattern_graph
 MAX_ENUM_VERTICES = 11  # documented runtime wall
 MAX_PRUNE_PATTERN_VERTICES = 7
 ORACLE_MAX_VERTICES = 7
-_CLAW = pattern_graph("K1_3")
 
 
 @dataclass(frozen=True)
@@ -140,23 +148,13 @@ class EnumerationConfig:
 def _emit_ok(g: Graph, config: EnumerationConfig, connected: bool = False) -> bool:
     """The emission filters that are not hereditary: connectivity and odd
     cycles.  There is no alpha filter: every class the tree grows has alpha
-    >= ``min_alpha`` already.  ``connected`` says the level holds connected
-    classes only (the connected tree and its roots), so connectivity is not
-    tested again.  It is tested on the alpha-tree levels below the roots,
-    and on every level of the configs that keep the alpha tree: connected,
-    ``min_alpha`` >= 2 and no pattern under K1_3."""
+    >= ``min_alpha`` already.  ``connected`` says the level is at or above
+    the connected tree's roots, so it holds connected classes only and
+    connectivity is not tested again; on the alpha-tree levels below the
+    roots it is tested here."""
     if config.connected_only and not connected and not g.is_connected():
         return False
     return not (config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle())
-
-
-def _grows_connected(config: EnumerationConfig, pattern_adjs) -> bool:
-    """Whether the config's classes grow on the connected tree: it wants
-    connected graphs, and its class is claw-free or has ``min_alpha`` <= 1
-    (the cases the module docstring's lemma covers)."""
-    if not config.connected_only:
-        return False
-    return config.min_alpha <= 1 or any(kernels.has_induced(4, _CLAW.adj, pn, padj) for pn, padj in pattern_adjs)
 
 
 def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
@@ -167,7 +165,7 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
     representatives passed to ``visit`` are canonical copies.  Each level
     holds the pattern-free classes with alpha >= ``min_alpha``, grown from
     aK1 (a = ``min_alpha``, at least 1) as the module docstring describes,
-    so levels below a are empty.  When ``_grows_connected``, the levels past
+    so levels below a are empty.  With ``connected_only`` the levels past
     2a - 1 hold only the connected ones, grown on the connected tree from
     the connected classes on 2a - 1 vertices.  Each level above the root is
     one ``kernels.augment`` call.
@@ -175,13 +173,10 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
     a = max(config.min_alpha, 1)  # the root aK1 has a vertices
     if a > config.max_n:
         return 0
-    pattern_adjs = []
-    for token in config.free_of:
-        p = pattern_graph(token)
-        pattern_adjs.append((p.n, p.adj))
+    pattern_adjs = [(p.n, p.adj) for p in map(pattern_graph, config.free_of)]
     plans = kernels.obstruction_plans(pattern_adjs)
     # the connected tree's roots are on 2a - 1 vertices; past max_n, never
-    roots = 2 * a - 1 if _grows_connected(config, pattern_adjs) else config.max_n + 1
+    roots = 2 * a - 1 if config.connected_only else config.max_n + 1
 
     count = 0
     root = (0,) * a

@@ -20,6 +20,9 @@ CLAIM_MAX_VERTICES = 40
 
 FAMILY_MIN_S = {"F0": 1, "F1": 3, "F2": 2, "F3": 1, "F4": 3}
 
+# each member's vertex count is k * s + c, as (k, c)
+FAMILY_ORDER = {"F0": (1, 5), "F1": (3, 1), "F2": (2, 5), "F3": (9, 1), "F4": (3, 3)}
+
 # freeness lists asserted for each family (F4 additionally needs s odd)
 FAMILY_FREE_OF = {
     "F0": ("3K1", "2K2", "K1+K3"),
@@ -50,6 +53,14 @@ class FamilySpec:
             raise FamilyError(f"{self.family} needs s >= {FAMILY_MIN_S[self.family]}")
         if self.family == "F4" and self.s % 2 == 0:
             raise FamilyError("F4 needs odd s")
+        if self.n > MAX_VERTICES:
+            raise FamilyError(f"{self.family} with s = {self.s} has {self.n} vertices, beyond capacity {MAX_VERTICES}")
+
+    @property
+    def n(self) -> int:
+        """The member's vertex count."""
+        k, c = FAMILY_ORDER[self.family]
+        return k * self.s + c
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,7 @@ def build_family(spec: FamilySpec) -> tuple[Graph, dict[str, int]]:
         xs = [labels[f"x{i}"] for i in range(1, s + 1)]
         edges += [(a, b) for i, a in enumerate(xs) for b in xs[i + 1 :]]
         edges += [(labels[f"u{i}"], x) for i in range(1, 6) for x in xs]
-        return Graph.from_edges(s + 5, edges), labels
+        return Graph.from_edges(spec.n, edges), labels
 
     if spec.family == "F1":
         # odd cycle C_{2s+1} plus s vertices, x_i adjacent to u_{2i-1}, u_{2i}, u_{2i+1}
@@ -96,7 +107,7 @@ def build_family(spec: FamilySpec) -> tuple[Graph, dict[str, int]]:
         for i in range(1, s + 1):
             x = labels[f"x{i}"]
             edges += [(x, labels[f"u{2 * i - 1}"]), (x, labels[f"u{2 * i}"]), (x, labels[f"u{2 * i + 1}"])]
-        return Graph.from_edges(3 * s + 1, edges), labels
+        return Graph.from_edges(spec.n, edges), labels
 
     if spec.family == "F2":
         # C_{2s+1} and C5 glued at u2=x2, u3=x3, plus a hub z over the C5 and
@@ -113,7 +124,7 @@ def build_family(spec: FamilySpec) -> tuple[Graph, dict[str, int]]:
         edges += _cycle_edges([labels[f"x{i}"] for i in range(1, 6)])
         edges += [(labels["z"], labels[f"x{i}"]) for i in range(1, 6)]
         edges += [(labels["x1"], labels["u1"]), (labels["x4"], labels["u4"])]
-        return Graph.from_edges(2 * s + 5, edges), labels
+        return Graph.from_edges(spec.n, edges), labels
 
     if spec.family == "F3":
         # C_{6s+1} plus triples x1^i, x2^i, x3^i, each adjacent to four cycle
@@ -130,7 +141,7 @@ def build_family(spec: FamilySpec) -> tuple[Graph, dict[str, int]]:
             for j in range(1, 4):
                 x = labels[f"x{j}^{i}"]
                 edges += [(x, labels[f"u{t}"]) for t in attach[j]]
-        return Graph.from_edges(9 * s + 1, edges), labels
+        return Graph.from_edges(spec.n, edges), labels
 
     # F4: defined through its complement, an odd C_{3s} plus a triangle
     # x1x2x3 with x_j matched to every third cycle vertex
@@ -145,7 +156,7 @@ def build_family(spec: FamilySpec) -> tuple[Graph, dict[str, int]]:
             (labels["x2"], labels[f"u{3 * i - 1}"]),
             (labels["x3"], labels[f"u{3 * i}"]),
         ]
-    return Graph.from_edges(3 * s + 3, edges).complement(), labels
+    return Graph.from_edges(spec.n, edges).complement(), labels
 
 
 def build_inflation(spec: InflationSpec) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
@@ -203,9 +214,9 @@ def _named_independent_set(spec: FamilySpec, labels) -> tuple[int, ...] | None:
 
 def verify_family_claims(spec: FamilySpec) -> ClaimReport:
     """Check every structural claim for one family member; raise on failure."""
+    if spec.n > CLAIM_MAX_VERTICES:
+        raise FamilyError(f"claim verification capped at {CLAIM_MAX_VERTICES} vertices, got {spec.n}")
     g, labels = build_family(spec)
-    if g.n > CLAIM_MAX_VERTICES:
-        raise FamilyError(f"claim verification capped at {CLAIM_MAX_VERTICES} vertices, got {g.n}")
     omega, _ = clique_number(g)
     chi, _ = _chromatic_from(g, omega)
     report = ClaimReport(spec=spec, n=g.n, omega=omega, chi=chi)

@@ -39,6 +39,11 @@ class TestFamily:
         code, _, err = run(capsys, "family", "F4", "--s", "4")
         assert code == 2 and "odd" in err
 
+    def test_oversized_member_exits_2(self, capsys):
+        code, out, err = run(capsys, "family", "F3", "--s", "1000000000")
+        assert code == 2 and out == ""
+        assert err == "error: F3 with s = 1000000000 has 9000000001 vertices, beyond capacity 64\n"
+
 
 class TestInflate:
     def test_emits_inflation(self, capsys):

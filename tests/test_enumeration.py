@@ -9,7 +9,6 @@ from clawlab.canon import canonical_label
 from clawlab.enumeration import (
     EnumerationConfig,
     _emit_ok,
-    _grows_connected,
     catalog_labels,
     enumerate_graphs,
     oracle_enumerate,
@@ -25,6 +24,15 @@ def collect(config):
     per_n = {}
     count = enumerate_graphs(config, lambda g: per_n.setdefault(g.n, set()).add(to_graph6(g)))
     return count, per_n
+
+
+@functools.lru_cache(maxsize=None)
+def _connected_levels():
+    """The connected classes on 1..8 vertices, level by level, as canonical
+    rows in visit order (counts pinned to OEIS A001349)."""
+    levels = {n: [] for n in range(1, 9)}
+    enumerate_graphs(EnumerationConfig(max_n=8, connected_only=True), lambda g: levels[g.n].append(g.adj))
+    return levels
 
 
 def oracle_filtered(oracle, n_range, keep):
@@ -138,15 +146,15 @@ class TestAgainstOracle:
 
     def test_oeis_connected_counts_n8(self):
         # OEIS A001349, grown on the connected tree
-        _, per_n = collect(EnumerationConfig(max_n=8, connected_only=True))
-        assert [len(per_n[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
+        levels = _connected_levels()
+        assert [len(levels[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
 
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
     def test_last_level_matches_oracle(self, tokens, oracle7):
         """The classes emitted at ``max_n`` are the oracle's classes that are
-        free of the patterns and pass ``_emit_ok``: from the alpha tree, the
-        connected tree, and (connected, a >= 2, no pattern or C4) the configs
-        that keep the alpha tree and test connectivity at emission."""
+        free of the patterns and pass ``_emit_ok``: from the alpha tree, and
+        from the connected tree for every connected config, those whose
+        class holds claws (no pattern, or C4) included."""
         for max_n in range(1, 8):
             free = [g for g in oracle7[max_n] if is_free(g, list(tokens))]
             for connected, min_alpha, odd in itertools.product((False, True), range(5), (False, True)):
@@ -173,21 +181,6 @@ class TestAgainstOracle:
                 lambda g: is_free(g, list(tokens)) and independence_number(g)[0] >= min_alpha,
             )
             assert {n: per_n.get(n, set()) for n in range(1, 8)} == want, min_alpha
-
-    def test_connected_tree_configs(self):
-        """The connected tree serves every connected config that is claw-free
-        (a pattern under K1_3, such as P3 or 3K1) or has a <= 1, and no
-        config that wants disconnected graphs too; the other connected
-        configs keep the alpha tree."""
-        cases = [
-            ((), 0, True), ((), 1, True), ((), 2, False), (("C4",), 3, False), (("P5",), 2, False),
-            (("K1_3",), 3, True), (("C4", "K1_3"), 4, True), (("P3",), 2, True), (("3K1",), 2, True),
-        ]
-        for tokens, a, grows in cases:
-            pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
-            config = EnumerationConfig(max_n=7, connected_only=True, free_of=tokens, min_alpha=a)
-            assert _grows_connected(config, pats) == grows, (tokens, a)
-            assert not _grows_connected(EnumerationConfig(max_n=7, free_of=tokens, min_alpha=a), pats)
 
     def test_root_holds_a_pattern(self):
         # 3K1 is the root of the alpha >= 3 tree, so the tree is empty
@@ -648,6 +641,7 @@ def _hereditary_closure(y):
     return levels
 
 
+@functools.lru_cache(maxsize=None)
 def _alpha(n, rows):
     return independence_number(Graph.trusted(n, rows))[0]
 
@@ -676,15 +670,32 @@ class TestCompleteness:
                 }
                 assert got == want, (augment, config)
 
+    @pytest.mark.parametrize("tokens, a", [((), 3), (("C4",), 3), (("P5",), 2), (("K4",), 4)], ids=str)
+    def test_classes_with_claws_match_connected_stream(self, tokens, a, monkeypatch):
+        """Connected configs whose class holds claws grow on the connected
+        tree like the claw-free ones: up to 8 vertices, with each ``augment``
+        entry, each level is the OEIS-pinned connected stream's classes with
+        alpha >= a and no pattern, in the same order."""
+        want = {
+            n: [rows for rows in level if _alpha(n, rows) >= a and is_free(Graph.trusted(n, rows), list(tokens))]
+            for n, level in _connected_levels().items()
+        }
+        for augment in AUGMENTS:
+            monkeypatch.setattr(kernels, "augment", augment)
+            got = {n: [] for n in want}
+            config = EnumerationConfig(max_n=8, connected_only=True, free_of=tokens, min_alpha=a)
+            enumerate_graphs(config, lambda g: got[g.n].append(g.adj))
+            assert got == want, (augment, config)
+
     def test_connected_tree_has_a_deletable_vertex(self):
-        """The connected tree's lemma, checked past its hypothesis: every
-        connected graph G on 2..8 vertices with n >= 2 alpha(G), claws
-        included, has a vertex v with G - v connected and alpha(G - v) =
-        alpha(G), so D_c(G) is not empty for any a <= alpha(G) with n >= 2a
-        (for a < alpha(G) every non-cut vertex is in it)."""
-        graphs = []
-        enumerate_graphs(EnumerationConfig(max_n=8, connected_only=True), graphs.append)
+        """The connected tree's lemma, proved in the ``enumeration`` module
+        docstring for every graph, claws included, and corroborated here:
+        every connected graph G on 2..8 vertices with n >= 2 alpha(G) has a
+        vertex v with G - v connected and alpha(G - v) = alpha(G), so D_c(G)
+        is not empty for any a <= alpha(G) with n >= 2a (for a < alpha(G)
+        every non-cut vertex is in it)."""
         checked = 0
+        graphs = (Graph.trusted(n, rows) for n, level in _connected_levels().items() for rows in level)
         for g in graphs:
             alpha = independence_number(g)[0]
             if g.n < 2 or g.n < 2 * alpha:

@@ -27,6 +27,21 @@ class TestSpecs:
         with pytest.raises(FamilyError):
             FamilySpec("F9", 1)
 
+    @pytest.mark.parametrize(
+        "family,s,step", [("F0", 59, 1), ("F1", 21, 1), ("F2", 29, 1), ("F3", 7, 1), ("F4", 19, 2)]
+    )
+    def test_largest_member_that_fits(self, family, s, step):
+        # the largest s whose member has at most 64 vertices builds, and the
+        # next one (F4 needs odd s) is rejected before anything is built
+        g, _ = build_family(FamilySpec(family, s))
+        assert g.n <= 64
+        with pytest.raises(FamilyError, match="beyond capacity 64"):
+            FamilySpec(family, s + step)
+
+    def test_huge_member_rejected_at_once(self):
+        with pytest.raises(FamilyError, match="F1 with s = 1000000000000 has 3000000000001 vertices"):
+            FamilySpec("F1", 10**12)
+
     def test_inflation_validation(self):
         with pytest.raises(FamilyError):
             InflationSpec((1, 1, 1))

@@ -1,7 +1,9 @@
 """Source hygiene: no module under ``src/clawlab/`` imports a name it never
-uses, and the C extension compiles with no warning.
+uses or keeps a private name nothing reads, and the C extension compiles
+with no warning.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+``__init__.py`` is skipped by the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "clawlab"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,6 +53,68 @@ def test_no_unused_imports_in_package():
         for name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def private_definitions(source: str) -> list[str]:
+    """The private names ``source`` defines at module level: functions,
+    classes and assignment targets that start with ``_`` (dunders aside)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored = (t for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+            names.extend(t.id for t in stored if isinstance(t.ctx, ast.Store))
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """The names ``source`` reads: loaded names, attributes and the names a
+    ``from`` import takes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_private_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module: name`` for each private module-level name of ``modules``
+    (file name -> source) that no source in ``readers`` reads."""
+    read = set().union(*map(read_names, readers))
+    return [
+        f"{path}: {name}" for path, source in modules.items() for name in private_definitions(source) if name not in read
+    ]
+
+
+def test_detector_names_each_dead_private_name():
+    lib = (
+        "import os\n"
+        "_A = 1\n"
+        "_B, (_C, d) = 2, (3, 4)\n"
+        "_E: int = 5\n"
+        "__all__ = ['f']\n"
+        "class _G: pass\n"
+        "def _h(): return _A\n"
+        "def _unused(): pass\n"
+        "async def _i(): pass\n"
+        "def f(): _j = _h()\n"
+    )
+    other = "from lib import _C\nprint(lib._G)\n_B = 7\n"
+    want = ["lib.py: _B", "lib.py: _E", "lib.py: _unused", "lib.py: _i"]
+    assert dead_private_names({"lib.py": lib}, [lib, other]) == want
+
+
+def test_no_dead_private_names_in_package():
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = list(modules.values()) + [path.read_text() for path in sorted(TESTS.rglob("*.py"))]
+    found = dead_private_names(modules, readers)
+    assert not found, "private names nothing reads: " + ", ".join(found)
 
 
 def test_c_source_compiles_without_warnings(tmp_path):
