@@ -1,9 +1,10 @@
 """Setuptools entry point; all other metadata is in pyproject.toml.
 
 Builds one optional C extension, ``clawlab._augment`` (compiled canonical
-augmentation and the per-graph predicates max clique, DSATUR colouring and
-the induced-cycle grower, see ``src/clawlab/_augment.c``), with the system
-C compiler.
+labelling and augmentation, the per-graph predicates max clique, DSATUR
+colouring, the induced-cycle grower and the odd-hole search, and the
+graph6 encoder, see ``src/clawlab/_augment.c``), with the system C
+compiler.
 ``python setup.py build_ext --inplace``, the set-up step of
 ``perfbench/run.py`` and of the test session, puts it next to the sources.
 The extension is optional: when it does not compile, the build still

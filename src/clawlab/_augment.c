@@ -1,7 +1,7 @@
-/* Compiled kernels for clawlab: canonical augmentation and the per-graph
-   predicates.
+/* Compiled kernels for clawlab: canonical augmentation, the per-graph
+   predicates and the graph6 encoder.
 
-   Six entries, all METH_FASTCALL:
+   Seven entries, all METH_FASTCALL:
 
    canon_form(n, adj) -> (rows, perm)
        The same canonical relabelling as the pure kernels.canon_form:
@@ -45,6 +45,11 @@
        >= 5, the lex-least of its length, of the graph or, with a truthy
        complement, of its complement, whose rows are built here.  It runs
        the same grower as induced_cycles with the odd-hole visit built in.
+
+   graph6(n, adj) -> str
+       The pure kernels.graph6: the same graph6 string, byte for byte, from
+       the same bits (the low c bits of row c), built in a fixed buffer of
+       at most 4 + 336 bytes.
 
    Graphs are vertex counts and per-vertex neighbour bitmasks, one 64-bit
    word per row.  Every input is checked before it is used: an
@@ -1179,6 +1184,43 @@ static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t n
     return index_tuple(cy.hole, cy.best);
 }
 
+/* graph6 of (n, adj): the header, then column c of the upper triangle
+   (the low c bits of adj[c], row 0 first) for c = 1..n-1, packed
+   big-endian into 6-bit groups, zero-padded, each group plus 63.  Reads
+   only those bits, as the pure encoder does. */
+static PyObject *py_graph6(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word adj[MAXN];
+    char buf[4 + (MAXN * (MAXN - 1) / 2 + 5) / 6];
+    long n = read_graph(args, nargs, 2, "graph6(n, adj)", adj);
+    if (n < 0)
+        return NULL;
+    int len = 0, acc = 0, bits = 0;
+    if (n <= 62) {
+        buf[len++] = (char)(63 + n);
+    } else {
+        buf[len++] = '~';
+        buf[len++] = (char)(63 + ((n >> 12) & 63));
+        buf[len++] = (char)(63 + ((n >> 6) & 63));
+        buf[len++] = (char)(63 + (n & 63));
+    }
+    for (int c = 1; c < n; c++) {
+        for (int r = 0; r < c; r++) {
+            acc = acc << 1 | (int)(adj[c] >> r & 1);
+            if (++bits == 6) {
+                buf[len++] = (char)(63 + acc);
+                acc = bits = 0;
+            }
+        }
+    }
+    if (bits)
+        buf[len++] = (char)(63 + (acc << (6 - bits)));
+    PyObject *out = PyUnicode_New(len, 127);
+    if (out != NULL)
+        memcpy(PyUnicode_1BYTE_DATA(out), buf, len);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"canon_form", (PyCFunction)(void (*)(void))py_canon_form, METH_FASTCALL,
      "canon_form(n, adj) -> (rows, perm): canonical relabelling, as the pure kernels.canon_form."},
@@ -1198,12 +1240,14 @@ static PyMethodDef methods[] = {
     {"odd_hole", (PyCFunction)(void (*)(void))py_odd_hole, METH_FASTCALL,
      "odd_hole(n, adj, complement) -> tuple or None: the shortest odd hole, lex-least, of the graph\n"
      "or of its complement, as the pure kernels.odd_hole."},
+    {"graph6", (PyCFunction)(void (*)(void))py_graph6, METH_FASTCALL,
+     "graph6(n, adj) -> str: the graph6 string of the graph, as the pure kernels.graph6."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "clawlab._augment", "Compiled canonical augmentation and per-graph predicates.", -1, methods,
-    NULL, NULL, NULL, NULL,
+    PyModuleDef_HEAD_INIT, "clawlab._augment", "Compiled canonical augmentation, per-graph predicates and graph6.", -1,
+    methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__augment(void) { return PyModule_Create(&module); }

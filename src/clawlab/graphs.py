@@ -237,18 +237,23 @@ class Graph:
 # the parser drops it and the encoder never writes it.
 #
 # Column c of the triangle is the low c bits of adj[c], so the codec moves
-# whole columns: the encoder packs column c at offset c(c-1)/2 of one
-# LSB-first integer and maps each 6-bit slice through _G6_CHAR (the slice
-# bit-reversed, plus 63); the decoder maps characters back through
-# _G6_SLICE and cuts the integer into columns again.  The tests compare
-# both directions with networkx for every n in 0..64.
+# whole columns: the pure encoder (encode_graph6) packs column c at offset
+# c(c-1)/2 of one LSB-first integer and maps each 6-bit slice through
+# _G6_CHAR (the slice bit-reversed, plus 63); the decoder maps characters
+# back through _G6_SLICE and cuts the integer into columns again.
+# to_graph6 is one call of kernels.graph6, on the backend kernels selects:
+# encode_graph6 itself on pure, and the compiled twin, which packs the same
+# bits into a fixed buffer, on c.  The tests compare both directions with
+# networkx for every n in 0..64, and the two encoders with each other.
 
 _G6_CHAR = [chr(63 + int(f"{k:06b}"[::-1], 2)) for k in range(64)]
 _G6_SLICE = {ch: k for k, ch in enumerate(_G6_CHAR)}
 
 
-def to_graph6(g: Graph) -> str:
-    n, adj = g.n, g.adj
+def encode_graph6(n: int, adj: tuple[int, ...]) -> str:
+    """The graph6 string of the graph on ``n`` vertices with rows ``adj``
+    (no ``>>graph6<<`` header); only the low c bits of ``adj[c]`` are read.
+    The pure twin of the compiled ``graph6`` entry: call ``to_graph6``."""
     if n <= 62:
         head = chr(n + 63)
     else:
@@ -258,6 +263,10 @@ def to_graph6(g: Graph) -> str:
         acc |= (adj[c] & ((1 << c) - 1)) << off
         off += c
     return head + "".join([_G6_CHAR[(acc >> i) & 63] for i in range(0, off, 6)])
+
+
+def to_graph6(g: Graph) -> str:
+    return kernels.graph6(g.n, g.adj)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -296,3 +305,8 @@ def parse_graph6(text: str) -> Graph:
             rows[low.bit_length() - 1] |= 1 << c
             col ^= low
     return Graph.trusted(n, tuple(rows))
+
+
+# kernels takes encode_graph6, reachable, row_classes and vertices_of from
+# this module, all defined above, so it is imported last
+from clawlab import kernels  # noqa: E402

@@ -1,7 +1,7 @@
 """The hot kernels: max clique, exact k-colouring, induced-subgraph search,
 induced-cycle search, canonical labelling and one level of canonical
-augmentation, in pure Python, and their compiled counterparts when they
-are built.
+augmentation, in pure Python, and their compiled counterparts, with the
+compiled graph6 encoder, when they are built.
 
 One backtracker (``_embed``) walks induced embeddings with bitset
 candidates and calls a leaf action on each: it serves ``has_induced``,
@@ -30,29 +30,31 @@ Two backends.  Everything above runs in pure Python, and so does
 for each parent of the level in turn, the per-parent step, which gives the
 accepted canonical rows of its one-vertex extensions, labelled by
 ``pure_canon_form``.  ``canon_form``, ``max_clique``, ``color_with``,
-``induced_cycles``, ``odd_hole`` and ``augment`` are bound to the pure
-entries, and when the optional C extension ``clawlab._augment`` imports
-(``setup.py build_ext --inplace`` builds it from ``_augment.c`` where a C
-compiler is found) to its six entries instead (``find_induced_cycle`` then
-runs the compiled grower, and ``odd_hole`` runs it with its visit built in,
-with no Python call per cycle), and ``BACKEND`` is ``"c"``; otherwise it is
-``"pure"``.  Nothing else selects a backend: no option, no environment
-variable.  Both give the same results bit for bit, and both run one
-algorithm step for step; ``pure_canon_form``, ``pure_max_clique``,
-``pure_color_with``, ``pure_induced_cycles``, ``pure_odd_hole`` and
-``pure_augment`` keep the pure entries as the references the compiled ones
-are tested against.  The compiled entries
-take only ``n`` in 0..64, ints and rows with no bit at ``n`` or above, and
-``augment`` only plans of at most 15 positions, degrees up to 16 and up,
-down and ``after`` positions earlier than their own; they raise ValueError
-otherwise and keep no state between calls.
+``induced_cycles``, ``odd_hole``, ``graph6`` and ``augment`` are bound to
+the pure entries, and when the optional C extension ``clawlab._augment``
+imports (``setup.py build_ext --inplace`` builds it from ``_augment.c``
+where a C compiler is found) to its seven entries instead
+(``find_induced_cycle`` then runs the compiled grower, ``odd_hole`` runs
+it with its visit built in, with no Python call per cycle, and
+``graphs.to_graph6``, one call of ``graph6``, the compiled encoder), and
+``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.  Nothing else selects
+a backend: no option, no environment variable.  Both give the same
+results bit for bit, and both run one algorithm step for step;
+``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
+``pure_induced_cycles``, ``pure_odd_hole``, ``pure_graph6`` (the pure
+encoder ``graphs.encode_graph6``) and ``pure_augment`` keep the pure
+entries as the references the compiled ones are tested against.  The compiled entries take only ``n`` in 0..64,
+ints and rows with no bit at ``n`` or above, and ``augment`` only plans
+of at most 15 positions, degrees up to 16 and up, down and ``after``
+positions earlier than their own; they raise ValueError otherwise and
+keep no state between calls.
 """
 
 from __future__ import annotations
 
 import functools
 
-from clawlab.graphs import reachable, row_classes, vertices_of
+from clawlab.graphs import encode_graph6, reachable, row_classes, vertices_of
 
 BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
 
@@ -835,6 +837,7 @@ pure_max_clique = max_clique
 pure_color_with = color_with
 pure_induced_cycles = induced_cycles
 pure_odd_hole = odd_hole
+pure_graph6 = graph6 = encode_graph6
 augment = pure_augment
 try:
     from clawlab import _augment
@@ -847,4 +850,5 @@ else:
     color_with = _augment.color_with
     induced_cycles = _augment.induced_cycles
     odd_hole = _augment.odd_hole
+    graph6 = _augment.graph6
     augment = _augment.augment

@@ -8,7 +8,7 @@ pure-Python kernels, not targets.
 import random
 import time
 
-from clawlab.canon import canonical_label, is_isomorphic
+from clawlab.canon import is_isomorphic
 from clawlab.enumeration import EnumerationConfig, catalog_labels, enumerate_graphs
 from clawlab.families import (
     FamilySpec,

@@ -2,8 +2,9 @@
 
 Each check runs in a child process, so a crash fails the test instead of
 ending the session.  Its agreement with the pure code is checked in
-``test_kernels.py`` (``canon_form``, ``max_clique``, ``color_with`` and
-``induced_cycles`` against their ``pure_`` entries) and
+``test_kernels.py`` (``canon_form``, ``max_clique``, ``color_with``,
+``induced_cycles``, ``odd_hole`` and ``graph6`` against their ``pure_``
+entries) and
 ``test_enumeration.py`` (``augment`` against ``pure_augment``).
 """
 
@@ -121,6 +122,23 @@ def canon_case():
     return may_reject(_augment.canon_form, rng.choice([n, bad]), rng.choice([odd, odd, 7, None]))
 
 
+def graph6_case():
+    n = rng.randrange(0, 65)
+    adj = rows(n)
+    kind = rng.randrange(4)
+    if kind == 0:
+        bad_n = rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)])
+        return must_reject(_augment.graph6, "n must", bad_n, adj)
+    if kind == 1 and n:
+        return must_reject(_augment.graph6, "adj row", n, corrupted(adj, n))
+    if kind == 2:
+        return must_reject(_augment.graph6, "adj must hold", n, adj[:-1] if n and rng.random() < 0.5 else adj + (0,))
+    # loops and one-sided rows are within range: answered, not crashed
+    odd = tuple(row | rng.getrandbits(n) & rng.getrandbits(n) for row in adj) if n else adj
+    bad = rng.choice([None, 1.5, "3", n])
+    return may_reject(_augment.graph6, rng.choice([n, bad]), rng.choice([odd, odd, 7, None]))
+
+
 def random_plan(k):
     # a well-formed plan on k positions, seldom one a pattern gives
     return (
@@ -223,7 +241,7 @@ def augment_case():
     return may_reject(_augment.augment, *call)
 
 
-print(json.dumps(tally_of([augment_case, canon_case], 3000)))
+print(json.dumps({"augment_canon": tally_of([augment_case, canon_case], 3000), "graph6": tally_of([graph6_case], 1500)}))
 """
 
 PREDICATES_MALFORMED = PRELUDE + r"""
@@ -353,12 +371,17 @@ def run(canon_calls, augment_calls, predicate_calls):
         _augment.induced_cycles(n, g, 3, n, cycles.append)
         _augment.odd_hole(n, g, False)
         _augment.odd_hole(n, g, True)
+        _augment.graph6(n, g)
         try:
             _augment.induced_cycles(n, g, 3, n, raising)
         except Boom:
             pass
         try:
             _augment.color_with(n, g + (1,), omega)
+        except ValueError:
+            pass
+        try:
+            _augment.graph6(n, g[:-1])
         except ValueError:
             pass
 
@@ -383,11 +406,14 @@ def test_malformed_input_is_rejected_not_crashed():
     # n or m out of range, rows negative, not ints or too wide, a wrong row
     # count, parents or plans of the wrong type, a plan of unequal fields,
     # over 15 positions, a degree over 16 or a position not earlier than
-    # its own, and negative min_alpha raise ValueError about that field;
-    # the rest of the malformed calls raise, and the well-typed odd ones
-    # and well-formed plans no pattern gives are answered
+    # its own, and negative min_alpha raise ValueError about that field,
+    # in augment, canon_form and graph6; the rest of the malformed calls
+    # raise, and the well-typed odd ones (loops and one-sided rows among
+    # them) and well-formed plans no pattern gives are answered
     tally = run_child(MALFORMED, 20261018)
-    assert tally["rejected"] > 2000 and tally["answered"] > 100, tally
+    pair, g6 = tally["augment_canon"], tally["graph6"]
+    assert pair["rejected"] > 2000 and pair["answered"] > 100, tally
+    assert g6["rejected"] > 1200 and g6["answered"] > 80, tally
 
 
 def test_predicates_reject_malformed_input_and_keep_visit_errors():
@@ -405,8 +431,8 @@ def test_long_runs_keep_memory_flat():
     # 100k canon_form and 10k augment calls (plus 10k rejected ones, by a
     # bad parent after a good one or by a bad plan), and 10k rounds of the
     # predicates (a clique, two colourings, a full cycle search, the odd
-    # hole and odd antihole searches, a search whose visit raises and a
-    # rejected call) on 6-12 vertex graphs after warm-up: the peak RSS
-    # grows by at most 1 MiB
+    # hole and odd antihole searches, a graph6 string, a search whose
+    # visit raises and two rejected calls) on 6-12 vertex graphs after
+    # warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

@@ -6,7 +6,6 @@ import re
 import networkx as nx
 import pytest
 
-from clawlab.canon import is_isomorphic
 from clawlab.cli import build_parser, main
 from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
 from clawlab.graphs import parse_graph6, to_graph6

@@ -10,7 +10,6 @@ from clawlab.families import (
     build_inflation,
     verify_family_claims,
 )
-from clawlab.graphs import Graph
 from clawlab.invariants import clique_number
 from clawlab.patterns import find_induced, pattern_graph
 

@@ -1,6 +1,6 @@
-"""Source hygiene: no module under ``src/clawlab/`` imports a name it never
-uses or keeps a private name nothing reads, and the C extension compiles
-with no warning.
+"""Source hygiene: no module under ``src/clawlab/`` or ``tests/`` imports a
+name it never uses, no package module keeps a private name nothing reads,
+and the C extension compiles with no warning.
 
 ``__init__.py`` is skipped by the import check: its imports are the
 package's re-exports.
@@ -46,10 +46,11 @@ def test_detector_names_each_unused_import():
 
 
 def test_no_unused_imports_in_package():
+    # the package's modules and the test files
     found = [
-        f"{path.name}: {name}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.parent.name}/{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        if path != SRC / "__init__.py"
         for name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports: " + ", ".join(found)

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from clawlab import kernels
-from clawlab.canon import is_isomorphic
 from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
 from clawlab.graphs import Graph
 from clawlab.invariants import (

@@ -90,7 +90,7 @@ def test_compiled_backend_builds_where_gcc_is_found():
 def test_predicates_follow_the_backend():
     # the compiled entries are bound exactly when the extension is
     compiled = kernels.BACKEND == "c"
-    for name in ("max_clique", "color_with", "induced_cycles", "odd_hole", "augment"):
+    for name in ("max_clique", "color_with", "induced_cycles", "odd_hole", "graph6", "augment"):
         assert (getattr(kernels, name) is getattr(kernels, f"pure_{name}")) == (not compiled)
 
 
@@ -269,6 +269,21 @@ def test_odd_hole_backends_agree_and_search_the_complement(oracle7, rng):
             assert odd_hole(g.n, g.adj, True) == anti == odd_hole(g.n, rows, False), g
         if g.n < 5:
             assert hole is None and anti is None, g
+
+
+@compiled_only
+def test_compiled_graph6_matches_pure(oracle7, rng):
+    # every class on at most 7 vertices, the graphs of the tests above and
+    # seeded graphs on 63 and 64 vertices (the "~" header): the same string;
+    # rows with loops or one-sided edges too, since both read only the low
+    # c bits of row c
+    graphs = sparse_graphs(oracle7, rng) + dense_graphs(rng)
+    graphs += [random_graph(rng, n, p) for n in (63, 64) for p in (0, 0.1, 0.5, 0.9, 1)]
+    for g in graphs:
+        assert kernels.graph6(g.n, g.adj) == kernels.pure_graph6(g.n, g.adj), g
+        odd = tuple(row | rng.getrandbits(g.n) & rng.getrandbits(g.n) for row in g.adj)
+        assert kernels.graph6(g.n, odd) == kernels.pure_graph6(g.n, odd), (g, odd)
+    assert {len(kernels.graph6(g.n, g.adj)) for g in graphs if g.n == 64} == {4 + 336}
 
 
 def test_has_induced_brute_force(rng):

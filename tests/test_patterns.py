@@ -4,7 +4,7 @@ import pytest
 
 from clawlab.canon import is_isomorphic
 from clawlab.families import FamilySpec, build_family
-from clawlab.graphs import Graph, GraphError, bitset_of
+from clawlab.graphs import Graph, GraphError
 from clawlab.patterns import (
     NeighborhoodShape,
     PatternError,

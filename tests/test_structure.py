@@ -6,11 +6,9 @@ from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 from clawlab.families import InflationSpec, build_inflation
 from clawlab.graphs import Graph, bitset_of, vertices_of
-from clawlab.invariants import independence_number
-from clawlab.patterns import has_induced, pattern_graph
+from clawlab.patterns import pattern_graph
 from clawlab.structure import (
     OlariuKind,
-    TheoremViolation,
     VerdictKind,
     classify_claw_bull_free,
     olariu_classify,
