@@ -34,17 +34,15 @@
        colour order.  Any k >= n acts as k = n, which the search never
        exceeds.
 
-   induced_cycles(n, adj, min_len, max_len, visit) -> bool
+   induced_cycles(n, adj, min_len, max_len) -> [tuple, ...]
        The pure kernels.induced_cycles: the same cycles in the same order
-       and orientation, each passed to visit as a tuple, and the same bound
-       contract.  A truthy return of visit must be an int (TypeError
-       otherwise); one beyond a C long is saturated.
+       and orientation.
 
    odd_hole(n, adj, complement) -> tuple or None
        The pure kernels.odd_hole: the shortest odd induced cycle of length
        >= 5, the lex-least of its length, of the graph or, with a truthy
        complement, of its complement, whose rows are built here.  It runs
-       the same grower as induced_cycles with the odd-hole visit built in.
+       the same grower as induced_cycles with the odd-hole leaf.
 
    graph6(n, adj) -> str
        The pure kernels.graph6: the same graph6 string, byte for byte, from
@@ -57,9 +55,8 @@
    its arrays.  augment checks each plan once per call, so that its walk
    reads only what it has written, and each parent when it reaches it; a
    bad parent ends the call with nothing returned.  The GIL is held
-   throughout and no state is kept between calls.  induced_cycles keeps
-   its search on the C stack, so visit may call any entry again, and an
-   exception raised in visit ends the search and propagates unchanged. */
+   throughout, no entry calls back into Python and no state is kept
+   between calls. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1032,51 +1029,33 @@ typedef struct {
     const word *adj;
     long min_len, bound;
     uint8_t path[MAXN];
-    PyObject *visit;   /* NULL: the odd-hole visit */
+    PyObject *out;     /* the cycles' list, or NULL: the odd-hole leaf */
     int hole;          /* the length of the last odd cycle met, or 0 */
     uint8_t best[MAXN]; /* that cycle */
 } Cycles;
 
-/* Pass the path closed by v to visit and lower the bound by its return:
-   1 when the bound is now below min_len, 0 to go on, -1 on error.  With
-   no visit, an odd cycle is kept and lowers the bound to its length less
-   two (kernels.odd_hole's visit). */
+/* The leaf for the path closed by v: append the cycle to out as a tuple
+   or, with no out, keep an odd cycle and lower the bound to its length
+   less two (kernels.odd_hole).  1 when the bound is now below min_len, 0
+   to go on, -1 on error. */
 static int close_cycle(Cycles *cy, int depth, int v)
 {
     cy->path[depth] = (uint8_t)v;
-    if (cy->visit == NULL) {
-        if (depth % 2 == 0) {
-            cy->hole = depth + 1;
-            memcpy(cy->best, cy->path, depth + 1);
-            cy->bound = depth - 1; /* the length less two: grow closes only lengths <= bound */
-        }
-        return cy->bound < cy->min_len;
+    if (cy->out) {
+        PyObject *cycle = index_tuple(depth + 1, cy->path);
+        int rc = cycle ? PyList_Append(cy->out, cycle) : -1;
+        Py_XDECREF(cycle);
+        return rc;
     }
-    PyObject *cycle = index_tuple(depth + 1, cy->path);
-    if (cycle == NULL)
-        return -1;
-    PyObject *reply = PyObject_CallOneArg(cy->visit, cycle);
-    Py_DECREF(cycle);
-    if (reply == NULL)
-        return -1;
-    int truth = PyObject_IsTrue(reply);
-    PyObject *wanted = truth > 0 ? PyNumber_Index(reply) : NULL;
-    Py_DECREF(reply);
-    if (truth <= 0)
-        return truth;
-    if (wanted == NULL)
-        return -1;
-    long bound;
-    int rc = read_int(wanted, &bound, "visit's return");
-    Py_DECREF(wanted);
-    if (rc < 0)
-        return -1;
-    if (bound < cy->bound)
-        cy->bound = bound;
+    if (depth % 2 == 0) {
+        cy->hole = depth + 1;
+        memcpy(cy->best, cy->path, depth + 1);
+        cy->bound = depth - 1; /* the length less two: grow closes only lengths <= bound */
+    }
     return cy->bound < cy->min_len;
 }
 
-/* kernels.induced_cycles's grow: close the path with its closing vertices
+/* kernels._grow_cycles's grow: close the path with its closing vertices
    (adjacent to the start), ascending, then extend it with the rest; 1 when
    the search stops, 0 to go on, -1 on error. */
 static int grow(Cycles *cy, int depth, word used, word forbid, word v0adj)
@@ -1100,7 +1079,7 @@ static int grow(Cycles *cy, int depth, word used, word forbid, word v0adj)
     return 0;
 }
 
-/* kernels.induced_cycles's start loop: grow from each start v0 and each
+/* kernels._grow_cycles's start loop: grow from each start v0 and each
    second vertex above it; 1 when the search stopped, 0, or -1 on error. */
 static int cycles_from(Cycles *cy, int n)
 {
@@ -1148,22 +1127,13 @@ static PyObject *py_induced_cycles(PyObject *self, PyObject *const *args, Py_ssi
 {
     word adj[MAXN];
     long min_len, max_len;
-    long n = read_graph(args, nargs, 5, "induced_cycles(n, adj, min_len, max_len, visit)", adj);
+    long n = read_graph(args, nargs, 4, "induced_cycles(n, adj, min_len, max_len)", adj);
     if (n < 0 || read_int(args[2], &min_len, "min_len") < 0 || read_int(args[3], &max_len, "max_len") < 0)
         return NULL;
-    if (!PyCallable_Check(args[4])) {
-        PyErr_SetString(PyExc_TypeError, "visit must be callable");
-        return NULL;
-    }
-    if (min_len < 3)
-        min_len = 3;
-    if (max_len < min_len || min_len > n)
-        Py_RETURN_FALSE;
-    Cycles cy = {.adj = adj, .min_len = min_len, .bound = max_len, .visit = args[4]};
-    int rc = cycles_from(&cy, (int)n);
-    if (rc < 0)
-        return NULL;
-    return PyBool_FromLong(rc);
+    Cycles cy = {.adj = adj, .min_len = min_len < 3 ? 3 : min_len, .bound = max_len, .out = PyList_New(0)};
+    if (cy.out && cycles_from(&cy, (int)n) < 0)
+        Py_CLEAR(cy.out);
+    return cy.out;
 }
 
 static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -1178,7 +1148,7 @@ static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t n
     for (int v = 0; complement && v < n; v++)
         adj[v] = all_of((int)n) & ~adj[v] & ~((word)1 << v);
     Cycles cy = {.adj = adj, .min_len = 5, .bound = n};
-    cycles_from(&cy, (int)n); /* no visit to fail */
+    cycles_from(&cy, (int)n); /* the odd-hole leaf cannot fail */
     if (!cy.hole)
         Py_RETURN_NONE;
     return index_tuple(cy.hole, cy.best);
@@ -1235,8 +1205,8 @@ static PyMethodDef methods[] = {
      "color_with(n, adj, k) -> tuple or None: a DSATUR colouring with at most k colours, as the\n"
      "pure kernels.color_with."},
     {"induced_cycles", (PyCFunction)(void (*)(void))py_induced_cycles, METH_FASTCALL,
-     "induced_cycles(n, adj, min_len, max_len, visit) -> bool: visit each induced cycle, as the\n"
-     "pure kernels.induced_cycles."},
+     "induced_cycles(n, adj, min_len, max_len) -> list of tuples: every induced cycle of\n"
+     "min_len..max_len vertices, as the pure kernels.induced_cycles."},
     {"odd_hole", (PyCFunction)(void (*)(void))py_odd_hole, METH_FASTCALL,
      "odd_hole(n, adj, complement) -> tuple or None: the shortest odd hole, lex-least, of the graph\n"
      "or of its complement, as the pure kernels.odd_hole."},

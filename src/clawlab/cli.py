@@ -13,6 +13,7 @@ unreadable input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -37,20 +38,14 @@ from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 
 def _iter_graphs(arg: str):
     """Yield graphs from a graph6 literal, a file of lines, or stdin (-)."""
-    if arg == "-":
-        for line in sys.stdin:
+    if arg != "-" and not os.path.exists(arg):
+        yield parse_graph6(arg)
+        return
+    with contextlib.nullcontext(sys.stdin) if arg == "-" else open(arg) as fh:
+        for line in fh:
             line = line.strip()
             if line:
                 yield parse_graph6(line)
-        return
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield parse_graph6(line)
-        return
-    yield parse_graph6(arg)
 
 
 def _verdict_json(verdict: StructureVerdict) -> dict:

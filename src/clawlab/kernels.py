@@ -7,17 +7,20 @@ One backtracker (``_embed``) walks induced embeddings with bitset
 candidates and calls a leaf action on each: it serves ``has_induced``,
 ``find_induced_embedding``, the automorphism orbits of a pattern and
 ``extension_obstructions``.  It takes the images of a pattern's twins in
-ascending order, which changes no answer.  ``find_induced_cycle`` runs the
-cycle grower ``induced_cycles`` that also serves ``verify.induced_cycles``
-and ``odd_hole``, the odd-hole search of ``invariants`` and, on the
-complement's rows it builds itself, its odd-antihole search, one pass
-each.  A pattern's search plans and orbits are computed once
-and cached (``_plan``, ``_search_plans``).  Hereditary pruning does not
+ascending order, which changes no answer.  One cycle grower
+(``_grow_cycles``) has two leaves: ``induced_cycles`` lists every cycle
+it closes, for ``find_induced_cycle`` and ``verify.induced_cycles``, and
+``odd_hole`` keeps each odd cycle, which lowers the length bound, and
+answers with the last, for the odd-hole search of ``invariants`` and, on
+the complement's rows it builds itself, its odd-antihole search, one
+pass each.  A pattern's search plans and orbits are computed once and
+cached (``_plan``, ``_search_plans``).  Hereditary pruning does not
 search each extension: ``extension_obstructions`` lists, once per parent,
 the pattern copies a new vertex could complete as bitmask pairs tested
 against its neighbourhood, one listing per orbit of the pattern, by
-walking the patterns' ``obstruction_plans``.  Those plans are the only pattern
-analysis ``augment`` needs, and both backends take them from here.
+walking the patterns' ``obstruction_plans``.  Those plans are the only
+pattern analysis ``augment`` needs, and both backends take them from
+here.
 ``canon_form`` refines by counting neighbours only in the cells split in
 the previous round (McKay and Piperno 2014), which orders the cells as
 counting in every cell would.  Every search order is fixed, so results,
@@ -34,20 +37,20 @@ accepted canonical rows of its one-vertex extensions, labelled by
 the pure entries, and when the optional C extension ``clawlab._augment``
 imports (``setup.py build_ext --inplace`` builds it from ``_augment.c``
 where a C compiler is found) to its seven entries instead
-(``find_induced_cycle`` then runs the compiled grower, ``odd_hole`` runs
-it with its visit built in, with no Python call per cycle, and
-``graphs.to_graph6``, one call of ``graph6``, the compiled encoder), and
-``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.  Nothing else selects
-a backend: no option, no environment variable.  Both give the same
+(``find_induced_cycle`` and ``verify.induced_cycles`` then run the
+compiled grower, which has the same two leaves and makes no Python call,
+and ``graphs.to_graph6``, one call of ``graph6``, the compiled encoder),
+and ``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.  Nothing else
+selects a backend: no option, no environment variable.  Both give the same
 results bit for bit, and both run one algorithm step for step;
 ``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
 ``pure_induced_cycles``, ``pure_odd_hole``, ``pure_graph6`` (the pure
 encoder ``graphs.encode_graph6``) and ``pure_augment`` keep the pure
-entries as the references the compiled ones are tested against.  The compiled entries take only ``n`` in 0..64,
-ints and rows with no bit at ``n`` or above, and ``augment`` only plans
-of at most 15 positions, degrees up to 16 and up, down and ``after``
-positions earlier than their own; they raise ValueError otherwise and
-keep no state between calls.
+entries as the references the compiled ones are tested against.  The
+compiled entries take only ``n`` in 0..64, ints and rows with no bit at
+``n`` or above, and ``augment`` only plans of at most 15 positions,
+degrees up to 16 and up, down and ``after`` positions earlier than their
+own; they raise ValueError otherwise and keep no state between calls.
 """
 
 from __future__ import annotations
@@ -387,14 +390,8 @@ def _obstructions(n, adj, plans):
     return list(found)
 
 
-def induced_cycles(n, adj, min_len, max_len, visit):
-    """Call ``visit(cycle)`` on each induced cycle of ``min_len..max_len``
-    vertices; return whether ``visit`` stopped the search.
-
-    ``visit`` returns the length bound: a falsy return goes on, any other is
-    the largest length still wanted (the bound never rises), and the search
-    stops once that is below ``min_len``, so ``True`` (= 1) stops it.  Only
-    longer cycles are skipped: the rest come in the unbounded order.
+def induced_cycles(n, adj, min_len, max_len):
+    """Every induced cycle of ``min_len..max_len`` vertices, as a list.
 
     A cycle is a vertex tuple that starts at its least vertex with the
     smaller of its two neighbours second.  Paths grow from each start
@@ -403,11 +400,18 @@ def induced_cycles(n, adj, min_len, max_len, visit):
     offers its closing vertices first, ascending, and then its extensions:
     the cycles of each length come in lexicographic order.
     """
+    return _grow_cycles(n, adj, min_len, max_len, False)
+
+
+def _grow_cycles(n, adj, min_len, max_len, odd):
+    """The cycle grower of ``induced_cycles`` and ``odd_hole``: the cycles
+    of ``min_len..max_len`` vertices in the order of ``induced_cycles`` or,
+    with ``odd``, only the odd ones met, each of which lowers the length
+    bound to two less than its own length."""
     min_len = max(min_len, 3)
-    if max_len < min_len:
-        return False
     path = [0] * n
     bound = max_len
+    found = []
 
     def grow(depth, used, inner_forbid, v0adj):
         nonlocal bound
@@ -419,9 +423,13 @@ def induced_cycles(n, adj, min_len, max_len, visit):
             while m and depth < bound:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                bound = min(bound, visit(tuple(path[:depth]) + (v,)) or bound)
-                if bound < min_len:
-                    return True
+                if odd and depth % 2:
+                    continue
+                found.append((*path[:depth], v))
+                if odd:
+                    bound = depth - 1  # the length less two
+                    if bound < min_len:
+                        return True
         m = base & ~v0adj
         nf = inner_forbid | adj[last]
         while m and depth + 1 < bound:
@@ -441,23 +449,15 @@ def induced_cycles(n, adj, min_len, max_len, visit):
             m &= m - 1
             path[1] = v1
             if grow(2, below | (1 << v1), 0, adj[v0]):
-                return True
-    return False
+                return found
+    return found
 
 
 def find_induced_cycle(n, adj, length):
     """Lexicographically least induced cycle of exactly ``length``, or None,
     oriented as in ``induced_cycles``."""
-    if length < 3 or length > n:
-        return None
-    found = []
-
-    def first(cycle):
-        found.append(cycle)
-        return True
-
-    induced_cycles(n, adj, length, length, first)
-    return found[0] if found else None
+    cycles = induced_cycles(n, adj, length, length)
+    return cycles[0] if cycles else None
 
 
 def odd_hole(n, adj, complement):
@@ -465,26 +465,18 @@ def odd_hole(n, adj, complement):
     oriented as in ``induced_cycles``, or None; of the graph or, with
     ``complement``, of its complement, whose rows are built first.
 
-    One pass of the cycle grower: each odd cycle met becomes the answer and
-    lowers the length bound to two less than its own length, so every later
-    cycle is shorter and the last answer is the shortest odd hole.  Cycles
-    of each length arrive in lexicographic order and none of the shortest
-    length is skipped before the first one, so that first one, the
-    lex-least, is the answer.  This is the pure entry, on the pure grower.
+    One pass of the cycle grower: each odd cycle met is kept and lowers the
+    length bound to two less than its own length, so every later cycle is
+    shorter and the last one kept is the shortest odd hole.  Cycles of each
+    length arrive in lexicographic order and none of the shortest length is
+    skipped before the first one, so that first one, the lex-least, is the
+    answer.  This is the pure entry, on the pure grower.
     """
     if complement:
         full = (1 << n) - 1
         adj = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
-    hole = None
-
-    def visit(cycle):
-        nonlocal hole
-        if len(cycle) % 2:
-            hole = cycle
-            return len(cycle) - 2
-
-    pure_induced_cycles(n, adj, 5, n, visit)
-    return hole
+    holes = _grow_cycles(n, adj, 5, n, True)
+    return holes[-1] if holes else None
 
 
 def canon_form(n, adj):

@@ -49,13 +49,11 @@ class VerificationReport:
 def induced_cycles(g: Graph, min_len: int):
     """All induced cycles of length >= min_len, one orientation each.
 
-    Cycles come out as vertex sequences starting at their least vertex with
-    the smaller neighbour second, in the grower's order
-    (``kernels.induced_cycles``).
+    Cycles come out as vertex tuples starting at their least vertex with
+    the smaller neighbour second, in the grower's order: the list of
+    ``kernels.induced_cycles``, yielded one by one.
     """
-    cycles = []
-    kernels.induced_cycles(g.n, g.adj, min_len, g.n, cycles.append)
-    yield from cycles
+    yield from kernels.induced_cycles(g.n, g.adj, min_len, g.n)
 
 
 def _check_perfect_class(g: Graph):

@@ -1,11 +1,12 @@
 """The compiled backend's entry points under bad input and long runs.
 
 Each check runs in a child process, so a crash fails the test instead of
-ending the session.  Its agreement with the pure code is checked in
+ending the session.  Every entry takes ints and rows and returns values;
+none takes a callable.  Its agreement with the pure code is checked in
 ``test_kernels.py`` (``canon_form``, ``max_clique``, ``color_with``,
 ``induced_cycles``, ``odd_hole`` and ``graph6`` against their ``pure_``
-entries) and
-``test_enumeration.py`` (``augment`` against ``pure_augment``).
+entries) and ``test_enumeration.py`` (``augment`` against
+``pure_augment``).
 """
 
 import json
@@ -91,10 +92,6 @@ def may_reject(fn, *args):
         return "answered"
     except (ValueError, TypeError, RuntimeError):
         return "rejected"
-
-
-class Boom(Exception):
-    pass
 
 
 def tally_of(cases, count):
@@ -253,7 +250,7 @@ def predicate_case():
     extra = {
         "max_clique": [],
         "color_with": [rng.randrange(-2, n + 3)],
-        "induced_cycles": [rng.randrange(0, 8), rng.randrange(0, n + 2), lambda cycle: None],
+        "induced_cycles": [rng.randrange(0, 8), rng.randrange(0, n + 2)],
     }[name]
     kind = rng.randrange(6)
     if kind == 0:
@@ -269,63 +266,9 @@ def predicate_case():
         bad[at] = junk
         field = {"color_with": ("k",), "induced_cycles": ("min_len", "max_len")}[name][at]
         return must_reject(fn, field + " must", n, adj, *bad)
-    if kind == 4 and name == "induced_cycles":
-        return visit_case(n, adj)
     # loops and one-sided rows are within range: answered, not crashed
     odd = tuple(row | rng.getrandbits(n) & rng.getrandbits(n) for row in adj) if n else adj
     return may_reject(fn, n, odd, *extra)
-
-
-def visit_case(n, adj):
-    kind = rng.randrange(3)
-    if kind == 0:
-        # an exception raised in visit, at one of the graph's cycles, ends
-        # the search and comes out unchanged; a forest on 3 or more
-        # vertices gets the triangle 0-1-2, so that it has a cycle
-        cycles = []
-        _augment.induced_cycles(n, adj, 3, n, cycles.append)
-        if not cycles and n >= 3:
-            adj = (adj[0] | 6, adj[1] | 5, adj[2] | 3) + adj[3:]
-            _augment.induced_cycles(n, adj, 3, n, cycles.append)
-        if not cycles:
-            return "answered"
-        err, at, seen = Boom(), rng.randrange(1, len(cycles) + 1), []
-
-        def visit(cycle):
-            seen.append(cycle)
-            if len(seen) == at:
-                raise err
-
-        try:
-            _augment.induced_cycles(n, adj, 3, n, visit)
-        except Boom as e:
-            assert e is err and seen == cycles[:at]
-            return "raised"
-        raise AssertionError("the error raised in visit was lost")
-    if kind == 1:
-        # a visit that is not callable, or returns a truthy non-int, is a TypeError
-        bad_reply = rng.choice([1.5, "x", [1], object()])
-        visit = rng.choice([None, 3, "visit", (), object(), lambda cycle: bad_reply])
-        try:
-            _augment.induced_cycles(n, adj, 3, n, visit)
-        except TypeError:
-            return "rejected"
-        assert callable(visit) and not _augment.induced_cycles(n, adj, 3, n, lambda cycle: True), visit
-        return "answered"
-    # a visit that runs the search again gets the same nested result
-    want = []
-    _augment.induced_cycles(n, adj, 3, n, want.append)
-    nested = []
-
-    def visit(cycle):
-        inner = []
-        stopped = _augment.induced_cycles(n, adj, 3, n, inner.append)
-        nested.append(stopped is False and inner == want)
-        return len(nested) >= 20
-
-    _augment.induced_cycles(n, adj, 3, n, visit)
-    assert len(nested) == min(len(want), 20) and all(nested)
-    return "nested"
 
 
 print(json.dumps(tally_of([predicate_case], 3000)))
@@ -341,10 +284,6 @@ parents = [_augment.canon_form(len(g), g)[0] for g in graphs]
 configs = [(some_plans(), rng.randrange(0, 4), rng.random() < 0.5) for _ in range(500)]
 # after[1] is not earlier than position 1
 BAD_PLAN = ((0, 0), ((), ()), ((), ()), (-1, 1), (0, 0))
-
-
-def raising(cycle):
-    raise Boom(cycle)
 
 
 def run(canon_calls, augment_calls, predicate_calls):
@@ -367,15 +306,10 @@ def run(canon_calls, augment_calls, predicate_calls):
         omega = _augment.max_clique(n, g).bit_count()
         _augment.color_with(n, g, omega)
         _augment.color_with(n, g, omega - 1)
-        cycles = []
-        _augment.induced_cycles(n, g, 3, n, cycles.append)
+        _augment.induced_cycles(n, g, 3, n)
         _augment.odd_hole(n, g, False)
         _augment.odd_hole(n, g, True)
         _augment.graph6(n, g)
-        try:
-            _augment.induced_cycles(n, g, 3, n, raising)
-        except Boom:
-            pass
         try:
             _augment.color_with(n, g + (1,), omega)
         except ValueError:
@@ -418,21 +352,18 @@ def test_malformed_input_is_rejected_not_crashed():
 
 def test_predicates_reject_malformed_input_and_keep_visit_errors():
     # n outside 0..64, a wrong row count, a row bit >= n and a non-int row,
-    # k or length raise ValueError; an exception raised in visit comes out
-    # unchanged, a visit that is not callable or returns a truthy non-int
-    # raises TypeError, and a visit that searches again gets the same
-    # nested result
+    # k or length raise ValueError, and well-typed odd calls (loops and
+    # one-sided rows) are answered
     tally = run_child(PREDICATES_MALFORMED, 20261019)
     assert tally["rejected"] > 1500 and tally["answered"] > 300, tally
-    assert tally["raised"] > 20 and tally["nested"] > 20, tally
 
 
 def test_long_runs_keep_memory_flat():
     # 100k canon_form and 10k augment calls (plus 10k rejected ones, by a
     # bad parent after a good one or by a bad plan), and 10k rounds of the
     # predicates (a clique, two colourings, a full cycle search, the odd
-    # hole and odd antihole searches, a graph6 string, a search whose
-    # visit raises and two rejected calls) on 6-12 vertex graphs after
+    # hole and odd antihole searches, a graph6 string and two rejected
+    # calls) on 6-12 vertex graphs after
     # warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

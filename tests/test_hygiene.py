@@ -1,6 +1,7 @@
 """Source hygiene: no module under ``src/clawlab/`` or ``tests/`` imports a
 name it never uses, no package module keeps a private name nothing reads,
-and the C extension compiles with no warning.
+and the C extension compiles with no warning and never calls back into
+Python.
 
 ``__init__.py`` is skipped by the import check: its imports are the
 package's re-exports.
@@ -129,3 +130,11 @@ def test_c_source_compiles_without_warnings(tmp_path):
     cmd += ["-c", str(SRC / "_augment.c"), "-o", str(tmp_path / "_augment.o")]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_c_source_makes_no_python_call():
+    # the kernels take ints and rows and return values: no callable is
+    # called, so no entry can be re-entered or see an exception mid-search
+    source = (SRC / "_augment.c").read_text()
+    found = [name for name in ("PyObject_Call", "PyObject_Vectorcall", "PyCallable_Check") if name in source]
+    assert not found, "calls into Python: " + ", ".join(found)

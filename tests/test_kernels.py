@@ -158,32 +158,6 @@ def test_find_induced_cycle_brute_force(rng, monkeypatch):
                 assert got == (want[0] if want else None)
 
 
-def test_induced_cycles_bound_contract(rng):
-    # a visit returning L gets exactly the later cycles of length <= L, in
-    # the unbounded order, and a later, larger return does not raise the
-    # bound; True stops the search and None goes on
-    for _ in range(60):
-        g = random_graph(rng, rng.randrange(4, 11), rng.choice([0.3, 0.5, 0.7]))
-        for induced_cycles in CYCLE_GROWERS:
-            for min_len in (3, 5):
-                every = []
-                assert induced_cycles(g.n, g.adj, min_len, g.n, every.append) is False
-                for i in range(len(every)):
-                    for reply in (True, *range(min_len - 1, g.n + 1)):
-                        got = []
-
-                        def visit(cycle):
-                            got.append(cycle)
-                            return None if len(got) <= i else reply if len(got) == i + 1 else g.n
-
-                        stopped = induced_cycles(g.n, g.adj, min_len, g.n, visit)
-                        if reply < min_len:
-                            assert stopped is True and got == every[: i + 1]
-                        else:
-                            later = [c for c in every[i + 1 :] if len(c) <= reply]
-                            assert stopped is False and got == every[: i + 1] + later
-
-
 def sparse_connected_graph(rng, n, chords):
     """A random tree on n vertices plus ``chords`` random edges: few
     induced cycles and an exact colouring search that stays small, so the
@@ -192,21 +166,6 @@ def sparse_connected_graph(rng, n, chords):
     while len(edges) < n - 1 + chords:
         edges.add(tuple(sorted(rng.sample(range(n), 2))))
     return Graph.from_edges(n, sorted(edges))
-
-
-def cycle_visits(induced_cycles, g, min_len, stop_after=None):
-    """What a search returns and every cycle it passes to visit.  With
-    ``stop_after`` the visit lowers the bound to one more than the length
-    of every third cycle and stops the search at that many cycles."""
-    seen = []
-
-    def visit(cycle):
-        seen.append(cycle)
-        if stop_after is None:
-            return None
-        return len(seen) >= stop_after or (len(cycle) + 1 if len(seen) % 3 == 0 else 0)
-
-    return induced_cycles(g.n, g.adj, min_len, g.n, visit), seen
 
 
 def sparse_graphs(oracle7, rng):
@@ -235,8 +194,8 @@ def test_compiled_predicates_match_pure(oracle7, rng):
         for k in (*range(-1, g.n + 2), 2**70):
             assert kernels.color_with(g.n, g.adj, k) == kernels.pure_color_with(g.n, g.adj, k), (g, k)
         for min_len in range(3, 7):
-            got = cycle_visits(kernels.induced_cycles, g, min_len)
-            assert got == cycle_visits(kernels.pure_induced_cycles, g, min_len), (g, min_len)
+            got = kernels.induced_cycles(g.n, g.adj, min_len, g.n)
+            assert got == kernels.pure_induced_cycles(g.n, g.adj, min_len, g.n), (g, min_len)
 
 
 @compiled_only
@@ -244,14 +203,14 @@ def test_compiled_predicates_match_pure_on_dense_graphs(rng):
     # seeded graphs on 40-64 vertices, dense ones and complements of sparse
     # ones, and the empty and complete graphs on 64: the same maximum
     # clique, the same answers where the colouring search is short, and the
-    # same cycles from a visit that lowers the bound and stops the search
+    # same cycles of one length, which only the length bound keeps short
     for g in dense_graphs(rng):
         assert kernels.max_clique(g.n, g.adj) == kernels.pure_max_clique(g.n, g.adj), g
         for k in (-(2**70), -1, 0, g.n, g.n + 1, 2**70):
             assert kernels.color_with(g.n, g.adj, k) == kernels.pure_color_with(g.n, g.adj, k), (g, k)
-        for min_len in range(3, 7):
-            got = cycle_visits(kernels.induced_cycles, g, min_len, stop_after=300)
-            assert got == cycle_visits(kernels.pure_induced_cycles, g, min_len, stop_after=300), (g, min_len)
+        for length in range(3, 7):
+            got = kernels.induced_cycles(g.n, g.adj, length, length)
+            assert got == kernels.pure_induced_cycles(g.n, g.adj, length, length), (g, length)
 
 
 def test_odd_hole_backends_agree_and_search_the_complement(oracle7, rng):
@@ -451,8 +410,8 @@ def test_canon_form_pinned(rng):
 def test_compiled_predicates_keep_pure_edges(rng):
     # colour counts of at most 0 colour nothing but the empty graph and any
     # count from n on acts as n; lengths below 3 count as 3, a maximum
-    # below the minimum visits nothing, and a visit's return beyond a C
-    # long leaves the bound (positive) or stops the search (negative)
+    # below the minimum lists nothing, and lengths beyond a C long list
+    # every cycle (a maximum) or nothing (a minimum)
     huge = 2**70
     for color_with in COLOR_WITHS:
         for k in (-huge, -1, 0, 1, huge):
@@ -465,17 +424,12 @@ def test_compiled_predicates_keep_pure_edges(rng):
             assert kernels.color_with(g.n, g.adj, k) == kernels.color_with(g.n, g.adj, g.n)
             assert kernels.color_with(g.n, g.adj, k) == kernels.pure_color_with(g.n, g.adj, k)
         for induced_cycles in CYCLE_GROWERS:
-            three = cycle_visits(induced_cycles, g, 3)
+            three = induced_cycles(g.n, g.adj, 3, g.n)
             for min_len in (-huge, -1, 0, 2):
-                assert cycle_visits(induced_cycles, g, min_len) == three
-            calls = []
+                assert induced_cycles(g.n, g.adj, min_len, g.n) == three
+            assert induced_cycles(g.n, g.adj, 3, huge) == three
             for min_len, max_len in ((3, 2), (0, 2), (5, 4), (huge, g.n), (3, -huge)):
-                assert induced_cycles(g.n, g.adj, min_len, max_len, calls.append) is False
-            assert calls == []
-            for reply, stops in ((huge, False), (-huge, True)):
-                seen = []
-                stopped = induced_cycles(g.n, g.adj, 3, g.n, lambda cycle: seen.append(cycle) or reply)
-                assert (stopped, seen) == ((True, three[1][:1]) if stops and three[1] else three)
+                assert induced_cycles(g.n, g.adj, min_len, max_len) == []
     # odd_hole takes what its siblings take: n = 65, a wrong row count, a
     # negative or non-int row and a bit at n or above raise ValueError; any
     # truth value selects the mode
