@@ -6,13 +6,18 @@
    canon_form(n, adj) -> (rows, perm)
        The same canonical relabelling as the pure kernels.canon_form:
        split-only refinement, sibling skipping and the first leaf of least
-       certificate.
+       certificate.  A refinement round with at most 8 split fragments
+       packs each vertex's counts into one word and compares words; a
+       longer one compares its count bytes in order.  Either way the
+       fragments come in the pure order.
 
    augment(m, parents, plans, min_alpha, connected) -> [rows, ...]
        The pure kernels.pure_augment, step for step: one enumeration level
        on the alpha tree or, with connected, the connected tree, the
-       accepted canonical rows of each parent's one-vertex extensions,
-       parent by parent in the order the pure loop finds them.  Per parent:
+       accepted canonical rows of the parents' one-vertex extensions, as
+       the next level: sorted, as sorted() sorts the row tuples.  Each
+       accepted child is kept as n words and the words are sorted once at
+       the end; no class comes from two parents.  Per parent:
        analysis (degree classes, twin classes, R grown by one
        independent-set search per vertex not yet in it and, on the
        connected tree, the parent's cut vertices), stages 0-2, obstruction
@@ -25,9 +30,10 @@
        pure kernels._embed: twin images ascending) lists the obstructions
        from them.
 
-   max_clique(n, adj) -> mask
+   max_clique(n, adj, complement=False) -> mask
        The pure kernels.max_clique: the same greedy-colour order and the
-       same first maximum clique.
+       same first maximum clique, of the graph or, with a truthy
+       complement, of its complement, whose rows are built here.
 
    color_with(n, adj, k) -> tuple or None
        The pure kernels.color_with: the same DSATUR choice, tie-breaks and
@@ -158,6 +164,30 @@ static long read_graph(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want,
 
 /* ---- canonical labelling --------------------------------------------- */
 
+/* The vertex keys of one refinement round: with at most PACKED split
+   fragments, each key is one word of 8-bit counts, the first fragment's
+   the most significant, so words compare as the count sequences do;
+   otherwise the counts are bytes, compared in order. */
+#define PACKED 8
+
+typedef struct {
+    int nsplit;
+    word packed[MAXN];
+    uint8_t bytes[MAXN][MAXN];
+} Keys;
+
+/* The sign of key a less key b. */
+static inline int key_cmp(const Keys *ks, int a, int b)
+{
+    if (ks->nsplit <= PACKED)
+        return (ks->packed[a] > ks->packed[b]) - (ks->packed[a] < ks->packed[b]);
+    const uint8_t *x = ks->bytes[a], *y = ks->bytes[b];
+    for (int j = 0; j < ks->nsplit; j++)
+        if (x[j] != y[j])
+            return x[j] < y[j] ? -1 : 1;
+    return 0;
+}
+
 /* Split the cells (an ordered partition as masks) until no cell splits;
    return the new cell count.  Each vertex of a non-singleton cell is keyed
    by its neighbour counts in the fragments `split` made in the previous
@@ -166,12 +196,12 @@ static long read_graph(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want,
 static int refine(const word *adj, word *cells, int ncells, const word *first, int nfirst)
 {
     word split[MAXN], out[MAXN];
-    uint8_t key[MAXN][MAXN];
+    Keys ks;
     int verts[MAXN], idx[MAXN];
-    int nsplit = nfirst;
+    ks.nsplit = nfirst;
     memcpy(split, first, nfirst * sizeof *split);
     for (;;) {
-        int nout = 0, nnext = 0;
+        int nout = 0, nnext = 0, nsplit = ks.nsplit;
         word next[MAXN];
         for (int c = 0; c < ncells; c++) {
             word cell = cells[c];
@@ -182,27 +212,34 @@ static int refine(const word *adj, word *cells, int ncells, const word *first, i
             int cnt = 0;
             for (word m = cell; m; m &= m - 1) {
                 int v = low_index(m);
-                for (int j = 0; j < nsplit; j++)
-                    key[cnt][j] = (uint8_t)popc(adj[v] & split[j]);
+                if (nsplit <= PACKED) {
+                    word key = 0;
+                    for (int j = 0; j < nsplit; j++)
+                        key = key << 8 | (word)popc(adj[v] & split[j]);
+                    ks.packed[cnt] = key;
+                } else {
+                    for (int j = 0; j < nsplit; j++)
+                        ks.bytes[cnt][j] = (uint8_t)popc(adj[v] & split[j]);
+                }
                 verts[cnt] = v;
                 idx[cnt] = cnt;
                 cnt++;
             }
             for (int i = 1; i < cnt; i++) {
                 int x = idx[i], j = i;
-                while (j > 0 && memcmp(key[idx[j - 1]], key[x], nsplit) > 0) {
+                while (j > 0 && key_cmp(&ks, idx[j - 1], x) > 0) {
                     idx[j] = idx[j - 1];
                     j--;
                 }
                 idx[j] = x;
             }
-            if (memcmp(key[idx[0]], key[idx[cnt - 1]], nsplit) == 0) {
+            if (key_cmp(&ks, idx[0], idx[cnt - 1]) == 0) {
                 out[nout++] = cell;
                 continue;
             }
             word frag = (word)1 << verts[idx[0]];
             for (int i = 1; i < cnt; i++) {
-                if (memcmp(key[idx[i - 1]], key[idx[i]], nsplit) != 0) {
+                if (key_cmp(&ks, idx[i - 1], idx[i]) != 0) {
                     out[nout++] = frag;
                     next[nnext++] = frag;
                     frag = 0;
@@ -215,7 +252,7 @@ static int refine(const word *adj, word *cells, int ncells, const word *first, i
         if (nnext == 0)
             return nout;
         ncells = nout;
-        nsplit = nnext;
+        ks.nsplit = nnext;
         memcpy(split, next, nnext * sizeof *split);
     }
 }
@@ -383,6 +420,23 @@ static void rs_free(RecordSet *rs)
     *rs = (RecordSet){.width = rs->width};
 }
 
+/* Append rec, unhashed (a set that only rs_push fills is a plain list):
+   0, or -1 out of memory. */
+static int rs_push(RecordSet *rs, const word *rec)
+{
+    int w = rs->width;
+    if (rs->count == rs->cap) {
+        size_t cap = rs->cap ? 2 * rs->cap : 64;
+        word *data = realloc(rs->data, cap * w * sizeof *data);
+        if (data == NULL)
+            return -1;
+        rs->data = data;
+        rs->cap = cap;
+    }
+    memcpy(rs->data + rs->count++ * w, rec, w * sizeof *rec);
+    return 0;
+}
+
 /* 1 when rec is new (and now added), 0 when present, -1 out of memory. */
 static int rs_add(RecordSet *rs, const word *rec)
 {
@@ -408,16 +462,9 @@ static int rs_add(RecordSet *rs, const word *rec)
             return 0;
         h = (h + 1) & (rs->nslots - 1);
     }
-    if (rs->count == rs->cap) {
-        size_t cap = rs->cap ? 2 * rs->cap : 64;
-        word *data = realloc(rs->data, cap * w * sizeof *data);
-        if (data == NULL)
-            return -1;
-        rs->data = data;
-        rs->cap = cap;
-    }
-    memcpy(rs->data + rs->count * w, rec, w * sizeof *rec);
-    rs->slots[h] = (uint32_t)(++rs->count);
+    if (rs_push(rs, rec) < 0)
+        return -1;
+    rs->slots[h] = (uint32_t)rs->count;
     return 1;
 }
 
@@ -700,7 +747,7 @@ typedef struct {
     int ntwins;
     int listed;
     RecordSet pairs, seen;
-    PyObject *out;
+    RecordSet found;            /* the accepted children's rows, all parents */
 } Augment;
 
 /* The parent analysis of kernels.pure_augment: 0, or 1 when the parent
@@ -831,12 +878,11 @@ static int try_mask(Augment *a, word mask)
                 return 0;
         }
     }
-    PyObject *t = rows_tuple(n, cert);
-    if (t == NULL)
+    if (rs_push(&a->found, cert) < 0) {
+        PyErr_NoMemory();
         return -1;
-    int rc = PyList_Append(a->out, t);
-    Py_DECREF(t);
-    return rc;
+    }
+    return 0;
 }
 
 /* The m-bit masks of popcount k (k <= m) in ascending order (Gosper's
@@ -870,6 +916,41 @@ static int run_masks(Augment *a)
         if (run_popcount(a, k) < 0)
             return -1;
     return 0;
+}
+
+/* The record width record_cmp compares: set just before each sort, with
+   the GIL held. */
+static int sort_width;
+
+/* Records in the order of their words, the first most significant. */
+static int record_cmp(const void *a, const void *b)
+{
+    const word *x = a, *y = b;
+    for (int i = 0; i < sort_width; i++)
+        if (x[i] != y[i])
+            return x[i] < y[i] ? -1 : 1;
+    return 0;
+}
+
+/* The records as a list of row tuples, sorted: each record is a row tuple
+   of one width, and ints below 2**64 compare as words, so this is the
+   order of sorted() on the tuples.  NULL with an exception set. */
+static PyObject *sorted_rows(RecordSet *rs)
+{
+    int w = rs->width;
+    if (rs->count > 1) {
+        sort_width = w;
+        qsort(rs->data, rs->count, w * sizeof *rs->data, record_cmp);
+    }
+    PyObject *out = PyList_New((Py_ssize_t)rs->count);
+    for (size_t i = 0; out && i < rs->count; i++) {
+        PyObject *t = rows_tuple(w, rs->data + i * w);
+        if (t == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, (Py_ssize_t)i, t);
+    }
+    return out;
 }
 
 static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -917,22 +998,21 @@ static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t na
     a.min_alpha = min_alpha;
     a.connected = connected;
     a.pairs.width = 2;
-    a.seen.width = (int)m + 1;
-    a.out = PyList_New(0);
-    for (Py_ssize_t i = 0; a.out && i < PySequence_Fast_GET_SIZE(parents); i++) {
-        if (read_rows(PySequence_Fast_GET_ITEM(parents, i), m, (int)m, parent, "parent") < 0) {
-            Py_CLEAR(a.out);
-            break;
-        }
+    a.seen.width = a.found.width = (int)m + 1;
+    int ok = 1;
+    for (Py_ssize_t i = 0; ok && i < PySequence_Fast_GET_SIZE(parents); i++) {
+        ok = read_rows(PySequence_Fast_GET_ITEM(parents, i), m, (int)m, parent, "parent") == 0;
         a.listed = 0;
-        if (analyse(&a) == 0 && run_masks(&a) < 0)
-            Py_CLEAR(a.out);
+        if (ok && analyse(&a) == 0)
+            ok = run_masks(&a) == 0;
         rs_free(&a.pairs);
         rs_free(&a.seen);
     }
     PyMem_Free(plans);
     Py_DECREF(parents);
-    return a.out;
+    PyObject *out = ok ? sorted_rows(&a.found) : NULL;
+    rs_free(&a.found);
+    return out;
 }
 
 /* ---- per-graph predicates -------------------------------------------- */
@@ -1095,11 +1175,27 @@ static int cycles_from(Cycles *cy, int n)
     return rc;
 }
 
+/* With a truthy flag, replace the rows by the complement's: 0, or -1 with
+   an exception set. */
+static int complement_if(PyObject *flag, long n, word *adj)
+{
+    int complement = PyObject_IsTrue(flag);
+    if (complement < 0)
+        return -1;
+    for (int v = 0; complement && v < n; v++)
+        adj[v] = all_of((int)n) & ~adj[v] & ~((word)1 << v);
+    return 0;
+}
+
 static PyObject *py_max_clique(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     word adj[MAXN];
-    long n = read_graph(args, nargs, 2, "max_clique(n, adj)", adj);
-    if (n < 0)
+    if (nargs != 2 && nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "max_clique(n, adj, complement=False) takes 2 or 3 arguments");
+        return NULL;
+    }
+    long n = read_graph(args, nargs, nargs, "max_clique", adj);
+    if (n < 0 || (nargs == 3 && complement_if(args[2], n, adj) < 0))
         return NULL;
     Clique cq = {adj, 0, 0};
     expand(&cq, 0, 0, all_of((int)n));
@@ -1140,13 +1236,8 @@ static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t n
 {
     word adj[MAXN];
     long n = read_graph(args, nargs, 3, "odd_hole(n, adj, complement)", adj);
-    if (n < 0)
+    if (n < 0 || complement_if(args[2], n, adj) < 0)
         return NULL;
-    int complement = PyObject_IsTrue(args[2]);
-    if (complement < 0)
-        return NULL;
-    for (int v = 0; complement && v < n; v++)
-        adj[v] = all_of((int)n) & ~adj[v] & ~((word)1 << v);
     Cycles cy = {.adj = adj, .min_len = 5, .bound = n};
     cycles_from(&cy, (int)n); /* the odd-hole leaf cannot fail */
     if (!cy.hole)
@@ -1196,11 +1287,12 @@ static PyMethodDef methods[] = {
      "canon_form(n, adj) -> (rows, perm): canonical relabelling, as the pure kernels.canon_form."},
     {"augment", (PyCFunction)(void (*)(void))py_augment, METH_FASTCALL,
      "augment(m, parents, plans, min_alpha, connected) -> list of rows: the canonically accepted\n"
-     "one-vertex extensions of each canonical parent on m vertices, parent by parent, free of the\n"
-     "patterns whose kernels.obstruction_plans are plans, on the alpha tree or, with connected,\n"
-     "the connected tree, as the pure kernels.pure_augment.  No state is kept between calls."},
+     "one-vertex extensions of the canonical parents on m vertices, sorted, free of the patterns\n"
+     "whose kernels.obstruction_plans are plans, on the alpha tree or, with connected, the\n"
+     "connected tree, as the pure kernels.pure_augment.  No state is kept between calls."},
     {"max_clique", (PyCFunction)(void (*)(void))py_max_clique, METH_FASTCALL,
-     "max_clique(n, adj) -> mask: the first maximum clique, as the pure kernels.max_clique."},
+     "max_clique(n, adj, complement=False) -> mask: the first maximum clique of the graph or of its\n"
+     "complement, as the pure kernels.max_clique."},
     {"color_with", (PyCFunction)(void (*)(void))py_color_with, METH_FASTCALL,
      "color_with(n, adj, k) -> tuple or None: a DSATUR colouring with at most k colours, as the\n"
      "pure kernels.color_with."},

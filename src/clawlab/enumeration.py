@@ -99,13 +99,13 @@ A level is the sorted canonical rows of its classes, so every emitted
 stream is the one the alpha tree, cut to its connected classes, gives.
 
 All of this work for one level is one ``kernels.augment`` call over the
-level's parents, which returns the accepted children's canonical rows
-parent by parent; sorted, they are the next level.  Levels hold row
-tuples, and a ``Graph`` is made only to emit a class.  The patterns are
-analysed once per config, into the ``kernels.obstruction_plans`` every
-call takes.  ``augment`` is bound like every other kernel:
-``kernels.pure_augment``, or the compiled entry that returns the same rows
-in the same order when ``clawlab._augment`` is built.
+level's parents, which returns the next level: the accepted children's
+canonical rows, sorted.  Levels hold row tuples, and a ``Graph`` is made
+only to emit a class; ``_emit_ok`` runs only on the levels where it can
+reject one.  The patterns are analysed once per config, into the
+``kernels.obstruction_plans`` every call takes.  ``augment`` is bound like
+every other kernel: ``kernels.pure_augment``, or the compiled entry that
+returns the same list when ``clawlab._augment`` is built.
 """
 
 from __future__ import annotations
@@ -185,15 +185,19 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
         level = [root]
     for n in range(a, config.max_n + 1):
         if n > a:
-            level = sorted(kernels.augment(n - 1, level, plans, config.min_alpha, n > roots))
+            level = kernels.augment(n - 1, level, plans, config.min_alpha, n > roots)
         if n == roots:
             level = [rows for rows in level if Graph.trusted(n, rows).is_connected()]
+        connected = n >= roots
+        # whether _emit_ok can reject a class of this level at all
+        screen = (config.connected_only and not connected) or (config.exclude_odd_cycles and n % 2 == 1)
         for rows in level:
             g = Graph.trusted(n, rows)
-            if _emit_ok(g, config, n >= roots):
-                count += 1
-                if visit is not None:
-                    visit(g)
+            if screen and not _emit_ok(g, config, connected):
+                continue
+            count += 1
+            if visit is not None:
+                visit(g)
     return count
 
 

@@ -105,10 +105,13 @@ class Graph:
                 m &= m - 1
                 if not (adj[u] >> v) & 1:
                     raise GraphError(f"asymmetric edge {v}-{u}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        _set_n(self, n)
+        _set_adj(self, adj)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Graph is immutable")
 
     @classmethod
@@ -122,9 +125,9 @@ class Graph:
         both ways from checked edges.  Other input from outside goes
         through ``Graph(...)``.
         """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
+        g = _new(cls)
+        _set_n(g, n)
+        _set_adj(g, adj)
         return g
 
     @classmethod
@@ -224,6 +227,13 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_list()!r})"
+
+
+# The two slots are written through their member descriptors, which the
+# class's __setattr__ does not intercept: one call each, bound once.
+_new = object.__new__
+_set_n = Graph.n.__set__
+_set_adj = Graph.adj.__set__
 
 
 # -- graph6 ------------------------------------------------------------

@@ -52,8 +52,10 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact independence number: clique number of the complement."""
-    return clique_number(g.complement())
+    """Exact independence number: clique number of the complement, whose
+    rows the kernel builds, with no complement ``Graph``."""
+    mask = kernels.max_clique(g.n, g.adj, True)
+    return mask.bit_count(), vertices_of(mask)
 
 
 def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:

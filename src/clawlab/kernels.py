@@ -30,13 +30,16 @@ sets leave as bitmasks or index tuples.
 
 Two backends.  Everything above runs in pure Python, and so does
 ``pure_augment``, one level of ``enumeration.enumerate_graphs`` per call:
-for each parent of the level in turn, the per-parent step, which gives the
-accepted canonical rows of its one-vertex extensions, labelled by
-``pure_canon_form``.  ``canon_form``, ``max_clique``, ``color_with``,
-``induced_cycles``, ``odd_hole``, ``graph6`` and ``augment`` are bound to
-the pure entries, and when the optional C extension ``clawlab._augment``
-imports (``setup.py build_ext --inplace`` builds it from ``_augment.c``
-where a C compiler is found) to its seven entries instead
+the per-parent step on each parent of the level, which gives the accepted
+canonical rows of its one-vertex extensions, labelled by
+``pure_canon_form``, and the next level, those rows sorted.  ``max_clique``
+and ``odd_hole`` build the complement's rows themselves when asked, so no
+caller makes a complement ``Graph`` for them.  ``canon_form``,
+``max_clique``, ``color_with``, ``induced_cycles``, ``odd_hole``,
+``graph6`` and ``augment`` are bound to the pure entries, and when the
+optional C extension ``clawlab._augment`` imports (``setup.py build_ext
+--inplace`` builds it from ``_augment.c`` where a C compiler is found) to
+its seven entries instead
 (``find_induced_cycle`` and ``verify.induced_cycles`` then run the
 compiled grower, which has the same two leaves and makes no Python call,
 and ``graphs.to_graph6``, one call of ``graph6``, the compiled encoder),
@@ -62,8 +65,15 @@ from clawlab.graphs import encode_graph6, reachable, row_classes, vertices_of
 BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
 
 
-def max_clique(n, adj):
-    """Bitmask of a maximum clique.
+def _complement_rows(n, adj):
+    """The rows of the complement of the graph with rows ``adj``."""
+    full = (1 << n) - 1
+    return [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+
+
+def max_clique(n, adj, complement=False):
+    """Bitmask of a maximum clique of the graph or, with ``complement``, of
+    its complement (a maximum independent set), whose rows are built first.
 
     Branch and bound with a greedy-colouring bound (Tomita-style): the
     candidate set is greedily coloured in ascending vertex order, candidates
@@ -74,6 +84,8 @@ def max_clique(n, adj):
     """
     if n == 0:
         return 0
+    if complement:
+        adj = _complement_rows(n, adj)
     best = [0, 0]  # size, mask
 
     def expand(rmask, rsize, pmask):
@@ -473,8 +485,7 @@ def odd_hole(n, adj, complement):
     answer.  This is the pure entry, on the pure grower.
     """
     if complement:
-        full = (1 << n) - 1
-        adj = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+        adj = _complement_rows(n, adj)
     holes = _grow_cycles(n, adj, 5, n, True)
     return holes[-1] if holes else None
 
@@ -667,11 +678,10 @@ def _outranked(parent, by_deg, below, mask, k, rivals):
 def pure_augment(m, parents, plans, min_alpha, connected):
     """The canonically accepted one-vertex extensions of the canonical
     parents (row sequences, each on ``m`` vertices), as canonical row
-    tuples, parent by parent and each parent's in the order they are found:
-    one level of ``enumeration.enumerate_graphs``, free of the patterns
-    whose ``obstruction_plans`` are ``plans``, on the alpha tree or, with
-    ``connected``, on the connected tree.  The loop body is the per-parent
-    step described below.
+    tuples, sorted: one level of ``enumeration.enumerate_graphs``, free of
+    the patterns whose ``obstruction_plans`` are ``plans``, on the alpha
+    tree or, with ``connected``, on the connected tree.  The loop body is
+    the per-parent step described below; no class comes from two parents.
 
     The new vertex is joined to the parent's vertices in ``mask``.  With a
     = ``min_alpha`` the parent must have alpha >= a, and so has every
@@ -821,7 +831,7 @@ def pure_augment(m, parents, plans, min_alpha, connected):
             if w != m and pure_canon_form(m, _delete_vertex(adj, w))[0] != parent:
                 continue
             out.append(cert)
-    return out
+    return sorted(out)
 
 
 pure_canon_form = canon_form

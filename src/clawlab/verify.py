@@ -15,6 +15,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
@@ -214,21 +215,38 @@ def verify(theorem: str, max_n: int, y: str | None = None) -> VerificationReport
 _COLUMNS = ("theorem", "y", "max_n", "class_size", "elapsed", "graph6", "reason")
 
 
+def _scalars(report: VerificationReport) -> dict:
+    """The run's scalars, which every row of its table repeats."""
+    return {
+        "theorem": report.theorem,
+        "y": report.y or "",
+        "max_n": report.max_n,
+        "class_size": report.class_size,
+        "elapsed": round(report.elapsed, 6),
+    }
+
+
 def _sorted_rows(report: VerificationReport):
     # campaigns record canonical copies, so each graph6 string is its own
     # canonical label, and its first byte encodes n
-    return [
-        {
-            "theorem": report.theorem,
-            "y": report.y or "",
-            "max_n": report.max_n,
-            "class_size": report.class_size,
-            "elapsed": round(report.elapsed, 6),
-            "graph6": g6,
-            "reason": reason,
-        }
+    scalars = _scalars(report)
+    return [{**scalars, "graph6": g6, "reason": reason} for g6, reason in sorted(report.counterexamples)]
+
+
+def _json_rows(report: VerificationReport) -> str:
+    """``json.dumps(_sorted_rows(report), indent=2)``, byte for byte, from
+    the C string encoder: with an indent, ``json.dumps`` takes json's
+    pure-Python encoder, as the C one has none.  The scalars every row
+    shares are encoded once; each row adds its graph6 string and reason."""
+    if not report.counterexamples:
+        return "[]"
+    head = "".join(f'    "{key}": {json.dumps(value)},\n' for key, value in _scalars(report).items())
+    encode = encode_basestring_ascii
+    rows = [
+        f'  {{\n{head}    "graph6": {encode(g6)},\n    "reason": {encode(reason)}\n  }}'
         for g6, reason in sorted(report.counterexamples)
     ]
+    return "[\n" + ",\n".join(rows) + "\n]"
 
 
 def report_emit(report: VerificationReport, format: str = "json") -> str:
@@ -237,13 +255,12 @@ def report_emit(report: VerificationReport, format: str = "json") -> str:
     Empty reports emit "[]" (json) or a header-only table (csv); rows are
     sorted by (n, canonical label).
     """
-    rows = _sorted_rows(report)
     if format == "json":
-        return json.dumps(rows, indent=2)
+        return _json_rows(report)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(_sorted_rows(report))
         return buf.getvalue()
     raise ValueError(f"unknown report format {format!r}")

@@ -304,6 +304,7 @@ def run(canon_calls, augment_calls, predicate_calls):
         g = graphs[i % len(graphs)]
         n = len(g)
         omega = _augment.max_clique(n, g).bit_count()
+        _augment.max_clique(n, g, True)
         _augment.color_with(n, g, omega)
         _augment.color_with(n, g, omega - 1)
         _augment.induced_cycles(n, g, 3, n)
@@ -361,9 +362,9 @@ def test_predicates_reject_malformed_input_and_keep_visit_errors():
 def test_long_runs_keep_memory_flat():
     # 100k canon_form and 10k augment calls (plus 10k rejected ones, by a
     # bad parent after a good one or by a bad plan), and 10k rounds of the
-    # predicates (a clique, two colourings, a full cycle search, the odd
-    # hole and odd antihole searches, a graph6 string and two rejected
-    # calls) on 6-12 vertex graphs after
+    # predicates (a clique and an independent set, two colourings, a full
+    # cycle search, the odd hole and odd antihole searches, a graph6 string
+    # and two rejected calls) on 6-12 vertex graphs after
     # warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

@@ -412,19 +412,19 @@ class TestChildren:
     def test_augment_matches_pure(self, tokens, oracle6, rng):
         """On every parent of ``test_matches_reference``, for a = 0..4 and
         with the connectivity filter off and on, the compiled ``augment``
-        gives the rows of ``pure_augment``, in its order."""
+        gives the list of ``pure_augment``, both sorted."""
         plans = kernels.obstruction_plans([(p.n, p.adj) for p in map(pattern_graph, tokens)])
         for rep in _parents(oracle6, rng):
             for a in range(5):
                 for connected in (False, True):
                     got = kernels.augment(rep.n, [rep.adj], plans, a, connected)
                     want = kernels.pure_augment(rep.n, [rep.adj], plans, a, connected)
-                    assert got == want, (rep.adj, a, connected)
+                    assert got == want == sorted(want), (rep.adj, a, connected)
 
     def test_level_call_concatenates_parent_calls(self, oracle6):
-        """One call on many parents, in any order, gives each parent's
-        children in turn, as one call per parent does, on each ``augment``
-        entry."""
+        """One call on many parents, in any order, gives the next level
+        sorted: the per-parent calls' children, concatenated and sorted, on
+        each ``augment`` entry."""
         plans = kernels.obstruction_plans([(p.n, p.adj) for p in map(pattern_graph, ("K1_3", "C4"))])
         for augment in AUGMENTS:
             assert augment(3, [], plans, 0, False) == []
@@ -432,7 +432,7 @@ class TestChildren:
                 parents = [rep.adj for rep in reversed(oracle6[m])]
                 for a in (0, 2):
                     for connected in (False, True):
-                        want = [rows for p in parents for rows in augment(m, [p], plans, a, connected)]
+                        want = sorted(rows for p in parents for rows in augment(m, [p], plans, a, connected))
                         assert augment(m, parents, plans, a, connected) == want, (augment, m, a, connected)
 
     def test_pure_augment_calls_no_compiled_entry(self, oracle6, rng, monkeypatch):

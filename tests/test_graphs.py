@@ -79,9 +79,17 @@ class TestConstruction:
             Graph(0).degree(0)
 
     def test_immutable(self):
-        g = cycle(5)
-        with pytest.raises(AttributeError):
-            g.n = 3
+        """Graphs from every constructor refuse to set or delete a slot, or
+        to gain an attribute, and keep their rows."""
+        rows = cycle(5).adj
+        graphs = [Graph(5, rows), Graph.trusted(5, rows), Graph.from_edges(5, cycle(5).edge_list()), parse_graph6("Dhc")]
+        for g in graphs:
+            for name in ("n", "adj", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(g, name, 3)
+                with pytest.raises(AttributeError):
+                    delattr(g, name)
+            assert (g.n, g.adj) == (5, rows)
 
 
 class TestGraph6:

@@ -75,6 +75,8 @@ class TestCliqueIndependence:
             alpha, ind = independence_number(g)
             assert len(ind) == alpha
             assert all(not g.has_edge(u, v) for u, v in itertools.combinations(ind, 2))
+            # the kernel's complement rows give the complement Graph's witness
+            assert (alpha, ind) == clique_number(g.complement())
 
 
 class TestChromatic:
@@ -112,16 +114,16 @@ class TestChromatic:
 
 
 def test_sandwich_bounds_exhaustive(oracle7):
-    """omega <= chi <= max_degree + 1 and alpha(g) = omega(complement) on
-    every isomorphism class with up to 7 vertices."""
+    """omega <= chi <= max_degree + 1 and alpha(g) = omega(complement),
+    witness included, on every isomorphism class with up to 7 vertices."""
     for n, reps in oracle7.items():
         for g in reps:
             omega, _ = clique_number(g)
             chi, _ = chromatic_number(g)
             assert omega <= chi <= g.max_degree() + 1 or g.n == 0
-            alpha, _ = independence_number(g)
+            alpha, independent = independence_number(g)
             assert alpha == brute_clique_number(g.complement()) if n <= 5 else True
-            assert alpha == clique_number(g.complement())[0]
+            assert (alpha, independent) == clique_number(g.complement())
 
 
 class TestOddHoles:

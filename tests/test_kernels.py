@@ -230,6 +230,29 @@ def test_odd_hole_backends_agree_and_search_the_complement(oracle7, rng):
             assert hole is None and anti is None, g
 
 
+def test_max_clique_backends_agree_and_search_the_complement(oracle7, rng):
+    # the cycle-search inputs, sparse connected graphs on 17-40 vertices
+    # (a maximum independent set of a sparse graph on more is a long pure
+    # search) and the dense graphs: complement=True is the search on the
+    # complement's rows on either backend, the compiled entry gives the
+    # pure answer in both modes, and any truth value selects the mode
+    graphs = cycle_search_graphs(oracle7, rng) + dense_graphs(rng)
+    graphs += [sparse_connected_graph(rng, rng.randrange(17, 41), rng.randrange(0, 6)) for _ in range(10)]
+    for g in graphs:
+        rows = g.complement().adj
+        alpha = kernels.pure_max_clique(g.n, g.adj, True)
+        assert alpha == kernels.pure_max_clique(g.n, rows), g
+        for max_clique in MAX_CLIQUES:
+            assert max_clique(g.n, g.adj, True) == alpha, (max_clique, g)
+            assert max_clique(g.n, g.adj, False) == max_clique(g.n, g.adj) == max_clique(g.n, rows, True), g
+    c5 = pattern_graph("C5")
+    edge, gap = kernels.pure_max_clique(c5.n, c5.adj), kernels.pure_max_clique(c5.n, c5.complement().adj)
+    for max_clique in MAX_CLIQUES:
+        for falsy, truthy in ((0, 1), ((), "x"), (None, [0])):
+            assert max_clique(c5.n, c5.adj, falsy) == edge
+            assert max_clique(c5.n, c5.adj, truthy) == gap
+
+
 @compiled_only
 def test_compiled_graph6_matches_pure(oracle7, rng):
     # every class on at most 7 vertices, the graphs of the tests above and
@@ -384,6 +407,26 @@ def test_canon_form_matches_full_signature_refinement(oracle7, rng):
             assert canon_form(g.n, g.adj) == want, (canon_form, g)
 
 
+def test_canon_form_keys_past_eight_fragments(rng):
+    # graphs with at least 10 distinct degrees, relabelled, on 24-64
+    # vertices: the first refinement round splits the unit cell into one
+    # fragment per degree, so the second keys each vertex by its counts in
+    # at least 9 split fragments (every fragment but the last), more than
+    # the 8 a packed key holds.  The compiled labelling gives the pure rows
+    # and perm there, and every relabelling the same rows
+    graphs = [random_graph(rng, rng.randrange(24, 65), rng.choice([0.3, 0.5, 0.7])) for _ in range(40)]
+    graphs = [g for g in graphs if len(set(g.degrees())) >= 10]
+    assert len(graphs) >= 30
+    for g in graphs:
+        copies = [g] + [permuted(rng, g)[0] for _ in range(2)]
+        rows = kernels.pure_canon_form(g.n, g.adj)[0]
+        for h in copies:
+            want = kernels.pure_canon_form(h.n, h.adj)
+            assert want[0] == rows, h
+            for canon_form in CANON_FORMS[1:]:
+                assert canon_form(h.n, h.adj) == want, h
+
+
 def canon_digest(rng, canon_forms):
     """sha256 of each canon_form's (rows, perm) on seeded graphs on 8-14
     vertices; the regular ones make the search compare several leaves."""
@@ -448,3 +491,16 @@ def test_compiled_predicates_keep_pure_edges(rng):
     for falsy, truthy in ((0, 1), ((), "x"), (None, [0])):
         assert kernels.odd_hole(c5.n, c5.adj, falsy) == (0, 1, 2, 3, 4)
         assert kernels.odd_hole(c5.n, c5.adj, truthy) == (0, 2, 4, 1, 3)
+    # max_clique takes two arguments or three, the third a truth value that
+    # is asked for after the rows are checked
+    class Unsure:
+        def __bool__(self):
+            raise RuntimeError("no truth value")
+
+    for args in ((c5.n,), (c5.n, c5.adj, True, True)):
+        with pytest.raises(TypeError, match="2 or 3 arguments"):
+            kernels.max_clique(*args)
+    with pytest.raises(ValueError, match="adj row"):
+        kernels.max_clique(c5.n, c5.adj[:-1] + (1 << c5.n,), Unsure())
+    with pytest.raises(RuntimeError, match="no truth value"):
+        kernels.max_clique(c5.n, c5.adj, Unsure())

@@ -12,7 +12,7 @@ from clawlab.invariants import (
     is_perfect,
 )
 from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood
-from clawlab.verify import VerificationReport, _check_obs2, induced_cycles, report_emit, verify
+from clawlab.verify import VerificationReport, _check_obs2, _sorted_rows, induced_cycles, report_emit, verify
 from conftest import brute_oriented_cycles, random_graph
 
 
@@ -174,6 +174,7 @@ def test_campaign_pinned(key):
     theorem, y, max_n = key
     report = verify(theorem, max_n, y)
     assert (report.class_size, len(report.counterexamples)) == CAMPAIGNS[key]
+    assert report_emit(report, "json") == json.dumps(_sorted_rows(report), indent=2)
     if key in COUNTEREXAMPLE_DIGESTS:
         lines = "\n".join(sorted(g6 for g6, _ in report.counterexamples))
         assert hashlib.sha256(lines.encode()).hexdigest() == COUNTEREXAMPLE_DIGESTS[key]
@@ -186,6 +187,22 @@ class TestReportEmit:
     def test_empty_json(self):
         report = VerificationReport("T5_ALPHA3", 6, "P5", 10, [], 0.1)
         assert report_emit(report, "json") == "[]"
+
+    def test_json_is_the_indented_dumps(self):
+        """The JSON table is ``json.dumps(rows, indent=2)`` byte for byte:
+        on the smallest campaign with counterexamples (the pinned ones are
+        checked in ``test_campaign_pinned``), on rows whose strings hold
+        backslashes, quotes, control and non-ASCII characters, with no y and
+        an elapsed time json writes in exponent form, and on no rows."""
+        odd = [("A\\_\"é", 'q"\\☃\n\t x'), ("?", ""), ("~?@c", "\x00\u2028\U0001F600")]
+        reports = [
+            verify("T4_NOALPHA", 6, "C4"),
+            VerificationReport("T5_ALPHA3", 6, None, 10, odd, 2.5e16),
+            VerificationReport("T5_ALPHA3", 6, "P5", 10, [], 0.1),
+        ]
+        for report in reports:
+            assert report_emit(report, "json") == json.dumps(_sorted_rows(report), indent=2), report
+        assert report_emit(reports[-1], "json") == "[]"
 
     def test_empty_csv_header_only(self):
         report = VerificationReport("T5_ALPHA3", 6, "P5", 10, [], 0.1)
