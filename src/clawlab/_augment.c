@@ -1,7 +1,7 @@
 /* Compiled kernels for clawlab: canonical augmentation, the per-graph
    predicates and the graph6 encoder.
 
-   Seven entries, all METH_FASTCALL:
+   Eight entries, all METH_FASTCALL:
 
    canon_form(n, adj) -> (rows, perm)
        The same canonical relabelling as the pure kernels.canon_form:
@@ -43,6 +43,13 @@
    induced_cycles(n, adj, min_len, max_len) -> [tuple, ...]
        The pure kernels.induced_cycles: the same cycles in the same order
        and orientation.
+
+   bad_cycle_neighborhoods(n, adj) -> [(cycle, x), ...]
+       The pure kernels.bad_cycle_neighborhoods: for each induced cycle of
+       length >= 5, in the order of induced_cycles, each vertex x off it,
+       ascending, whose neighbourhood on it is not K2, P3, P4, C5 or 2K2
+       (Observation 2).  It runs the same grower with a third leaf, which
+       applies the rule of kernels.neighborhood_shape to each cycle closed.
 
    odd_hole(n, adj, complement) -> tuple or None
        The pure kernels.odd_hole: the shortest odd induced cycle of length
@@ -1105,28 +1112,78 @@ static int dsatur(Colouring *cl, int max_used)
     return 0;
 }
 
+/* What close_cycle does with each cycle the grower closes. */
+enum Leaf { LIST_CYCLES, ODD_HOLE, BAD_NEIGHBOURS };
+
 typedef struct {
     const word *adj;
     long min_len, bound;
+    enum Leaf leaf;
     uint8_t path[MAXN];
-    PyObject *out;     /* the cycles' list, or NULL: the odd-hole leaf */
-    int hole;          /* the length of the last odd cycle met, or 0 */
+    PyObject *out;     /* the list LIST_CYCLES and BAD_NEIGHBOURS append to */
+    int hole;          /* ODD_HOLE: the length of the last odd cycle met, or 0 */
     uint8_t best[MAXN]; /* that cycle */
 } Cycles;
 
+/* Whether nb, the neighbours of a vertex on the induced cycle cmask of len
+   vertices, is OTHER by kernels.neighborhood_shape: all of the cycle on
+   more than five vertices, more than four vertices, or a vertex with no
+   neighbour in nb.  Any other nb is NONE (empty), K2, P3, P4, C5 or 2K2. */
+static int bad_shape(const word *adj, word cmask, int len, word nb)
+{
+    if (nb == cmask)
+        return len != 5;
+    if (popc(nb) > 4)
+        return 1;
+    for (word m = nb; m; m &= m - 1)
+        if (!(adj[low_index(m)] & nb))
+            return 1;
+    return 0;
+}
+
+/* kernels.bad_cycle_neighborhoods's leaf: append (cycle, x) to out for each
+   vertex x off the cycle path[0..len - 1] with a bad shape on it, x
+   ascending, one cycle tuple shared by its pairs.  0, or -1 on error. */
+static int list_bad(Cycles *cy, int len)
+{
+    const word *adj = cy->adj;
+    word cmask = 0, around = 0;
+    for (int i = 0; i < len; i++) {
+        cmask |= (word)1 << cy->path[i];
+        around |= adj[cy->path[i]];
+    }
+    PyObject *cycle = NULL;
+    int rc = 0;
+    for (word m = around & ~cmask; m && rc == 0; m &= m - 1) {
+        int x = low_index(m);
+        if (!bad_shape(adj, cmask, len, adj[x] & cmask))
+            continue;
+        if (cycle == NULL && (cycle = index_tuple(len, cy->path)) == NULL)
+            return -1;
+        PyObject *pair = Py_BuildValue("(Oi)", cycle, x);
+        rc = pair ? PyList_Append(cy->out, pair) : -1;
+        Py_XDECREF(pair);
+    }
+    Py_XDECREF(cycle);
+    return rc;
+}
+
 /* The leaf for the path closed by v: append the cycle to out as a tuple
-   or, with no out, keep an odd cycle and lower the bound to its length
-   less two (kernels.odd_hole).  1 when the bound is now below min_len, 0
-   to go on, -1 on error. */
+   (LIST_CYCLES), append its bad neighbourhoods to out (BAD_NEIGHBOURS), or
+   keep an odd cycle and lower the bound to its length less two (ODD_HOLE,
+   kernels.odd_hole).  1 when the bound is now below min_len, 0 to go on,
+   -1 on error. */
 static int close_cycle(Cycles *cy, int depth, int v)
 {
     cy->path[depth] = (uint8_t)v;
-    if (cy->out) {
+    if (cy->leaf == LIST_CYCLES) {
         PyObject *cycle = index_tuple(depth + 1, cy->path);
         int rc = cycle ? PyList_Append(cy->out, cycle) : -1;
         Py_XDECREF(cycle);
         return rc;
     }
+    if (cy->leaf == BAD_NEIGHBOURS)
+        return list_bad(cy, depth + 1);
     if (depth % 2 == 0) {
         cy->hole = depth + 1;
         memcpy(cy->best, cy->path, depth + 1);
@@ -1226,7 +1283,20 @@ static PyObject *py_induced_cycles(PyObject *self, PyObject *const *args, Py_ssi
     long n = read_graph(args, nargs, 4, "induced_cycles(n, adj, min_len, max_len)", adj);
     if (n < 0 || read_int(args[2], &min_len, "min_len") < 0 || read_int(args[3], &max_len, "max_len") < 0)
         return NULL;
-    Cycles cy = {.adj = adj, .min_len = min_len < 3 ? 3 : min_len, .bound = max_len, .out = PyList_New(0)};
+    Cycles cy = {.adj = adj, .min_len = min_len < 3 ? 3 : min_len, .bound = max_len, .leaf = LIST_CYCLES,
+                 .out = PyList_New(0)};
+    if (cy.out && cycles_from(&cy, (int)n) < 0)
+        Py_CLEAR(cy.out);
+    return cy.out;
+}
+
+static PyObject *py_bad_cycle_neighborhoods(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word adj[MAXN];
+    long n = read_graph(args, nargs, 2, "bad_cycle_neighborhoods(n, adj)", adj);
+    if (n < 0)
+        return NULL;
+    Cycles cy = {.adj = adj, .min_len = 5, .bound = n, .leaf = BAD_NEIGHBOURS, .out = PyList_New(0)};
     if (cy.out && cycles_from(&cy, (int)n) < 0)
         Py_CLEAR(cy.out);
     return cy.out;
@@ -1238,7 +1308,7 @@ static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t n
     long n = read_graph(args, nargs, 3, "odd_hole(n, adj, complement)", adj);
     if (n < 0 || complement_if(args[2], n, adj) < 0)
         return NULL;
-    Cycles cy = {.adj = adj, .min_len = 5, .bound = n};
+    Cycles cy = {.adj = adj, .min_len = 5, .bound = n, .leaf = ODD_HOLE};
     cycles_from(&cy, (int)n); /* the odd-hole leaf cannot fail */
     if (!cy.hole)
         Py_RETURN_NONE;
@@ -1299,6 +1369,10 @@ static PyMethodDef methods[] = {
     {"induced_cycles", (PyCFunction)(void (*)(void))py_induced_cycles, METH_FASTCALL,
      "induced_cycles(n, adj, min_len, max_len) -> list of tuples: every induced cycle of\n"
      "min_len..max_len vertices, as the pure kernels.induced_cycles."},
+    {"bad_cycle_neighborhoods", (PyCFunction)(void (*)(void))py_bad_cycle_neighborhoods, METH_FASTCALL,
+     "bad_cycle_neighborhoods(n, adj) -> list of (cycle, x): each vertex x off an induced cycle of\n"
+     "length >= 5 whose neighbourhood on it is not K2, P3, P4, C5 or 2K2, as the pure\n"
+     "kernels.bad_cycle_neighborhoods."},
     {"odd_hole", (PyCFunction)(void (*)(void))py_odd_hole, METH_FASTCALL,
      "odd_hole(n, adj, complement) -> tuple or None: the shortest odd hole, lex-least, of the graph\n"
      "or of its complement, as the pure kernels.odd_hole."},

@@ -9,12 +9,16 @@ candidates and calls a leaf action on each: it serves ``has_induced``,
 ``extension_obstructions``.  It takes the images of a pattern's twins in
 ascending order, which changes no answer.  One cycle grower
 (``_grow_cycles``) has two leaves: ``induced_cycles`` lists every cycle
-it closes, for ``find_induced_cycle`` and ``verify.induced_cycles``, and
-``odd_hole`` keeps each odd cycle, which lowers the length bound, and
-answers with the last, for the odd-hole search of ``invariants`` and, on
-the complement's rows it builds itself, its odd-antihole search, one
-pass each.  A pattern's search plans and orbits are computed once and
-cached (``_plan``, ``_search_plans``).  Hereditary pruning does not
+it closes, for ``find_induced_cycle``, ``verify.induced_cycles`` and
+``bad_cycle_neighborhoods``, and ``odd_hole`` keeps each odd cycle, which
+lowers the length bound, and answers with the last, for the odd-hole
+search of ``invariants`` and, on the complement's rows it builds itself,
+its odd-antihole search, one pass each.  ``bad_cycle_neighborhoods``, the
+check of Observation 2, puts each cycle of length >= 5 and each vertex
+next to it through ``neighborhood_shape``, the one Python rule that
+``patterns.classify_cycle_neighborhood`` also applies.  A pattern's
+search plans and orbits are computed once and cached (``_plan``,
+``_search_plans``).  Hereditary pruning does not
 search each extension: ``extension_obstructions`` lists, once per parent,
 the pattern copies a new vertex could complete as bitmask pairs tested
 against its neighbourhood, one listing per orbit of the pattern, by
@@ -35,21 +39,24 @@ canonical rows of its one-vertex extensions, labelled by
 ``pure_canon_form``, and the next level, those rows sorted.  ``max_clique``
 and ``odd_hole`` build the complement's rows themselves when asked, so no
 caller makes a complement ``Graph`` for them.  ``canon_form``,
-``max_clique``, ``color_with``, ``induced_cycles``, ``odd_hole``,
-``graph6`` and ``augment`` are bound to the pure entries, and when the
-optional C extension ``clawlab._augment`` imports (``setup.py build_ext
---inplace`` builds it from ``_augment.c`` where a C compiler is found) to
-its seven entries instead
-(``find_induced_cycle`` and ``verify.induced_cycles`` then run the
-compiled grower, which has the same two leaves and makes no Python call,
-and ``graphs.to_graph6``, one call of ``graph6``, the compiled encoder),
-and ``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.  Nothing else
-selects a backend: no option, no environment variable.  Both give the same
-results bit for bit, and both run one algorithm step for step;
-``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
-``pure_induced_cycles``, ``pure_odd_hole``, ``pure_graph6`` (the pure
-encoder ``graphs.encode_graph6``) and ``pure_augment`` keep the pure
-entries as the references the compiled ones are tested against.  The
+``max_clique``, ``color_with``, ``induced_cycles``,
+``bad_cycle_neighborhoods``, ``odd_hole``, ``graph6`` and ``augment`` are
+bound to the pure entries, and when the optional C extension
+``clawlab._augment`` imports (``setup.py build_ext --inplace`` builds it
+from ``_augment.c`` where a C compiler is found) to its eight entries
+instead, and ``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.  Then
+``find_induced_cycle`` and ``verify.induced_cycles`` run the compiled
+grower, which makes no Python call and has three leaves: the list, the
+odd hole, and the bad neighbourhoods, which applies the rule of
+``neighborhood_shape`` in C to each cycle it closes; and
+``graphs.to_graph6``, one call of ``graph6``, runs the compiled encoder.
+Nothing else selects a backend: no option, no environment variable.  Both
+give the same results bit for bit, and both run one algorithm step for
+step; ``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
+``pure_induced_cycles``, ``pure_bad_cycle_neighborhoods``,
+``pure_odd_hole``, ``pure_graph6`` (the pure encoder
+``graphs.encode_graph6``) and ``pure_augment`` keep the pure entries as
+the references the compiled ones are tested against.  The
 compiled entries take only ``n`` in 0..64, ints and rows with no bit at
 ``n`` or above, and ``augment`` only plans of at most 15 positions,
 degrees up to 16 and up, down and ``after`` positions earlier than their
@@ -465,6 +472,69 @@ def _grow_cycles(n, adj, min_len, max_len, odd):
     return found
 
 
+# On an induced cycle C each vertex has two neighbours on C, so N = N(x) on
+# C, short of all of C, induces disjoint paths (runs), and each v in N has
+# 0, 1 or 2 neighbours in N.  With no v isolated in N and |N| <= 4, the runs
+# have 2 to 4 vertices: two ends (a v with one neighbour in N) make one run
+# of |N| vertices, four ends make two runs of 2.  No vertex order is needed.
+_ONE_RUN = ("K2", "P3", "P4")
+
+
+def neighborhood_shape(adj, cmask, length, nb):
+    """The shape that ``nb``, the neighbours of a vertex x on the induced
+    cycle ``cmask`` of ``length`` vertices (host rows ``adj``), induces, as
+    a ``patterns.NeighborhoodShape`` value:
+
+    - ``"NONE"`` when ``nb`` is empty;
+    - all of the cycle: ``"C5"`` on five vertices, ``"OTHER"`` on more;
+    - ``"OTHER"`` for more than four vertices, or for a vertex of ``nb``
+      with no neighbour in ``nb``;
+    - otherwise two ends (vertices with one neighbour in ``nb``) give
+      ``"K2"``, ``"P3"`` or ``"P4"`` by ``|nb|``, and four give ``"2K2"``.
+
+    Trusted: nothing is checked, so the cycle must be induced and x off it.
+    This is the one Python rule of Observation 2: ``patterns`` names its
+    answers and the pure ``bad_cycle_neighborhoods`` lists the ``"OTHER"``
+    ones."""
+    if not nb:
+        return "NONE"
+    if nb == cmask:
+        return "C5" if length == 5 else "OTHER"
+    size = nb.bit_count()
+    if size > 4:
+        return "OTHER"
+    ends = 0
+    rest = nb
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        inside = (adj[low.bit_length() - 1] & nb).bit_count()
+        if not inside:
+            return "OTHER"
+        ends += inside == 1
+    return _ONE_RUN[size - 2] if ends == 2 else "2K2"
+
+
+def bad_cycle_neighborhoods(n, adj):
+    """The ``(cycle, x)`` pairs that break Observation 2: for each induced
+    cycle of length >= 5, in the order of ``induced_cycles``, each vertex
+    ``x`` off it, ascending, with a neighbour on it and a shape there other
+    than K2, P3, P4, C5 or 2K2 (``neighborhood_shape`` gives ``"OTHER"``).
+    A claw-free graph has none.  This is the pure entry, the pure grower's
+    cycles put through the rule; the compiled one applies the rule as a
+    leaf of its grower."""
+    out = []
+    for cycle in _grow_cycles(n, adj, 5, n, False):
+        cmask = around = 0
+        for v in cycle:
+            cmask |= 1 << v
+            around |= adj[v]
+        for x in vertices_of(around & ~cmask):
+            if neighborhood_shape(adj, cmask, len(cycle), adj[x] & cmask) == "OTHER":
+                out.append((cycle, x))
+    return out
+
+
 def find_induced_cycle(n, adj, length):
     """Lexicographically least induced cycle of exactly ``length``, or None,
     oriented as in ``induced_cycles``."""
@@ -838,6 +908,7 @@ pure_canon_form = canon_form
 pure_max_clique = max_clique
 pure_color_with = color_with
 pure_induced_cycles = induced_cycles
+pure_bad_cycle_neighborhoods = bad_cycle_neighborhoods
 pure_odd_hole = odd_hole
 pure_graph6 = graph6 = encode_graph6
 augment = pure_augment
@@ -851,6 +922,7 @@ else:
     max_clique = _augment.max_clique
     color_with = _augment.color_with
     induced_cycles = _augment.induced_cycles
+    bad_cycle_neighborhoods = _augment.bad_cycle_neighborhoods
     odd_hole = _augment.odd_hole
     graph6 = _augment.graph6
     augment = _augment.augment

@@ -130,36 +130,13 @@ class NeighborhoodShape(Enum):
     OTHER = "OTHER"
 
 
-# On an induced cycle C each vertex has two neighbours on C, so N = N(x) on
-# C, short of all of C, induces disjoint paths (runs), and each v in N has
-# 0, 1 or 2 neighbours in N.  With no v isolated in N and |N| <= 4, the runs
-# have 2 to 4 vertices: two ends (a v with one neighbour in N) make one run
-# of |N| vertices, four ends make two runs of 2.  No vertex order is needed.
-_ONE_RUN = (NeighborhoodShape.K2, NeighborhoodShape.P3, NeighborhoodShape.P4)
-
-
 def cycle_neighborhood_shape(adj, cmask: int, length: int, nb: int) -> NeighborhoodShape:
     """Shape of ``nb`` = N(x) on the induced cycle ``cmask`` of ``length``
     vertices in the host rows ``adj``, by the rule of
-    ``classify_cycle_neighborhood``.  Trusted: nothing is checked, so the
-    cycle must be induced and ``x`` off it."""
-    if not nb:
-        return NeighborhoodShape.NONE
-    if nb == cmask:
-        return NeighborhoodShape.C5 if length == 5 else NeighborhoodShape.OTHER
-    size = nb.bit_count()
-    if size > 4:
-        return NeighborhoodShape.OTHER
-    ends = 0
-    rest = nb
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        inside = (adj[low.bit_length() - 1] & nb).bit_count()
-        if not inside:
-            return NeighborhoodShape.OTHER
-        ends += inside == 1
-    return _ONE_RUN[size - 2] if ends == 2 else NeighborhoodShape.TWO_K2
+    ``classify_cycle_neighborhood`` (``kernels.neighborhood_shape``).
+    Trusted: nothing is checked, so the cycle must be induced and ``x`` off
+    it."""
+    return NeighborhoodShape(kernels.neighborhood_shape(adj, cmask, length, nb))
 
 
 def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:

@@ -19,18 +19,10 @@ from json.encoder import encode_basestring_ascii
 
 from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs
-from clawlab.graphs import Graph, bitset_of, to_graph6, vertices_of
+from clawlab.graphs import Graph, bitset_of, to_graph6
 from clawlab.invariants import _chromatic_from, find_odd_antihole, is_perfect
-from clawlab.patterns import NeighborhoodShape, cycle_neighborhood_shape
+from clawlab.patterns import cycle_neighborhood_shape
 from clawlab.structure import TheoremViolation, VerdictKind, classify_claw_bull_free, olariu_classify
-
-_GOOD_SHAPES = (
-    NeighborhoodShape.K2,
-    NeighborhoodShape.P3,
-    NeighborhoodShape.P4,
-    NeighborhoodShape.C5,
-    NeighborhoodShape.TWO_K2,
-)
 
 
 @dataclass
@@ -117,18 +109,14 @@ def _check_c5_free(g: Graph):
 
 
 def _check_obs2(g: Graph):
-    # the grower yields induced cycles only, so the trusted rule needs no check
+    # one kernel call lists the violations; the classifier's rule names
+    # each one's shape
     adj = g.adj
     reasons = []
-    for cycle in induced_cycles(g, 5):
+    for cycle, x in kernels.bad_cycle_neighborhoods(g.n, adj):
         cmask = bitset_of(cycle)
-        around = 0
-        for v in cycle:
-            around |= adj[v]
-        for x in vertices_of(around & ~cmask):
-            shape = cycle_neighborhood_shape(adj, cmask, len(cycle), adj[x] & cmask)
-            if shape not in _GOOD_SHAPES:
-                reasons.append(f"cycle {list(cycle)}, vertex {x}: shape {shape.value}")
+        shape = cycle_neighborhood_shape(adj, cmask, len(cycle), adj[x] & cmask)
+        reasons.append(f"cycle {list(cycle)}, vertex {x}: shape {shape.value}")
     return reasons
 
 

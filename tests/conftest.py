@@ -85,6 +85,16 @@ def cycle_search_graphs(oracle7, rng):
     return graphs + perturbed_inflations(rng, 120, 6, 18)
 
 
+def sparse_connected_graph(rng, n, chords):
+    """A random tree on n vertices plus ``chords`` random edges: few
+    induced cycles and an exact colouring search that stays small, so the
+    pure entries answer every query on it up to the 64-vertex capacity."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.from_edges(n, sorted(edges))
+
+
 def perturbed_inflations(rng, count, spread, max_n):
     """``count`` seeded inflations C[n1..nk] with k = 4..3+spread (cycling)
     on at most ``max_n`` vertices, relabelled, every other one with one

@@ -5,8 +5,8 @@ ending the session.  Every entry takes ints and rows and returns values;
 none takes a callable.  Its agreement with the pure code is checked in
 ``test_kernels.py`` (``canon_form``, ``max_clique``, ``color_with``,
 ``induced_cycles``, ``odd_hole`` and ``graph6`` against their ``pure_``
-entries) and ``test_enumeration.py`` (``augment`` against
-``pure_augment``).
+entries), ``test_verify.py`` (``bad_cycle_neighborhoods``) and
+``test_enumeration.py`` (``augment`` against ``pure_augment``).
 """
 
 import json
@@ -136,6 +136,28 @@ def graph6_case():
     return may_reject(_augment.graph6, rng.choice([n, bad]), rng.choice([odd, odd, 7, None]))
 
 
+def bad_cycles_case():
+    # up to 64 vertices for the rejected calls, up to 12 for the answered
+    # ones, whose cycle search grows with n
+    kind = rng.randrange(5)
+    n = rng.randrange(0, 65 if kind < 3 else 13)
+    adj = rows(n)
+    fn = _augment.bad_cycle_neighborhoods
+    if kind == 0:
+        return must_reject(fn, "n must", rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)]), adj)
+    if kind == 1 and n:
+        return must_reject(fn, "adj row", n, corrupted(adj, n))
+    if kind == 2:
+        return must_reject(fn, "adj must hold", n, adj[:-1] if n and rng.random() < 0.5 else adj + (0,))
+    # loops and one-sided rows are within range: answered, not crashed
+    odd = tuple(row | rng.getrandbits(n) & rng.getrandbits(n) for row in adj) if n else adj
+    if kind == 3:
+        fn(n, odd)
+        return "answered"
+    args = [rng.choice([n, None, 1.5]), rng.choice([odd, 7, None])]
+    return may_reject(fn, *rng.choice([args, args[:1], args + [0]]))
+
+
 def random_plan(k):
     # a well-formed plan on k positions, seldom one a pattern gives
     return (
@@ -238,7 +260,11 @@ def augment_case():
     return may_reject(_augment.augment, *call)
 
 
-print(json.dumps({"augment_canon": tally_of([augment_case, canon_case], 3000), "graph6": tally_of([graph6_case], 1500)}))
+print(json.dumps({
+    "augment_canon": tally_of([augment_case, canon_case], 3000),
+    "graph6": tally_of([graph6_case], 1500),
+    "bad_cycles": tally_of([bad_cycles_case], 1500),
+}))
 """
 
 PREDICATES_MALFORMED = PRELUDE + r"""
@@ -308,6 +334,7 @@ def run(canon_calls, augment_calls, predicate_calls):
         _augment.color_with(n, g, omega)
         _augment.color_with(n, g, omega - 1)
         _augment.induced_cycles(n, g, 3, n)
+        _augment.bad_cycle_neighborhoods(n, g)
         _augment.odd_hole(n, g, False)
         _augment.odd_hole(n, g, True)
         _augment.graph6(n, g)
@@ -317,6 +344,10 @@ def run(canon_calls, augment_calls, predicate_calls):
             pass
         try:
             _augment.graph6(n, g[:-1])
+        except ValueError:
+            pass
+        try:
+            _augment.bad_cycle_neighborhoods(n, g[:-1] + (1 << n,))
         except ValueError:
             pass
 
@@ -342,13 +373,16 @@ def test_malformed_input_is_rejected_not_crashed():
     # count, parents or plans of the wrong type, a plan of unequal fields,
     # over 15 positions, a degree over 16 or a position not earlier than
     # its own, and negative min_alpha raise ValueError about that field,
-    # in augment, canon_form and graph6; the rest of the malformed calls
+    # in augment, canon_form, graph6 and bad_cycle_neighborhoods (each of
+    # the last two with its own tally); the rest of the malformed calls
     # raise, and the well-typed odd ones (loops and one-sided rows among
     # them) and well-formed plans no pattern gives are answered
     tally = run_child(MALFORMED, 20261018)
     pair, g6 = tally["augment_canon"], tally["graph6"]
     assert pair["rejected"] > 2000 and pair["answered"] > 100, tally
     assert g6["rejected"] > 1200 and g6["answered"] > 80, tally
+    bad = tally["bad_cycles"]
+    assert bad["rejected"] > 1000 and bad["answered"] > 250, tally
 
 
 def test_predicates_reject_malformed_input_and_keep_visit_errors():
@@ -363,8 +397,8 @@ def test_long_runs_keep_memory_flat():
     # 100k canon_form and 10k augment calls (plus 10k rejected ones, by a
     # bad parent after a good one or by a bad plan), and 10k rounds of the
     # predicates (a clique and an independent set, two colourings, a full
-    # cycle search, the odd hole and odd antihole searches, a graph6 string
-    # and two rejected calls) on 6-12 vertex graphs after
-    # warm-up: the peak RSS grows by at most 1 MiB
+    # cycle search, the bad cycle neighbourhoods, the odd hole and odd
+    # antihole searches, a graph6 string and three rejected calls) on 6-12
+    # vertex graphs after warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from conftest import (
     plain_embeddings,
     random_graph,
     random_regular_graph,
+    sparse_connected_graph,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,11 +89,21 @@ def test_compiled_backend_builds_where_gcc_is_found():
     assert _compiled_imports(), f"setup.py build_ext did not build clawlab._augment:\n{BUILD.stderr}"
 
 
+def compiled_entry_names():
+    """The entry names of ``_augment.c``'s ``methods[]`` table, in order."""
+    source = (ROOT / "src" / "clawlab" / "_augment.c").read_text()
+    table = source[source.index("static PyMethodDef methods[] = {") : source.index("{NULL, NULL, 0, NULL}")]
+    return re.findall(r'^\s*\{"(\w+)",', table, re.MULTILINE)
+
+
 def test_predicates_follow_the_backend():
-    # the compiled entries are bound exactly when the extension is
+    # each entry of the compiled table has a pure_ twin in kernels, and the
+    # compiled entries are bound exactly when the extension is
     compiled = kernels.BACKEND == "c"
-    for name in ("max_clique", "color_with", "induced_cycles", "odd_hole", "graph6", "augment"):
-        assert (getattr(kernels, name) is getattr(kernels, f"pure_{name}")) == (not compiled)
+    names = compiled_entry_names()
+    assert {"canon_form", "augment", "bad_cycle_neighborhoods"} <= set(names), names
+    for name in names:
+        assert (getattr(kernels, name) is getattr(kernels, f"pure_{name}")) == (not compiled), name
 
 
 def test_bench_entry_points():
@@ -156,16 +168,6 @@ def test_find_induced_cycle_brute_force(rng, monkeypatch):
                 got = kernels.find_induced_cycle(g.n, g.adj, length)
                 want = brute_oriented_cycles(g, length)
                 assert got == (want[0] if want else None)
-
-
-def sparse_connected_graph(rng, n, chords):
-    """A random tree on n vertices plus ``chords`` random edges: few
-    induced cycles and an exact colouring search that stays small, so the
-    pure entries answer every query on it up to the 64-vertex capacity."""
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    while len(edges) < n - 1 + chords:
-        edges.add(tuple(sorted(rng.sample(range(n), 2))))
-    return Graph.from_edges(n, sorted(edges))
 
 
 def sparse_graphs(oracle7, rng):

@@ -3,17 +3,19 @@ import json
 
 import pytest
 
+from clawlab import kernels
 from clawlab.canon import is_isomorphic
 from clawlab.families import FamilySpec, build_family
-from clawlab.graphs import bitset_of, parse_graph6
+from clawlab.graphs import Graph, bitset_of, parse_graph6
 from clawlab.invariants import (
     chromatic_number,
     clique_number,
     is_perfect,
 )
-from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood
+from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood, has_induced
 from clawlab.verify import VerificationReport, _check_obs2, _sorted_rows, induced_cycles, report_emit, verify
-from conftest import brute_oriented_cycles, random_graph
+from conftest import brute_oriented_cycles, permuted, perturbed_inflations, random_graph, sparse_connected_graph
+from test_enumeration import _claw_free_extensions
 
 
 def test_submodule_import_binds_module():
@@ -134,6 +136,41 @@ def test_obs2_check_matches_classifier_loop(oracle7):
             assert _check_obs2(g) == want, g
             failing += bool(want)
     assert failing == 99
+
+
+def _obs2_inputs(oracle7, rng):
+    """Every class on at most 7 vertices, every claw-free class on at most
+    8 (the completeness test's closure, disconnected ones included) and
+    seeded relabelled graphs on 9-64 vertices that hold claws: random
+    graphs on 9-16 vertices, toggled cycle inflations on 9-24 and trees
+    with up to five chords on 17-64."""
+    closure = _claw_free_extensions()
+    certs = sorted({(n, cert) for n, level in closure.items() for kids in level.values() for _, cert in kids})
+    claw_free = [Graph.trusted(n, cert) for n, cert in certs]
+    seeded = [random_graph(rng, rng.randrange(9, 17), rng.choice([0.2, 0.35, 0.5])) for _ in range(80)]
+    seeded += [g for g in perturbed_inflations(rng, 80, 6, 24) if g.n >= 9]
+    seeded += [sparse_connected_graph(rng, rng.randrange(17, 65), rng.randrange(0, 6)) for _ in range(40)]
+    clawed = [h for h in (permuted(rng, g)[0] for g in seeded) if has_induced(h, "K1_3")]
+    return [g for reps in oracle7.values() for g in reps], claw_free, clawed
+
+
+def test_bad_cycle_neighborhoods_match_pure_and_classifier(oracle7, rng):
+    # the compiled list equals the pure one exactly, and its pairs are the
+    # classifier loop's, in order, each of shape OTHER: 99 classes on at
+    # most 7 vertices have one, no claw-free class on at most 8 has one,
+    # and most of the seeded graphs with claws have one
+    small, claw_free, clawed = _obs2_inputs(oracle7, rng)
+    assert len(claw_free) > 1500 and len(clawed) >= 120, (len(claw_free), len(clawed))
+    flagged = []
+    for graphs in (small, claw_free, clawed):
+        flagged.append(0)
+        for g in graphs:
+            pairs = kernels.pure_bad_cycle_neighborhoods(g.n, g.adj)
+            assert kernels.bad_cycle_neighborhoods(g.n, g.adj) == pairs, g
+            want = _obs2_by_classifier(g)
+            assert [f"cycle {list(cycle)}, vertex {x}: shape OTHER" for cycle, x in pairs] == want, g
+            flagged[-1] += bool(pairs)
+    assert flagged[:2] == [99, 0] and flagged[2] > len(clawed) // 2, flagged
 
 
 # (theorem, y, max_n) -> (class_size, counterexample rows), as first measured
