@@ -1,7 +1,7 @@
 /* Compiled kernels for clawlab: canonical augmentation, the per-graph
-   predicates and the graph6 encoder.
+   predicates, the per-level screens and the graph6 encoder.
 
-   Eight entries, all METH_FASTCALL:
+   Nine entries, all METH_FASTCALL:
 
    canon_form(n, adj) -> (rows, perm)
        The same canonical relabelling as the pure kernels.canon_form:
@@ -62,14 +62,25 @@
        the same bits (the low c bits of row c), built in a fixed buffer of
        at most 4 + 336 bytes.
 
+   flag_level(n, level, test) -> [index, ...]
+       The pure kernels.pure_flag_level: the indices, ascending, of the
+       graphs of one level (row sequences, each on n vertices) that a
+       campaign's check reports.  test 0 flags chi > omega, an odd hole or
+       an odd antihole (verify._check_perfect_class), by expand, dsatur at
+       k = omega and the odd-hole leaf on the graph and on its complement;
+       test 1 flags a bad cycle neighbourhood (verify._check_obs2), by the
+       bad-neighbourhood leaf with no output list, which stops at the first
+       bad pair.  Each graph's rows are read once, and no Python object is
+       made for a cycle or for a graph that passes.
+
    Graphs are vertex counts and per-vertex neighbour bitmasks, one 64-bit
    word per row.  Every input is checked before it is used: an
    out-of-range input raises ValueError and nothing here writes outside
    its arrays.  augment checks each plan once per call, so that its walk
-   reads only what it has written, and each parent when it reaches it; a
-   bad parent ends the call with nothing returned.  The GIL is held
-   throughout, no entry calls back into Python and no state is kept
-   between calls. */
+   reads only what it has written, and each parent when it reaches it, as
+   flag_level reads each graph; a bad parent or graph ends the call with
+   nothing returned.  The GIL is held throughout, no entry calls back into
+   Python and no state is kept between calls. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1120,7 +1131,8 @@ typedef struct {
     long min_len, bound;
     enum Leaf leaf;
     uint8_t path[MAXN];
-    PyObject *out;     /* the list LIST_CYCLES and BAD_NEIGHBOURS append to */
+    PyObject *out;     /* the list LIST_CYCLES and BAD_NEIGHBOURS append to;
+                          NULL stops BAD_NEIGHBOURS at its first pair */
     int hole;          /* ODD_HOLE: the length of the last odd cycle met, or 0 */
     uint8_t best[MAXN]; /* that cycle */
 } Cycles;
@@ -1143,7 +1155,9 @@ static int bad_shape(const word *adj, word cmask, int len, word nb)
 
 /* kernels.bad_cycle_neighborhoods's leaf: append (cycle, x) to out for each
    vertex x off the cycle path[0..len - 1] with a bad shape on it, x
-   ascending, one cycle tuple shared by its pairs.  0, or -1 on error. */
+   ascending, one cycle tuple shared by its pairs.  0, or -1 on error; with
+   no out (flag_level's screen), 1 at the first bad pair, which stops the
+   search. */
 static int list_bad(Cycles *cy, int len)
 {
     const word *adj = cy->adj;
@@ -1158,6 +1172,8 @@ static int list_bad(Cycles *cy, int len)
         int x = low_index(m);
         if (!bad_shape(adj, cmask, len, adj[x] & cmask))
             continue;
+        if (cy->out == NULL)
+            return 1;
         if (cycle == NULL && (cycle = index_tuple(len, cy->path)) == NULL)
             return -1;
         PyObject *pair = Py_BuildValue("(Oi)", cycle, x);
@@ -1169,10 +1185,11 @@ static int list_bad(Cycles *cy, int len)
 }
 
 /* The leaf for the path closed by v: append the cycle to out as a tuple
-   (LIST_CYCLES), append its bad neighbourhoods to out (BAD_NEIGHBOURS), or
-   keep an odd cycle and lower the bound to its length less two (ODD_HOLE,
-   kernels.odd_hole).  1 when the bound is now below min_len, 0 to go on,
-   -1 on error. */
+   (LIST_CYCLES), append its bad neighbourhoods to out (BAD_NEIGHBOURS, or
+   with no out stop at the first), or keep an odd cycle and lower the bound
+   to its length less two (ODD_HOLE, kernels.odd_hole).  1 when the search
+   stops (the bound is now below min_len, or a bad pair with no out), 0 to
+   go on, -1 on error. */
 static int close_cycle(Cycles *cy, int depth, int v)
 {
     cy->path[depth] = (uint8_t)v;
@@ -1232,6 +1249,13 @@ static int cycles_from(Cycles *cy, int n)
     return rc;
 }
 
+/* Replace the rows by the complement's. */
+static void complement_rows(int n, word *adj)
+{
+    for (int v = 0; v < n; v++)
+        adj[v] = all_of(n) & ~adj[v] & ~((word)1 << v);
+}
+
 /* With a truthy flag, replace the rows by the complement's: 0, or -1 with
    an exception set. */
 static int complement_if(PyObject *flag, long n, word *adj)
@@ -1239,8 +1263,8 @@ static int complement_if(PyObject *flag, long n, word *adj)
     int complement = PyObject_IsTrue(flag);
     if (complement < 0)
         return -1;
-    for (int v = 0; complement && v < n; v++)
-        adj[v] = all_of((int)n) & ~adj[v] & ~((word)1 << v);
+    if (complement)
+        complement_rows((int)n, adj);
     return 0;
 }
 
@@ -1315,6 +1339,78 @@ static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t n
     return index_tuple(cy.hole, cy.best);
 }
 
+/* ---- per-level screens ----------------------------------------------- */
+
+/* Whether the graph has an odd hole: the odd-hole leaf on its rows. */
+static int has_odd_hole(int n, const word *adj)
+{
+    Cycles cy = {.adj = adj, .min_len = 5, .bound = n, .leaf = ODD_HOLE};
+    cycles_from(&cy, n); /* the odd-hole leaf cannot fail */
+    return cy.hole != 0;
+}
+
+/* Whether verify._check_perfect_class reports the graph: chi > omega (no
+   colouring with omega colours), an odd hole or an odd antihole.  The
+   rows are complemented in place for the last test. */
+static int imperfect_class(int n, word *adj)
+{
+    if (n == 0)
+        return 0;
+    Clique cq = {adj, 0, 0};
+    expand(&cq, 0, 0, all_of(n));
+    Colouring cl = {adj, popc(cq.best), all_of(n), {0}, {0}};
+    if (!dsatur(&cl, -1) || has_odd_hole(n, adj))
+        return 1;
+    complement_rows(n, adj);
+    return has_odd_hole(n, adj);
+}
+
+/* Whether verify._check_obs2 reports the graph: the bad-neighbourhood
+   leaf with no list, which stops at the first bad pair. */
+static int has_bad_neighbourhood(int n, const word *adj)
+{
+    Cycles cy = {.adj = adj, .min_len = 5, .bound = n, .leaf = BAD_NEIGHBOURS};
+    return cycles_from(&cy, n) > 0; /* with no list the leaf cannot fail */
+}
+
+static PyObject *py_flag_level(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "flag_level(n, level, test) takes 3 arguments");
+        return NULL;
+    }
+    long n = read_small(args[0], 0, MAXN, "n");
+    if (n < 0)
+        return NULL;
+    long test = read_small(args[2], 0, 1, "test");
+    if (test < 0)
+        return NULL;
+    PyObject *level = PySequence_Fast(args[1], "");
+    if (level == NULL) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_ValueError, "level must be a sequence of row sequences");
+        }
+        return NULL;
+    }
+    PyObject *out = PyList_New(0);
+    word adj[MAXN];
+    for (Py_ssize_t i = 0; out && i < PySequence_Fast_GET_SIZE(level); i++) {
+        if (read_rows(PySequence_Fast_GET_ITEM(level, i), n, (int)n, adj, "graph") < 0) {
+            Py_CLEAR(out);
+            break;
+        }
+        if (!(test == 0 ? imperfect_class((int)n, adj) : has_bad_neighbourhood((int)n, adj)))
+            continue;
+        PyObject *index = PyLong_FromSsize_t(i);
+        if (index == NULL || PyList_Append(out, index) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(index);
+    }
+    Py_DECREF(level);
+    return out;
+}
+
 /* graph6 of (n, adj): the header, then column c of the upper triangle
    (the low c bits of adj[c], row 0 first) for c = 1..n-1, packed
    big-endian into 6-bit groups, zero-padded, each group plus 63.  Reads
@@ -1378,11 +1474,15 @@ static PyMethodDef methods[] = {
      "or of its complement, as the pure kernels.odd_hole."},
     {"graph6", (PyCFunction)(void (*)(void))py_graph6, METH_FASTCALL,
      "graph6(n, adj) -> str: the graph6 string of the graph, as the pure kernels.graph6."},
+    {"flag_level", (PyCFunction)(void (*)(void))py_flag_level, METH_FASTCALL,
+     "flag_level(n, level, test) -> list of indices: the graphs of one level, each on n vertices,\n"
+     "that a campaign's check reports (test 0: chi > omega, an odd hole or an odd antihole; test 1:\n"
+     "a bad cycle neighbourhood), ascending, as the pure kernels.pure_flag_level."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "clawlab._augment", "Compiled canonical augmentation, per-graph predicates and graph6.", -1,
+    PyModuleDef_HEAD_INIT, "clawlab._augment", "Compiled canonical augmentation, per-graph predicates, per-level screens and graph6.", -1,
     methods, NULL, NULL, NULL, NULL,
 };
 

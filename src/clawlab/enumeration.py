@@ -100,12 +100,16 @@ stream is the one the alpha tree, cut to its connected classes, gives.
 
 All of this work for one level is one ``kernels.augment`` call over the
 level's parents, which returns the next level: the accepted children's
-canonical rows, sorted.  Levels hold row tuples, and a ``Graph`` is made
-only to emit a class; ``_emit_ok`` runs only on the levels where it can
-reject one.  The patterns are analysed once per config, into the
-``kernels.obstruction_plans`` every call takes.  ``augment`` is bound like
-every other kernel: ``kernels.pure_augment``, or the compiled entry that
-returns the same list when ``clawlab._augment`` is built.
+canonical rows, sorted.  ``enumerate_levels`` yields each level's rows
+after the emission filters (``_emit_ok`` runs only on the levels where it
+can reject a class), and ``enumerate_graphs`` makes a ``Graph`` of each
+class only to visit it.  A caller that screens a whole level in one
+kernel call, as ``verify`` does with ``kernels.flag_level``, takes the
+levels and makes no ``Graph`` for a class that passes.  The patterns are
+analysed once per config, into the ``kernels.obstruction_plans`` every
+call takes.  ``augment`` is bound like every other kernel:
+``kernels.pure_augment``, or the compiled entry that returns the same list
+when ``clawlab._augment`` is built.
 """
 
 from __future__ import annotations
@@ -157,28 +161,28 @@ def _emit_ok(g: Graph, config: EnumerationConfig, connected: bool = False) -> bo
     return not (config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle())
 
 
-def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
-    """Visit one canonical representative per isomorphism class; return count.
+def enumerate_levels(config: EnumerationConfig):
+    """Yield ``(n, rows)`` for each level, n ascending up to max_n: the
+    canonical rows of the level's classes that pass the emission filters,
+    sorted.
 
-    Classes run over 1..max_n vertices and satisfy all config constraints;
-    visit order is (n ascending, canonical adjacency ascending) and the
-    representatives passed to ``visit`` are canonical copies.  Each level
-    holds the pattern-free classes with alpha >= ``min_alpha``, grown from
-    aK1 (a = ``min_alpha``, at least 1) as the module docstring describes,
-    so levels below a are empty.  With ``connected_only`` the levels past
-    2a - 1 hold only the connected ones, grown on the connected tree from
-    the connected classes on 2a - 1 vertices.  Each level above the root is
-    one ``kernels.augment`` call.
+    Each level holds the pattern-free classes with alpha >= ``min_alpha``,
+    grown from aK1 (a = ``min_alpha``, at least 1) as the module docstring
+    describes, so the first level yielded is on a vertices.  With
+    ``connected_only`` the levels past 2a - 1 hold only the connected ones,
+    grown on the connected tree from the connected classes on 2a - 1
+    vertices.  Each level above the root is one ``kernels.augment`` call on
+    the whole previous level, before its emission filters, and ``_emit_ok``
+    runs only on the levels where it can reject a class.
     """
     a = max(config.min_alpha, 1)  # the root aK1 has a vertices
     if a > config.max_n:
-        return 0
+        return
     pattern_adjs = [(p.n, p.adj) for p in map(pattern_graph, config.free_of)]
     plans = kernels.obstruction_plans(pattern_adjs)
     # the connected tree's roots are on 2a - 1 vertices; past max_n, never
     roots = 2 * a - 1 if config.connected_only else config.max_n + 1
 
-    count = 0
     root = (0,) * a
     level = []
     if all(not kernels.has_induced(a, root, pn, padj) for pn, padj in pattern_adjs):
@@ -190,14 +194,26 @@ def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
             level = [rows for rows in level if Graph.trusted(n, rows).is_connected()]
         connected = n >= roots
         # whether _emit_ok can reject a class of this level at all
-        screen = (config.connected_only and not connected) or (config.exclude_odd_cycles and n % 2 == 1)
-        for rows in level:
-            g = Graph.trusted(n, rows)
-            if screen and not _emit_ok(g, config, connected):
-                continue
-            count += 1
-            if visit is not None:
-                visit(g)
+        if (config.connected_only and not connected) or (config.exclude_odd_cycles and n % 2 == 1):
+            yield n, [rows for rows in level if _emit_ok(Graph.trusted(n, rows), config, connected)]
+        else:
+            yield n, level
+
+
+def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
+    """Visit one canonical representative per isomorphism class; return count.
+
+    Classes run over 1..max_n vertices and satisfy all config constraints;
+    visit order is (n ascending, canonical adjacency ascending) and the
+    representatives passed to ``visit`` are canonical copies: the classes
+    of ``enumerate_levels``, one by one.
+    """
+    count = 0
+    for n, level in enumerate_levels(config):
+        count += len(level)
+        if visit is not None:
+            for rows in level:
+                visit(Graph.trusted(n, rows))
     return count
 
 

@@ -1,7 +1,8 @@
 """The hot kernels: max clique, exact k-colouring, induced-subgraph search,
-induced-cycle search, canonical labelling and one level of canonical
-augmentation, in pure Python, and their compiled counterparts, with the
-compiled graph6 encoder, when they are built.
+induced-cycle search, canonical labelling, one level of canonical
+augmentation and the per-level screens of the campaigns' checks, in pure
+Python, and their compiled counterparts, with the compiled graph6 encoder,
+when they are built.
 
 One backtracker (``_embed``) walks induced embeddings with bitset
 candidates and calls a leaf action on each: it serves ``has_induced``,
@@ -16,7 +17,11 @@ search of ``invariants`` and, on the complement's rows it builds itself,
 its odd-antihole search, one pass each.  ``bad_cycle_neighborhoods``, the
 check of Observation 2, puts each cycle of length >= 5 and each vertex
 next to it through ``neighborhood_shape``, the one Python rule that
-``patterns.classify_cycle_neighborhood`` also applies.  A pattern's
+``patterns.classify_cycle_neighborhood`` also applies.  ``flag_level``
+screens one enumeration level for a campaign's check: the indices of the
+graphs that ``verify._check_perfect_class`` (test 0: chi > omega, an odd
+hole or an odd antihole) or ``verify._check_obs2`` (test 1) would report,
+so that only those get the per-graph check.  A pattern's
 search plans and orbits are computed once and cached (``_plan``,
 ``_search_plans``).  Hereditary pruning does not
 search each extension: ``extension_obstructions`` lists, once per parent,
@@ -40,27 +45,29 @@ canonical rows of its one-vertex extensions, labelled by
 and ``odd_hole`` build the complement's rows themselves when asked, so no
 caller makes a complement ``Graph`` for them.  ``canon_form``,
 ``max_clique``, ``color_with``, ``induced_cycles``,
-``bad_cycle_neighborhoods``, ``odd_hole``, ``graph6`` and ``augment`` are
-bound to the pure entries, and when the optional C extension
-``clawlab._augment`` imports (``setup.py build_ext --inplace`` builds it
-from ``_augment.c`` where a C compiler is found) to its eight entries
-instead, and ``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.  Then
-``find_induced_cycle`` and ``verify.induced_cycles`` run the compiled
+``bad_cycle_neighborhoods``, ``odd_hole``, ``graph6``, ``augment`` and
+``flag_level`` are bound to the pure entries, and when the optional C
+extension ``clawlab._augment`` imports (``setup.py build_ext --inplace``
+builds it from ``_augment.c`` where a C compiler is found) to its nine
+entries instead, and ``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.
+Then ``find_induced_cycle`` and ``verify.induced_cycles`` run the compiled
 grower, which makes no Python call and has three leaves: the list, the
 odd hole, and the bad neighbourhoods, which applies the rule of
-``neighborhood_shape`` in C to each cycle it closes; and
+``neighborhood_shape`` in C to each cycle it closes and, with no list to
+fill (``flag_level``), stops at the first bad pair; and
 ``graphs.to_graph6``, one call of ``graph6``, runs the compiled encoder.
 Nothing else selects a backend: no option, no environment variable.  Both
 give the same results bit for bit, and both run one algorithm step for
 step; ``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
 ``pure_induced_cycles``, ``pure_bad_cycle_neighborhoods``,
 ``pure_odd_hole``, ``pure_graph6`` (the pure encoder
-``graphs.encode_graph6``) and ``pure_augment`` keep the pure entries as
-the references the compiled ones are tested against.  The
-compiled entries take only ``n`` in 0..64, ints and rows with no bit at
-``n`` or above, and ``augment`` only plans of at most 15 positions,
-degrees up to 16 and up, down and ``after`` positions earlier than their
-own; they raise ValueError otherwise and keep no state between calls.
+``graphs.encode_graph6``), ``pure_augment`` and ``pure_flag_level`` keep
+the pure entries as the references the compiled ones are tested against.
+The compiled entries take only ``n`` in 0..64, ints and rows with no bit
+at ``n`` or above, ``flag_level`` only ``test`` 0 or 1, and ``augment``
+only plans of at most 15 positions, degrees up to 16 and up, down and
+``after`` positions earlier than their own; they raise ValueError
+otherwise and keep no state between calls.
 """
 
 from __future__ import annotations
@@ -535,6 +542,30 @@ def bad_cycle_neighborhoods(n, adj):
     return out
 
 
+def pure_flag_level(n, level, test):
+    """The indices, ascending, of the graphs of one level (row sequences,
+    each on ``n`` vertices) that a campaign's check reports: with ``test``
+    0, chi > omega (no colouring with omega colours), an odd hole or an odd
+    antihole (``verify._check_perfect_class``); with ``test`` 1, a bad cycle
+    neighbourhood (``verify._check_obs2``).  This is the pure entry, a loop
+    over the pure entries; the compiled one reads each graph's rows once
+    and stops the bad-neighbourhood search at its first pair."""
+    if test == 1:
+        return [i for i, adj in enumerate(level) if pure_bad_cycle_neighborhoods(n, adj)]
+    if test != 0:
+        raise ValueError(f"test must be 0 or 1, not {test!r}")
+    flagged = []
+    for i, adj in enumerate(level):
+        omega = pure_max_clique(n, adj).bit_count()
+        if (
+            pure_color_with(n, adj, omega) is None
+            or pure_odd_hole(n, adj, False) is not None
+            or pure_odd_hole(n, adj, True) is not None
+        ):
+            flagged.append(i)
+    return flagged
+
+
 def find_induced_cycle(n, adj, length):
     """Lexicographically least induced cycle of exactly ``length``, or None,
     oriented as in ``induced_cycles``."""
@@ -912,6 +943,7 @@ pure_bad_cycle_neighborhoods = bad_cycle_neighborhoods
 pure_odd_hole = odd_hole
 pure_graph6 = graph6 = encode_graph6
 augment = pure_augment
+flag_level = pure_flag_level
 try:
     from clawlab import _augment
 except ImportError:
@@ -926,3 +958,4 @@ else:
     odd_hole = _augment.odd_hole
     graph6 = _augment.graph6
     augment = _augment.augment
+    flag_level = _augment.flag_level

@@ -6,6 +6,16 @@ counterexample as (graph6, reason).  In-theorem configurations must come
 back empty -- the statements are proved -- while deliberately broken
 hypotheses (e.g. forbidding C4 instead of a P5/Z2 subgraph) are expected
 to surface the counterexample families.
+
+Two checks have a per-level screen (``_SCREENS``): the perfect-class
+check of statements (1) and (2) and the check of Observation 2.  For
+them ``verify`` walks ``enumeration.enumerate_levels`` and makes one
+``kernels.flag_level`` call per level, which returns the indices of the
+classes the check would report; only those get the per-graph check, in
+level order.  Almost every class passes, so almost no class becomes a
+``Graph``.  The class size, the counterexamples, their order and their
+reasons are those of the per-graph check on every class, which every
+other campaign runs through ``enumerate_graphs``.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from clawlab import kernels
-from clawlab.enumeration import EnumerationConfig, enumerate_graphs
+from clawlab.enumeration import EnumerationConfig, enumerate_graphs, enumerate_levels
 from clawlab.graphs import Graph, bitset_of, to_graph6
 from clawlab.invariants import _chromatic_from, find_odd_antihole, is_perfect
 from clawlab.patterns import cycle_neighborhood_shape
@@ -157,6 +167,10 @@ _THEOREMS = {
 
 THEOREM_IDS = tuple(_THEOREMS)
 
+# The checks with a per-level screen: the ``test`` of ``kernels.flag_level``
+# that flags exactly the graphs the check reports.
+_SCREENS = {_check_perfect_class: 0, _check_obs2: 1}
+
 _NEEDS_Y = frozenset(theorem for theorem, (free, *_) in _THEOREMS.items() if None in free)
 
 
@@ -180,16 +194,23 @@ def verify(theorem: str, max_n: int, y: str | None = None) -> VerificationReport
         exclude_odd_cycles=exclude_odd,
     )
     t0 = time.perf_counter()
-    examined = 0
     counterexamples: list[tuple[str, str]] = []
 
     def visitor(g: Graph):
-        nonlocal examined
-        examined += 1
         for reason in check(g):
             counterexamples.append((to_graph6(g), reason))
 
-    enumerate_graphs(config, visitor)
+    test = _SCREENS.get(check)
+    if test is None:
+        examined = enumerate_graphs(config, visitor)
+    else:
+        # one kernel call per level; only the flagged classes, in level
+        # order, get the per-graph check and its reasons
+        examined = 0
+        for n, level in enumerate_levels(config):
+            examined += len(level)
+            for i in kernels.flag_level(n, level, test):
+                visitor(Graph.trusted(n, level[i]))
     return VerificationReport(
         theorem=theorem,
         max_n=max_n,

@@ -5,8 +5,9 @@ ending the session.  Every entry takes ints and rows and returns values;
 none takes a callable.  Its agreement with the pure code is checked in
 ``test_kernels.py`` (``canon_form``, ``max_clique``, ``color_with``,
 ``induced_cycles``, ``odd_hole`` and ``graph6`` against their ``pure_``
-entries), ``test_verify.py`` (``bad_cycle_neighborhoods``) and
-``test_enumeration.py`` (``augment`` against ``pure_augment``).
+entries), ``test_verify.py`` (``bad_cycle_neighborhoods`` and
+``flag_level``) and ``test_enumeration.py`` (``augment`` against
+``pure_augment``).
 """
 
 import json
@@ -260,10 +261,43 @@ def augment_case():
     return may_reject(_augment.augment, *call)
 
 
+def flag_level_case():
+    # up to 64 vertices for the rejected calls, whose good graphs are
+    # edgeless past 12 vertices (the screens grow with n), and up to 12 for
+    # the answered ones
+    kind = rng.randrange(6)
+    n = rng.randrange(0, 65 if kind < 4 else 13)
+    level = [rows(n, None if n < 13 else 0.0) for _ in range(rng.randrange(1, 4))]
+    test = rng.randrange(2)
+    i = rng.randrange(len(level))
+    fn = _augment.flag_level
+    if kind == 0:
+        return must_reject(fn, "n must", rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)]), level, test)
+    if kind == 1 and n:
+        level[i] = corrupted(level[i], n)
+        return must_reject(fn, "graph row", n, level, test)
+    if kind == 2:
+        # a graph with the wrong row count, or not a sequence
+        level[i] = rng.choice([level[i][:-1] if n else (0,), level[i] + (0,), None, 3])
+        return must_reject(fn, "graph must", n, level, test)
+    if kind == 3:
+        if rng.random() < 0.5:
+            return must_reject(fn, "level must", n, rng.choice([None, 3, 1.5]), test)
+        return must_reject(fn, "test must", n, level, rng.choice([-1, 2, 3, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)]))
+    # loops and one-sided rows are within range: answered, not crashed
+    odd = [tuple(row | rng.getrandbits(n) & rng.getrandbits(n) for row in g) if n else g for g in level]
+    if kind == 4:
+        fn(n, odd, test)
+        return "answered"
+    args = [rng.choice([n, None, 1.5]), rng.choice([odd, 7, None]), rng.choice([test, None, "0"])]
+    return may_reject(fn, *rng.choice([args, args[:2], args + [0]]))
+
+
 print(json.dumps({
     "augment_canon": tally_of([augment_case, canon_case], 3000),
     "graph6": tally_of([graph6_case], 1500),
     "bad_cycles": tally_of([bad_cycles_case], 1500),
+    "flag_level": tally_of([flag_level_case], 1500),
 }))
 """
 
@@ -335,6 +369,7 @@ def run(canon_calls, augment_calls, predicate_calls):
         _augment.color_with(n, g, omega - 1)
         _augment.induced_cycles(n, g, 3, n)
         _augment.bad_cycle_neighborhoods(n, g)
+        _augment.flag_level(n, [g, g], i % 2)
         _augment.odd_hole(n, g, False)
         _augment.odd_hole(n, g, True)
         _augment.graph6(n, g)
@@ -373,16 +408,21 @@ def test_malformed_input_is_rejected_not_crashed():
     # count, parents or plans of the wrong type, a plan of unequal fields,
     # over 15 positions, a degree over 16 or a position not earlier than
     # its own, and negative min_alpha raise ValueError about that field,
-    # in augment, canon_form, graph6 and bad_cycle_neighborhoods (each of
-    # the last two with its own tally); the rest of the malformed calls
-    # raise, and the well-typed odd ones (loops and one-sided rows among
-    # them) and well-formed plans no pattern gives are answered
+    # in augment, canon_form, graph6, bad_cycle_neighborhoods and
+    # flag_level (each of the last three with its own tally, after the
+    # others, so theirs are unchanged; flag_level also rejects a level that
+    # is not a sequence and a test other than 0 or 1); the rest of the
+    # malformed calls raise, and the well-typed odd ones (loops and
+    # one-sided rows among them) and well-formed plans no pattern gives
+    # are answered
     tally = run_child(MALFORMED, 20261018)
     pair, g6 = tally["augment_canon"], tally["graph6"]
     assert pair["rejected"] > 2000 and pair["answered"] > 100, tally
     assert g6["rejected"] > 1200 and g6["answered"] > 80, tally
     bad = tally["bad_cycles"]
     assert bad["rejected"] > 1000 and bad["answered"] > 250, tally
+    flags = tally["flag_level"]
+    assert flags["rejected"] > 1000 and flags["answered"] > 200, tally
 
 
 def test_predicates_reject_malformed_input_and_keep_visit_errors():
@@ -397,8 +437,9 @@ def test_long_runs_keep_memory_flat():
     # 100k canon_form and 10k augment calls (plus 10k rejected ones, by a
     # bad parent after a good one or by a bad plan), and 10k rounds of the
     # predicates (a clique and an independent set, two colourings, a full
-    # cycle search, the bad cycle neighbourhoods, the odd hole and odd
-    # antihole searches, a graph6 string and three rejected calls) on 6-12
-    # vertex graphs after warm-up: the peak RSS grows by at most 1 MiB
+    # cycle search, the bad cycle neighbourhoods, one level screen of two
+    # graphs, each test in turn, the odd hole and odd antihole searches, a
+    # graph6 string and three rejected calls) on 6-12 vertex graphs after
+    # warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

@@ -1,8 +1,10 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+import clawlab.verify as campaigns
 from clawlab import kernels
 from clawlab.canon import is_isomorphic
 from clawlab.families import FamilySpec, build_family
@@ -13,7 +15,17 @@ from clawlab.invariants import (
     is_perfect,
 )
 from clawlab.patterns import NeighborhoodShape, classify_cycle_neighborhood, has_induced
-from clawlab.verify import VerificationReport, _check_obs2, _sorted_rows, induced_cycles, report_emit, verify
+from clawlab.verify import (
+    _SCREENS,
+    _THEOREMS,
+    VerificationReport,
+    _check_obs2,
+    _check_perfect_class,
+    _sorted_rows,
+    induced_cycles,
+    report_emit,
+    verify,
+)
 from conftest import brute_oriented_cycles, permuted, perturbed_inflations, random_graph, sparse_connected_graph
 from test_enumeration import _claw_free_extensions
 
@@ -158,10 +170,15 @@ def test_bad_cycle_neighborhoods_match_pure_and_classifier(oracle7, rng):
     # the compiled list equals the pure one exactly, and its pairs are the
     # classifier loop's, in order, each of shape OTHER: 99 classes on at
     # most 7 vertices have one, no claw-free class on at most 8 has one,
-    # and most of the seeded graphs with claws have one
+    # and most of the seeded graphs with claws have one.  On the same
+    # graphs, taken as levels of one n each, flag_level flags exactly the
+    # graphs whose per-graph check gives reasons, compiled as pure: OBS2's
+    # (test 1) and the perfect-class check's (test 0), which flags some
+    # graphs of each group
     small, claw_free, clawed = _obs2_inputs(oracle7, rng)
     assert len(claw_free) > 1500 and len(clawed) >= 120, (len(claw_free), len(clawed))
     flagged = []
+    imperfect = []
     for graphs in (small, claw_free, clawed):
         flagged.append(0)
         for g in graphs:
@@ -170,7 +187,19 @@ def test_bad_cycle_neighborhoods_match_pure_and_classifier(oracle7, rng):
             want = _obs2_by_classifier(g)
             assert [f"cycle {list(cycle)}, vertex {x}: shape OTHER" for cycle, x in pairs] == want, g
             flagged[-1] += bool(pairs)
+        levels = {}
+        for g in graphs:
+            levels.setdefault(g.n, []).append(g)
+        imperfect.append(0)
+        for n, level in levels.items():
+            rows = [g.adj for g in level]
+            for test, check in ((0, _check_perfect_class), (1, _check_obs2)):
+                want = [i for i, g in enumerate(level) if check(g)]
+                assert kernels.flag_level(n, rows, test) == kernels.pure_flag_level(n, rows, test) == want, (n, test)
+                if test == 0:
+                    imperfect[-1] += len(want)
     assert flagged[:2] == [99, 0] and flagged[2] > len(clawed) // 2, flagged
+    assert all(imperfect), imperfect
 
 
 # (theorem, y, max_n) -> (class_size, counterexample rows), as first measured
@@ -182,6 +211,7 @@ CAMPAIGNS = {
     ("T4_NOALPHA", "P4", 8): (84, 0),
     ("T4_NOALPHA", "Z1", 8): (29, 0),
     ("T4_NOALPHA", "C4", 7): (149, 22),
+    ("T4_NOALPHA", "B", 8): (626, 157),
     ("OBS2_NEIGHBORHOOD", None, 8): (1145, 0),
     ("L7_RULES", None, 7): (181, 0),
     ("T6_BULL", None, 8): (63, 0),
@@ -203,6 +233,8 @@ REASON_DIGESTS = {
     ("T5_ALPHA3", "C4", 8): "650a2a7a4083ef716ac1d5fad926e4469417554d8ecc0514a0bd01e5f58d9a4d",
     ("T5_ALPHA3", "B", 8): "816db4430b263e051ee859eeb565c62993d931f163679e457768878c99302bed",
     ("T4_NOALPHA", "C4", 7): "6bddb50f59a6c3a5038a2f97fdd31ccf1ad4eec21063591f686a2bd1cc5d1327",
+    # 126 odd-hole, 27 not-omega-colourable and 4 odd-antihole rows
+    ("T4_NOALPHA", "B", 8): "32fa8034e90ae34819e13e91303b468435ec6bf8e9c6c930d887732b2fbe67b2",
 }
 
 
@@ -218,6 +250,28 @@ def test_campaign_pinned(key):
     if key in REASON_DIGESTS:
         lines = "\n".join(sorted(f"{g6}\t{reason}" for g6, reason in report.counterexamples))
         assert hashlib.sha256(lines.encode()).hexdigest() == REASON_DIGESTS[key]
+
+
+SCREENED = [key for key in CAMPAIGNS if _THEOREMS[key[0]][-1] in _SCREENS]
+
+
+@pytest.mark.parametrize("key", SCREENED, ids=lambda k: "-".join(str(x) for x in k if x))
+def test_screened_campaign_matches_the_per_graph_path(key, monkeypatch):
+    # the per-level screen, compiled and pure, gives the report of the
+    # per-graph check on every class: the class size and the
+    # counterexamples, their reasons and their order
+    theorem, y, max_n = key
+
+    def run():
+        report = verify(theorem, max_n, y)
+        return replace(report, elapsed=0.0)
+
+    screened = run()
+    monkeypatch.setattr(kernels, "flag_level", kernels.pure_flag_level)
+    pure = run()
+    monkeypatch.setattr(campaigns, "_SCREENS", {})
+    assert screened == pure == run()
+    assert screened.class_size == CAMPAIGNS[key][0]
 
 
 class TestReportEmit:
