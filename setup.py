@@ -1,10 +1,12 @@
 """Setuptools entry point; all other metadata is in pyproject.toml.
 
-Builds one optional C extension, ``clawlab._augment`` (compiled canonical
-labelling and augmentation, the per-graph predicates max clique, DSATUR
-colouring, the induced-cycle grower and the odd-hole search, and the
-graph6 encoder, see ``src/clawlab/_augment.c``), with the system C
-compiler.
+Builds one optional C extension, ``clawlab._augment``, with the system C
+compiler.  Its eight entries (see ``src/clawlab/_augment.c``) are
+``canon_form`` (canonical labelling), ``augment`` (one level of canonical
+augmentation), the per-graph predicates ``max_clique``, ``color_with``
+(DSATUR colouring), ``induced_cycles`` and ``odd_hole``, the graph6
+encoder ``graph6`` and ``flag_level``, the per-level screen of the
+perfect-class and Observation 2 checks.
 ``python setup.py build_ext --inplace``, the set-up step of
 ``perfbench/run.py`` and of the test session, puts it next to the sources.
 The extension is optional: when it does not compile, the build still

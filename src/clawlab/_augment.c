@@ -1,7 +1,7 @@
 /* Compiled kernels for clawlab: canonical augmentation, the per-graph
    predicates, the per-level screens and the graph6 encoder.
 
-   Nine entries, all METH_FASTCALL:
+   Eight entries, all METH_FASTCALL:
 
    canon_form(n, adj) -> (rows, perm)
        The same canonical relabelling as the pure kernels.canon_form:
@@ -44,13 +44,6 @@
        The pure kernels.induced_cycles: the same cycles in the same order
        and orientation.
 
-   bad_cycle_neighborhoods(n, adj) -> [(cycle, x), ...]
-       The pure kernels.bad_cycle_neighborhoods: for each induced cycle of
-       length >= 5, in the order of induced_cycles, each vertex x off it,
-       ascending, whose neighbourhood on it is not K2, P3, P4, C5 or 2K2
-       (Observation 2).  It runs the same grower with a third leaf, which
-       applies the rule of kernels.neighborhood_shape to each cycle closed.
-
    odd_hole(n, adj, complement) -> tuple or None
        The pure kernels.odd_hole: the shortest odd induced cycle of length
        >= 5, the lex-least of its length, of the graph or, with a truthy
@@ -68,10 +61,13 @@
        campaign's check reports.  test 0 flags chi > omega, an odd hole or
        an odd antihole (verify._check_perfect_class), by expand, dsatur at
        k = omega and the odd-hole leaf on the graph and on its complement;
-       test 1 flags a bad cycle neighbourhood (verify._check_obs2), by the
-       bad-neighbourhood leaf with no output list, which stops at the first
-       bad pair.  Each graph's rows are read once, and no Python object is
-       made for a cycle or for a graph that passes.
+       test 1 flags a bad cycle neighbourhood (verify._check_obs2): a vertex
+       x off an induced cycle of length >= 5 whose neighbourhood on it is
+       not K2, P3, P4, C5 or 2K2 (Observation 2), by the grower's
+       bad-neighbourhood leaf, which applies the rule of
+       kernels.neighborhood_shape to each cycle closed and stops at the
+       first bad pair.  Each graph's rows are read once, and no Python
+       object is made for a cycle or for a graph that passes.
 
    Graphs are vertex counts and per-vertex neighbour bitmasks, one 64-bit
    word per row.  Every input is checked before it is used: an
@@ -1131,8 +1127,7 @@ typedef struct {
     long min_len, bound;
     enum Leaf leaf;
     uint8_t path[MAXN];
-    PyObject *out;     /* the list LIST_CYCLES and BAD_NEIGHBOURS append to;
-                          NULL stops BAD_NEIGHBOURS at its first pair */
+    PyObject *out;     /* the list LIST_CYCLES appends to */
     int hole;          /* ODD_HOLE: the length of the last odd cycle met, or 0 */
     uint8_t best[MAXN]; /* that cycle */
 } Cycles;
@@ -1153,12 +1148,10 @@ static int bad_shape(const word *adj, word cmask, int len, word nb)
     return 0;
 }
 
-/* kernels.bad_cycle_neighborhoods's leaf: append (cycle, x) to out for each
-   vertex x off the cycle path[0..len - 1] with a bad shape on it, x
-   ascending, one cycle tuple shared by its pairs.  0, or -1 on error; with
-   no out (flag_level's screen), 1 at the first bad pair, which stops the
-   search. */
-static int list_bad(Cycles *cy, int len)
+/* Whether some vertex off the cycle path[0..len - 1] has a bad shape on
+   it: the kernels.bad_cycle_neighborhoods rule, which flag_level's screen
+   needs only up to the first bad pair. */
+static int has_bad_pair(const Cycles *cy, int len)
 {
     const word *adj = cy->adj;
     word cmask = 0, around = 0;
@@ -1166,30 +1159,17 @@ static int list_bad(Cycles *cy, int len)
         cmask |= (word)1 << cy->path[i];
         around |= adj[cy->path[i]];
     }
-    PyObject *cycle = NULL;
-    int rc = 0;
-    for (word m = around & ~cmask; m && rc == 0; m &= m - 1) {
-        int x = low_index(m);
-        if (!bad_shape(adj, cmask, len, adj[x] & cmask))
-            continue;
-        if (cy->out == NULL)
+    for (word m = around & ~cmask; m; m &= m - 1)
+        if (bad_shape(adj, cmask, len, adj[low_index(m)] & cmask))
             return 1;
-        if (cycle == NULL && (cycle = index_tuple(len, cy->path)) == NULL)
-            return -1;
-        PyObject *pair = Py_BuildValue("(Oi)", cycle, x);
-        rc = pair ? PyList_Append(cy->out, pair) : -1;
-        Py_XDECREF(pair);
-    }
-    Py_XDECREF(cycle);
-    return rc;
+    return 0;
 }
 
 /* The leaf for the path closed by v: append the cycle to out as a tuple
-   (LIST_CYCLES), append its bad neighbourhoods to out (BAD_NEIGHBOURS, or
-   with no out stop at the first), or keep an odd cycle and lower the bound
-   to its length less two (ODD_HOLE, kernels.odd_hole).  1 when the search
-   stops (the bound is now below min_len, or a bad pair with no out), 0 to
-   go on, -1 on error. */
+   (LIST_CYCLES), stop at a bad neighbourhood (BAD_NEIGHBOURS), or keep an
+   odd cycle and lower the bound to its length less two (ODD_HOLE,
+   kernels.odd_hole).  1 when the search stops (a bad pair, or the bound
+   is now below min_len), 0 to go on, -1 on error. */
 static int close_cycle(Cycles *cy, int depth, int v)
 {
     cy->path[depth] = (uint8_t)v;
@@ -1200,7 +1180,7 @@ static int close_cycle(Cycles *cy, int depth, int v)
         return rc;
     }
     if (cy->leaf == BAD_NEIGHBOURS)
-        return list_bad(cy, depth + 1);
+        return has_bad_pair(cy, depth + 1);
     if (depth % 2 == 0) {
         cy->hole = depth + 1;
         memcpy(cy->best, cy->path, depth + 1);
@@ -1314,18 +1294,6 @@ static PyObject *py_induced_cycles(PyObject *self, PyObject *const *args, Py_ssi
     return cy.out;
 }
 
-static PyObject *py_bad_cycle_neighborhoods(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    word adj[MAXN];
-    long n = read_graph(args, nargs, 2, "bad_cycle_neighborhoods(n, adj)", adj);
-    if (n < 0)
-        return NULL;
-    Cycles cy = {.adj = adj, .min_len = 5, .bound = n, .leaf = BAD_NEIGHBOURS, .out = PyList_New(0)};
-    if (cy.out && cycles_from(&cy, (int)n) < 0)
-        Py_CLEAR(cy.out);
-    return cy.out;
-}
-
 static PyObject *py_odd_hole(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     word adj[MAXN];
@@ -1366,11 +1334,11 @@ static int imperfect_class(int n, word *adj)
 }
 
 /* Whether verify._check_obs2 reports the graph: the bad-neighbourhood
-   leaf with no list, which stops at the first bad pair. */
+   leaf, which stops at the first bad pair. */
 static int has_bad_neighbourhood(int n, const word *adj)
 {
     Cycles cy = {.adj = adj, .min_len = 5, .bound = n, .leaf = BAD_NEIGHBOURS};
-    return cycles_from(&cy, n) > 0; /* with no list the leaf cannot fail */
+    return cycles_from(&cy, n) > 0; /* the leaf cannot fail */
 }
 
 static PyObject *py_flag_level(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -1465,10 +1433,6 @@ static PyMethodDef methods[] = {
     {"induced_cycles", (PyCFunction)(void (*)(void))py_induced_cycles, METH_FASTCALL,
      "induced_cycles(n, adj, min_len, max_len) -> list of tuples: every induced cycle of\n"
      "min_len..max_len vertices, as the pure kernels.induced_cycles."},
-    {"bad_cycle_neighborhoods", (PyCFunction)(void (*)(void))py_bad_cycle_neighborhoods, METH_FASTCALL,
-     "bad_cycle_neighborhoods(n, adj) -> list of (cycle, x): each vertex x off an induced cycle of\n"
-     "length >= 5 whose neighbourhood on it is not K2, P3, P4, C5 or 2K2, as the pure\n"
-     "kernels.bad_cycle_neighborhoods."},
     {"odd_hole", (PyCFunction)(void (*)(void))py_odd_hole, METH_FASTCALL,
      "odd_hole(n, adj, complement) -> tuple or None: the shortest odd hole, lex-least, of the graph\n"
      "or of its complement, as the pure kernels.odd_hole."},

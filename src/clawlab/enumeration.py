@@ -101,11 +101,12 @@ stream is the one the alpha tree, cut to its connected classes, gives.
 All of this work for one level is one ``kernels.augment`` call over the
 level's parents, which returns the next level: the accepted children's
 canonical rows, sorted.  ``enumerate_levels`` yields each level's rows
-after the emission filters (``_emit_ok`` runs only on the levels where it
-can reject a class), and ``enumerate_graphs`` makes a ``Graph`` of each
-class only to visit it.  A caller that screens a whole level in one
-kernel call, as ``verify`` does with ``kernels.flag_level``, takes the
-levels and makes no ``Graph`` for a class that passes.  The patterns are
+after the emission filters, which read the rows, as the root level's
+connectivity cut does (``_emit_ok`` runs only on the levels where it can
+reject a class), and ``enumerate_graphs`` makes a ``Graph`` of each class
+only to visit it.  A caller that screens a whole level in one kernel
+call, as ``verify`` does with ``kernels.flag_level``, takes the levels
+and makes no ``Graph`` for a class that passes.  The patterns are
 analysed once per config, into the ``kernels.obstruction_plans`` every
 call takes.  ``augment`` is bound like every other kernel:
 ``kernels.pure_augment``, or the compiled entry that returns the same list
@@ -117,7 +118,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from clawlab import kernels
-from clawlab.graphs import Graph, to_graph6
+from clawlab.graphs import Graph, rows_connected, rows_cycle, to_graph6
 from clawlab.patterns import pattern_graph
 
 MAX_ENUM_VERTICES = 11  # documented runtime wall
@@ -149,16 +150,16 @@ class EnumerationConfig:
                 )
 
 
-def _emit_ok(g: Graph, config: EnumerationConfig, connected: bool = False) -> bool:
-    """The emission filters that are not hereditary: connectivity and odd
-    cycles.  There is no alpha filter: every class the tree grows has alpha
-    >= ``min_alpha`` already.  ``connected`` says the level is at or above
-    the connected tree's roots, so it holds connected classes only and
-    connectivity is not tested again; on the alpha-tree levels below the
-    roots it is tested here."""
-    if config.connected_only and not connected and not g.is_connected():
+def _emit_ok(rows: tuple[int, ...], config: EnumerationConfig, connected: bool = False) -> bool:
+    """The emission filters that are not hereditary, on a class's canonical
+    rows: connectivity and odd cycles.  There is no alpha filter: every
+    class the tree grows has alpha >= ``min_alpha`` already.  ``connected``
+    says the level is at or above the connected tree's roots, so it holds
+    connected classes only and connectivity is not tested again; on the
+    alpha-tree levels below the roots it is tested here."""
+    if config.connected_only and not connected and not rows_connected(rows):
         return False
-    return not (config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle())
+    return not (config.exclude_odd_cycles and len(rows) % 2 == 1 and rows_cycle(rows))
 
 
 def enumerate_levels(config: EnumerationConfig):
@@ -191,11 +192,11 @@ def enumerate_levels(config: EnumerationConfig):
         if n > a:
             level = kernels.augment(n - 1, level, plans, config.min_alpha, n > roots)
         if n == roots:
-            level = [rows for rows in level if Graph.trusted(n, rows).is_connected()]
+            level = [rows for rows in level if rows_connected(rows)]
         connected = n >= roots
         # whether _emit_ok can reject a class of this level at all
         if (config.connected_only and not connected) or (config.exclude_odd_cycles and n % 2 == 1):
-            yield n, [rows for rows in level if _emit_ok(Graph.trusted(n, rows), config, connected)]
+            yield n, [rows for rows in level if _emit_ok(rows, config, connected)]
         else:
             yield n, level
 

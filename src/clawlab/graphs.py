@@ -66,6 +66,19 @@ def row_classes(rows: Iterable[int]) -> dict[int, int]:
     return classes
 
 
+def rows_connected(adj: Sequence[int]) -> bool:
+    """Whether the graph with neighbour bitmasks ``adj`` has one component
+    (no vertex or one counts as connected)."""
+    full = (1 << len(adj)) - 1
+    return reachable(adj, full & -full, full) == full
+
+
+def rows_cycle(adj: Sequence[int]) -> bool:
+    """Whether the graph with neighbour bitmasks ``adj`` is a chordless
+    cycle: at least 3 vertices, 2-regular, connected."""
+    return len(adj) >= 3 and all(row.bit_count() == 2 for row in adj) and rows_connected(adj)
+
+
 def component_masks(adj: Sequence[int]) -> list[int]:
     """Connected components of the graph with neighbour bitmasks ``adj``, as
     vertex bitmasks ordered by least vertex."""
@@ -206,12 +219,11 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff the graph has one component (n=0, n=1 count as connected)."""
-        full = (1 << self.n) - 1
-        return self.n <= 1 or reachable(self.adj, 1, full) == full
+        return rows_connected(self.adj)
 
     def is_cycle(self) -> bool:
         """True iff the graph is a chordless cycle: n >= 3, 2-regular, connected."""
-        return self.n >= 3 and all(row.bit_count() == 2 for row in self.adj) and self.is_connected()
+        return rows_cycle(self.adj)
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by least vertex."""

@@ -44,23 +44,24 @@ canonical rows of its one-vertex extensions, labelled by
 ``pure_canon_form``, and the next level, those rows sorted.  ``max_clique``
 and ``odd_hole`` build the complement's rows themselves when asked, so no
 caller makes a complement ``Graph`` for them.  ``canon_form``,
-``max_clique``, ``color_with``, ``induced_cycles``,
-``bad_cycle_neighborhoods``, ``odd_hole``, ``graph6``, ``augment`` and
-``flag_level`` are bound to the pure entries, and when the optional C
-extension ``clawlab._augment`` imports (``setup.py build_ext --inplace``
-builds it from ``_augment.c`` where a C compiler is found) to its nine
-entries instead, and ``BACKEND`` is ``"c"``; otherwise it is ``"pure"``.
-Then ``find_induced_cycle`` and ``verify.induced_cycles`` run the compiled
-grower, which makes no Python call and has three leaves: the list, the
-odd hole, and the bad neighbourhoods, which applies the rule of
-``neighborhood_shape`` in C to each cycle it closes and, with no list to
-fill (``flag_level``), stops at the first bad pair; and
-``graphs.to_graph6``, one call of ``graph6``, runs the compiled encoder.
+``max_clique``, ``color_with``, ``induced_cycles``, ``odd_hole``,
+``graph6``, ``augment`` and ``flag_level`` are bound to the pure entries,
+and when the optional C extension ``clawlab._augment`` imports
+(``setup.py build_ext --inplace`` builds it from ``_augment.c`` where a C
+compiler is found) to its eight entries instead, and ``BACKEND`` is
+``"c"``; otherwise it is ``"pure"``.  Then ``find_induced_cycle`` and
+``verify.induced_cycles`` run the compiled grower, which makes no Python
+call and has three leaves: the list, the odd hole, and, for
+``flag_level``, the bad neighbourhood, which applies the rule of
+``neighborhood_shape`` in C to each cycle it closes and stops at the
+first bad pair; and ``graphs.to_graph6``, one call of ``graph6``, runs
+the compiled encoder.  ``bad_cycle_neighborhoods`` has one entry, the
+pure one, on both backends: only the graphs ``flag_level`` flags reach
+it.
 Nothing else selects a backend: no option, no environment variable.  Both
 give the same results bit for bit, and both run one algorithm step for
 step; ``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
-``pure_induced_cycles``, ``pure_bad_cycle_neighborhoods``,
-``pure_odd_hole``, ``pure_graph6`` (the pure encoder
+``pure_induced_cycles``, ``pure_odd_hole``, ``pure_graph6`` (the pure encoder
 ``graphs.encode_graph6``), ``pure_augment`` and ``pure_flag_level`` keep
 the pure entries as the references the compiled ones are tested against.
 The compiled entries take only ``n`` in 0..64, ints and rows with no bit
@@ -527,9 +528,9 @@ def bad_cycle_neighborhoods(n, adj):
     cycle of length >= 5, in the order of ``induced_cycles``, each vertex
     ``x`` off it, ascending, with a neighbour on it and a shape there other
     than K2, P3, P4, C5 or 2K2 (``neighborhood_shape`` gives ``"OTHER"``).
-    A claw-free graph has none.  This is the pure entry, the pure grower's
-    cycles put through the rule; the compiled one applies the rule as a
-    leaf of its grower."""
+    A claw-free graph has none.  The pure grower's cycles put through the
+    rule, on both backends; the compiled ``flag_level`` applies the rule
+    as a leaf of its grower."""
     out = []
     for cycle in _grow_cycles(n, adj, 5, n, False):
         cmask = around = 0
@@ -551,7 +552,7 @@ def pure_flag_level(n, level, test):
     over the pure entries; the compiled one reads each graph's rows once
     and stops the bad-neighbourhood search at its first pair."""
     if test == 1:
-        return [i for i, adj in enumerate(level) if pure_bad_cycle_neighborhoods(n, adj)]
+        return [i for i, adj in enumerate(level) if bad_cycle_neighborhoods(n, adj)]
     if test != 0:
         raise ValueError(f"test must be 0 or 1, not {test!r}")
     flagged = []
@@ -939,7 +940,6 @@ pure_canon_form = canon_form
 pure_max_clique = max_clique
 pure_color_with = color_with
 pure_induced_cycles = induced_cycles
-pure_bad_cycle_neighborhoods = bad_cycle_neighborhoods
 pure_odd_hole = odd_hole
 pure_graph6 = graph6 = encode_graph6
 augment = pure_augment
@@ -954,7 +954,6 @@ else:
     max_clique = _augment.max_clique
     color_with = _augment.color_with
     induced_cycles = _augment.induced_cycles
-    bad_cycle_neighborhoods = _augment.bad_cycle_neighborhoods
     odd_hole = _augment.odd_hole
     graph6 = _augment.graph6
     augment = _augment.augment

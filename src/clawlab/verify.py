@@ -31,7 +31,6 @@ from clawlab import kernels
 from clawlab.enumeration import EnumerationConfig, enumerate_graphs, enumerate_levels
 from clawlab.graphs import Graph, bitset_of, to_graph6
 from clawlab.invariants import _chromatic_from, find_odd_antihole, is_perfect
-from clawlab.patterns import cycle_neighborhood_shape
 from clawlab.structure import TheoremViolation, VerdictKind, classify_claw_bull_free, olariu_classify
 
 
@@ -95,10 +94,6 @@ def _check_bull_dichotomy(g: Graph):
         return [str(exc)]
     if verdict.kind == VerdictKind.OUT_OF_CLASS:
         return [f"unexpected OUT_OF_CLASS ({verdict.violation})"]
-    if verdict.kind == VerdictKind.ODD_CYCLE_INFLATION:
-        k = verdict.partition.k
-        if k < 7 or k % 2 == 0:
-            return [f"inflation with invalid cycle length {k}"]
     return []
 
 
@@ -119,15 +114,9 @@ def _check_c5_free(g: Graph):
 
 
 def _check_obs2(g: Graph):
-    # one kernel call lists the violations; the classifier's rule names
-    # each one's shape
-    adj = g.adj
-    reasons = []
-    for cycle, x in kernels.bad_cycle_neighborhoods(g.n, adj):
-        cmask = bitset_of(cycle)
-        shape = cycle_neighborhood_shape(adj, cmask, len(cycle), adj[x] & cmask)
-        reasons.append(f"cycle {list(cycle)}, vertex {x}: shape {shape.value}")
-    return reasons
+    # the kernel lists exactly the pairs of shape OTHER
+    pairs = kernels.bad_cycle_neighborhoods(g.n, g.adj)
+    return [f"cycle {list(cycle)}, vertex {x}: shape OTHER" for cycle, x in pairs]
 
 
 def _check_l7_rules(g: Graph):

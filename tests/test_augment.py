@@ -5,9 +5,8 @@ ending the session.  Every entry takes ints and rows and returns values;
 none takes a callable.  Its agreement with the pure code is checked in
 ``test_kernels.py`` (``canon_form``, ``max_clique``, ``color_with``,
 ``induced_cycles``, ``odd_hole`` and ``graph6`` against their ``pure_``
-entries), ``test_verify.py`` (``bad_cycle_neighborhoods`` and
-``flag_level``) and ``test_enumeration.py`` (``augment`` against
-``pure_augment``).
+entries), ``test_verify.py`` (``flag_level``) and ``test_enumeration.py``
+(``augment`` against ``pure_augment``).
 """
 
 import json
@@ -135,28 +134,6 @@ def graph6_case():
     odd = tuple(row | rng.getrandbits(n) & rng.getrandbits(n) for row in adj) if n else adj
     bad = rng.choice([None, 1.5, "3", n])
     return may_reject(_augment.graph6, rng.choice([n, bad]), rng.choice([odd, odd, 7, None]))
-
-
-def bad_cycles_case():
-    # up to 64 vertices for the rejected calls, up to 12 for the answered
-    # ones, whose cycle search grows with n
-    kind = rng.randrange(5)
-    n = rng.randrange(0, 65 if kind < 3 else 13)
-    adj = rows(n)
-    fn = _augment.bad_cycle_neighborhoods
-    if kind == 0:
-        return must_reject(fn, "n must", rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)]), adj)
-    if kind == 1 and n:
-        return must_reject(fn, "adj row", n, corrupted(adj, n))
-    if kind == 2:
-        return must_reject(fn, "adj must hold", n, adj[:-1] if n and rng.random() < 0.5 else adj + (0,))
-    # loops and one-sided rows are within range: answered, not crashed
-    odd = tuple(row | rng.getrandbits(n) & rng.getrandbits(n) for row in adj) if n else adj
-    if kind == 3:
-        fn(n, odd)
-        return "answered"
-    args = [rng.choice([n, None, 1.5]), rng.choice([odd, 7, None])]
-    return may_reject(fn, *rng.choice([args, args[:1], args + [0]]))
 
 
 def random_plan(k):
@@ -296,7 +273,6 @@ def flag_level_case():
 print(json.dumps({
     "augment_canon": tally_of([augment_case, canon_case], 3000),
     "graph6": tally_of([graph6_case], 1500),
-    "bad_cycles": tally_of([bad_cycles_case], 1500),
     "flag_level": tally_of([flag_level_case], 1500),
 }))
 """
@@ -368,7 +344,6 @@ def run(canon_calls, augment_calls, predicate_calls):
         _augment.color_with(n, g, omega)
         _augment.color_with(n, g, omega - 1)
         _augment.induced_cycles(n, g, 3, n)
-        _augment.bad_cycle_neighborhoods(n, g)
         _augment.flag_level(n, [g, g], i % 2)
         _augment.odd_hole(n, g, False)
         _augment.odd_hole(n, g, True)
@@ -379,10 +354,6 @@ def run(canon_calls, augment_calls, predicate_calls):
             pass
         try:
             _augment.graph6(n, g[:-1])
-        except ValueError:
-            pass
-        try:
-            _augment.bad_cycle_neighborhoods(n, g[:-1] + (1 << n,))
         except ValueError:
             pass
 
@@ -408,10 +379,10 @@ def test_malformed_input_is_rejected_not_crashed():
     # count, parents or plans of the wrong type, a plan of unequal fields,
     # over 15 positions, a degree over 16 or a position not earlier than
     # its own, and negative min_alpha raise ValueError about that field,
-    # in augment, canon_form, graph6, bad_cycle_neighborhoods and
-    # flag_level (each of the last three with its own tally, after the
-    # others, so theirs are unchanged; flag_level also rejects a level that
-    # is not a sequence and a test other than 0 or 1); the rest of the
+    # in augment, canon_form, graph6 and flag_level (each of the last two
+    # with its own tally, after the others, so theirs are unchanged;
+    # flag_level also rejects a level that is not a sequence and a test
+    # other than 0 or 1); the rest of the
     # malformed calls raise, and the well-typed odd ones (loops and
     # one-sided rows among them) and well-formed plans no pattern gives
     # are answered
@@ -419,8 +390,6 @@ def test_malformed_input_is_rejected_not_crashed():
     pair, g6 = tally["augment_canon"], tally["graph6"]
     assert pair["rejected"] > 2000 and pair["answered"] > 100, tally
     assert g6["rejected"] > 1200 and g6["answered"] > 80, tally
-    bad = tally["bad_cycles"]
-    assert bad["rejected"] > 1000 and bad["answered"] > 250, tally
     flags = tally["flag_level"]
     assert flags["rejected"] > 1000 and flags["answered"] > 200, tally
 
@@ -437,9 +406,9 @@ def test_long_runs_keep_memory_flat():
     # 100k canon_form and 10k augment calls (plus 10k rejected ones, by a
     # bad parent after a good one or by a bad plan), and 10k rounds of the
     # predicates (a clique and an independent set, two colourings, a full
-    # cycle search, the bad cycle neighbourhoods, one level screen of two
-    # graphs, each test in turn, the odd hole and odd antihole searches, a
-    # graph6 string and three rejected calls) on 6-12 vertex graphs after
+    # cycle search, one level screen of two graphs, each test in turn, the
+    # odd hole and odd antihole searches, a graph6 string and two rejected
+    # calls) on 6-12 vertex graphs after
     # warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out

@@ -8,7 +8,6 @@ from clawlab import kernels
 from clawlab.canon import canonical_label
 from clawlab.enumeration import (
     EnumerationConfig,
-    _emit_ok,
     catalog_labels,
     enumerate_graphs,
     oracle_enumerate,
@@ -41,8 +40,12 @@ def oracle_filtered(oracle, n_range, keep):
 
 def emitted(g, config):
     """Whether a pattern-free class is one the config emits: alpha at least
-    ``min_alpha`` (which the generation tree guarantees) and ``_emit_ok``."""
-    return independence_number(g)[0] >= config.min_alpha and _emit_ok(g, config)
+    ``min_alpha`` (which the generation tree guarantees), connected if the
+    config asks it, and no odd cycle if the config excludes them, read off
+    the ``Graph`` methods, not off ``_emit_ok``'s row tests."""
+    if independence_number(g)[0] < config.min_alpha or (config.connected_only and not g.is_connected()):
+        return False
+    return not (config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle())
 
 
 PRUNE_SETS = [(), ("K1_3",), ("K1_3", "P5"), ("K1_3", "Z2"), ("C4",)]
@@ -152,9 +155,9 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("tokens", PRUNE_SETS, ids=lambda t: ",".join(t) or "none")
     def test_last_level_matches_oracle(self, tokens, oracle7):
         """The classes emitted at ``max_n`` are the oracle's classes that are
-        free of the patterns and pass ``_emit_ok``: from the alpha tree, and
-        from the connected tree for every connected config, those whose
-        class holds claws (no pattern, or C4) included."""
+        free of the patterns and ``emitted``: from the alpha tree, and from
+        the connected tree for every connected config, those whose class
+        holds claws (no pattern, or C4) included."""
         for max_n in range(1, 8):
             free = [g for g in oracle7[max_n] if is_free(g, list(tokens))]
             for connected, min_alpha, odd in itertools.product((False, True), range(5), (False, True)):

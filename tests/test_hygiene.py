@@ -1,19 +1,22 @@
 """Source hygiene: no module under ``src/clawlab/`` or ``tests/`` imports a
 name it never uses, no package module keeps a private name nothing reads,
-and the C extension compiles with no warning and never calls back into
-Python.
+the C extension compiles with no warning and never calls back into
+Python, and its header comment lists the entries its ``methods[]`` table
+exports.
 
 ``__init__.py`` is skipped by the import check: its imports are the
 package's re-exports.
 """
 
 import ast
+import re
 import shutil
 import subprocess
 import sysconfig
 from pathlib import Path
 
 import pytest
+from test_kernels import compiled_entry_names
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "clawlab"
 TESTS = Path(__file__).resolve().parent
@@ -138,3 +141,13 @@ def test_c_source_makes_no_python_call():
     source = (SRC / "_augment.c").read_text()
     found = [name for name in ("PyObject_Call", "PyObject_Vectorcall", "PyCallable_Check") if name in source]
     assert not found, "calls into Python: " + ", ".join(found)
+
+
+def test_c_header_lists_the_exported_entries():
+    # the header comment counts the entries of methods[] in words and gives
+    # each one's signature, in table order
+    header = (SRC / "_augment.c").read_text().split("*/", 1)[0]
+    entries = compiled_entry_names()
+    words = ("Zero", "One", "Two", "Three", "Four", "Five", "Six", "Seven", "Eight", "Nine", "Ten", "Eleven", "Twelve")
+    assert re.findall(r"^   (\w+) entries, all METH_FASTCALL:$", header, re.MULTILINE) == [words[len(entries)]]
+    assert re.findall(r"^   (\w+)\(.*\) -> ", header, re.MULTILINE) == entries

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -101,9 +102,20 @@ def test_predicates_follow_the_backend():
     # compiled entries are bound exactly when the extension is
     compiled = kernels.BACKEND == "c"
     names = compiled_entry_names()
-    assert {"canon_form", "augment", "bad_cycle_neighborhoods"} <= set(names), names
+    assert {"canon_form", "augment", "flag_level"} <= set(names), names
     for name in names:
         assert (getattr(kernels, name) is getattr(kernels, f"pure_{name}")) == (not compiled), name
+
+
+def test_bad_cycle_neighborhoods_has_only_the_python_entry():
+    # flag_level screens each Observation 2 level in C, so the list of bad
+    # pairs, which only flagged graphs need, is the Python function on both
+    # backends and the extension does not export it
+    assert "bad_cycle_neighborhoods" not in compiled_entry_names()
+    assert isinstance(kernels.bad_cycle_neighborhoods, types.FunctionType)
+    assert kernels.bad_cycle_neighborhoods.__module__ == "clawlab.kernels"
+    if kernels.BACKEND == "c":
+        assert not hasattr(importlib.import_module("clawlab._augment"), "bad_cycle_neighborhoods")
 
 
 def test_bench_entry_points():

@@ -167,14 +167,13 @@ def _obs2_inputs(oracle7, rng):
 
 
 def test_bad_cycle_neighborhoods_match_pure_and_classifier(oracle7, rng):
-    # the compiled list equals the pure one exactly, and its pairs are the
-    # classifier loop's, in order, each of shape OTHER: 99 classes on at
-    # most 7 vertices have one, no claw-free class on at most 8 has one,
-    # and most of the seeded graphs with claws have one.  On the same
-    # graphs, taken as levels of one n each, flag_level flags exactly the
-    # graphs whose per-graph check gives reasons, compiled as pure: OBS2's
-    # (test 1) and the perfect-class check's (test 0), which flags some
-    # graphs of each group
+    # the listed pairs are the classifier loop's, in order, each of shape
+    # OTHER: 99 classes on at most 7 vertices have one, no claw-free class
+    # on at most 8 has one, and most of the seeded graphs with claws have
+    # one.  On the same graphs, taken as levels of one n each, flag_level
+    # flags exactly the graphs whose per-graph check gives reasons,
+    # compiled as pure: OBS2's (test 1) and the perfect-class check's
+    # (test 0), which flags some graphs of each group
     small, claw_free, clawed = _obs2_inputs(oracle7, rng)
     assert len(claw_free) > 1500 and len(clawed) >= 120, (len(claw_free), len(clawed))
     flagged = []
@@ -182,8 +181,7 @@ def test_bad_cycle_neighborhoods_match_pure_and_classifier(oracle7, rng):
     for graphs in (small, claw_free, clawed):
         flagged.append(0)
         for g in graphs:
-            pairs = kernels.pure_bad_cycle_neighborhoods(g.n, g.adj)
-            assert kernels.bad_cycle_neighborhoods(g.n, g.adj) == pairs, g
+            pairs = kernels.bad_cycle_neighborhoods(g.n, g.adj)
             want = _obs2_by_classifier(g)
             assert [f"cycle {list(cycle)}, vertex {x}: shape OTHER" for cycle, x in pairs] == want, g
             flagged[-1] += bool(pairs)
