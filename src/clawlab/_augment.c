@@ -18,17 +18,22 @@
        the next level: sorted, as sorted() sorts the row tuples.  Each
        accepted child is kept as n words and the words are sorted once at
        the end; no class comes from two parents.  Per parent:
-       analysis (degree classes, twin classes, R grown by one
-       independent-set search per vertex not yet in it and, on the
-       connected tree, the parent's cut vertices), stages 0-2, obstruction
-       listing and the mask & S == T test, labelling, dedup and the
-       acceptance walk (a connectivity test of child - w on the connected
-       tree, and one search for an independent (a - 1)-set missing
-       mask | w per step) with its deletion check.  plans is
-       kernels.obstruction_plans of the patterns, built in Python, which
-       alone reads a pattern's orbits; one embedding walk (list_from, the
-       pure kernels._embed: twin images ascending) lists the obstructions
-       from them.
+       analysis (degree classes, each vertex's higher twins, R grown by
+       one independent-set search per vertex not yet in it and, on the
+       connected tree, the parent's cut vertices), obstruction listing,
+       the pairs sorted by the bit length of S, and the mask walk (walk,
+       the pure kernels._walk): vertices decided in index order, taken
+       before left out, each pair's mask & S == T test at the vertex
+       where its S is decided, the twin rule (leaving a vertex
+       out bans its higher twins) and the popcount floor of stage 1.  At
+       each leaf: stages 1 and 2, labelling, dedup and the acceptance
+       test (a connectivity test of child - w on the connected tree, and
+       one search for an independent (a - 1)-set missing mask | w per
+       step down the canonical positions) with its deletion check.  plans
+       is kernels.obstruction_plans of the patterns, built in Python,
+       which alone reads a pattern's orbits; one embedding search
+       (list_from, the pure kernels._embed: twin images ascending) lists
+       the obstructions from them.
 
    max_clique(n, adj, complement=False) -> mask
        The pure kernels.max_clique: the same greedy-colour order and the
@@ -72,11 +77,11 @@
    Graphs are vertex counts and per-vertex neighbour bitmasks, one 64-bit
    word per row.  Every input is checked before it is used: an
    out-of-range input raises ValueError and nothing here writes outside
-   its arrays.  augment checks each plan once per call, so that its walk
-   reads only what it has written, and each parent when it reaches it, as
-   flag_level reads each graph; a bad parent or graph ends the call with
-   nothing returned.  The GIL is held throughout, no entry calls back into
-   Python and no state is kept between calls. */
+   its arrays.  augment checks each plan once per call, so that its
+   embedding search reads only what it has written, and each parent when
+   it reaches it, as flag_level reads each graph; a bad parent or graph
+   ends the call with nothing returned.  The GIL is held throughout, no
+   entry calls back into Python and no state is kept between calls. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -517,10 +522,10 @@ static int read_earlier(PyObject *positions, int t, uint16_t *mask, const char *
     return 0;
 }
 
-/* One plan tuple into pl, checked so that the walk reads only what it has
-   written: at most MAXP - 1 positions, degrees in 0..MAXP (the range of
-   the degree masks), and up, down and after positions earlier than their
-   own.  0, or -1 with ValueError set. */
+/* One plan tuple into pl, checked so that the embedding search reads
+   only what it has written: at most MAXP - 1 positions, degrees in
+   0..MAXP (the range of the degree masks), and up, down and after
+   positions earlier than their own.  0, or -1 with ValueError set. */
 static int read_plan(PyObject *obj, Plan *pl)
 {
     if (!PyTuple_Check(obj) || PyTuple_GET_SIZE(obj) != 5) {
@@ -594,19 +599,18 @@ static void degree_masks(int n, const word *adj, int top, word *atleast)
         atleast[d] |= atleast[d + 1];
 }
 
-/* ---- the embedding walk (kernels._embed) ----------------------------- */
+/* ---- the embedding search (kernels._embed) --------------------------- */
 
 /* The twin-ordered induced embeddings of a plan into a host, in
-   lexicographic order of the images by position.  leaf gets the bitmask of
-   the images and of the images of near positions (img holds the images);
-   a nonzero return stops the walk. */
-typedef struct Lister {
+   lexicographic order of the images by position.  Each adds its (S, T)
+   pair to pairs: the bitmask of the images and of the images of near
+   positions (img holds the images). */
+typedef struct {
     const word *adj;
     const Plan *pl;
     word roots[MAXP], nb[MAXP];
     int img[MAXP];
-    int (*leaf)(struct Lister *ls, word used, word touch);
-    void *ctx;
+    RecordSet *pairs;
 } Lister;
 
 static int list_from(Lister *ls, int t, word used, word touch)
@@ -626,7 +630,8 @@ static int list_from(Lister *ls, int t, word used, word touch)
         int v = low_index(low);
         ls->img[t] = v;
         if (t + 1 == pl->k) {
-            if (ls->leaf(ls, used | low, reach))
+            word pair[2] = {used | low, reach};
+            if (rs_add(ls->pairs, pair) < 0)
                 return 1;
             continue;
         }
@@ -637,37 +642,26 @@ static int list_from(Lister *ls, int t, word used, word touch)
     return 0;
 }
 
-/* Walk pl's embeddings into ls->adj, whose degree masks are atleast;
-   nonzero when leaf stopped it. */
-static int walk(Lister *ls, const Plan *pl, const word *atleast)
-{
-    ls->pl = pl;
-    if (pl->k == 0)
-        return ls->leaf(ls, 0, 0);
-    for (int t = 0; t < pl->k; t++)
-        ls->roots[t] = atleast[pl->deg[t]];
-    return list_from(ls, 0, 0, 0);
-}
-
 /* ---- obstruction listing (kernels._obstructions) ---------------------- */
 
-/* Record the (S, T) pair; stop when out of memory. */
-static int add_pair(Lister *ls, word used, word touch)
-{
-    word pair[2] = {used, touch};
-    return rs_add(ls->ctx, pair) < 0;
-}
-
 /* Every (S, T) pair of the plans against the graph, skipping a plan of
-   more than n positions (kernels._obstructions); -1 out of memory. */
+   more than n positions; a plan of no positions gives (0, 0).  -1 out of
+   memory. */
 static int list_obstructions(int n, const word *adj, const Plan *plans, Py_ssize_t nplans, RecordSet *pairs)
 {
-    Lister ls = {.adj = adj, .leaf = add_pair, .ctx = pairs};
-    word atleast[MAXP + 1];
+    Lister ls = {.adj = adj, .pairs = pairs};
+    word atleast[MAXP + 1], none[2] = {0, 0};
     degree_masks(n, adj, MAXP, atleast);
-    for (Py_ssize_t i = 0; i < nplans; i++)
-        if (plans[i].k <= n && walk(&ls, &plans[i], atleast))
+    for (Py_ssize_t i = 0; i < nplans; i++) {
+        const Plan *pl = &plans[i];
+        if (pl->k > n)
+            continue;
+        ls.pl = pl;
+        for (int t = 0; t < pl->k; t++)
+            ls.roots[t] = atleast[pl->deg[t]];
+        if (pl->k ? list_from(&ls, 0, 0, 0) : rs_add(pairs, none) < 0)
             return -1;
+    }
     return 0;
 }
 
@@ -732,20 +726,6 @@ static int outranked(const word *parent, int m, const word *by_deg, const word *
     return 0;
 }
 
-/* Whether mask meets each twin class in its lowest vertices. */
-static int keeps_lowest_twins(word mask, const word *twins, int ntwins)
-{
-    for (int i = 0; i < ntwins; i++) {
-        word part = mask & twins[i];
-        if (part) {
-            word high = (word)1 << (63 - __builtin_clzll(part));
-            if ((twins[i] ^ part) & (high | (high - 1)))
-                return 0;
-        }
-    }
-    return 1;
-}
-
 typedef struct {
     int m;
     const word *parent;
@@ -756,11 +736,11 @@ typedef struct {
     word deletable;             /* R */
     word rival;                 /* R, less the cut vertices when connected */
     word by_deg[MAXN + 1], below[MAXN + 2], atleast[MAXN + 2];
-    int top;
-    word twins[2 * MAXN];
-    int ntwins;
-    int listed;
+    int lo;                     /* the walk's popcount floor */
+    word higher[MAXN];          /* per vertex, its higher false or true twins */
     RecordSet pairs, seen;
+    word *blocks;               /* the pairs by the bit length of S, a PyMem array */
+    size_t start[MAXN + 2];     /* bit length v's pairs: blocks[2 * start[v]..] */
     RecordSet found;            /* the accepted children's rows, all parents */
 } Augment;
 
@@ -797,37 +777,56 @@ static int analyse(Augment *a)
     for (int v = 0; a->connected && v < m; v++)
         if (!spans(parent, everyone & ~((word)1 << v)))
             a->rival &= ~((word)1 << v);
-    a->top = 0;
+    int top = 0;
     for (int d = 0; d < m; d++)
         if (a->by_deg[d] & a->rival)
-            a->top = d;
-    /* classes of false twins (equal rows) and true twins (equal closed rows) */
-    a->ntwins = 0;
-    word done = 0;
+            top = d;
+    a->lo = a->connected && top < 2 ? 2 : top;
+    /* false twins have equal rows, true twins equal closed rows */
     for (int v = 0; v < m; v++) {
-        if ((done >> v) & 1)
-            continue;
-        word open = 0, closed = 0;
-        for (int u = 0; u < m; u++) {
-            if (parent[u] == parent[v])
-                open |= (word)1 << u;
-            if ((parent[u] | (word)1 << u) == (parent[v] | (word)1 << v))
-                closed |= (word)1 << u;
-        }
-        if (open & (open - 1)) {
-            a->twins[a->ntwins++] = open;
-            done |= open;
-        }
-        if (closed & (closed - 1)) {
-            a->twins[a->ntwins++] = closed;
-            done |= closed;
-        }
+        a->higher[v] = 0;
+        for (int u = v + 1; u < m; u++)
+            if (parent[u] == parent[v] || (parent[u] | (word)1 << u) == (parent[v] | (word)1 << v))
+                a->higher[v] |= (word)1 << u;
     }
     return 0;
 }
 
-/* One mask through stages 0-2, pruning, labelling, dedup and acceptance;
-   -1 on error. */
+/* The bit length of x: 0 for 0 (where clz is undefined). */
+static inline int bit_length(word x) { return x ? 64 - __builtin_clzll(x) : 0; }
+
+/* List the parent's pairs and copy them into blocks by the bit length of
+   S (a counting sort): 0, or -1 out of memory. */
+static int list_pairs(Augment *a)
+{
+    if (list_obstructions(a->m, a->parent, a->plans, a->nplans, &a->pairs) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    size_t count = a->pairs.count, *start = a->start, fill[MAXN + 2];
+    const word *pairs = a->pairs.data;
+    word *blocks = PyMem_Realloc(a->blocks, (count ? 2 * count : 1) * sizeof *blocks);
+    if (blocks == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    a->blocks = blocks;
+    memset(start, 0, sizeof a->start);
+    for (size_t i = 0; i < count; i++)
+        start[bit_length(pairs[2 * i]) + 1]++;
+    for (int v = 0; v <= a->m; v++)
+        start[v + 1] += start[v];
+    memcpy(fill, start, sizeof fill);
+    for (size_t i = 0; i < count; i++) {
+        size_t j = fill[bit_length(pairs[2 * i])]++;
+        blocks[2 * j] = pairs[2 * i];
+        blocks[2 * j + 1] = pairs[2 * i + 1];
+    }
+    return 0;
+}
+
+/* One leaf of the walk through stages 1 and 2, labelling, dedup and
+   acceptance; -1 on error. */
 static int try_mask(Augment *a, word mask)
 {
     int m = a->m, n = m + 1, k = popc(mask);
@@ -835,22 +834,9 @@ static int try_mask(Augment *a, word mask)
     word ranked = a->connected && k == 1 ? a->rival & ~mask : a->rival;
     if (ranked & ((a->atleast[k + 1] & ~mask) | (a->atleast[k] & mask)))
         return 0;
-    if (!keeps_lowest_twins(mask, a->twins, a->ntwins))
-        return 0;
     word rivals = ranked & ((a->by_deg[k] & ~mask) | (a->below[k] & mask));
     if (rivals && outranked(parent, m, a->by_deg, a->below, mask, k, rivals))
         return 0;
-    if (!a->listed) {
-        a->listed = 1;
-        if (list_obstructions(m, parent, a->plans, a->nplans, &a->pairs) < 0) {
-            PyErr_NoMemory();
-            return -1;
-        }
-    }
-    const word *pairs = a->pairs.data;
-    for (size_t i = 0; i < a->pairs.count; i++)
-        if ((mask & pairs[2 * i]) == pairs[2 * i + 1])
-            return 0;
     word adj[MAXN], cert[MAXN];
     uint8_t perm[MAXN];
     for (int v = 0; v < m; v++)
@@ -899,37 +885,27 @@ static int try_mask(Augment *a, word mask)
     return 0;
 }
 
-/* The m-bit masks of popcount k (k <= m) in ascending order (Gosper's
-   hack). */
-static int run_popcount(Augment *a, int k)
+/* The mask walk (kernels._walk) from vertex v, the vertices below it
+   decided.  The branch ends when its popcount plus the undecided vertices
+   is below lo (below 1 while its popcount is under 2 on the connected
+   tree), or when mask & S == T for a pair whose S has bit length v, so
+   that every vertex of S is decided.  Otherwise v is taken, unless a
+   lower twin was left out, and then left out, which bans its higher
+   twins.  Each leaf goes to try_mask.  -1 on error. */
+static int walk(Augment *a, int v, word mask, word banned, int count)
 {
-    int m = a->m;
-    word mask = all_of(k);
-    while (!(mask >> m)) {
-        if (try_mask(a, mask) < 0)
-            return -1;
-        if (!mask)
-            break;
-        word low = mask & -mask, ripple = mask + low;
-        mask = ripple | (((ripple ^ mask) >> 2) / low);
-    }
-    return 0;
-}
-
-/* Masks by popcount, as kernels._masks_of: top and up on the alpha tree;
-   on the connected tree one vertex, then max(top, 2) and up. */
-static int run_masks(Augment *a)
-{
-    int m = a->m, lo = a->top;
-    if (a->connected) {
-        if (m >= 1 && run_popcount(a, 1) < 0)
-            return -1;
-        lo = lo > 2 ? lo : 2;
-    }
-    for (int k = lo; k <= m; k++)
-        if (run_popcount(a, k) < 0)
-            return -1;
-    return 0;
+    if (count + a->m - v < (a->connected && count < 2 ? 1 : a->lo))
+        return 0;
+    const word *pairs = a->blocks;
+    for (size_t i = a->start[v]; i < a->start[v + 1]; i++)
+        if ((mask & pairs[2 * i]) == pairs[2 * i + 1])
+            return 0;
+    if (v == a->m)
+        return try_mask(a, mask);
+    word bit = (word)1 << v;
+    if (!(banned & bit) && walk(a, v + 1, mask | bit, banned, count + 1) < 0)
+        return -1;
+    return walk(a, v + 1, mask, banned | a->higher[v], count);
 }
 
 /* The record width record_cmp compares: set just before each sort, with
@@ -1016,12 +992,12 @@ static PyObject *py_augment(PyObject *self, PyObject *const *args, Py_ssize_t na
     int ok = 1;
     for (Py_ssize_t i = 0; ok && i < PySequence_Fast_GET_SIZE(parents); i++) {
         ok = read_rows(PySequence_Fast_GET_ITEM(parents, i), m, (int)m, parent, "parent") == 0;
-        a.listed = 0;
         if (ok && analyse(&a) == 0)
-            ok = run_masks(&a) == 0;
+            ok = list_pairs(&a) == 0 && walk(&a, 0, 0, 0, 0) == 0;
         rs_free(&a.pairs);
         rs_free(&a.seen);
     }
+    PyMem_Free(a.blocks);
     PyMem_Free(plans);
     Py_DECREF(parents);
     PyObject *out = ok ? sorted_rows(&a.found) : NULL;

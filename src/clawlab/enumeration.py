@@ -19,21 +19,23 @@ canonically last vertex and the tree is rooted at K1, the whole class.
 
 Each parent is analysed once (its degree classes, its classes of false and
 true twins, and the set R of vertices whose deletion keeps alpha >= a),
-and before any kernel call each extension is dropped when it duplicates
-another through a permutation of twins, or when its new vertex cannot be w:
-w has maximum degree among the vertices of R (on the connected tree below,
-those that are no cut vertex of the parent) and, among those of that
-degree, a maximal neighbour profile over the degree classes, read off the
-parent's classes and the mask (see ``kernels.pure_augment``).  Only
-whole extensions the acceptance test would have rejected anyway, or
-duplicates of accepted ones, are dropped, so the classes produced are
-unchanged.
+and its extensions' masks come from one walk over its vertices in index
+order (see ``kernels.pure_augment``).  Before labelling, an extension is
+dropped when it duplicates another through a permutation of twins, which
+the walk never reaches, or when its new vertex cannot be w: w has maximum
+degree among the vertices of R (on the connected tree below, those that
+are no cut vertex of the parent), which bounds the walk's popcount, and,
+among those of that degree, a maximal neighbour profile over the degree
+classes, read off the parent's classes and the mask.  Only whole
+extensions the acceptance test would have rejected anyway, or duplicates
+of accepted ones, are dropped, so the classes produced are unchanged.
 
 Induced-hereditary constraints (pattern-freeness) prune whole subtrees.
 The parent is free of the patterns already, so a child fails only
 through a copy that uses the new vertex; those copies are read off the
 parent once, as ``kernels.extension_obstructions`` pairs, not searched
-per extension.  The odd-cycle filter is not hereditary and applies only
+per extension, and the walk tests each pair as soon as the vertices it
+reads are decided, so it ends a branch of masks at once.  The odd-cycle filter is not hereditary and applies only
 at emission.
 
 Connectivity is not hereditary either, but the connected members of a

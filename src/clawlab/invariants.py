@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from clawlab import kernels
-from clawlab.graphs import Graph, row_classes, vertices_of
+from clawlab.graphs import Graph, bitset_of, reachable, row_classes, vertices_of
 
 DIRECT_MAX_VERTICES = 14
 
@@ -124,7 +124,8 @@ def is_perfect(g: Graph, method: str = "spgt") -> PerfectionVerdict:
     grower each), and gives every perfect graph one shared verdict.
     ``direct`` (only for n <= 14) scans connected induced subgraphs on >= 5
     vertices for chi > omega; smaller or disconnected subgraphs can never
-    be the smallest violators.
+    be the smallest violators.  Each vertex subset is tested for
+    connectivity on its bitmask, and only a connected one is built.
     """
     method = method.lower()
     if method == "spgt":
@@ -140,9 +141,10 @@ def is_perfect(g: Graph, method: str = "spgt") -> PerfectionVerdict:
             raise ValueError(f"direct perfection test limited to n <= {DIRECT_MAX_VERTICES}")
         for size in range(5, g.n + 1):
             for sub in itertools.combinations(range(g.n), size):
-                h = g.induced(sub)
-                if not h.is_connected():
+                keep = bitset_of(sub)
+                if reachable(g.adj, 1 << sub[0], keep) != keep:
                     continue
+                h = g.induced(sub)
                 omega = kernels.max_clique(h.n, h.adj).bit_count()
                 if kernels.color_with(h.n, h.adj, omega) is None:
                     return PerfectionVerdict(False, "direct", Certificate("chi_gt_omega", sub))

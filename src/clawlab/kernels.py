@@ -29,7 +29,10 @@ the pattern copies a new vertex could complete as bitmask pairs tested
 against its neighbourhood, one listing per orbit of the pattern, by
 walking the patterns' ``obstruction_plans``.  Those plans are the only
 pattern analysis ``augment`` needs, and both backends take them from
-here.
+here.  ``augment`` makes each parent's masks by one mask walk (``_walk``)
+that decides the parent's vertices in index order and, as it goes, tests
+each pair once its S is decided, keeps each twin class met in its lowest
+vertices and cuts branches whose popcount cannot reach the degree floor.
 ``canon_form`` refines by counting neighbours only in the cells split in
 the previous round (McKay and Piperno 2014), which orders the cells as
 counting in every cell would.  Every search order is fixed, so results,
@@ -713,33 +716,53 @@ def _twin_classes(adj):
     return [c for c in groups.values() if c & (c - 1)]
 
 
-def _masks_of(m, counts):
-    """Every ``m``-bit mask whose popcount is in ``counts`` (ascending), by
-    popcount, each popcount in ascending order (Gosper's hack)."""
-    for k in counts:
-        mask = (1 << k) - 1
-        while not mask >> m:
-            yield mask
-            if not mask:
-                break
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | (((ripple ^ mask) >> 2) // low)
-
-
 def _spans(adj, keep):
     """Whether the vertices in bitmask ``keep`` induce a connected graph
     (none or one vertex counts as connected)."""
     return reachable(adj, keep & -keep, keep) == keep
 
 
-def _keeps_lowest_twins(mask, twins):
-    """Whether ``mask`` meets each twin class in a prefix (its lowest bits)."""
-    for c in twins:
-        part = mask & c
-        if (c ^ part) & ((1 << part.bit_length()) - 1):
-            return False
-    return True
+def _walk(parent, pairs, lo, connected):
+    """The masks the mask walk of ``pure_augment`` reaches, as a list: the
+    masks over the parent's vertices (rows ``parent``) whose popcount is at
+    least ``lo`` (at least 2 on the connected tree) or, on the connected
+    tree, 1, that meet each twin class (``_twin_classes``) in its lowest
+    vertices and that give ``mask & S != T`` for each ``(S, T)`` of
+    ``pairs``.
+
+    The walk decides the vertices in index order, taking each vertex before
+    leaving it out.  At vertex ``v`` every vertex of an S of bit length
+    ``v`` is decided, so those pairs are tested there (S = 0, from a
+    one-vertex pattern, at the root), and a pair met ends the branch.
+    Leaving ``v`` out bans its higher twins, so each class is met in a
+    prefix.  A branch ends when its popcount plus the undecided vertices
+    falls below ``lo``, or below 1 while its popcount is under 2 on the
+    connected tree."""
+    m = len(parent)
+    blocks = [[] for _ in range(m + 1)]
+    for s, t in pairs:
+        blocks[s.bit_length()].append((s, t))
+    higher = [0] * m
+    for c in _twin_classes(parent):
+        for v in vertices_of(c):
+            higher[v] = c & ~((2 << v) - 1)
+    leaves = []
+
+    def node(v, mask, banned, count):
+        if count + m - v < (1 if connected and count < 2 else lo):
+            return
+        for s, t in blocks[v]:
+            if mask & s == t:
+                return
+        if v == m:
+            leaves.append(mask)
+            return
+        if not banned >> v & 1:
+            node(v + 1, mask | 1 << v, banned, count + 1)
+        node(v + 1, mask, banned | higher[v], count)
+
+    node(0, 0, 0, 0)
+    return leaves
 
 
 def _independent(adj, avail, size):
@@ -803,27 +826,34 @@ def pure_augment(m, parents, plans, min_alpha, connected):
     a-set that avoids v puts every vertex outside it in R); and for a v
     outside R iff the parent has an independent (a - 1)-set that misses
     ``mask`` and v.  With a <= 1, R is every vertex.  On the connected tree
-    the walk also tests that child - v is connected.
+    each step down also tests that child - v is connected.
 
-    The parent is analysed once; masks are then dropped before pruning or
-    labelling, in three stages.  Stages 1 and 2 compare the new vertex with
-    rivals that are surely in D(child): on the alpha tree R; on the connected tree
-    R less the parent's cut vertices, and less the mask's own vertex when
-    the mask has one vertex (deleting that vertex cuts the new one off).  A
+    The parent is analysed once and its pairs (below) are listed once.
+    Its masks then come from one walk (``_walk``), and masks are dropped
+    before labelling in three stages: stage 0 and the popcount bound of
+    stage 1 inside the walk, the rest at its leaves.  Stages 1 and 2
+    compare the new vertex with rivals that are surely in D(child): on the
+    alpha tree R; on the connected tree R less the parent's cut vertices,
+    and less the mask's own vertex when the mask has one vertex (deleting
+    that vertex cuts the new one off).  A
     vertex v of R that is no cut vertex of P is in D_c(child) whenever the
     mask holds a vertex other than v, since child - v is P - v plus a vertex
     joined to it.
 
     0. twins: within each class of the parent's false or true twins
        (``_twin_classes``), the mask must hold the class's lowest vertices;
+       this is the walk's twin rule: leaving a vertex out bans its higher
+       twins;
     1. degree: the new vertex (degree ``k = popcount(mask)``) must have
-       maximum degree in the child among itself and its rivals, so only
-       masks with ``k >= top``, the maximum degree of the rivals in the
-       parent, are visited (on the connected tree the masks of one vertex
-       as well, as their rivals lack that vertex);
+       maximum degree in the child among itself and its rivals, so the walk
+       reaches only masks with ``k >= top``, the maximum degree of the
+       rivals in the parent (on the connected tree ``k >= max(top, 2)``,
+       and the masks of one vertex, as their rivals lack that vertex), and
+       each leaf is tested;
     2. profile: among the rivals of degree ``k`` in the child it must have
        a lexicographically maximal profile, its tuple of neighbour counts in
-       each degree class, classes in ascending degree order.
+       each degree class, classes in ascending degree order; tested at each
+       leaf.
 
     Stage 0 drops only duplicates.  A permutation inside each twin class
     takes any mask to the one holding each class's lowest vertices.  It is a
@@ -849,15 +879,16 @@ def pure_augment(m, parents, plans, min_alpha, connected):
     Stage 2 reads the child's degree classes off the parent's (see
     ``_outranked``).  Rows are built only for masks that pass every stage.
     Children are canonical copies and each level is sorted, so the output
-    is unchanged.
+    does not depend on the order in which the walk reaches the masks.
 
-    A mask that passes every stage is then pruned when the child holds a
-    forbidden pattern.  The parent holds none, so any copy in the child
-    uses the new vertex, and it does so iff ``mask & S == T`` for one of
-    the parent's ``extension_obstructions`` pairs (S a copy of the pattern
-    less one vertex in the parent, T the neighbours the new vertex needs in
-    S).  The pairs are listed from ``plans`` when the first mask gets this
-    far, so a parent all of whose masks fail earlier lists none.
+    A mask is pruned when the child holds a forbidden pattern.  The parent
+    holds none, so any copy in the child uses the new vertex, and it does
+    so iff ``mask & S == T`` for one of the parent's
+    ``extension_obstructions`` pairs (S a copy of the pattern less one
+    vertex in the parent, T the neighbours the new vertex needs in S),
+    listed from ``plans`` before the walk.  The walk tests each pair where
+    every vertex of its S is decided, so a pruned mask ends its branch
+    there.
 
     Labelling is ``pure_canon_form``: this is the pure step on either
     backend, and the reference the compiled ``augment`` is tested against.
@@ -891,25 +922,17 @@ def pure_augment(m, parents, plans, min_alpha, connected):
                 if not _spans(parent, everyone & ~(1 << v)):
                     rival &= ~(1 << v)
         top = max((d for d in range(m) if by_deg[d] & rival), default=0)
-        twins = _twin_classes(parent)
-        blocks = None
         seen = set()
-        counts = (1, *range(max(top, 2), m + 1)) if connected else range(top, m + 1)
-        for mask in _masks_of(m, counts):
+        pairs = _obstructions(m, parent, plans)
+        for mask in _walk(parent, pairs, max(top, 2) if connected else top, connected):
             k = mask.bit_count()
             ranked = rival & ~mask if connected and k == 1 else rival
             # stage 1: a rival of degree above k in the child
             if ranked & (atleast[k + 1] & ~mask | atleast[k] & mask):
                 continue
-            if not _keeps_lowest_twins(mask, twins):
-                continue
             # stage 2: the rivals of degree k in the child
             rivals = ranked & (by_deg[k] & ~mask | below[k] & mask)
             if rivals and _outranked(parent, by_deg, below, mask, k, rivals):
-                continue
-            if blocks is None:
-                blocks = _obstructions(m, parent, plans)
-            if any(mask & s == t for s, t in blocks):
                 continue
             adj = tuple(row | 1 << m if mask >> v & 1 else row for v, row in enumerate(parent))
             adj += (mask,)

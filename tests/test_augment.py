@@ -1,4 +1,5 @@
-"""The compiled backend's entry points under bad input and long runs.
+"""The compiled backend's entry points under bad input, long runs and the
+undefined-behaviour sanitizer.
 
 Each check runs in a child process, so a crash fails the test instead of
 ending the session.  Every entry takes ints and rows and returns values;
@@ -11,8 +12,10 @@ entries), ``test_verify.py`` (``flag_level``) and ``test_enumeration.py``
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -94,7 +97,10 @@ def may_reject(fn, *args):
         return "rejected"
 
 
-def tally_of(cases, count):
+def tally_of(name, cases, count):
+    # each tally draws from its own seed, so adding or removing one leaves
+    # the inputs of the others as they were
+    rng.seed(f"{sys.argv[1]}:{name}")
     tally = {}
     for i in range(count):
         outcome = cases[i % len(cases)]()
@@ -271,9 +277,9 @@ def flag_level_case():
 
 
 print(json.dumps({
-    "augment_canon": tally_of([augment_case, canon_case], 3000),
-    "graph6": tally_of([graph6_case], 1500),
-    "flag_level": tally_of([flag_level_case], 1500),
+    "augment_canon": tally_of("augment_canon", [augment_case, canon_case], 3000),
+    "graph6": tally_of("graph6", [graph6_case], 1500),
+    "flag_level": tally_of("flag_level", [flag_level_case], 1500),
 }))
 """
 
@@ -307,7 +313,7 @@ def predicate_case():
     return may_reject(fn, n, odd, *extra)
 
 
-print(json.dumps(tally_of([predicate_case], 3000)))
+print(json.dumps(tally_of("predicates", [predicate_case], 3000)))
 """
 
 LONG_RUN = PRELUDE + r"""
@@ -364,11 +370,55 @@ run(100_000, 10_000, 10_000)
 print(json.dumps({"before_kib": before, "growth_kib": rss_kib() - before}))
 """
 
+# The module built with the undefined-behaviour sanitizer (its path is the
+# second argument) against the pure references, on seeded inputs: a
+# one-vertex pattern, whose pair has S = 0, and m = 0 among them.
+SANITIZED = PRELUDE + r"""
+import importlib.machinery
+import importlib.util
+from clawlab import kernels
 
-def run_child(script, seed):
+loader = importlib.machinery.ExtensionFileLoader("_augment", sys.argv[2])
+ub = importlib.util.module_from_spec(importlib.util.spec_from_loader("_augment", loader))
+loader.exec_module(ub)
+K1 = [(1, (0,))]
+for _ in range(300):
+    n = rng.randrange(0, 13)
+    adj = rows(n)
+    assert ub.canon_form(n, adj) == kernels.pure_canon_form(n, adj), adj
+    assert ub.graph6(n, adj) == kernels.pure_graph6(n, adj), adj
+    for complement in (False, True):
+        assert ub.max_clique(n, adj, complement) == kernels.pure_max_clique(n, adj, complement), adj
+        assert ub.odd_hole(n, adj, complement) == kernels.pure_odd_hole(n, adj, complement), adj
+    k = rng.randrange(-1, n + 2)
+    assert ub.color_with(n, adj, k) == kernels.pure_color_with(n, adj, k), (adj, k)
+    lo, hi = rng.randrange(0, 8), rng.randrange(0, n + 2)
+    assert ub.induced_cycles(n, adj, lo, hi) == kernels.pure_induced_cycles(n, adj, lo, hi), adj
+    level = [adj, rows(n)]
+    for test in (0, 1):
+        assert ub.flag_level(n, level, test) == kernels.pure_flag_level(n, level, test), level
+calls = 0
+for m in range(8):
+    for i in range(8):
+        parents = sorted({kernels.pure_canon_form(m, rows(m))[0] for _ in range(rng.randrange(1, 3))})
+        plans = obstruction_plans(rng.sample(PATTERNS, rng.randrange(0, 3)) + (K1 if i == 0 else []))
+        for a, connected in ((rng.randrange(0, 4), False), (rng.randrange(0, 4), True)):
+            want = kernels.pure_augment(m, parents, plans, a, connected)
+            assert ub.augment(m, parents, plans, a, connected) == want, (m, parents, a, connected)
+            calls += 1
+print(json.dumps({"augment_calls": calls}))
+"""
+
+
+def run_child(script, seed, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(seed)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script, str(seed), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -380,9 +430,9 @@ def test_malformed_input_is_rejected_not_crashed():
     # over 15 positions, a degree over 16 or a position not earlier than
     # its own, and negative min_alpha raise ValueError about that field,
     # in augment, canon_form, graph6 and flag_level (each of the last two
-    # with its own tally, after the others, so theirs are unchanged;
-    # flag_level also rejects a level that is not a sequence and a test
-    # other than 0 or 1); the rest of the
+    # with its own tally; each tally has its own seed; flag_level also
+    # rejects a level that is not a sequence and a test other than 0 or
+    # 1); the rest of the
     # malformed calls raise, and the well-typed odd ones (loops and
     # one-sided rows among them) and well-formed plans no pattern gives
     # are answered
@@ -412,3 +462,23 @@ def test_long_runs_keep_memory_flat():
     # warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out
+
+
+def test_sanitized_build_matches_pure(tmp_path):
+    # _augment.c built with -fsanitize=undefined -fno-sanitize-recover=all,
+    # so any undefined behaviour on the way (clz of zero, a shift past the
+    # word, a signed overflow) ends the child with the sanitizer's report;
+    # its eight entries give the pure references' answers
+    include = Path(sysconfig.get_paths()["include"])
+    gcc = shutil.which("gcc")
+    if gcc is None or not (include / "Python.h").exists():
+        pytest.skip("gcc or the Python headers are missing")
+    ubsan = subprocess.run([gcc, "-print-file-name=libubsan.so"], capture_output=True, text=True).stdout.strip()
+    if not Path(ubsan).is_absolute():
+        pytest.skip("libubsan is missing")
+    built = tmp_path / f"_augment{sysconfig.get_config_var('EXT_SUFFIX')}"
+    flags = ["-shared", "-fPIC", "-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all", f"-I{include}"]
+    source = ROOT / "src" / "clawlab" / "_augment.c"
+    proc = subprocess.run([gcc, *flags, str(source), "-o", str(built)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert run_child(SANITIZED, 20261020, str(built)) == {"augment_calls": 128}

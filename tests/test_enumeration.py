@@ -12,7 +12,7 @@ from clawlab.enumeration import (
     enumerate_graphs,
     oracle_enumerate,
 )
-from clawlab.graphs import Graph, to_graph6
+from clawlab.graphs import Graph, rows_connected, to_graph6
 from clawlab.invariants import independence_number
 from clawlab.kernels import _twin_classes
 from clawlab.patterns import is_free, pattern_graph
@@ -488,6 +488,33 @@ class TestChildren:
                     got = [adj[-1] for adj in labelled if len(adj) == rep.n + 1]
                     assert sorted(got) == list(_reference_masks(rep, a, connected)), (rep.adj, a, connected)
 
+    @pytest.mark.parametrize("tokens", [*PRUNE_SETS, ("K1",)], ids=lambda t: ",".join(t) or "none")
+    def test_walk_reaches_exactly_the_filtered_masks(self, tokens, oracle6, rng):
+        """The leaves of the mask walk (``kernels._walk``), once each, are
+        the masks a filter over all 2^m masks keeps: popcount at least
+        ``lo`` or, on the connected tree, 1; each twin class met in its
+        lowest vertices; and no obstruction pair with ``mask & S == T``.
+        For every ``lo`` on the alpha tree and every ``lo >= 2`` on the
+        connected tree; the one-vertex pattern K1 gives the pair (0, 0),
+        which every mask meets."""
+        pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
+        for rep in _parents(oracle6, rng):
+            m = rep.n
+            pairs = kernels.extension_obstructions(m, rep.adj, pats)
+            twins = [[v for v in range(m) if (c >> v) & 1] for c in _twin_classes(rep.adj)]
+            kept = [
+                mask
+                for mask in range(1 << m)
+                if all(_holds_lowest(mask, members) for members in twins) and not any(mask & s == t for s, t in pairs)
+            ]
+            for connected in (False, True):
+                for lo in range(2 if connected else 0, m + 2):
+                    want = [mask for mask in kept if mask.bit_count() >= lo or connected and mask.bit_count() == 1]
+                    got = kernels._walk(rep.adj, pairs, lo, connected)
+                    assert sorted(got) == want, (rep.adj, tokens, lo, connected)
+            if tokens == ("K1",):
+                assert not kept
+
     def test_twin_classes_are_transposition_orbits(self, oracle6):
         """A transposition is an automorphism exactly when its two vertices
         lie in one derived twin class, and the classes are disjoint."""
@@ -707,6 +734,36 @@ class TestCompleteness:
             rests = (_without(g, v) for v in range(g.n))
             assert any(h.is_connected() and independence_number(h)[0] == alpha for h in rests), g.adj
         assert checked > 10_000
+
+    @pytest.mark.parametrize("y, sizes", [("P5", [78, 155]), ("Z2", [29, 40])])
+    def test_connected_closure_past_eight_vertices(self, y, sizes, monkeypatch):
+        """Levels 9 and 10 of the connected alpha >= 3 config for K1_3 and
+        ``y``, with each ``augment`` entry, are its connected closure: from
+        the hereditary closure's connected members with alpha >= 3 on 8
+        vertices, level n holds the canonical form of every extension, over
+        every non-empty mask, of every member on n - 1 vertices that has no
+        claw and no ``y`` through the new vertex.  Such an extension is
+        connected and keeps alpha >= 3, and the closure holds every member:
+        by the connected tree's lemma (``enumeration``), as n >= 6 = 2a, a
+        member on n vertices less some vertex is a member on n - 1."""
+        pats = [pattern_graph(token) for token in ("K1_3", y)]
+        level = {rows for rows in _hereditary_closure(y)[8] if _alpha(8, rows) >= 3 and rows_connected(rows)}
+        want = {}
+        for n in (9, 10):
+            level = {
+                kernels.canon_form(n, adj)[0]
+                for rows in level
+                for adj in (_child_rows(Graph.trusted(n - 1, rows), mask) for mask in range(1, 1 << (n - 1)))
+                if not any(pinned_has_induced(n, adj, p.n, p.adj, n - 1) for p in pats)
+            }
+            want[n] = sorted(level)
+        assert [len(want[n]) for n in (9, 10)] == sizes
+        for augment in AUGMENTS:
+            monkeypatch.setattr(kernels, "augment", augment)
+            got = {n: [] for n in range(1, 11)}
+            config = EnumerationConfig(max_n=10, connected_only=True, free_of=("K1_3", y), min_alpha=3)
+            enumerate_graphs(config, lambda g: got[g.n].append(g.adj))
+            assert {n: got[n] for n in (9, 10)} == want, (augment, y)
 
 
 class TestOracle:
