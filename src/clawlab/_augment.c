@@ -642,7 +642,7 @@ static int list_from(Lister *ls, int t, word used, word touch)
     return 0;
 }
 
-/* ---- obstruction listing (kernels._obstructions) ---------------------- */
+/* ---- obstruction listing (kernels.extension_obstructions) ------------- */
 
 /* Every (S, T) pair of the plans against the graph, skipping a plan of
    more than n positions; a plan of no positions gives (0, 0).  -1 out of

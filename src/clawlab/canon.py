@@ -16,12 +16,6 @@ def canonical_form(g: Graph) -> Graph:
     return Graph.trusted(g.n, rows)
 
 
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Map original vertex -> position in the canonical copy."""
-    _, perm = kernels.canon_form(g.n, g.adj)
-    return perm
-
-
 def canonical_label(g: Graph) -> str:
     """graph6 string of the canonical copy."""
     return to_graph6(canonical_form(g))

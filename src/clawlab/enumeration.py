@@ -104,11 +104,10 @@ All of this work for one level is one ``kernels.augment`` call over the
 level's parents, which returns the next level: the accepted children's
 canonical rows, sorted.  ``enumerate_levels`` yields each level's rows
 after the emission filters, which read the rows, as the root level's
-connectivity cut does (``_emit_ok`` runs only on the levels where it can
-reject a class), and ``enumerate_graphs`` makes a ``Graph`` of each class
-only to visit it.  A caller that screens a whole level in one kernel
-call, as ``verify`` does with ``kernels.flag_level``, takes the levels
-and makes no ``Graph`` for a class that passes.  The patterns are
+connectivity cut does, and ``enumerate_graphs`` makes a ``Graph`` of each
+class only to visit it.  A caller that screens a whole level in one
+kernel call, as ``verify`` does with ``kernels.flag_level``, takes the
+levels and makes no ``Graph`` for a class that passes.  The patterns are
 analysed once per config, into the ``kernels.obstruction_plans`` every
 call takes.  ``augment`` is bound like every other kernel:
 ``kernels.pure_augment``, or the compiled entry that returns the same list
@@ -120,7 +119,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from clawlab import kernels
-from clawlab.graphs import Graph, rows_connected, rows_cycle, to_graph6
+from clawlab.graphs import Graph, rows_connected, rows_cycle
 from clawlab.patterns import pattern_graph
 
 MAX_ENUM_VERTICES = 11  # documented runtime wall
@@ -152,22 +151,13 @@ class EnumerationConfig:
                 )
 
 
-def _emit_ok(rows: tuple[int, ...], config: EnumerationConfig, connected: bool = False) -> bool:
-    """The emission filters that are not hereditary, on a class's canonical
-    rows: connectivity and odd cycles.  There is no alpha filter: every
-    class the tree grows has alpha >= ``min_alpha`` already.  ``connected``
-    says the level is at or above the connected tree's roots, so it holds
-    connected classes only and connectivity is not tested again; on the
-    alpha-tree levels below the roots it is tested here."""
-    if config.connected_only and not connected and not rows_connected(rows):
-        return False
-    return not (config.exclude_odd_cycles and len(rows) % 2 == 1 and rows_cycle(rows))
-
-
 def enumerate_levels(config: EnumerationConfig):
     """Yield ``(n, rows)`` for each level, n ascending up to max_n: the
     canonical rows of the level's classes that pass the emission filters,
-    sorted.
+    sorted.  Those filters are not hereditary: connectivity, tested only on
+    the alpha-tree levels below the connected tree's roots, and odd cycles,
+    tested only on odd levels.  There is no alpha filter: every class the
+    tree grows has alpha >= ``min_alpha`` already.
 
     Each level holds the pattern-free classes with alpha >= ``min_alpha``,
     grown from aK1 (a = ``min_alpha``, at least 1) as the module docstring
@@ -175,8 +165,7 @@ def enumerate_levels(config: EnumerationConfig):
     ``connected_only`` the levels past 2a - 1 hold only the connected ones,
     grown on the connected tree from the connected classes on 2a - 1
     vertices.  Each level above the root is one ``kernels.augment`` call on
-    the whole previous level, before its emission filters, and ``_emit_ok``
-    runs only on the levels where it can reject a class.
+    the whole previous level, before its emission filters.
     """
     a = max(config.min_alpha, 1)  # the root aK1 has a vertices
     if a > config.max_n:
@@ -195,12 +184,12 @@ def enumerate_levels(config: EnumerationConfig):
             level = kernels.augment(n - 1, level, plans, config.min_alpha, n > roots)
         if n == roots:
             level = [rows for rows in level if rows_connected(rows)]
-        connected = n >= roots
-        # whether _emit_ok can reject a class of this level at all
-        if (config.connected_only and not connected) or (config.exclude_odd_cycles and n % 2 == 1):
-            yield n, [rows for rows in level if _emit_ok(rows, config, connected)]
-        else:
-            yield n, level
+        emitted = level
+        if config.connected_only and n < roots:  # alpha-tree levels below the roots
+            emitted = [rows for rows in emitted if rows_connected(rows)]
+        if config.exclude_odd_cycles and n % 2 == 1:
+            emitted = [rows for rows in emitted if not rows_cycle(rows)]
+        yield n, emitted
 
 
 def enumerate_graphs(config: EnumerationConfig, visit=None) -> int:
@@ -242,8 +231,3 @@ def oracle_enumerate(max_n: int) -> dict[int, list[Graph]]:
                 seen.add(kernels.canon_form(n, tuple(rows))[0])
         catalog[n] = [Graph.trusted(n, cert) for cert in sorted(seen)]
     return catalog
-
-
-def catalog_labels(catalog: dict[int, list[Graph]]) -> dict[int, set[str]]:
-    """graph6 label sets per size, for comparing enumerations."""
-    return {n: {to_graph6(g) for g in gs} for n, gs in catalog.items()}

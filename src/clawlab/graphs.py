@@ -79,18 +79,6 @@ def rows_cycle(adj: Sequence[int]) -> bool:
     return len(adj) >= 3 and all(row.bit_count() == 2 for row in adj) and rows_connected(adj)
 
 
-def component_masks(adj: Sequence[int]) -> list[int]:
-    """Connected components of the graph with neighbour bitmasks ``adj``, as
-    vertex bitmasks ordered by least vertex."""
-    out = []
-    unseen = (1 << len(adj)) - 1
-    while unseen:
-        comp = reachable(adj, unseen & -unseen, unseen)
-        out.append(comp)
-        unseen &= ~comp
-    return out
-
-
 class Graph:
     """Simple undirected graph; immutable after construction.
 
@@ -175,11 +163,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.adj), default=0)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n:
-            raise GraphError(f"vertex {v} out of range for n={self.n}")
-        return vertices_of(self.adj[v])
-
     def edge_list(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
@@ -227,7 +210,13 @@ class Graph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by least vertex."""
-        return [vertices_of(comp) for comp in component_masks(self.adj)]
+        out = []
+        unseen = (1 << self.n) - 1
+        while unseen:
+            comp = reachable(self.adj, unseen & -unseen, unseen)
+            out.append(vertices_of(comp))
+            unseen &= ~comp
+        return out
 
     # -- dunder --------------------------------------------------------
 
@@ -329,6 +318,6 @@ def parse_graph6(text: str) -> Graph:
     return Graph.trusted(n, tuple(rows))
 
 
-# kernels takes encode_graph6, reachable, row_classes and vertices_of from
-# this module, all defined above, so it is imported last
+# kernels takes encode_graph6, reachable and vertices_of from this module,
+# all defined above, so it is imported last
 from clawlab import kernels  # noqa: E402

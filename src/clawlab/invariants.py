@@ -125,7 +125,9 @@ def is_perfect(g: Graph, method: str = "spgt") -> PerfectionVerdict:
     ``direct`` (only for n <= 14) scans connected induced subgraphs on >= 5
     vertices for chi > omega; smaller or disconnected subgraphs can never
     be the smallest violators.  Each vertex subset is tested for
-    connectivity on its bitmask, and only a connected one is built.
+    connectivity on its bitmask, and a connected one is tested on the rows
+    of ``g`` masked to it: the other vertices stay, isolated, which changes
+    neither omega nor omega-colourability.
     """
     method = method.lower()
     if method == "spgt":
@@ -144,9 +146,9 @@ def is_perfect(g: Graph, method: str = "spgt") -> PerfectionVerdict:
                 keep = bitset_of(sub)
                 if reachable(g.adj, 1 << sub[0], keep) != keep:
                     continue
-                h = g.induced(sub)
-                omega = kernels.max_clique(h.n, h.adj).bit_count()
-                if kernels.color_with(h.n, h.adj, omega) is None:
+                rows = [row & keep if keep >> v & 1 else 0 for v, row in enumerate(g.adj)]
+                omega = kernels.max_clique(g.n, rows).bit_count()
+                if kernels.color_with(g.n, rows, omega) is None:
                     return PerfectionVerdict(False, "direct", Certificate("chi_gt_omega", sub))
         return PerfectionVerdict(True, "direct", None)
     raise ValueError(f"unknown perfection method {method!r}")

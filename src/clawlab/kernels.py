@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import functools
 
-from clawlab.graphs import encode_graph6, reachable, row_classes, vertices_of
+from clawlab.graphs import encode_graph6, reachable, vertices_of
 
 BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
 
@@ -209,8 +209,13 @@ def _degree_masks(n, adj, top):
 
 
 def _twins(padj, a, b):
-    """Whether pattern vertices ``a`` and ``b`` have equal rows apart from
-    each other, so that swapping them is an automorphism."""
+    """Whether vertices ``a`` and ``b`` (of a pattern, or of a parent in
+    ``_walk``) have equal rows apart from each other, so that swapping them
+    is an automorphism: false twins (equal rows) or true twins (equal
+    closed rows).  This is an equivalence relation, whose classes of two or
+    more vertices are the twin classes: equal rows and equal closed rows are
+    each one, and no vertex v has both a false twin u and a true twin w (w,
+    a neighbour of v, would be one of u, so u would be one of v)."""
     return padj[a] & ~(1 << b) == padj[b] & ~(1 << a)
 
 
@@ -386,11 +391,11 @@ def obstruction_plans(patterns):
     return tuple(plan for pn, padj in patterns if pn for plan in _obstruction_plans(pn, tuple(padj)))
 
 
-def extension_obstructions(n, adj, patterns):
+def extension_obstructions(n, adj, plans):
     """The ``(S, T)`` bitmask pairs that forbid a one-vertex extension: the
     graph plus a new vertex joined to ``mask`` holds an induced copy of one
-    of the patterns (``(pn, padj)`` pairs) through the new vertex iff ``mask
-    & S == T`` for some pair.
+    of the patterns whose ``obstruction_plans`` are ``plans`` through the
+    new vertex iff ``mask & S == T`` for some pair.
 
     For each pattern H, each orbit representative ``p`` (``_search_plans``)
     and each induced embedding of H - p into the graph, S is the image and
@@ -400,14 +405,9 @@ def extension_obstructions(n, adj, patterns):
     induced, and the new vertex is joined to exactly T within S.  Only the
     twin-ordered embeddings are listed (``_embed``; twins in H, ``p``
     included), since swapping two twins fixes S and T.  Each pair is listed
-    once, in the order first found.
+    once, in the order first found; a plan of more than ``n`` positions has
+    no embedding and is skipped.
     """
-    return _obstructions(n, adj, obstruction_plans(patterns))
-
-
-def _obstructions(n, adj, plans):
-    """``extension_obstructions`` from the patterns' ``obstruction_plans``;
-    a plan of more than ``n`` positions has no embedding and is skipped."""
     found = {}
 
     def add(img, used, reach):
@@ -703,19 +703,6 @@ def _delete_vertex(adj, x):
     return tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != x)
 
 
-def _twin_classes(adj):
-    """The vertex classes of two or more false twins (equal rows) or true
-    twins (equal closed rows), as bitmasks.
-
-    Every permutation inside one class is an automorphism.  No vertex has
-    both a false and a true twin, and no row equals a closed row (that row
-    would contain its own vertex), so the classes are disjoint.
-    """
-    closed = (row | 1 << v for v, row in enumerate(adj))
-    groups = row_classes(adj) | row_classes(closed)
-    return [c for c in groups.values() if c & (c - 1)]
-
-
 def _spans(adj, keep):
     """Whether the vertices in bitmask ``keep`` induce a connected graph
     (none or one vertex counts as connected)."""
@@ -726,7 +713,7 @@ def _walk(parent, pairs, lo, connected):
     """The masks the mask walk of ``pure_augment`` reaches, as a list: the
     masks over the parent's vertices (rows ``parent``) whose popcount is at
     least ``lo`` (at least 2 on the connected tree) or, on the connected
-    tree, 1, that meet each twin class (``_twin_classes``) in its lowest
+    tree, 1, that meet each twin class (``_twins``) in its lowest
     vertices and that give ``mask & S != T`` for each ``(S, T)`` of
     ``pairs``.
 
@@ -742,10 +729,7 @@ def _walk(parent, pairs, lo, connected):
     blocks = [[] for _ in range(m + 1)]
     for s, t in pairs:
         blocks[s.bit_length()].append((s, t))
-    higher = [0] * m
-    for c in _twin_classes(parent):
-        for v in vertices_of(c):
-            higher[v] = c & ~((2 << v) - 1)
+    higher = [sum(1 << u for u in range(v + 1, m) if _twins(parent, v, u)) for v in range(m)]
     leaves = []
 
     def node(v, mask, banned, count):
@@ -841,7 +825,7 @@ def pure_augment(m, parents, plans, min_alpha, connected):
     joined to it.
 
     0. twins: within each class of the parent's false or true twins
-       (``_twin_classes``), the mask must hold the class's lowest vertices;
+       (``_twins``), the mask must hold the class's lowest vertices;
        this is the walk's twin rule: leaving a vertex out bans its higher
        twins;
     1. degree: the new vertex (degree ``k = popcount(mask)``) must have
@@ -923,7 +907,7 @@ def pure_augment(m, parents, plans, min_alpha, connected):
                     rival &= ~(1 << v)
         top = max((d for d in range(m) if by_deg[d] & rival), default=0)
         seen = set()
-        pairs = _obstructions(m, parent, plans)
+        pairs = extension_obstructions(m, parent, plans)
         for mask in _walk(parent, pairs, max(top, 2) if connected else top, connected):
             k = mask.bit_count()
             ranked = rival & ~mask if connected and k == 1 else rival

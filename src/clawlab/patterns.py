@@ -130,15 +130,6 @@ class NeighborhoodShape(Enum):
     OTHER = "OTHER"
 
 
-def cycle_neighborhood_shape(adj, cmask: int, length: int, nb: int) -> NeighborhoodShape:
-    """Shape of ``nb`` = N(x) on the induced cycle ``cmask`` of ``length``
-    vertices in the host rows ``adj``, by the rule of
-    ``classify_cycle_neighborhood`` (``kernels.neighborhood_shape``).
-    Trusted: nothing is checked, so the cycle must be induced and ``x`` off
-    it."""
-    return NeighborhoodShape(kernels.neighborhood_shape(adj, cmask, length, nb))
-
-
 def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
     """Isomorphism type of the subgraph induced by ``N(x)`` on a cycle.
 
@@ -148,10 +139,11 @@ def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
     claw-free repertoire, so the classifier doubles as a falsifier on hosts
     that do contain a claw.  The order of ``cycle`` does not matter.
 
-    The rule, on N = N(x) on the cycle: all of the cycle is C5 on five
-    vertices and OTHER on more; |N| > 4, or a vertex of N with no
-    neighbour in N, is OTHER; otherwise the ends (vertices of N with one
-    neighbour in N) decide: two ends give K2, P3 or P4 by |N|, four give 2K2.
+    The rule (``kernels.neighborhood_shape``), on N = N(x) on the cycle:
+    all of the cycle is C5 on five vertices and OTHER on more; |N| > 4, or
+    a vertex of N with no neighbour in N, is OTHER; otherwise the ends
+    (vertices of N with one neighbour in N) decide: two ends give K2, P3 or
+    P4 by |N|, four give 2K2.
     """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
@@ -161,4 +153,4 @@ def classify_cycle_neighborhood(g: Graph, cycle, x: int) -> NeighborhoodShape:
     if len(cset) < 5 or not g.induced(cset).is_cycle():
         raise ValueError("vertex set does not induce a cycle of length >= 5")
     cmask = bitset_of(cset)
-    return cycle_neighborhood_shape(g.adj, cmask, len(cset), g.adj[x] & cmask)
+    return NeighborhoodShape(kernels.neighborhood_shape(g.adj, cmask, len(cset), g.adj[x] & cmask))

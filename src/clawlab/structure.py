@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from clawlab.graphs import Graph, bitset_of, row_classes, vertices_of
+from clawlab.graphs import Graph, row_classes, vertices_of
 from clawlab.invariants import PerfectionVerdict, independence_number, is_complete_multipartite, is_perfect
 from clawlab.patterns import find_induced, has_induced
 
@@ -44,21 +44,6 @@ class StructureVerdict:
     partition: InflationPartition | None = None
     violation: str | None = None
     witness: tuple[int, ...] | None = None
-
-
-def validate_inflation(g: Graph, parts) -> bool:
-    """Whether ``parts`` (k >= 4 of them, partitioning the vertices) are the
-    parts of an inflation of C_k in this order: every u in part i is joined
-    to exactly the other vertices of parts i - 1, i and i + 1 (mod k)."""
-    k = len(parts)
-    if k < 4:
-        return False
-    if sorted(v for p in parts for v in p) != list(range(g.n)):
-        return False
-    masks = [bitset_of(p) for p in parts]
-    return all(
-        g.adj[u] == (masks[i - 1] | masks[i] | masks[(i + 1) % k]) & ~(1 << u) for i in range(k) for u in parts[i]
-    )
 
 
 def _normalise(parts) -> InflationPartition:

@@ -30,7 +30,7 @@ BUILD = _build_compiled_backend()
 
 from clawlab.enumeration import oracle_enumerate  # noqa: E402
 from clawlab.families import InflationSpec, build_inflation  # noqa: E402
-from clawlab.graphs import Graph  # noqa: E402
+from clawlab.graphs import Graph, bitset_of, to_graph6  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -110,6 +110,24 @@ def perturbed_inflations(rng, count, spread, max_n):
             g = toggled(rng, g)
         graphs.append(g)
     return graphs
+
+
+def validate_inflation(g, parts):
+    """Whether ``parts`` (k >= 4 of them, partitioning the vertices) are the
+    parts of an inflation of C_k in this order: every u in part i is joined
+    to exactly the other vertices of parts i - 1, i and i + 1 (mod k)."""
+    k = len(parts)
+    if k < 4 or sorted(v for p in parts for v in p) != list(range(g.n)):
+        return False
+    masks = [bitset_of(p) for p in parts]
+    return all(
+        g.adj[u] == (masks[i - 1] | masks[i] | masks[(i + 1) % k]) & ~(1 << u) for i in range(k) for u in parts[i]
+    )
+
+
+def catalog_labels(catalog):
+    """graph6 label sets per size, for comparing enumerations."""
+    return {n: {to_graph6(g) for g in gs} for n, gs in catalog.items()}
 
 
 def toggled(rng, g):

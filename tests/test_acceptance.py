@@ -9,7 +9,7 @@ import random
 import time
 
 from clawlab.canon import is_isomorphic
-from clawlab.enumeration import EnumerationConfig, catalog_labels, enumerate_graphs
+from clawlab.enumeration import EnumerationConfig, enumerate_graphs
 from clawlab.families import (
     FamilySpec,
     InflationSpec,
@@ -22,6 +22,7 @@ from clawlab.invariants import chromatic_number, clique_number, is_perfect
 from clawlab.patterns import is_free
 from clawlab.structure import recognize_inflation
 from clawlab.verify import verify
+from conftest import catalog_labels
 
 FAMILY_RANGES = [("F0", (1, 2, 3, 4)), ("F1", (3, 4, 5)), ("F2", (2, 3)), ("F3", (1, 2, 3)), ("F4", (3, 5))]
 

@@ -6,17 +6,11 @@ import pytest
 
 from clawlab import kernels
 from clawlab.canon import canonical_label
-from clawlab.enumeration import (
-    EnumerationConfig,
-    catalog_labels,
-    enumerate_graphs,
-    oracle_enumerate,
-)
-from clawlab.graphs import Graph, rows_connected, to_graph6
+from clawlab.enumeration import EnumerationConfig, enumerate_graphs, oracle_enumerate
+from clawlab.graphs import Graph, rows_connected, to_graph6, vertices_of
 from clawlab.invariants import independence_number
-from clawlab.kernels import _twin_classes
 from clawlab.patterns import is_free, pattern_graph
-from conftest import brute_automorphisms, permuted, pinned_has_induced, random_graph
+from conftest import brute_automorphisms, catalog_labels, permuted, pinned_has_induced, random_graph
 
 
 def collect(config):
@@ -42,7 +36,7 @@ def emitted(g, config):
     """Whether a pattern-free class is one the config emits: alpha at least
     ``min_alpha`` (which the generation tree guarantees), connected if the
     config asks it, and no odd cycle if the config excludes them, read off
-    the ``Graph`` methods, not off ``_emit_ok``'s row tests."""
+    the ``Graph`` methods, not off ``enumerate_levels``'s row tests."""
     if independence_number(g)[0] < config.min_alpha or (config.connected_only and not g.is_connected()):
         return False
     return not (config.exclude_odd_cycles and g.n % 2 == 1 and g.is_cycle())
@@ -221,7 +215,7 @@ def _profile(g, v, upto=None):
     degree, up to degree ``upto`` when given."""
     degs = g.degrees()
     return tuple(
-        sum(1 for u in g.neighbors(v) if degs[u] == d)
+        sum(1 for u in vertices_of(g.adj[v]) if degs[u] == d)
         for d in sorted(set(degs))
         if upto is None or d <= upto
     )
@@ -306,6 +300,28 @@ def _reference_children(rep, pattern_adjs, min_alpha=0, connected=False):
     return sorted(out)
 
 
+def _swaps_to_automorphism(adj, u, w):
+    """Whether swapping vertices ``u`` and ``w`` maps the graph with rows
+    ``adj`` onto itself."""
+    perm = list(range(len(adj)))
+    perm[u], perm[w] = w, u
+    return all(adj[perm[a]] >> perm[b] & 1 == adj[a] >> b & 1 for a in range(len(adj)) for b in range(len(adj)))
+
+
+def _twin_classes(adj):
+    """The classes of two or more twins, as ascending vertex lists: u and w
+    are twins iff swapping them is an automorphism."""
+    classes, placed = [], set()
+    for v in range(len(adj)):
+        if v in placed:
+            continue
+        members = [v] + [u for u in range(v + 1, len(adj)) if _swaps_to_automorphism(adj, v, u)]
+        placed.update(members)
+        if len(members) > 1:
+            classes.append(members)
+    return classes
+
+
 def _planted_twins_parent(rng, n):
     """A random canonical graph on ``n`` vertices with a false-twin class and
     a true-twin class of 3 or 4 vertices each.
@@ -343,7 +359,7 @@ def _reference_masks(rep, min_alpha=0, connected=False):
     the mask is not empty, and the rivals are the vertices of R that are no
     cut vertex of P, less the mask's own vertex when it has one."""
     m = rep.n
-    twins = [[v for v in range(m) if (c >> v) & 1] for c in _twin_classes(rep.adj)]
+    twins = _twin_classes(rep.adj)
     rivals = [v for v in range(m) if _alpha_without(rep, v) >= min_alpha]
     if connected:
         rivals = [v for v in rivals if _without(rep, v).is_connected()]
@@ -371,7 +387,7 @@ def _parents(oracle6, rng):
     parents = [g for k in range(1, 7) for g in oracle6[k]]
     for n in (8, 8, 9, 9):
         parents.append(_planted_twins_parent(rng, n))
-        assert max(c.bit_count() for c in _twin_classes(parents[-1].adj)) >= 3
+        assert max(map(len, _twin_classes(parents[-1].adj))) >= 3
     return parents
 
 
@@ -500,8 +516,8 @@ class TestChildren:
         pats = [(p.n, p.adj) for p in map(pattern_graph, tokens)]
         for rep in _parents(oracle6, rng):
             m = rep.n
-            pairs = kernels.extension_obstructions(m, rep.adj, pats)
-            twins = [[v for v in range(m) if (c >> v) & 1] for c in _twin_classes(rep.adj)]
+            pairs = kernels.extension_obstructions(m, rep.adj, kernels.obstruction_plans(pats))
+            twins = _twin_classes(rep.adj)
             kept = [
                 mask
                 for mask in range(1 << m)
@@ -517,17 +533,19 @@ class TestChildren:
 
     def test_twin_classes_are_transposition_orbits(self, oracle6):
         """A transposition is an automorphism exactly when its two vertices
-        lie in one derived twin class, and the classes are disjoint."""
+        are twins (``kernels._twins``, from which the mask walk builds each
+        vertex's higher twins), and being twins is transitive, so the twin
+        classes are disjoint."""
         for k in range(1, 7):
             for g in oracle6[k]:
-                classes = _twin_classes(g.adj)
-                assert not any(a & b for a, b in itertools.combinations(classes, 2)), g.adj
                 autos = set(brute_automorphisms(g))
                 for u, w in itertools.combinations(range(g.n), 2):
                     swap = list(range(g.n))
                     swap[u], swap[w] = w, u
-                    twins = any((c >> u) & (c >> w) & 1 for c in classes)
-                    assert (tuple(swap) in autos) == twins, (g.adj, u, w)
+                    assert (tuple(swap) in autos) == kernels._twins(g.adj, u, w), (g.adj, u, w)
+                for u, v, w in itertools.permutations(range(g.n), 3):
+                    if kernels._twins(g.adj, u, v) and kernels._twins(g.adj, v, w):
+                        assert kernels._twins(g.adj, u, w), (g.adj, u, v, w)
 
 
 class TestProperties:

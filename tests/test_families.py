@@ -10,8 +10,10 @@ from clawlab.families import (
     build_inflation,
     verify_family_claims,
 )
+from clawlab.graphs import vertices_of
 from clawlab.invariants import clique_number
 from clawlab.patterns import find_induced, pattern_graph
+from conftest import validate_inflation
 
 
 class TestSpecs:
@@ -82,19 +84,19 @@ class TestStructure:
         for i in (1, 2, 3):
             x = lab[f"x{i}"]
             assert g.degree(x) == 3
-            assert set(g.neighbors(x)) == {lab[f"u{2 * i - 1}"], lab[f"u{2 * i}"], lab[f"u{2 * i + 1}"]}
+            assert set(vertices_of(g.adj[x])) == {lab[f"u{2 * i - 1}"], lab[f"u{2 * i}"], lab[f"u{2 * i + 1}"]}
 
     def test_f2_identified_vertices(self):
         g, lab = build_family(FamilySpec("F2", 2))
         assert lab["x2"] == lab["u2"] and lab["x3"] == lab["u3"]
-        assert set(g.neighbors(lab["z"])) == {lab[f"x{i}"] for i in range(1, 6)}
+        assert set(vertices_of(g.adj[lab["z"]])) == {lab[f"x{i}"] for i in range(1, 6)}
         assert g.has_edge(lab["x1"], lab["u1"]) and g.has_edge(lab["x4"], lab["u4"])
 
     def test_f3_attachment_windows(self):
         g, lab = build_family(FamilySpec("F3", 1))
-        assert set(g.neighbors(lab["x1^1"])) == {lab["u1"], lab["u2"], lab["u4"], lab["u5"]}
-        assert set(g.neighbors(lab["x2^1"])) == {lab["u2"], lab["u3"], lab["u5"], lab["u6"]}
-        assert set(g.neighbors(lab["x3^1"])) == {lab["u3"], lab["u4"], lab["u6"], lab["u7"]}
+        assert set(vertices_of(g.adj[lab["x1^1"]])) == {lab["u1"], lab["u2"], lab["u4"], lab["u5"]}
+        assert set(vertices_of(g.adj[lab["x2^1"]])) == {lab["u2"], lab["u3"], lab["u5"], lab["u6"]}
+        assert set(vertices_of(g.adj[lab["x3^1"]])) == {lab["u3"], lab["u4"], lab["u6"], lab["u7"]}
 
     def test_f4_complement_has_c9_and_triangle(self):
         g, lab = build_family(FamilySpec("F4", 3))
@@ -127,8 +129,6 @@ class TestInflation:
         assert is_isomorphic(g, pattern_graph("C4"))
 
     def test_adjacency_rules(self):
-        from clawlab.structure import validate_inflation
-
         g, parts = build_inflation(InflationSpec((2, 3, 1, 2, 1)))
         assert validate_inflation(g, parts)
 

@@ -1,8 +1,8 @@
 """Source hygiene: no module under ``src/clawlab/`` or ``tests/`` imports a
-name it never uses, no package module keeps a private name nothing reads,
-the C extension compiles with no warning and never calls back into
-Python, and its header comment lists the entries its ``methods[]`` table
-exports.
+name it never uses, no package module keeps a private name nothing reads
+or a public function only tests read, the C extension compiles with no
+warning and never calls back into Python, and its header comment lists
+the entries its ``methods[]`` table exports.
 
 ``__init__.py`` is skipped by the import check: its imports are the
 package's re-exports.
@@ -20,6 +20,7 @@ from test_kernels import compiled_entry_names
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "clawlab"
 TESTS = Path(__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -120,6 +121,59 @@ def test_no_dead_private_names_in_package():
     readers = list(modules.values()) + [path.read_text() for path in sorted(TESTS.rglob("*.py"))]
     found = dead_private_names(modules, readers)
     assert not found, "private names nothing reads: " + ", ".join(found)
+
+
+def public_functions(source: str) -> list[str]:
+    """The public functions ``source`` defines at module level."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+
+
+def string_constants(source: str) -> set[str]:
+    """The string constants of ``source``: the bench's tracer names the
+    functions it wraps in strings."""
+    nodes = ast.walk(ast.parse(source))
+    return {node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unread_public_functions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module: name`` for each public module-level function of ``modules``
+    (file name -> source) that no source in ``readers`` reads, as a name or
+    as a string constant."""
+    read = set().union(*map(read_names, readers), *map(string_constants, readers))
+    return [
+        f"{path}: {name}" for path, source in modules.items() for name in public_functions(source) if name not in read
+    ]
+
+
+def test_detector_names_each_unread_public_function():
+    lib = (
+        "def a(): pass\n"
+        "def b(): return a()\n"
+        "def c(): pass\n"
+        "def d(): pass\n"
+        "def e(): pass\n"
+        "def _f(): pass\n"
+        "class G:\n"
+        "    def h(self): pass\n"
+        "async def i(): pass\n"
+    )
+    init = "from lib import d\n"
+    bench = "TARGETS = (('lib', 'e'),)\nprint('c is not here')\n"
+    want = ["lib.py: b", "lib.py: c", "lib.py: i"]
+    assert unread_public_functions({"lib.py": lib}, [lib, init, bench]) == want
+
+
+def test_no_public_function_only_tests_read():
+    # read by a package module, re-exported by __init__, or named in the
+    # bench; the tests are not readers
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = list(modules.values()) + [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    found = unread_public_functions(modules, readers)
+    assert not found, "public functions only tests read: " + ", ".join(found)
 
 
 def test_c_source_compiles_without_warnings(tmp_path):

@@ -185,6 +185,18 @@ class TestOddHoles:
                     assert g.has_edge(hole[i], hole[j]) == expect
 
 
+def reference_direct_certificate(g):
+    """The first connected vertex subset, in ``itertools.combinations``
+    order by size from one vertex up, whose induced subgraph has chi > omega
+    by brute force, or None."""
+    for size in range(1, g.n + 1):
+        for sub in itertools.combinations(range(g.n), size):
+            h = g.induced(sub)
+            if h.is_connected() and brute_chromatic_number(h) > brute_clique_number(h):
+                return sub
+    return None
+
+
 class TestPerfection:
     def test_p4_perfect(self):
         v = is_perfect(pattern_graph("P4"), "spgt")
@@ -217,6 +229,22 @@ class TestPerfection:
         for reps in oracle6.values():
             for g in reps:
                 assert is_perfect(g, "spgt").perfect == is_perfect(g, "direct").perfect
+
+    def test_direct_certificate_is_first_violator(self, oracle7, rng):
+        # the "direct" certificate is the first connected subset with
+        # chi > omega, on every imperfect class on at most 7 vertices and on
+        # seeded imperfect graphs on 8-10 vertices
+        graphs = [g for reps in oracle7.values() for g in reps]
+        graphs += [random_graph(rng, rng.randrange(8, 11), rng.choice([0.3, 0.5, 0.7])) for _ in range(150)]
+        checked = 0
+        for g in graphs:
+            if is_perfect(g, "spgt").perfect:
+                continue
+            v = is_perfect(g, "direct")
+            assert not v.perfect and v.certificate.kind == "chi_gt_omega"
+            assert v.certificate.vertices == reference_direct_certificate(g), g
+            checked += 1
+        assert checked >= 180
 
     def test_spgt_direct_agreement_sampled_n8(self, rng):
         for _ in range(300):

@@ -392,7 +392,7 @@ def test_extension_obstructions_match_pinned_search(oracle6, rng):
         ]
         single = []
         for p in pats:
-            pairs = kernels.extension_obstructions(m, g.adj, [(p.n, p.adj)])
+            pairs = kernels.extension_obstructions(m, g.adj, kernels.obstruction_plans([(p.n, p.adj)]))
             assert len(set(pairs)) == len(pairs)
             assert all(t & ~s == 0 for s, t in pairs)
             for mask, child in enumerate(children):
@@ -401,8 +401,8 @@ def test_extension_obstructions_match_pinned_search(oracle6, rng):
             single.append(set(pairs))
         for i, p in enumerate(pats):
             j = (i + 1) % len(pats)
-            pair = [(p.n, p.adj), (pats[j].n, pats[j].adj)]
-            assert set(kernels.extension_obstructions(m, g.adj, pair)) == single[i] | single[j]
+            plans = kernels.obstruction_plans([(p.n, p.adj), (pats[j].n, pats[j].adj)])
+            assert set(kernels.extension_obstructions(m, g.adj, plans)) == single[i] | single[j]
 
 
 def test_canon_form_matches_full_signature_refinement(oracle7, rng):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from clawlab import kernels
 from clawlab.canon import is_isomorphic
 from clawlab.families import FamilySpec, build_family
 from clawlab.graphs import Graph, GraphError
@@ -9,7 +10,6 @@ from clawlab.patterns import (
     NeighborhoodShape,
     PatternError,
     classify_cycle_neighborhood,
-    cycle_neighborhood_shape,
     find_induced,
     has_induced,
     is_free,
@@ -202,7 +202,7 @@ class TestCycleNeighborhoodRule:
         edges = [(label[i], label[(i + 1) % length]) for i in range(length)] + [(label[i], x) for i in on]
         g = Graph.from_edges(length + 1, edges)
         cmask = (1 << length) - 1
-        assert cycle_neighborhood_shape(g.adj, cmask, length, g.adj[x] & cmask) is want
+        assert NeighborhoodShape(kernels.neighborhood_shape(g.adj, cmask, length, g.adj[x] & cmask)) is want
         shuffled = list(range(length))
         rng.shuffle(shuffled)
         assert classify_cycle_neighborhood(g, shuffled, x) is want

@@ -13,10 +13,9 @@ from clawlab.structure import (
     classify_claw_bull_free,
     olariu_classify,
     recognize_inflation,
-    validate_inflation,
     _normalise,
 )
-from conftest import cycle_search_graphs, perturbed_inflations, toggled
+from conftest import cycle_search_graphs, perturbed_inflations, toggled, validate_inflation
 
 
 def reference_long_cycle(g, min_len):
