@@ -20,8 +20,6 @@ other campaign runs through ``enumerate_graphs``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from dataclasses import dataclass
@@ -256,6 +254,11 @@ def report_emit(report: VerificationReport, format: str = "json") -> str:
     if format == "json":
         return _json_rows(report)
     if format == "csv":
+        # loaded here: no other path reads them, and importers of this
+        # module (the CLI's JSON reports among them) need not load csv
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_COLUMNS, lineterminator="\n")
         writer.writeheader()
