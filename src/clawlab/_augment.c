@@ -756,12 +756,9 @@ static int analyse(Augment *a)
     memset(a->by_deg, 0, sizeof a->by_deg);
     for (int v = 0; v < m; v++)
         a->by_deg[popc(parent[v])] |= (word)1 << v;
-    a->below[0] = 0;
-    a->atleast[m + 1] = 0;
-    for (int d = m; d >= 0; d--) {
-        a->below[d + 1] = a->by_deg[d];
-        a->atleast[d] = a->atleast[d + 1] | a->by_deg[d];
-    }
+    /* below[d] = by_deg[d - 1]; below[0] keeps py_augment's zero */
+    memcpy(a->below + 1, a->by_deg, sizeof a->by_deg);
+    degree_masks(m, parent, m + 1, a->atleast);
     /* R = {v : alpha(P - v) >= a}: an independent a-set avoiding v puts
        every vertex outside it in R */
     a->deletable = everyone;
@@ -782,11 +779,11 @@ static int analyse(Augment *a)
         if (a->by_deg[d] & a->rival)
             top = d;
     a->lo = a->connected && top < 2 ? 2 : top;
-    /* false twins have equal rows, true twins equal closed rows */
+    /* twins (kernels._twins): equal rows apart from each other */
     for (int v = 0; v < m; v++) {
         a->higher[v] = 0;
         for (int u = v + 1; u < m; u++)
-            if (parent[u] == parent[v] || (parent[u] | (word)1 << u) == (parent[v] | (word)1 << v))
+            if ((parent[v] & ~((word)1 << u)) == (parent[u] & ~((word)1 << v)))
                 a->higher[v] |= (word)1 << u;
     }
     return 0;
@@ -849,34 +846,32 @@ static int try_mask(Augment *a, word mask)
             PyErr_NoMemory();
         return added;
     }
-    if (perm[m] != m) {
-        /* walk down to w, the canonically last vertex of D(child) */
-        int inv[MAXN] = {0};
-        for (int v = 0; v < n; v++)
-            inv[perm[v]] = v;
-        int pos = m, w = inv[pos];
-        while (w != m) {
-            if (!a->connected || spans(adj, all_of(n) & ~((word)1 << w))) {
-                word set = 0;
-                if ((a->deletable >> w) & 1)
-                    break;
-                if (independent(parent, all_of(m) & ~(mask | (word)1 << w), (int)a->min_alpha - 1, &set))
-                    break;
-            }
-            w = inv[--pos];
+    /* walk down to w, the canonically last vertex of D(child) */
+    int inv[MAXN] = {0};
+    for (int v = 0; v < n; v++)
+        inv[perm[v]] = v;
+    int pos = m, w = inv[pos];
+    while (w != m) {
+        if (!a->connected || spans(adj, all_of(n) & ~((word)1 << w))) {
+            word set = 0;
+            if ((a->deletable >> w) & 1)
+                break;
+            if (independent(parent, all_of(m) & ~(mask | (word)1 << w), (int)a->min_alpha - 1, &set))
+                break;
         }
-        if (w != m) {
-            word rest[MAXN], rows[MAXN];
-            for (int v = 0, i = 0; v < n; v++) {
-                if (v == w)
-                    continue;
-                word row = adj[v];
-                rest[i++] = (row & (((word)1 << w) - 1)) | ((row >> w >> 1) << w);
-            }
-            canon(m, rest, rows, NULL);
-            if (memcmp(rows, parent, m * sizeof *rows) != 0)
-                return 0;
+        w = inv[--pos];
+    }
+    if (w != m) {
+        word rest[MAXN], rows[MAXN];
+        for (int v = 0, i = 0; v < n; v++) {
+            if (v == w)
+                continue;
+            word row = adj[v];
+            rest[i++] = (row & (((word)1 << w) - 1)) | ((row >> w >> 1) << w);
         }
+        canon(m, rest, rows, NULL);
+        if (memcmp(rows, parent, m * sizeof *rows) != 0)
+            return 0;
     }
     if (rs_push(&a->found, cert) < 0) {
         PyErr_NoMemory();
@@ -1298,8 +1293,6 @@ static int has_odd_hole(int n, const word *adj)
    rows are complemented in place for the last test. */
 static int imperfect_class(int n, word *adj)
 {
-    if (n == 0)
-        return 0;
     Clique cq = {adj, 0, 0};
     expand(&cq, 0, 0, all_of(n));
     Colouring cl = {adj, popc(cq.best), all_of(n), {0}, {0}};

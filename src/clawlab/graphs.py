@@ -41,20 +41,28 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reachable(adj: Sequence[int], seed: int, within: int) -> int:
-    """Bitmask of the vertices reachable from the vertices of ``seed`` (a
-    subset of ``within``) along paths inside ``within``, one breadth-first
-    layer at a time; ``adj`` holds the neighbour bitmasks."""
-    seen = frontier = seed
+def spans(adj: Sequence[int], keep: int) -> bool:
+    """Whether the vertices of bitmask ``keep`` induce a connected graph in
+    the graph with neighbour bitmasks ``adj`` (none or one vertex counts as
+    connected): a breadth-first search from the least of them, one layer at
+    a time, along paths inside ``keep``."""
+    seen = frontier = keep & -keep
     while frontier:
         nxt = 0
         while frontier:
             low = frontier & -frontier
             frontier ^= low
             nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & within & ~seen
+        frontier = nxt & keep & ~seen
         seen |= frontier
-    return seen
+    return seen == keep
+
+
+def complement_rows(n: int, adj: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the complement of the graph on ``n`` vertices with rows
+    ``adj``."""
+    full = (1 << n) - 1
+    return tuple([full & ~row & ~(1 << v) for v, row in enumerate(adj)])
 
 
 def row_classes(rows: Iterable[int]) -> dict[int, int]:
@@ -69,8 +77,7 @@ def row_classes(rows: Iterable[int]) -> dict[int, int]:
 def rows_connected(adj: Sequence[int]) -> bool:
     """Whether the graph with neighbour bitmasks ``adj`` has one component
     (no vertex or one counts as connected)."""
-    full = (1 << len(adj)) - 1
-    return reachable(adj, full & -full, full) == full
+    return spans(adj, (1 << len(adj)) - 1)
 
 
 def rows_cycle(adj: Sequence[int]) -> bool:
@@ -157,9 +164,6 @@ class Graph:
             raise GraphError(f"vertex {v} out of range for n={self.n}")
         return self.adj[v].bit_count()
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.adj)
-
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.adj), default=0)
 
@@ -179,8 +183,7 @@ class Graph:
     # -- algebra -------------------------------------------------------
 
     def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph.trusted(self.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(self.adj)))
+        return Graph.trusted(self.n, complement_rows(self.n, self.adj))
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph; vertex order is ascending original index."""
@@ -207,16 +210,6 @@ class Graph:
     def is_cycle(self) -> bool:
         """True iff the graph is a chordless cycle: n >= 3, 2-regular, connected."""
         return rows_cycle(self.adj)
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, ordered by least vertex."""
-        out = []
-        unseen = (1 << self.n) - 1
-        while unseen:
-            comp = reachable(self.adj, unseen & -unseen, unseen)
-            out.append(vertices_of(comp))
-            unseen &= ~comp
-        return out
 
     # -- dunder --------------------------------------------------------
 
@@ -318,6 +311,6 @@ def parse_graph6(text: str) -> Graph:
     return Graph.trusted(n, tuple(rows))
 
 
-# kernels takes encode_graph6, reachable and vertices_of from this module,
-# all defined above, so it is imported last
+# kernels takes complement_rows, encode_graph6, spans and vertices_of from
+# this module, all defined above, so it is imported last
 from clawlab import kernels  # noqa: E402

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from clawlab import kernels
-from clawlab.graphs import Graph, bitset_of, reachable, row_classes, vertices_of
+from clawlab.graphs import Graph, bitset_of, row_classes, spans, vertices_of
 
 DIRECT_MAX_VERTICES = 14
 
@@ -66,8 +66,6 @@ def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 def _chromatic_from(g: Graph, lb: int) -> tuple[int, tuple[int, ...]]:
     """``chromatic_number`` given a lower bound ``lb`` on chi, such as the
     clique number a caller already has: the first k >= lb that colours."""
-    if g.n == 0:
-        return 0, ()
     for k in range(lb, g.n + 1):
         col = kernels.color_with(g.n, g.adj, k)
         if col is not None:
@@ -78,7 +76,7 @@ def _chromatic_from(g: Graph, lb: int) -> tuple[int, tuple[int, ...]]:
 def is_omega_colourable(g: Graph) -> bool:
     """chi(g) == omega(g) for the graph itself (not hereditary)."""
     omega = kernels.max_clique(g.n, g.adj).bit_count()
-    return g.n == 0 or kernels.color_with(g.n, g.adj, omega) is not None
+    return kernels.color_with(g.n, g.adj, omega) is not None
 
 
 def invariant_report(g: Graph) -> InvariantReport:
@@ -144,7 +142,7 @@ def is_perfect(g: Graph, method: str = "spgt") -> PerfectionVerdict:
         for size in range(5, g.n + 1):
             for sub in itertools.combinations(range(g.n), size):
                 keep = bitset_of(sub)
-                if reachable(g.adj, 1 << sub[0], keep) != keep:
+                if not spans(g.adj, keep):
                     continue
                 rows = [row & keep if keep >> v & 1 else 0 for v, row in enumerate(g.adj)]
                 omega = kernels.max_clique(g.n, rows).bit_count()

@@ -78,15 +78,9 @@ from __future__ import annotations
 
 import functools
 
-from clawlab.graphs import encode_graph6, reachable, vertices_of
+from clawlab.graphs import complement_rows, encode_graph6, spans, vertices_of
 
 BACKEND = "pure"  # "c" once clawlab._augment is bound (end of module)
-
-
-def _complement_rows(n, adj):
-    """The rows of the complement of the graph with rows ``adj``."""
-    full = (1 << n) - 1
-    return [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
 
 
 def max_clique(n, adj, complement=False):
@@ -100,10 +94,8 @@ def max_clique(n, adj, complement=False):
     The incumbent is only replaced by a strictly larger clique, so the result
     is the first maximum clique in this fixed order.
     """
-    if n == 0:
-        return 0
     if complement:
-        adj = _complement_rows(n, adj)
+        adj = complement_rows(n, adj)
     best = [0, 0]  # size, mask
 
     def expand(rmask, rsize, pmask):
@@ -346,8 +338,6 @@ def find_induced_embedding(n, adj, pn, padj):
     Pattern vertices are assigned in index order, so the first complete
     assignment is the lex-least tuple.
     """
-    if pn > n:
-        return None
     if pn == 0:
         return ()
     plan = _plan(tuple(padj), tuple(range(pn)))
@@ -367,8 +357,6 @@ def has_induced(n, adj, pn, padj, required=-1):
     """
     if required != -1:
         raise ValueError("has_induced takes no required vertex; see extension_obstructions")
-    if pn > n:
-        return False
     if pn == 0:
         return True
     top, free, _ = _search_plans(pn, tuple(padj))
@@ -590,7 +578,7 @@ def odd_hole(n, adj, complement):
     answer.  This is the pure entry, on the pure grower.
     """
     if complement:
-        adj = _complement_rows(n, adj)
+        adj = complement_rows(n, adj)
     holes = _grow_cycles(n, adj, 5, n, True)
     return holes[-1] if holes else None
 
@@ -701,12 +689,6 @@ def _delete_vertex(adj, x):
     """The rows of the graph less vertex ``x``, later vertices moved down."""
     low = (1 << x) - 1
     return tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != x)
-
-
-def _spans(adj, keep):
-    """Whether the vertices in bitmask ``keep`` induce a connected graph
-    (none or one vertex counts as connected)."""
-    return reachable(adj, keep & -keep, keep) == keep
 
 
 def _walk(parent, pairs, lo, connected):
@@ -882,15 +864,13 @@ def pure_augment(m, parents, plans, min_alpha, connected):
     out = []
     for parent_rows in parents:
         parent = tuple(parent_rows)
-        if connected and not _spans(parent, everyone):
+        if connected and not spans(parent, everyone):
             continue
         by_deg = [0] * (m + 1)
         for v, row in enumerate(parent):
             by_deg[row.bit_count()] |= 1 << v
         below = [0] + by_deg
-        atleast = [0] * (m + 2)
-        for d in range(m, -1, -1):
-            atleast[d] = atleast[d + 1] | by_deg[d]
+        atleast = _degree_masks(m, parent, m + 1)
         # R as a mask (the vertices whose deletion keeps alpha >= min_alpha)
         deletable = everyone
         if min_alpha > 1:
@@ -903,7 +883,7 @@ def pure_augment(m, parents, plans, min_alpha, connected):
         rival = deletable
         if connected:
             for v in range(m):
-                if not _spans(parent, everyone & ~(1 << v)):
+                if not spans(parent, everyone & ~(1 << v)):
                     rival &= ~(1 << v)
         top = max((d for d in range(m) if by_deg[d] & rival), default=0)
         seen = set()
@@ -928,7 +908,7 @@ def pure_augment(m, parents, plans, min_alpha, connected):
             pos = m
             w = perm.index(pos)
             while w != m:
-                if not connected or _spans(adj, (everyone | 1 << m) & ~(1 << w)):
+                if not connected or spans(adj, (everyone | 1 << m) & ~(1 << w)):
                     if deletable >> w & 1:
                         break
                     if _independent(parent, everyone & ~(mask | 1 << w), min_alpha - 1) is not None:

@@ -28,9 +28,14 @@ def _build_compiled_backend():
 
 BUILD = _build_compiled_backend()
 
+from clawlab import kernels  # noqa: E402
 from clawlab.enumeration import oracle_enumerate  # noqa: E402
 from clawlab.families import InflationSpec, build_inflation  # noqa: E402
 from clawlab.graphs import Graph, bitset_of, to_graph6  # noqa: E402
+
+
+def pytest_report_header(config):
+    return f"clawlab backend: {kernels.BACKEND}"
 
 
 @pytest.fixture(scope="session")
@@ -212,6 +217,49 @@ def named_graphs():
 # -- brute-force oracles (independent of the kernels under test) -----------
 
 
+def degrees(g):
+    """The degree of each vertex of g, by index."""
+    return tuple(row.bit_count() for row in g.adj)
+
+
+def plain_component(adj, start, keep):
+    """The set of vertices of bitmask ``keep`` that paths inside ``keep``
+    reach from ``start``, by a plain depth-first search over vertex
+    indices."""
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for u in range(len(adj)):
+            if keep >> u & 1 and adj[v] >> u & 1 and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def plain_spans(adj, keep):
+    """Whether the vertices of bitmask ``keep`` induce a connected graph
+    (none or one vertex counts as connected)."""
+    inside = [v for v in range(len(adj)) if keep >> v & 1]
+    return not inside or len(plain_component(adj, inside[0], keep)) == len(inside)
+
+
+def components(g):
+    """The connected components of g as sorted vertex tuples, ordered by
+    least vertex."""
+    out, left = [], (1 << g.n) - 1
+    for v in range(g.n):
+        if left >> v & 1:
+            comp = plain_component(g.adj, v, left)
+            out.append(tuple(sorted(comp)))
+            left &= ~bitset_of(comp)
+    return out
+
+
+def plain_complement_rows(n, adj):
+    """The rows of the complement, one vertex pair at a time."""
+    return tuple(sum(1 << u for u in range(n) if u != v and not adj[v] >> u & 1) for v in range(n))
+
+
 def brute_clique_number(g):
     for r in range(g.n, 0, -1):
         for sub in itertools.combinations(range(g.n), r):
@@ -310,7 +358,7 @@ def brute_induced_cycle_sets(g, exact_len):
     found = []
     for sub in itertools.combinations(range(g.n), exact_len):
         h = g.induced(sub)
-        if all(d == 2 for d in h.degrees()) and h.is_connected():
+        if all(d == 2 for d in degrees(h)) and h.is_connected():
             found.append(frozenset(sub))
     return found
 

@@ -10,7 +10,7 @@ from clawlab.enumeration import EnumerationConfig, enumerate_graphs, oracle_enum
 from clawlab.graphs import Graph, rows_connected, to_graph6, vertices_of
 from clawlab.invariants import independence_number
 from clawlab.patterns import is_free, pattern_graph
-from conftest import brute_automorphisms, catalog_labels, permuted, pinned_has_induced, random_graph
+from conftest import brute_automorphisms, catalog_labels, degrees, permuted, pinned_has_induced, random_graph
 
 
 def collect(config):
@@ -120,7 +120,7 @@ class TestAgainstOracle:
         )
 
         def is_odd_cycle(g):
-            return g.n % 2 == 1 and g.n >= 3 and g.is_connected() and all(d == 2 for d in g.degrees())
+            return g.n % 2 == 1 and g.n >= 3 and g.is_connected() and all(d == 2 for d in degrees(g))
 
         want = oracle_filtered(
             oracle6, range(1, 7), lambda g: g.is_connected() and not is_odd_cycle(g)
@@ -213,7 +213,7 @@ class TestAgainstOracle:
 def _profile(g, v, upto=None):
     """Neighbour counts of v in each degree class, classes by ascending
     degree, up to degree ``upto`` when given."""
-    degs = g.degrees()
+    degs = degrees(g)
     return tuple(
         sum(1 for u in vertices_of(g.adj[v]) if degs[u] == d)
         for d in sorted(set(degs))
@@ -234,7 +234,7 @@ def test_canonically_last_vertex_passes_filter(oracle7, rng):
     for g in graphs:
         _, perm = kernels.canon_form(g.n, g.adj)
         last = perm.index(g.n - 1)
-        degs = g.degrees()
+        degs = degrees(g)
         top = max(degs)
         assert degs[last] == top, g.adj
         mine = _profile(g, last)
@@ -371,7 +371,7 @@ def _reference_masks(rep, min_alpha=0, connected=False):
             rivals_here = [v for v in rivals if mask != 1 << v]
         else:
             rivals_here = rivals
-        degs = child.degrees()
+        degs = degrees(child)
         k = degs[m]
         if any(degs[v] > k for v in rivals_here):
             continue

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
-from clawlab.graphs import Graph, GraphError, parse_graph6, to_graph6
-from conftest import random_graph
+from clawlab.graphs import Graph, GraphError, complement_rows, parse_graph6, rows_connected, spans, to_graph6
+from conftest import components, degrees, plain_complement_rows, plain_spans, random_graph
 
 import networkx as nx
 
@@ -21,12 +23,12 @@ class TestConstruction:
 
     def test_c5(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert g.degrees() == (2, 2, 2, 2, 2)
+        assert degrees(g) == (2, 2, 2, 2, 2)
         assert g.n_edges() == 5
 
     def test_claw_degrees(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert sorted(g.degrees(), reverse=True) == [3, 1, 1, 1]
+        assert sorted(degrees(g), reverse=True) == [3, 1, 1, 1]
 
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
@@ -209,4 +211,38 @@ class TestAlgebra:
 
     def test_components(self):
         g = Graph.from_edges(5, [(0, 3), (1, 2)])
-        assert g.components() == [(0, 3), (1, 2), (4,)]
+        assert components(g) == [(0, 3), (1, 2), (4,)]
+
+
+class TestRowRules:
+    """``spans`` and ``complement_rows``, the one connectivity test and the
+    one complement, against plain references."""
+
+    def test_spans_matches_a_plain_search(self, oracle6, rng):
+        # every class on at most 6 vertices with every vertex subset, then
+        # seeded graphs on up to 64 vertices near the connectivity threshold
+        # with seeded subsets; rows_connected and Graph.is_connected are
+        # spans on every vertex
+        graphs = [g for n in sorted(oracle6) for g in oracle6[n]]
+        cases = [(g, keep) for g in graphs for keep in range(1 << g.n)]
+        for _ in range(60):
+            n = rng.randrange(1, 65)
+            g = random_graph(rng, n, min(1.0, rng.uniform(0.5, 2.5) * math.log(n + 1) / n))
+            graphs.append(g)
+            full = (1 << n) - 1
+            cases += [(g, full), *((g, full & ~(1 << rng.randrange(n))) for _ in range(3))]
+            cases += [(g, rng.getrandbits(n) | rng.getrandbits(n)) for _ in range(6)]
+        answers = [spans(g.adj, keep) for g, keep in cases]
+        assert answers == [plain_spans(g.adj, keep) for g, keep in cases]
+        # the 600 seeded cases hold both answers
+        assert answers[-600:].count(True) > 50 and answers[-600:].count(False) > 50
+        for g in graphs:
+            assert rows_connected(g.adj) == g.is_connected() == spans(g.adj, (1 << g.n) - 1)
+
+    def test_complement_rows_match_a_plain_complement(self, oracle6, rng):
+        graphs = [g for n in sorted(oracle6) for g in oracle6[n]]
+        graphs += [random_graph(rng, rng.randrange(0, 65), rng.random()) for _ in range(40)]
+        for g in graphs:
+            rows = complement_rows(g.n, g.adj)
+            assert rows == plain_complement_rows(g.n, g.adj)
+            assert g.complement() == Graph(g.n, rows)

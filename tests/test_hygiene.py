@@ -1,8 +1,8 @@
 """Source hygiene: no module under ``src/clawlab/`` or ``tests/`` imports a
 name it never uses, no package module keeps a private name nothing reads
-or a public function only tests read, the C extension compiles with no
-warning and never calls back into Python, and its header comment lists
-the entries its ``methods[]`` table exports.
+or a public function or method only tests read, the C extension compiles
+with no warning and never calls back into Python, and its header comment
+lists the entries its ``methods[]`` table exports.
 
 ``__init__.py`` is skipped by the import check: its imports are the
 package's re-exports.
@@ -139,13 +139,28 @@ def string_constants(source: str) -> set[str]:
     return {node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
-def unread_public_functions(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """``module: name`` for each public module-level function of ``modules``
-    (file name -> source) that no source in ``readers`` reads, as a name or
-    as a string constant."""
+def public_methods(source: str) -> list[str]:
+    """``Class.method`` for each public method of the classes ``source``
+    defines at module level."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str], definitions) -> list[str]:
+    """``module: name`` for each of the ``definitions`` of ``modules`` (file
+    name -> source) whose last dotted part no source in ``readers`` reads,
+    as a name, as an attribute or as a string constant."""
     read = set().union(*map(read_names, readers), *map(string_constants, readers))
     return [
-        f"{path}: {name}" for path, source in modules.items() for name in public_functions(source) if name not in read
+        f"{path}: {name}"
+        for path, source in modules.items()
+        for name in definitions(source)
+        if name.rsplit(".", 1)[-1] not in read
     ]
 
 
@@ -164,16 +179,49 @@ def test_detector_names_each_unread_public_function():
     init = "from lib import d\n"
     bench = "TARGETS = (('lib', 'e'),)\nprint('c is not here')\n"
     want = ["lib.py: b", "lib.py: c", "lib.py: i"]
-    assert unread_public_functions({"lib.py": lib}, [lib, init, bench]) == want
+    assert unread_definitions({"lib.py": lib}, [lib, init, bench], public_functions) == want
+
+
+def test_detector_names_each_unread_public_method():
+    lib = (
+        "class A:\n"
+        "    def b(self): return self.c()\n"
+        "    def c(self): pass\n"
+        "    def d(self): pass\n"
+        "    def e(self): pass\n"
+        "    def _f(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "    @property\n"
+        "    def g(self): pass\n"
+        "def h(): pass\n"
+        "class I:\n"
+        "    async def j(self): pass\n"
+    )
+    bench = "print(graph.d)\nNAMES = ('e',)\n"
+    want = ["lib.py: A.b", "lib.py: A.g", "lib.py: I.j"]
+    assert unread_definitions({"lib.py": lib}, [lib, bench], public_methods) == want
+
+
+def package_and_bench():
+    """The package's modules (file name -> source) and the readers of their
+    public names: those modules and the bench's.  The tests are not
+    readers."""
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    return modules, list(modules.values()) + [path.read_text() for path in sorted(BENCH.glob("*.py"))]
 
 
 def test_no_public_function_only_tests_read():
     # read by a package module, re-exported by __init__, or named in the
-    # bench; the tests are not readers
-    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    readers = list(modules.values()) + [path.read_text() for path in sorted(BENCH.glob("*.py"))]
-    found = unread_public_functions(modules, readers)
+    # bench
+    found = unread_definitions(*package_and_bench(), public_functions)
     assert not found, "public functions only tests read: " + ", ".join(found)
+
+
+def test_no_public_method_only_tests_read():
+    # read as an attribute by a package module or the bench (Graph.degree:
+    # the bench reads networkx's degree), or named in the bench
+    found = unread_definitions(*package_and_bench(), public_methods)
+    assert not found, "public methods only tests read: " + ", ".join(found)
 
 
 def test_c_source_compiles_without_warnings(tmp_path):

@@ -6,6 +6,7 @@ from clawlab import kernels
 from clawlab.families import FamilySpec, InflationSpec, build_family, build_inflation
 from clawlab.graphs import Graph
 from clawlab.invariants import (
+    InvariantReport,
     chromatic_number,
     clique_number,
     find_odd_antihole,
@@ -21,6 +22,7 @@ from clawlab.verify import induced_cycles
 from conftest import (
     brute_chromatic_number,
     brute_clique_number,
+    components,
     cycle_search_graphs,
     permuted,
     random_graph,
@@ -255,7 +257,7 @@ class TestPerfection:
 def reference_complete_multipartite(g):
     """The complement's components as the parts, kept when each of them is
     independent in ``g``."""
-    parts = g.complement().components()
+    parts = components(g.complement())
     for part in parts:
         if any(g.has_edge(u, v) for u, v in itertools.combinations(part, 2)):
             return None
@@ -311,7 +313,7 @@ class TestCompleteMultipartite:
             if parts is None:
                 continue
             comp = g.complement()
-            for part in comp.components():
+            for part in components(comp):
                 assert all(comp.has_edge(u, v) for u, v in itertools.combinations(part, 2))
 
     def test_brute_force_agreement(self, rng):
@@ -342,6 +344,20 @@ class TestCompleteMultipartite:
         for _ in range(60):
             g = random_graph(rng, rng.randrange(0, 8), 0.5)
             assert (is_complete_multipartite(g) is not None) == brute(g)
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["selected", "pure"])
+def test_empty_graph_invariants(pure, monkeypatch):
+    # K0 through the general paths, on the selected kernels and on the pure
+    # ones: chi = 0 with the empty colouring, and perfect both ways
+    if pure:
+        for name in ("max_clique", "color_with", "odd_hole"):
+            monkeypatch.setattr(kernels, name, getattr(kernels, f"pure_{name}"))
+    k0 = Graph(0)
+    assert chromatic_number(k0) == (0, ())
+    assert invariant_report(k0) == InvariantReport(0, 0, 0, 0, (), (), ())
+    assert is_omega_colourable(k0)
+    assert is_perfect(k0).perfect and is_perfect(k0, "direct").perfect
 
 
 def test_invariant_report_consistency(rng):

@@ -28,6 +28,7 @@ from conftest import (
     brute_embeddings,
     brute_oriented_cycles,
     cycle_search_graphs,
+    degrees,
     full_signature_canon_form,
     named_graphs,
     permuted,
@@ -429,7 +430,7 @@ def test_canon_form_keys_past_eight_fragments(rng):
     # the 8 a packed key holds.  The compiled labelling gives the pure rows
     # and perm there, and every relabelling the same rows
     graphs = [random_graph(rng, rng.randrange(24, 65), rng.choice([0.3, 0.5, 0.7])) for _ in range(40)]
-    graphs = [g for g in graphs if len(set(g.degrees())) >= 10]
+    graphs = [g for g in graphs if len(set(degrees(g))) >= 10]
     assert len(graphs) >= 30
     for g in graphs:
         copies = [g] + [permuted(rng, g)[0] for _ in range(2)]
@@ -461,6 +462,17 @@ def canon_digest(rng, canon_forms):
 def test_canon_form_pinned(rng):
     # both labellings give the pinned rows
     assert canon_digest(rng, CANON_FORMS) == [CANON_DIGEST] * len(CANON_FORMS)
+
+
+def test_empty_graph_takes_the_general_path():
+    # K0 on both backends: no clique vertex in it or in its complement, no
+    # odd hole or antihole, and no class of the level [K0] flagged
+    for max_clique in dict.fromkeys((kernels.pure_max_clique, kernels.max_clique)):
+        assert max_clique(0, ()) == max_clique(0, (), False) == max_clique(0, (), True) == 0
+    for odd_hole in dict.fromkeys((kernels.pure_odd_hole, kernels.odd_hole)):
+        assert odd_hole(0, (), False) is None and odd_hole(0, (), True) is None
+    for flag_level in dict.fromkeys((kernels.pure_flag_level, kernels.flag_level)):
+        assert flag_level(0, [()], 0) == flag_level(0, [()], 1) == []
 
 
 @compiled_only

@@ -16,25 +16,25 @@ from clawlab.patterns import (
     pattern_graph,
 )
 from clawlab.verify import induced_cycles
-from conftest import brute_has_induced, brute_is_isomorphic, random_graph
+from conftest import brute_has_induced, brute_is_isomorphic, degrees, random_graph
 
 
 class TestCatalog:
     def test_claw(self):
         g = pattern_graph("K1_3")
-        assert g.n == 4 and sorted(g.degrees(), reverse=True) == [3, 1, 1, 1]
+        assert g.n == 4 and sorted(degrees(g), reverse=True) == [3, 1, 1, 1]
 
     def test_hammer_is_triangle_with_pendant_path(self):
         g = pattern_graph("Z2")
         assert g.n == 5 and g.n_edges() == 5
-        assert sorted(g.degrees()) == [1, 2, 2, 2, 3]
+        assert sorted(degrees(g)) == [1, 2, 2, 2, 3]
         # contains a triangle, unlike the bull which has the same degrees
         assert has_induced(g, "K3")
         assert not is_isomorphic(g, pattern_graph("B"))
 
     def test_bull(self):
         g = pattern_graph("B")
-        assert g.n == 5 and g.n_edges() == 5 and sorted(g.degrees()) == [1, 1, 2, 3, 3]
+        assert g.n == 5 and g.n_edges() == 5 and sorted(degrees(g)) == [1, 1, 2, 3, 3]
 
     def test_diamond(self):
         g = pattern_graph("D")
@@ -42,13 +42,13 @@ class TestCatalog:
 
     def test_hourglass(self):
         g = pattern_graph("H")
-        assert g.n == 5 and g.n_edges() == 6 and sorted(g.degrees()) == [2, 2, 2, 2, 4]
+        assert g.n == 5 and g.n_edges() == 6 and sorted(degrees(g)) == [2, 2, 2, 2, 4]
 
     def test_theta_is_c6_plus_distance2_chord(self):
         g = pattern_graph("THETA")
         assert g.n == 6 and g.n_edges() == 7
         # removing the chord endpoints' common edge leaves a spanning C6
-        assert sorted(g.degrees()) == [2, 2, 2, 2, 3, 3]
+        assert sorted(degrees(g)) == [2, 2, 2, 2, 3, 3]
         u, v = [x for x in range(6) if g.degree(x) == 3]
         assert not g.has_edge(u, v) or g.has_edge(u, v)  # chord endpoints are adjacent
         assert g.has_edge(u, v)
@@ -118,6 +118,15 @@ class TestContainment:
 
     def test_k4_not_in_k3(self):
         assert find_induced(pattern_graph("K3"), "K4") is None
+
+    def test_pattern_larger_than_host(self, oracle6):
+        # every class on fewer vertices than the pattern, K0 included: the
+        # embedding search finds nothing and the answers keep their types
+        for token in ("K1", "2K1", "K1_3", "P4", "C4", "B", "Z2", "P5", "THETA", "C7", "AH7"):
+            p = pattern_graph(token)
+            for n in range(min(p.n, 7)):
+                for g in oracle6[n]:
+                    assert has_induced(g, p) is False and find_induced(g, p) is None, (token, g)
 
     def test_f10_freeness_list(self):
         g, _ = build_family(FamilySpec("F0", 1))
