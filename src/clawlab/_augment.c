@@ -1,7 +1,7 @@
 /* Compiled kernels for clawlab: canonical augmentation, the per-graph
    predicates, the per-level screens and the graph6 encoder.
 
-   Eight entries, all METH_FASTCALL:
+   Nine entries, all METH_FASTCALL:
 
    canon_form(n, adj) -> (rows, perm)
        The same canonical relabelling as the pure kernels.canon_form:
@@ -34,6 +34,13 @@
        which alone reads a pattern's orbits; one embedding search
        (list_from, the pure kernels._embed: twin images ascending) lists
        the obstructions from them.
+
+   first_embedding(n, adj, plan) -> tuple or None
+       The pure kernels.pure_first_embedding: the host images by position
+       of the first twin-ordered induced embedding of one plan of up to
+       MAXP positions (the whole pattern's, for kernels.has_induced), or
+       None.  The same embedding search as augment's obstruction listing,
+       stopped at its first leaf.
 
    max_clique(n, adj, complement=False) -> mask
        The pure kernels.max_clique: the same greedy-colour order and the
@@ -502,8 +509,6 @@ typedef struct {
     uint8_t near[MAXP];
 } Plan;
 
-#define PLAN_USAGE "plans must be a tuple of (degs, ups, downs, after, near) tuples"
-
 /* The tuple of positions earlier than t into *mask: 0, or -1 with
    ValueError set. */
 static int read_earlier(PyObject *positions, int t, uint16_t *mask, const char *what)
@@ -523,13 +528,14 @@ static int read_earlier(PyObject *positions, int t, uint16_t *mask, const char *
 }
 
 /* One plan tuple into pl, checked so that the embedding search reads
-   only what it has written: at most MAXP - 1 positions, degrees in
-   0..MAXP (the range of the degree masks), and up, down and after
-   positions earlier than their own.  0, or -1 with ValueError set. */
-static int read_plan(PyObject *obj, Plan *pl)
+   only what it has written: at most maxk positions (MAXP - 1 for an
+   obstruction plan, MAXP for a whole pattern's), degrees in 0..MAXP (the
+   range of the degree masks), and up, down and after positions earlier
+   than their own.  0, or -1 with ValueError set. */
+static int read_plan(PyObject *obj, Plan *pl, int maxk)
 {
     if (!PyTuple_Check(obj) || PyTuple_GET_SIZE(obj) != 5) {
-        PyErr_SetString(PyExc_ValueError, PLAN_USAGE);
+        PyErr_SetString(PyExc_ValueError, "plan must be a (degs, ups, downs, after, near) tuple");
         return -1;
     }
     PyObject *field[5];
@@ -540,8 +546,8 @@ static int read_plan(PyObject *obj, Plan *pl)
             return -1;
         }
     }
-    if (PyTuple_GET_SIZE(field[0]) > MAXP - 1) {
-        PyErr_Format(PyExc_ValueError, "plan positions must be at most %d", MAXP - 1);
+    if (PyTuple_GET_SIZE(field[0]) > maxk) {
+        PyErr_Format(PyExc_ValueError, "plan positions must be at most %d", maxk);
         return -1;
     }
     pl->k = (int)PyTuple_GET_SIZE(field[0]);
@@ -568,7 +574,7 @@ static int read_plan(PyObject *obj, Plan *pl)
 static int read_plans(PyObject *obj, Plan **out, Py_ssize_t *count)
 {
     if (!PyTuple_Check(obj)) {
-        PyErr_SetString(PyExc_ValueError, PLAN_USAGE);
+        PyErr_SetString(PyExc_ValueError, "plans must be a tuple of (degs, ups, downs, after, near) tuples");
         return -1;
     }
     *count = PyTuple_GET_SIZE(obj);
@@ -578,7 +584,7 @@ static int read_plans(PyObject *obj, Plan **out, Py_ssize_t *count)
         return -1;
     }
     for (Py_ssize_t i = 0; i < *count; i++) {
-        if (read_plan(PyTuple_GET_ITEM(obj, i), &(*out)[i]) < 0) {
+        if (read_plan(PyTuple_GET_ITEM(obj, i), &(*out)[i], MAXP - 1) < 0) {
             PyMem_Free(*out);
             return -1;
         }
@@ -604,15 +610,18 @@ static void degree_masks(int n, const word *adj, int top, word *atleast)
 /* The twin-ordered induced embeddings of a plan into a host, in
    lexicographic order of the images by position.  Each adds its (S, T)
    pair to pairs: the bitmask of the images and of the images of near
-   positions (img holds the images). */
+   positions (img holds the images).  With no pairs the walk stops at the
+   first embedding, which img then holds. */
 typedef struct {
     const word *adj;
     const Plan *pl;
     word roots[MAXP], nb[MAXP];
-    int img[MAXP];
+    uint8_t img[MAXP];
     RecordSet *pairs;
 } Lister;
 
+/* 1 when the walk stops (the first embedding with no pairs, or out of
+   memory), else 0. */
 static int list_from(Lister *ls, int t, word used, word touch)
 {
     const Plan *pl = ls->pl;
@@ -628,10 +637,10 @@ static int list_from(Lister *ls, int t, word used, word touch)
         cand ^= low;
         word reach = pl->near[t] ? touch | low : touch;
         int v = low_index(low);
-        ls->img[t] = v;
+        ls->img[t] = (uint8_t)v;
         if (t + 1 == pl->k) {
             word pair[2] = {used | low, reach};
-            if (rs_add(ls->pairs, pair) < 0)
+            if (ls->pairs == NULL || rs_add(ls->pairs, pair) < 0)
                 return 1;
             continue;
         }
@@ -663,6 +672,24 @@ static int list_obstructions(int n, const word *adj, const Plan *plans, Py_ssize
             return -1;
     }
     return 0;
+}
+
+/* ---- the first embedding (kernels.pure_first_embedding) --------------- */
+
+static PyObject *py_first_embedding(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    word adj[MAXN], atleast[MAXP + 1];
+    Plan pl;
+    long n = read_graph(args, nargs, 3, "first_embedding(n, adj, plan)", adj);
+    if (n < 0 || read_plan(args[2], &pl, MAXP) < 0)
+        return NULL;
+    Lister ls = {.adj = adj, .pl = &pl};
+    degree_masks((int)n, adj, MAXP, atleast);
+    for (int t = 0; t < pl.k; t++)
+        ls.roots[t] = atleast[pl.deg[t]];
+    if (pl.k && !list_from(&ls, 0, 0, 0))
+        Py_RETURN_NONE;
+    return index_tuple(pl.k, ls.img);
 }
 
 /* ---- augment ---------------------------------------------------------- */
@@ -1393,6 +1420,10 @@ static PyMethodDef methods[] = {
      "one-vertex extensions of the canonical parents on m vertices, sorted, free of the patterns\n"
      "whose kernels.obstruction_plans are plans, on the alpha tree or, with connected, the\n"
      "connected tree, as the pure kernels.pure_augment.  No state is kept between calls."},
+    {"first_embedding", (PyCFunction)(void (*)(void))py_first_embedding, METH_FASTCALL,
+     "first_embedding(n, adj, plan) -> tuple or None: the images by position of the first\n"
+     "twin-ordered induced embedding of the plan's positions, as the pure\n"
+     "kernels.pure_first_embedding."},
     {"max_clique", (PyCFunction)(void (*)(void))py_max_clique, METH_FASTCALL,
      "max_clique(n, adj, complement=False) -> mask: the first maximum clique of the graph or of its\n"
      "complement, as the pure kernels.max_clique."},

@@ -5,8 +5,9 @@ Python, and their compiled counterparts, with the compiled graph6 encoder,
 when they are built.
 
 One backtracker (``_embed``) walks induced embeddings with bitset
-candidates and calls a leaf action on each: it serves ``has_induced``,
-``find_induced_embedding``, the automorphism orbits of a pattern and
+candidates and calls a leaf action on each: it serves ``first_embedding``
+(stopped at its first leaf, for ``has_induced`` and
+``find_induced_embedding``), the automorphism orbits of a pattern and
 ``extension_obstructions``.  It takes the images of a pattern's twins in
 ascending order, which changes no answer.  One cycle grower
 (``_grow_cycles``) has two leaves: ``induced_cycles`` lists every cycle
@@ -48,29 +49,37 @@ canonical rows of its one-vertex extensions, labelled by
 and ``odd_hole`` build the complement's rows themselves when asked, so no
 caller makes a complement ``Graph`` for them.  ``canon_form``,
 ``max_clique``, ``color_with``, ``induced_cycles``, ``odd_hole``,
-``graph6``, ``augment`` and ``flag_level`` are bound to the pure entries,
-and when the optional C extension ``clawlab._augment`` imports
-(``setup.py build_ext --inplace`` builds it from ``_augment.c`` where a C
-compiler is found) to its eight entries instead, and ``BACKEND`` is
-``"c"``; otherwise it is ``"pure"``.  Then ``find_induced_cycle`` and
+``graph6``, ``augment``, ``first_embedding`` and ``flag_level`` are bound
+to the pure entries, and when the optional C extension ``clawlab._augment``
+imports (``setup.py build_ext --inplace`` builds it from ``_augment.c``
+where a C compiler is found) to its nine entries instead, and ``BACKEND``
+is ``"c"``; otherwise it is ``"pure"``.  Then ``find_induced_cycle`` and
 ``verify.induced_cycles`` run the compiled grower, which makes no Python
 call and has three leaves: the list, the odd hole, and, for
 ``flag_level``, the bad neighbourhood, which applies the rule of
 ``neighborhood_shape`` in C to each cycle it closes and stops at the
-first bad pair; and ``graphs.to_graph6``, one call of ``graph6``, runs
-the compiled encoder.  ``bad_cycle_neighborhoods`` has one entry, the
-pure one, on both backends: only the graphs ``flag_level`` flags reach
-it.
+first bad pair; ``has_induced`` runs the compiled embedding search of
+the obstruction listing, stopped at its first leaf, so ``is_free``, the
+families' freeness claims and the enumeration roots search in C; and
+``graphs.to_graph6``, one call of ``graph6``, runs the compiled encoder.
+``find_induced_embedding`` (the claw and bull searches of ``structure``)
+stays on the pure walker on both backends for now: bound to the compiled
+entry it made the benchmark's graph-queries pass 4.6 times as fast, and
+the bench worker, which keeps about 18 KB per pass, then peaked 65 %
+higher, past that metric's 10 % bound; it waits for a bench whose memory
+stays flat.  ``bad_cycle_neighborhoods`` has one entry, the pure one, on
+both backends: only the graphs ``flag_level`` flags reach it.
 Nothing else selects a backend: no option, no environment variable.  Both
 give the same results bit for bit, and both run one algorithm step for
 step; ``pure_canon_form``, ``pure_max_clique``, ``pure_color_with``,
 ``pure_induced_cycles``, ``pure_odd_hole``, ``pure_graph6`` (the pure encoder
-``graphs.encode_graph6``), ``pure_augment`` and ``pure_flag_level`` keep
-the pure entries as the references the compiled ones are tested against.
-The compiled entries take only ``n`` in 0..64, ints and rows with no bit
-at ``n`` or above, ``flag_level`` only ``test`` 0 or 1, and ``augment``
-only plans of at most 15 positions, degrees up to 16 and up, down and
-``after`` positions earlier than their own; they raise ValueError
+``graphs.encode_graph6``), ``pure_augment``, ``pure_first_embedding`` and
+``pure_flag_level`` keep the pure entries as the references the compiled
+ones are tested against.  The compiled entries take only ``n`` in 0..64,
+ints and rows with no bit at ``n`` or above, ``flag_level`` only ``test``
+0 or 1, and ``augment`` only plans of at most 15 positions and
+``first_embedding`` one of at most 16, with degrees up to 16 and up, down
+and ``after`` positions earlier than their own; they raise ValueError
 otherwise and keep no state between calls.
 """
 
@@ -295,30 +304,39 @@ def _stop(img, used, reach):
     return True
 
 
+def first_embedding(n, adj, plan):
+    """The host images by position of the first twin-ordered induced
+    embedding of the plan's positions (``_embed``), as a tuple, or None.
+    This is the pure entry, on the pure walker; the compiled one runs the
+    same walk as its obstruction listing and takes plans of at most 16
+    positions."""
+    img = _embed(adj, _degree_masks(n, adj, max(plan[0], default=0)), plan, _stop)
+    return None if img is None else tuple(img)
+
+
 @functools.lru_cache(maxsize=256)
 def _search_plans(pn, padj):
     """Everything ``has_induced`` and ``extension_obstructions`` derive from
-    a pattern alone, computed once per pattern: ``(top, free, orbits)``.
+    a pattern alone, computed once per pattern: ``(free, orbits)``.
 
-    ``top`` is the maximum pattern degree and ``free`` the plan of the
-    whole pattern, in descending-degree order.  ``orbits`` is the partition
-    of the pattern vertices into automorphism orbits, each a sorted tuple
-    whose first vertex is its representative, in the order of their first
-    vertices in ``free``.  An induced self-embedding is an automorphism,
-    and every automorphism is a twin-ordered one (``_embed``) after a
-    permutation of vertices within twin classes, so ``p``'s orbit holds the
-    images of ``p``'s twins under the twin-ordered self-embeddings.
+    ``free`` is the plan of the whole pattern, in descending-degree order.
+    ``orbits`` is the partition of the pattern vertices into automorphism
+    orbits, each a sorted tuple whose first vertex is its representative,
+    in the order of their first vertices in ``free``.  An induced
+    self-embedding is an automorphism, and every automorphism is a
+    twin-ordered one (``_embed``) after a permutation of vertices within
+    twin classes, so ``p``'s orbit holds the images of ``p``'s twins under
+    the twin-ordered self-embeddings.
     """
     base = _by_degree(padj, (1 << pn) - 1)
     free = _plan(padj, base)
-    top = free[0][0]
     images = [0] * pn  # images[p]: p's images under the walked automorphisms
 
     def mark(img, used, reach):
         for p, v in zip(base, img):
             images[p] |= 1 << v
 
-    _embed(padj, _degree_masks(pn, padj, top), free, mark)
+    _embed(padj, _degree_masks(pn, padj, pn), free, mark)
     orbits = []
     left = (1 << pn) - 1
     for p in base:
@@ -329,38 +347,33 @@ def _search_plans(pn, padj):
                     orbit |= images[q]
             orbits.append(vertices_of(orbit))
             left &= ~orbit
-    return top, free, tuple(orbits)
+    return free, tuple(orbits)
 
 
 def find_induced_embedding(n, adj, pn, padj):
     """Lexicographically least induced embedding of the pattern, or None.
 
     Pattern vertices are assigned in index order, so the first complete
-    assignment is the lex-least tuple.
+    assignment is the lex-least tuple.  It runs the pure walker
+    (``pure_first_embedding``) on both backends.
     """
-    if pn == 0:
-        return ()
-    plan = _plan(tuple(padj), tuple(range(pn)))
-    img = _embed(adj, _degree_masks(n, adj, max(plan[0])), plan, _stop)
-    return None if img is None else tuple(img)
+    return pure_first_embedding(n, adj, _plan(tuple(padj), tuple(range(pn))))
 
 
 def has_induced(n, adj, pn, padj, required=-1):
     """True iff the pattern embeds as an induced subgraph.
 
-    Existence only; pattern vertices are matched in descending-degree order
-    for speed, by a plan cached per pattern (``_search_plans``); the host's
-    degree masks are built once per call.  Copies through one host vertex
-    are not searched here: ``extension_obstructions`` answers that for
-    every neighbourhood of a new vertex at once.  ``required`` must be -1;
-    it stays in the signature because ``perfbench/tracer.py`` passes it.
+    Existence only: one ``first_embedding`` call, compiled when the
+    extension is built, on the whole pattern's plan in descending-degree
+    order, cached per pattern (``_search_plans``).  Copies through one
+    host vertex are not searched here: ``extension_obstructions`` answers
+    that for every neighbourhood of a new vertex at once.  ``required``
+    must be -1; it stays in the signature because ``perfbench/tracer.py``
+    passes it.
     """
     if required != -1:
         raise ValueError("has_induced takes no required vertex; see extension_obstructions")
-    if pn == 0:
-        return True
-    top, free, _ = _search_plans(pn, tuple(padj))
-    return _embed(adj, _degree_masks(n, adj, top), free, _stop) is not None
+    return first_embedding(n, adj, _search_plans(pn, tuple(padj))[0]) is not None
 
 
 @functools.lru_cache(maxsize=256)
@@ -368,7 +381,7 @@ def _obstruction_plans(pn, padj):
     """The plan of H - p, in descending degree in H - p, for each orbit
     representative ``p`` of the pattern H."""
     full = (1 << pn) - 1
-    orbits = _search_plans(pn, padj)[2]
+    orbits = _search_plans(pn, padj)[1]
     return tuple(_plan(padj, _by_degree(padj, full & ~(1 << orbit[0]))) for orbit in orbits)
 
 
@@ -929,6 +942,7 @@ pure_color_with = color_with
 pure_induced_cycles = induced_cycles
 pure_odd_hole = odd_hole
 pure_graph6 = graph6 = encode_graph6
+pure_first_embedding = first_embedding
 augment = pure_augment
 flag_level = pure_flag_level
 try:
@@ -944,4 +958,5 @@ else:
     odd_hole = _augment.odd_hole
     graph6 = _augment.graph6
     augment = _augment.augment
+    first_embedding = _augment.first_embedding
     flag_level = _augment.flag_level

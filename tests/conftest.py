@@ -14,10 +14,13 @@ def _build_compiled_backend():
     """Build ``clawlab._augment`` from the current source, as
     ``perfbench/run.py`` does, before anything imports clawlab, so the tests
     run the backend the bench times and never an extension left from an
-    older source.  The old in-place module goes first: without gcc, or if
-    the build fails, clawlab imports its pure backend.  Returns the build's
-    ``CompletedProcess`` (text output), or None without gcc."""
-    for old in (ROOT / "src" / "clawlab").glob("_augment.*.so"):
+    older source.  The old in-place module goes first, and so does its copy
+    under ``build/``, which ``build_ext --inplace`` would otherwise copy
+    back without calling the compiler: without gcc, or if the build fails
+    (``CC=false``), clawlab imports its pure backend, in any copy of the
+    checkout.  Returns the build's ``CompletedProcess`` (text output), or
+    None without gcc."""
+    for old in [*(ROOT / "src" / "clawlab").glob("_augment.*.so"), *ROOT.glob("build/lib.*/clawlab/_augment.*.so")]:
         old.unlink()
     if shutil.which("gcc") is None:
         return None

@@ -5,9 +5,9 @@ Each check runs in a child process, so a crash fails the test instead of
 ending the session.  Every entry takes ints and rows and returns values;
 none takes a callable.  Its agreement with the pure code is checked in
 ``test_kernels.py`` (``canon_form``, ``max_clique``, ``color_with``,
-``induced_cycles``, ``odd_hole`` and ``graph6`` against their ``pure_``
-entries), ``test_verify.py`` (``flag_level``) and ``test_enumeration.py``
-(``augment`` against ``pure_augment``).
+``induced_cycles``, ``odd_hole``, ``graph6`` and ``first_embedding``
+against their ``pure_`` entries), ``test_verify.py`` (``flag_level``) and
+``test_enumeration.py`` (``augment`` against ``pure_augment``).
 """
 
 import json
@@ -153,14 +153,15 @@ def random_plan(k):
     )
 
 
-def broken_plan():
-    # a plan with one defect, and the start of the message it must get
-    k = rng.randrange(1, 16)
+def broken_plan(most=15):
+    # a plan with one defect, and the start of the message it must get; a
+    # plan may hold at most `most` positions
+    k = rng.randrange(1, most + 1)
     plan = list(random_plan(k))
     t = rng.randrange(k)
     kind = rng.randrange(8)
     if kind == 0:
-        return random_plan(rng.randrange(16, 40)), "plan positions"
+        return random_plan(rng.randrange(most + 1, 40)), "plan positions"
     if kind == 1:
         degs = list(plan[0])
         degs[t] = rng.choice([17, 18, 2 ** 70, -1, -(2 ** 70), rng.choice(NOT_INTS)])
@@ -195,7 +196,7 @@ def broken_plan():
         plan[f], field = tuple(positions), ("plan up position", "plan down position")[f - 1]
     if rng.random() < 0.1:
         # the plan itself not a 5-tuple
-        return rng.choice([plan, tuple(plan[:4]), (*plan, ()), None, 5]), "plans must"
+        return rng.choice([plan, tuple(plan[:4]), (*plan, ()), None, 5]), "plan must"
     return tuple(plan), field
 
 
@@ -276,10 +277,38 @@ def flag_level_case():
     return may_reject(fn, *rng.choice([args, args[:2], args + [0]]))
 
 
+def first_embedding_case():
+    # up to 64 vertices for the rejected calls, whose good graphs are
+    # edgeless past 12 vertices, and up to 12 for the answered ones; a plan
+    # of up to 16 positions, the whole pattern's at the kernel bound
+    kind = rng.randrange(6)
+    n = rng.randrange(0, 65 if kind < 4 else 13)
+    adj = rows(n, None if n < 13 else 0.0)
+    plan = random_plan(rng.randrange(0, 17))
+    fn = _augment.first_embedding
+    if kind == 0:
+        return must_reject(fn, "n must", rng.choice([-1, 65, 66, 2 ** 70, -(2 ** 70), rng.choice(NOT_INTS)]), adj, plan)
+    if kind == 1 and n:
+        return must_reject(fn, "adj row", n, corrupted(adj, n), plan)
+    if kind == 2:
+        return must_reject(fn, "adj must hold", n, adj[:-1] if n and rng.random() < 0.5 else adj + (0,), plan)
+    if kind == 3:
+        bad, field = broken_plan(16)
+        return must_reject(fn, field, n, adj, bad)
+    # loops and one-sided rows are within range: answered, not crashed
+    odd = tuple(row | rng.getrandbits(n) & rng.getrandbits(n) for row in adj) if n else adj
+    if kind == 4:
+        fn(n, odd, plan)
+        return "answered"
+    args = [rng.choice([n, None, 1.5]), rng.choice([odd, 7, None]), rng.choice([plan, None, [plan]])]
+    return may_reject(fn, *rng.choice([args, args[:2], args + [0]]))
+
+
 print(json.dumps({
     "augment_canon": tally_of("augment_canon", [augment_case, canon_case], 3000),
     "graph6": tally_of("graph6", [graph6_case], 1500),
     "flag_level": tally_of("flag_level", [flag_level_case], 1500),
+    "first_embedding": tally_of("first_embedding", [first_embedding_case], 1500),
 }))
 """
 
@@ -317,6 +346,9 @@ print(json.dumps(tally_of("predicates", [predicate_case], 3000)))
 """
 
 LONG_RUN = PRELUDE + r"""
+from clawlab.kernels import _search_plans
+
+
 def rss_kib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
@@ -326,6 +358,7 @@ parents = [_augment.canon_form(len(g), g)[0] for g in graphs]
 configs = [(some_plans(), rng.randrange(0, 4), rng.random() < 0.5) for _ in range(500)]
 # after[1] is not earlier than position 1
 BAD_PLAN = ((0, 0), ((), ()), ((), ()), (-1, 1), (0, 0))
+WHOLE_PLANS = [_search_plans(pn, padj)[0] for pn, padj in PATTERNS]
 
 
 def run(canon_calls, augment_calls, predicate_calls):
@@ -354,8 +387,13 @@ def run(canon_calls, augment_calls, predicate_calls):
         _augment.odd_hole(n, g, False)
         _augment.odd_hole(n, g, True)
         _augment.graph6(n, g)
+        _augment.first_embedding(n, g, WHOLE_PLANS[i % len(WHOLE_PLANS)])
         try:
             _augment.color_with(n, g + (1,), omega)
+        except ValueError:
+            pass
+        try:
+            _augment.first_embedding(n, g, BAD_PLAN)
         except ValueError:
             pass
         try:
@@ -406,7 +444,24 @@ for m in range(8):
             want = kernels.pure_augment(m, parents, plans, a, connected)
             assert ub.augment(m, parents, plans, a, connected) == want, (m, parents, a, connected)
             calls += 1
-print(json.dumps({"augment_calls": calls}))
+# both plan orders of each pattern and of a random one of up to 16
+# vertices, the kernel bound
+searches = 0
+for _ in range(100):
+    n = rng.randrange(0, 13)
+    adj = rows(n)
+    big = rows(rng.randrange(0, 17))
+    for pn, padj in (*PATTERNS, (len(big), big)):
+        for plan in (kernels._search_plans(pn, padj)[0], kernels._plan(padj, tuple(range(pn)))):
+            assert ub.first_embedding(n, adj, plan) == kernels.pure_first_embedding(n, adj, plan), (adj, padj)
+            searches += 1
+try:
+    ub.first_embedding(2, (2, 1), ((0, 0), ((), ()), ((), ()), (-1, 1), (0, 0)))
+except ValueError:
+    pass
+else:
+    raise AssertionError("a plan whose after[1] is 1 was taken")
+print(json.dumps({"augment_calls": calls, "first_embedding_calls": searches}))
 """
 
 
@@ -429,10 +484,11 @@ def test_malformed_input_is_rejected_not_crashed():
     # count, parents or plans of the wrong type, a plan of unequal fields,
     # over 15 positions, a degree over 16 or a position not earlier than
     # its own, and negative min_alpha raise ValueError about that field,
-    # in augment, canon_form, graph6 and flag_level (each of the last two
-    # with its own tally; each tally has its own seed; flag_level also
-    # rejects a level that is not a sequence and a test other than 0 or
-    # 1); the rest of the
+    # in augment, canon_form, graph6, flag_level and first_embedding (each
+    # of the last three with its own tally; each tally has its own seed;
+    # flag_level also rejects a level that is not a sequence and a test
+    # other than 0 or 1, and first_embedding takes one plan of up to 16
+    # positions); the rest of the
     # malformed calls raise, and the well-typed odd ones (loops and
     # one-sided rows among them) and well-formed plans no pattern gives
     # are answered
@@ -442,6 +498,8 @@ def test_malformed_input_is_rejected_not_crashed():
     assert g6["rejected"] > 1200 and g6["answered"] > 80, tally
     flags = tally["flag_level"]
     assert flags["rejected"] > 1000 and flags["answered"] > 200, tally
+    firsts = tally["first_embedding"]
+    assert firsts["rejected"] > 1000 and firsts["answered"] > 200, tally
 
 
 def test_predicates_reject_malformed_input_and_keep_visit_errors():
@@ -457,8 +515,9 @@ def test_long_runs_keep_memory_flat():
     # bad parent after a good one or by a bad plan), and 10k rounds of the
     # predicates (a clique and an independent set, two colourings, a full
     # cycle search, one level screen of two graphs, each test in turn, the
-    # odd hole and odd antihole searches, a graph6 string and two rejected
-    # calls) on 6-12 vertex graphs after
+    # odd hole and odd antihole searches, a graph6 string, one first
+    # embedding of a whole pattern and three rejected calls, one of them a
+    # first embedding with a bad plan) on 6-12 vertex graphs after
     # warm-up: the peak RSS grows by at most 1 MiB
     out = run_child(LONG_RUN, 7)
     assert out["growth_kib"] <= 1024, out
@@ -468,7 +527,8 @@ def test_sanitized_build_matches_pure(tmp_path):
     # _augment.c built with -fsanitize=undefined -fno-sanitize-recover=all,
     # so any undefined behaviour on the way (clz of zero, a shift past the
     # word, a signed overflow) ends the child with the sanitizer's report;
-    # its eight entries give the pure references' answers
+    # its nine entries give the pure references' answers, and a bad plan is
+    # rejected
     include = Path(sysconfig.get_paths()["include"])
     gcc = shutil.which("gcc")
     if gcc is None or not (include / "Python.h").exists():
@@ -481,4 +541,4 @@ def test_sanitized_build_matches_pure(tmp_path):
     source = ROOT / "src" / "clawlab" / "_augment.c"
     proc = subprocess.run([gcc, *flags, str(source), "-o", str(built)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert run_child(SANITIZED, 20261020, str(built)) == {"augment_calls": 128}
+    assert run_child(SANITIZED, 20261020, str(built)) == {"augment_calls": 128, "first_embedding_calls": 1400}

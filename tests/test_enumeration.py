@@ -6,7 +6,7 @@ import pytest
 
 from clawlab import kernels
 from clawlab.canon import canonical_label
-from clawlab.enumeration import EnumerationConfig, enumerate_graphs, oracle_enumerate
+from clawlab.enumeration import EnumerationConfig, enumerate_graphs, enumerate_levels, oracle_enumerate
 from clawlab.graphs import Graph, rows_connected, to_graph6, vertices_of
 from clawlab.invariants import independence_number
 from clawlab.patterns import is_free, pattern_graph
@@ -638,6 +638,116 @@ class TestProperties:
             assert canonical_form(g) == g
 
         enumerate_graphs(EnumerationConfig(max_n=5), check)
+
+
+@functools.lru_cache(maxsize=None)
+def _certified_levels():
+    """The levels the stream certificates read, as ``(n, rows list)``
+    pairs: the unrestricted stream up to 7 vertices, the connected one up
+    to 8 (``_connected_levels``) and the T5 stream for P5 up to 9."""
+    t5 = EnumerationConfig(max_n=9, connected_only=True, free_of=("K1_3", "P5"), min_alpha=3, exclude_odd_cycles=True)
+    levels = [*enumerate_levels(EnumerationConfig(max_n=7)), *_connected_levels().items(), *enumerate_levels(t5)]
+    return tuple((n, level) for n, level in levels if level)
+
+
+def _relabelled(adj, perm):
+    """The rows of the graph with each vertex v renamed ``perm[v]``."""
+    out = [0] * len(adj)
+    for v, row in enumerate(adj):
+        out[perm[v]] = sum(1 << perm[u] for u in vertices_of(row))
+    return tuple(out)
+
+
+def _shuffled(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def _refined_colours(n, level):
+    """Plain colour refinement (1-WL) of each graph of one level, with one
+    colour table for the whole level so that colours compare across its
+    graphs: from the degrees, each round recolours every vertex by its
+    colour and the sorted colours of its neighbours, until a round adds no
+    colour.  Isomorphic graphs go through the same rounds, so they get
+    equal sorted colourings, and an isomorphism keeps each vertex's
+    colour."""
+    table = {}
+    out = []
+    for adj in level:
+        nbrs = [vertices_of(row) for row in adj]
+        colours = [-len(nb) - 1 for nb in nbrs]  # below every table colour
+        count = len(set(colours))
+        while True:
+            colours = [table.setdefault((colours[v], tuple(sorted([colours[u] for u in nb]))), len(table)) for v, nb in enumerate(nbrs)]
+            if len(set(colours)) == count:
+                break
+            count = len(set(colours))
+        out.append(colours)
+    return out
+
+
+def _plain_isomorphic(n, a, colours_a, b, colours_b):
+    """Whether some map of a's vertices onto b's that keeps the refined
+    colours is an isomorphism: plain backtracking in vertex order."""
+    image = [0] * n
+    used = [False] * n
+
+    def extend(v):
+        if v == n:
+            return True
+        for w in range(n):
+            if used[w] or colours_b[w] != colours_a[v]:
+                continue
+            if all((a[v] >> u & 1) == (b[w] >> image[u] & 1) for u in range(v)):
+                image[v], used[w] = w, True
+                if extend(v + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return extend(0)
+
+
+class TestCertificates:
+    """The streams checked without trusting ``canon_form``'s dedup, on
+    levels Tier-1 builds anyway (``_certified_levels``)."""
+
+    def test_labelling_perm_gives_the_rows(self, rng):
+        # each class, as emitted and relabelled at random: the labeller's
+        # perm, applied to its input, gives the rows it returns
+        for n, level in _certified_levels():
+            for rows in level:
+                for adj in (rows, _relabelled(rows, _shuffled(rng, n))):
+                    cert, perm = kernels.canon_form(n, adj)
+                    assert _relabelled(adj, perm) == cert, (n, adj)
+
+    def test_no_two_classes_of_a_level_are_isomorphic(self, rng):
+        # classes that colour refinement does not separate are told apart
+        # by the backtracking test, which does find the isomorphism to a
+        # random relabelling of each of them
+        unseparated = 0
+        for n, level in _certified_levels():
+            relabels = [_relabelled(rows, _shuffled(rng, n)) for rows in level]
+            colourings = _refined_colours(n, [*level, *relabels])
+            groups = {}
+            for i, colours in enumerate(colourings[: len(level)]):
+                groups.setdefault(tuple(sorted(colours)), []).append(i)
+            for members in groups.values():
+                for j, i in enumerate(members):
+                    assert _plain_isomorphic(n, level[i], colourings[i], relabels[i], colourings[len(level) + i])
+                    for k in members[:j]:
+                        unseparated += 1
+                        assert not _plain_isomorphic(n, level[i], colourings[i], level[k], colourings[k]), (n, i, k)
+        # regular classes of one degree, among others, reach the backtracking
+        assert unseparated > 100, unseparated
+
+    def test_classes_label_back_to_their_rows(self, rng):
+        # as a cheap extra that does read canon_form: each class, relabelled
+        # at random, labels back to its own rows
+        for n, level in _certified_levels():
+            for rows in level:
+                assert kernels.canon_form(n, _relabelled(rows, _shuffled(rng, n)))[0] == rows, (n, rows)
 
 
 CLOSURE_MAX_N = 8

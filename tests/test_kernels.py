@@ -37,6 +37,7 @@ from conftest import (
     random_graph,
     random_regular_graph,
     sparse_connected_graph,
+    toggled,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -341,7 +342,7 @@ def test_embedding_walk_is_exactly_the_twin_ordered_embeddings(rng):
         pairs = itertools.combinations(range(p.n), 2)
         twins = [(a, b) for a, b in pairs if p.adj[a] & ~(1 << b) == p.adj[b] & ~(1 << a)]
         assert twins, token
-        _, free, orbits = kernels._search_plans(p.n, p.adj)
+        free, orbits = kernels._search_plans(p.n, p.adj)
         plans = (free, *kernels._obstruction_plans(p.n, p.adj))
         for omit, plan in zip((None, *[orbit[0] for orbit in orbits]), plans, strict=True):
             rest = [q for q in range(p.n) if q != omit]
@@ -360,6 +361,94 @@ def test_embedding_walk_is_exactly_the_twin_ordered_embeddings(rng):
                 assert sorted(walked) == want, (g, token, omit)
 
 
+# every pattern token of at most 7 vertices that the embedding tests read,
+# with each parametric family up to 7 vertices
+SMALL_TOKENS = [
+    *dict.fromkeys([*_FIXED, *PATTERNS, *TWIN_PATTERNS, *OBSTRUCTION_PATTERNS]),
+    *(f"K{k}" for k in (2, 4, 5, 6, 7)),
+    *(f"P{k}" for k in (1, 2, 3, 6, 7)),
+    *(f"C{k}" for k in (6, 7)),
+    *(f"AH{k}" for k in (4, 5, 7)),
+    "2P3",
+    "K1+C5",
+]
+
+
+def first_embedding_cases(rng):
+    """(host, pattern) pairs: every token of ``SMALL_TOKENS`` on seeded
+    hosts of 0-64 vertices and five densities, random patterns of 8-16
+    vertices on hosts of at most 16 vertices (seldom found), relabelled
+    induced subgraphs of 8-13 vertex hosts (always found) and relabelled
+    16-vertex hosts in themselves and with one pair toggled."""
+    hosts = [random_graph(rng, n, p) for n in (0, 1, 3, 5, 8, 12, 16, 24, 40, 64) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    cases = [(g, pattern_graph(t)) for g in hosts for t in SMALL_TOKENS]
+    for _ in range(60):
+        cases.append((random_graph(rng, rng.randrange(0, 17), rng.random()), random_graph(rng, rng.randrange(8, 17), rng.random())))
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(8, 14), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        cases.append((g, permuted(rng, g.induced(rng.sample(range(g.n), rng.randrange(8, g.n + 1))))[0]))
+    for _ in range(6):
+        g = random_graph(rng, 16, rng.choice([0.3, 0.5, 0.7]))
+        p = permuted(rng, g)[0]
+        cases += [(g, p), (g, toggled(rng, p))]
+    return cases
+
+
+def test_first_embedding_matches_pure(rng):
+    # the compiled entry gives the pure walker's images on the degree plan
+    # has_induced walks and on the index plan of find_induced_embedding,
+    # and has_induced answers whether the pure walker finds one
+    cases = first_embedding_cases(rng)
+    found = 0
+    for g, p in cases:
+        answers = []
+        for plan in (kernels._search_plans(p.n, p.adj)[0], kernels._plan(p.adj, tuple(range(p.n)))):
+            want = kernels.pure_first_embedding(g.n, g.adj, plan)
+            assert kernels.first_embedding(g.n, g.adj, plan) == want, (g, p, plan)
+            answers.append(want is not None)
+        assert kernels.has_induced(g.n, g.adj, p.n, p.adj) == answers[0] == answers[1], (g, p)
+        found += answers[0]
+    # both answers are common
+    assert 0.2 < found / len(cases) < 0.8, (found, len(cases))
+
+
+@compiled_only
+def test_first_embedding_rejects_malformed_input():
+    # a plan of 16 positions, a whole pattern's at the kernel bound, is
+    # taken; n outside 0..64, a row bit at n or above, a plan of 17
+    # positions, a degree above 16, an up, down or after position not
+    # earlier than its own and a plan that is not a tuple raise ValueError
+    def path(n):
+        return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]).adj
+
+    p16 = path(16)
+    plan = kernels._plan(p16, tuple(range(16)))
+    assert kernels.first_embedding(16, p16, plan) == tuple(range(16))
+    assert kernels.first_embedding(15, path(15), plan) is None
+
+    def with_field(f, t, value):
+        fields = list(plan)
+        fields[f] = (*plan[f][:t], value, *plan[f][t + 1 :])
+        return tuple(fields)
+
+    bad = [
+        ((65, (0,) * 65, plan), "n must"),
+        ((16, p16[:-1] + (1 << 16,), plan), "adj row"),
+        ((17, path(17), kernels._plan(path(17), tuple(range(17)))), "plan positions must be at most 16"),
+        ((16, p16, with_field(0, 3, 17)), "plan degree"),
+        ((16, p16, with_field(1, 3, (3,))), "plan up position"),
+        ((16, p16, with_field(2, 3, (1, 4))), "plan down position"),
+        ((16, p16, with_field(3, 3, 3)), "plan after position"),
+        ((16, p16, list(plan)), "plan must"),
+        ((16, p16, plan[:4]), "plan must"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            kernels.first_embedding(*args)
+    with pytest.raises(TypeError, match="3 arguments"):
+        kernels.first_embedding(16, p16)
+
+
 def test_has_induced_takes_no_required_vertex():
     p5 = pattern_graph("P5")
     assert kernels.has_induced(p5.n, p5.adj, 2, (2, 1), -1)
@@ -373,7 +462,7 @@ def test_search_plan_orbits_brute_force(token):
     p = pattern_graph(token)
     autos = brute_automorphisms(p)
     want = {frozenset(a[v] for a in autos) for v in range(p.n)}
-    _, _, orbits = kernels._search_plans(p.n, p.adj)
+    _, orbits = kernels._search_plans(p.n, p.adj)
     assert {frozenset(o) for o in orbits} == want
     assert sorted(v for o in orbits for v in o) == list(range(p.n))
 
